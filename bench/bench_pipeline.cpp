@@ -39,6 +39,7 @@
 #include "extmem/block_device.hpp"
 #include "extmem/run_file.hpp"
 #include "harness_common.hpp"
+#include "obs/metrics.hpp"
 #include "pipeline/pipeline.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -52,6 +53,7 @@ struct ModeResult {
   double modeled_io_us = 0;
   std::uint64_t block_reads = 0;
   std::uint64_t block_writes = 0;
+  std::uint64_t probe_reads = 0;  ///< of block_reads: exchange co-rank probes
   pipeline::PipelineReport report;
 };
 
@@ -65,6 +67,9 @@ ModeResult run_mode(const std::string& mode,
   writer.append(values.data(), values.size());
   const extmem::RunHandle input = writer.finish();
   const extmem::DeviceStats before = device.stats();
+  obs::Counter& probes =
+      obs::MetricsRegistry::instance().counter("pipe.probe_reads");
+  const std::uint64_t probes_before = probes.value();
 
   auto pipe = pipeline::Pipeline<std::int32_t>::start(device, input, cfg);
   Timer timer;
@@ -75,6 +80,7 @@ ModeResult run_mode(const std::string& mode,
   out.modeled_io_us = device.modeled_io_us();
   out.block_reads = device.stats().block_reads - before.block_reads;
   out.block_writes = device.stats().block_writes - before.block_writes;
+  out.probe_reads = probes.value() - probes_before;
 
   extmem::RunReader<std::int32_t> reader(device, out.report.output);
   std::size_t at = 0;
@@ -114,6 +120,7 @@ void write_artifact(const std::string& path, std::uint64_t n,
      << "  \"memory_elems\": " << cfg.memory_elems << ",\n"
      << "  \"segment_blocks\": " << cfg.segment_blocks << ",\n"
      << "  \"block_bytes\": " << device_config.block_bytes << ",\n"
+     << "  \"elem_bytes\": " << sizeof(std::int32_t) << ",\n"
      << "  \"realize_scale\": " << device_config.realize_scale << ",\n"
      << "  \"overlap_speedup\": " << overlap_speedup << ",\n"
      << "  \"checkpoint_overhead_pct\": " << checkpoint_overhead_pct
@@ -127,6 +134,7 @@ void write_artifact(const std::string& path, std::uint64_t n,
        << "      \"modeled_io_us\": " << m.modeled_io_us << ",\n"
        << "      \"block_reads\": " << m.block_reads << ",\n"
        << "      \"block_writes\": " << m.block_writes << ",\n"
+       << "      \"probe_reads\": " << m.probe_reads << ",\n"
        << "      \"steps\": " << m.report.steps << ",\n"
        << "      \"checkpoints\": " << m.report.checkpoints << ",\n"
        << "      \"runs_formed\": " << m.report.runs_formed << ",\n"

@@ -22,7 +22,10 @@ serial and overlapped must be identical (double-buffering may not change
 WHAT is transferred, only WHEN), the no-checkpoint run must write fewer
 blocks and record exactly 1 checkpoint (the final completion manifest),
 and the derived numbers must be consistent with the per-mode wall times.
-Exit 0 on success, 1 with a diagnostic.
+Read amplification is bounded: apart from the exchange's co-rank probes
+(probe_reads), every mode reads at most the blocks each unit's windows
+cover, once, plus one block straddling the unit boundary per input run
+(see data_read_bound). Exit 0 on success, 1 with a diagnostic.
 """
 
 import argparse
@@ -53,6 +56,38 @@ def run_bench(bench_path, out_path, extra):
     sys.stdout.write(proc.stdout)
 
 
+def data_read_bound(doc):
+    """Most non-probe block reads a clean run may issue, from the geometry.
+
+    Shards, formed runs and merge segments are cut exactly as the pipeline
+    cuts them. Every unit reads each block its windows cover at most once,
+    plus one block straddling the unit boundary per input run: a formed
+    run reads its input window; a merge segment reads its shard's runs; an
+    exchange rank reads every shard's sorted run.
+    """
+    n, shards, memory = doc["n"], doc["shards"], doc["memory_elems"]
+    epb = doc["block_bytes"] // doc["elem_bytes"]
+    segment = doc["segment_blocks"] * epb
+
+    def covered(first, count):
+        return (first + count - 1) // epb - first // epb + 1 if count else 0
+
+    bound = 0
+    sizes = []
+    for s in range(shards):
+        lo = s * n // shards
+        size = (s + 1) * n // shards - lo
+        sizes.append(size)
+        runs = [(f, min(memory, size - f)) for f in range(0, size, memory)]
+        bound += sum(covered(lo + f, count) for f, count in runs)
+        if len(runs) > 1:  # a single run is aliased, not merged
+            segments = -(-size // segment)
+            bound += sum(covered(0, count) for _, count in runs)
+            bound += segments * len(runs)
+    bound += sum(covered(0, size) for size in sizes) + shards * shards
+    return bound
+
+
 def check(path):
     try:
         with open(path) as f:
@@ -61,7 +96,8 @@ def check(path):
         fail(f"{path}: {err}")
     if doc.get("schema") != SCHEMA:
         fail(f"{path}: schema is {doc.get('schema')!r}, want {SCHEMA!r}")
-    for key in ("host", "n", "shards", "memory_elems", "block_bytes"):
+    for key in ("host", "n", "shards", "memory_elems", "segment_blocks",
+                "block_bytes", "elem_bytes"):
         if not doc.get(key):
             fail(f"{path}: missing {key}")
     if not (isinstance(doc.get("realize_scale"), (int, float))
@@ -81,11 +117,24 @@ def check(path):
 
     serial, overlapped, nockpt = (modes[m] for m in MODES)
     # Double-buffering changes WHEN blocks move, never WHAT moves.
-    for key in ("block_reads", "block_writes", "steps", "checkpoints",
-                "runs_formed", "segments_merged", "ranks_exchanged"):
-        if serial[key] != overlapped[key]:
+    for key in ("block_reads", "probe_reads", "block_writes", "steps",
+                "checkpoints", "runs_formed", "segments_merged",
+                "ranks_exchanged"):
+        if serial.get(key) != overlapped.get(key):
             fail(f"{path}: serial vs overlapped disagree on {key} "
-                 f"({serial[key]} vs {overlapped[key]})")
+                 f"({serial.get(key)} vs {overlapped.get(key)})")
+    # Read amplification: each unit reads each block it needs once, plus
+    # one straddling block per input run; only the probes come on top.
+    bound = data_read_bound(doc)
+    for name, row in modes.items():
+        probes = row.get("probe_reads")
+        if not isinstance(probes, int) or not 0 <= probes <= row["block_reads"]:
+            fail(f"{path}: modes.{name}.probe_reads must be in "
+                 f"[0, block_reads], got {probes!r}")
+        if row["block_reads"] - probes > bound:
+            fail(f"{path}: modes.{name} read {row['block_reads'] - probes} "
+                 f"blocks besides probes, more than the {bound} its units "
+                 "need (each block once plus one straddling block per run)")
     # checkpoints=false still writes the final completion manifest.
     if nockpt.get("checkpoints") != 1:
         fail(f"{path}: no-checkpoint run must record exactly 1 checkpoint, "

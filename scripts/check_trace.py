@@ -93,12 +93,12 @@ KNOWN_NAMES = {
     # pipe.checkpoint / pipe.io are phase and unit spans; pipe.crash /
     # pipe.resume / pipe.retry are instants; pipe.runs_formed /
     # pipe.segments_merged / pipe.ranks_exchanged / pipe.checkpoints /
-    # pipe.crashes / pipe.resumes are counters.
+    # pipe.crashes / pipe.resumes / pipe.probe_reads are counters.
     "pipe.sort", "pipe.form", "pipe.segment", "pipe.exchange",
     "pipe.select", "pipe.checkpoint", "pipe.io",
     "pipe.crash", "pipe.resume", "pipe.retry",
     "pipe.runs_formed", "pipe.segments_merged", "pipe.ranks_exchanged",
-    "pipe.checkpoints", "pipe.crashes", "pipe.resumes",
+    "pipe.checkpoints", "pipe.crashes", "pipe.resumes", "pipe.probe_reads",
 }
 
 

@@ -4,10 +4,15 @@
 /// of the paper's two-way algorithm (and the direction its successors, e.g.
 /// GPU Merge Path, took).
 ///
-/// Three components:
-///  - LoserTree: classic sequential k-way merge in O(N log k) comparisons;
-///    the per-lane kernel of the parallel k-way merge and a useful public
-///    utility in its own right (external-sort style run merging).
+/// Four components:
+///  - LoserTree: classic sequential k-way merge in O(N log k) comparisons,
+///    one element per tournament. Kept as the instrumented lane body (its
+///    log-k compare counts are the PRAM model's) and as the reference order.
+///  - multiway_merge(): the same stable order from a balanced tree of
+///    pairwise Merge Path merges (kernels::merge_steps_auto) — ceil(log2 k)
+///    streaming passes of the dispatched two-way kernel instead of a
+///    per-element tournament. The uninstrumented lane body and the
+///    pipeline's block-batched merge units.
 ///  - multiway_select(): multisequence selection — finds, for a global rank
 ///    r, the unique stable split positions across the k runs such that the
 ///    union of the prefixes is exactly the r smallest elements (ties broken
@@ -15,18 +20,22 @@
 ///    stability). This generalises the two-array co-rank that
 ///    diagonal_intersection computes.
 ///  - parallel_multiway_merge(): p lanes; lane k spans global output ranks
-///    [k·N/p, (k+1)·N/p), locates its start with multiway_select(), and
-///    merges its quota with a LoserTree. Perfect load balance, no
-///    inter-lane communication — Algorithm 1 generalised to k inputs.
+///    [k·N/p, (k+1)·N/p), locates its bounds with multiway_select(), and
+///    merges its quota with multiway_merge() (a LoserTree when
+///    instrumented). Perfect load balance, no inter-lane communication —
+///    Algorithm 1 generalised to k inputs.
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
@@ -202,6 +211,99 @@ std::vector<std::size_t> multiway_select(
   return pos;
 }
 
+namespace detail {
+
+/// Merges runs[lo, hi) into `dst`, with `other` as the ping-pong buffer for
+/// the level below; returns where the result lives (a single run is its
+/// own result, so leaves are never copied). Children land in `other` at
+/// their own offsets and are consumed before anything is written back to
+/// `dst`'s region.
+template <typename T, typename Comp>
+std::span<const T> merge_tree(std::span<const std::span<const T>> runs,
+                              std::size_t lo, std::size_t hi, T* dst,
+                              T* other, Comp comp) {
+  if (hi - lo == 1) return runs[lo];
+  const std::size_t mid = lo + (hi - lo) / 2;
+  const std::span<const T> a = merge_tree(runs, lo, mid, other, dst, comp);
+  const std::span<const T> b = merge_tree(runs, mid, hi, other + a.size(),
+                                          dst + a.size(), comp);
+  std::size_t i = 0, j = 0;
+  kernels::merge_steps_auto(a.data(), a.size(), b.data(), b.size(), &i, &j,
+                            dst, a.size() + b.size(), comp);
+  return {dst, a.size() + b.size()};
+}
+
+}  // namespace detail
+
+/// Sequential stable k-way merge of `runs` into `out`: a balanced tree of
+/// pairwise kernels::merge_steps_auto merges over adjacent runs, the lower
+/// run as the A side, so ties go to the lower run index and the output is
+/// exactly LoserTree's (value, run index, position) order. Interior levels
+/// ping-pong between `out` and `scratch`, which needs room for the total
+/// when more than two runs are non-empty (it is unused otherwise and may
+/// be null). One non-empty run is copied. Admitted key types run the
+/// dispatched vector kernel; any other T or Comp runs scalar merge_steps,
+/// still ceil(log2 k) two-way passes rather than a tournament. `out` and
+/// `scratch` must not overlap the runs or each other.
+template <typename T, typename Comp = std::less<>>
+void multiway_merge(std::span<const std::span<const T>> runs, T* out,
+                    T* scratch, Comp comp = {}) {
+  std::vector<std::span<const T>> live;
+  live.reserve(runs.size());
+  for (const auto& r : runs)
+    if (!r.empty()) live.push_back(r);
+  if (live.empty()) return;
+  if (live.size() == 1) {
+    std::copy(live[0].begin(), live[0].end(), out);
+    return;
+  }
+  MP_ASSERT(live.size() == 2 || scratch != nullptr);
+  detail::merge_tree(std::span<const std::span<const T>>(live), 0,
+                     live.size(), out, scratch, comp);
+}
+
+namespace detail {
+
+/// Lane `lane` of `lanes` of the parallel k-way merge: global output ranks
+/// [lane·N/lanes, (lane+1)·N/lanes), bounded by multiway_select. Shared by
+/// parallel_multiway_merge and its resilient twin. Instrumented lanes pop a
+/// LoserTree so the modelled counts stay log k per element; the rest run
+/// multiway_merge over the selected slices.
+template <typename T, typename Comp, typename Instr>
+void multiway_merge_lane(std::span<const std::span<const T>> runs,
+                         std::size_t total, unsigned lanes, unsigned lane,
+                         T* out, Comp comp, Instr* li) {
+  const std::size_t r0 = lane * total / lanes;
+  const std::size_t r1 = (lane + 1ull) * total / lanes;
+  if (r0 == r1) return;
+  std::vector<std::size_t> start;
+  std::vector<std::size_t> end;
+  {
+    obs::Span span("mwm.select", "lane", lane);
+    start = multiway_select(runs, r0, comp, li);
+    if (li == nullptr) end = multiway_select(runs, r1, comp);
+  }
+  obs::Span span("mwm.merge", "lane", lane);
+  if (li != nullptr) {
+    std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
+    for (std::size_t t = 0; t < runs.size(); ++t) {
+      cursors[t] = {runs[t].data() + start[t],
+                    runs[t].data() + runs[t].size()};
+    }
+    LoserTree<T, Comp> tree(std::move(cursors), comp);
+    tree.pop_n(out + r0, r1 - r0, li);
+    return;
+  }
+  std::vector<std::span<const T>> slices(runs.size());
+  for (std::size_t t = 0; t < runs.size(); ++t)
+    slices[t] = runs[t].subspan(start[t], end[t] - start[t]);
+  const auto scratch = std::make_unique_for_overwrite<T[]>(r1 - r0);
+  multiway_merge(std::span<const std::span<const T>>(slices), out + r0,
+                 scratch.get(), comp);
+}
+
+}  // namespace detail
+
 /// Merges k sorted runs into `out` using p lanes; stable across runs (lower
 /// run index wins ties). Time O((N/p)·log k) per lane plus the selection.
 template <typename T, typename Comp = std::less<>,
@@ -229,23 +331,8 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
   }
 
   exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
-    const std::size_t r0 = lane * total / lanes;
-    const std::size_t r1 = (lane + 1ull) * total / lanes;
-    if (r0 == r1) return;
-    std::vector<std::size_t> start;
-    {
-      obs::Span span("mwm.select", "lane", lane);
-      start = multiway_select(runs, r0, comp, li);
-    }
-    obs::Span span("mwm.merge", "lane", lane);
-    std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
-    for (std::size_t t = 0; t < runs.size(); ++t) {
-      cursors[t] = {runs[t].data() + start[t],
-                    runs[t].data() + runs[t].size()};
-    }
-    LoserTree<T, Comp> tree(std::move(cursors), comp);
-    tree.pop_n(out + r0, r1 - r0, li);
+    detail::multiway_merge_lane(runs, total, lanes, lane, out, comp,
+                                instr.empty() ? nullptr : &instr[lane]);
   });
 }
 

@@ -329,7 +329,7 @@ RecoveryReport resilient_parallel_merge_sort(std::span<T> data,
 }
 
 /// Fault-aware k-way merge: parallel_multiway_merge's lane body (rank
-/// slice, multiway selection, LoserTree) under the recovery engine. Lanes
+/// slice, multiway selection, multiway_merge) under the recovery engine. Lanes
 /// read const runs and write disjoint [r0, r1) output spans — the Theorem
 /// 14 argument generalised to k inputs.
 template <typename T, typename Comp = std::less<>>
@@ -345,22 +345,8 @@ RecoveryReport resilient_parallel_multiway_merge(
   return run_lanes_with_recovery(
       exec.resolve_pool(), lanes,
       [&, total](unsigned lane) {
-        const std::size_t r0 = lane * total / lanes;
-        const std::size_t r1 = (lane + 1ull) * total / lanes;
-        if (r0 == r1) return;
-        std::vector<std::size_t> start;
-        {
-          obs::Span span("mwm.select", "lane", lane);
-          start = multiway_select(runs, r0, comp);
-        }
-        obs::Span span("mwm.merge", "lane", lane);
-        std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
-        for (std::size_t t = 0; t < runs.size(); ++t) {
-          cursors[t] = {runs[t].data() + start[t],
-                        runs[t].data() + runs[t].size()};
-        }
-        LoserTree<T, Comp> tree(std::move(cursors), comp);
-        tree.pop_n(out + r0, r1 - r0);
+        detail::multiway_merge_lane(runs, total, lanes, lane, out, comp,
+                                    static_cast<NoInstrument*>(nullptr));
       },
       cfg);
 }

@@ -24,15 +24,45 @@ TraceRegistry& TraceRegistry::instance() {
 
 namespace detail {
 
+namespace {
+
+/// Hands the calling thread's buffer back to the registry when the thread
+/// exits, so short-lived threads (one IoThread per pipeline run) recycle
+/// one buffer instead of leaking a trace ring each.
+struct BufferLease {
+  ThreadBuffer* buffer = nullptr;
+  ~BufferLease() {
+    if (buffer == nullptr) return;
+    g_thread_buffer = nullptr;
+    TraceRegistry& registry = TraceRegistry::instance();
+    std::lock_guard lock(registry.mutex);
+    buffer->owned = false;
+  }
+};
+thread_local BufferLease t_lease;
+
+}  // namespace
+
 ThreadBuffer* register_thread_buffer() {
   TraceRegistry& registry = TraceRegistry::instance();
   std::lock_guard lock(registry.mutex);
-  auto buffer = std::make_unique<ThreadBuffer>();
-  buffer->tid = static_cast<std::uint32_t>(registry.buffers.size());
-  buffer->ring.resize(registry.capacity);
-  buffer->flight.resize(registry.flight_capacity);
-  registry.buffers.push_back(std::move(buffer));
-  return registry.buffers.back().get();
+  ThreadBuffer* buffer = nullptr;
+  for (auto& b : registry.buffers) {
+    if (!b->owned) {
+      buffer = b.get();  // an exited thread's: keeps its tid and events
+      break;
+    }
+  }
+  if (buffer == nullptr) {
+    registry.buffers.push_back(std::make_unique<ThreadBuffer>());
+    buffer = registry.buffers.back().get();
+    buffer->tid = static_cast<std::uint32_t>(registry.buffers.size() - 1);
+    buffer->ring.resize(registry.capacity);
+    buffer->flight.resize(registry.flight_capacity);
+  }
+  buffer->owned = true;
+  t_lease.buffer = buffer;
+  return buffer;
 }
 
 }  // namespace detail

@@ -133,6 +133,10 @@ struct ThreadBuffer {
   std::uint64_t stats_dropped = 0;  ///< names beyond kSpanStatSlots
 
   std::uint32_t tid = 0;  ///< registration order
+  /// A live thread records here (registry mutex). An exited thread's
+  /// buffer is handed to the next thread that registers, so the trace
+  /// shows the two under one tid, one after the other.
+  bool owned = false;
 
   void push(const TraceEvent& event) {
     if (ring.empty()) {
@@ -170,7 +174,8 @@ inline constexpr std::uint8_t kSpanFlightBit = 4;  ///< flight ring enabled
 inline std::atomic<std::uint8_t> g_span_state{kSpanFlightBit};
 
 /// Cached pointer to this thread's buffer. Buffers live until process exit
-/// (the registry never destroys them), so a cached pointer cannot dangle.
+/// (the registry never destroys them), so a cached pointer cannot dangle;
+/// thread exit clears it and hands the buffer back for reuse.
 inline thread_local ThreadBuffer* g_thread_buffer = nullptr;
 
 /// Cold path: registers a buffer for the calling thread (trace.cpp).
@@ -190,10 +195,11 @@ inline ThreadBuffer* local_buffer() {
 
 /// Owns every thread's recorder state. Shared between trace.cpp,
 /// percentiles.cpp and flight.cpp; buffers are created on a thread's first
-/// recorded event and never destroyed (the registry itself is leaked on
-/// purpose: ThreadPool workers may still hold cached buffer pointers during
-/// static destruction, and a few MiB of process-lifetime state is cheaper
-/// than a shutdown-order hazard).
+/// recorded event (or taken over from an exited thread) and never
+/// destroyed (the registry itself is leaked on purpose: ThreadPool workers
+/// may still hold cached buffer pointers during static destruction, and a
+/// few MiB of process-lifetime state is cheaper than a shutdown-order
+/// hazard).
 struct TraceRegistry {
   std::mutex mutex;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers;

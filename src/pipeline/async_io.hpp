@@ -16,12 +16,16 @@
 /// finish() at the latest — so failures cannot pass silently.
 ///
 /// Readers and writers here mirror extmem::RunReader/RunWriter but keep
-/// one block in flight: AsyncRunReader prefetches block b+1 while the
-/// merge consumes block b; AsyncRunWriter flushes block b while the merge
-/// fills block b+1.
+/// transfers in flight: AsyncRunReader prefetches block b+1 while the
+/// merge consumes block b; AsyncRunWriter writes up to three filled blocks
+/// while the merge fills the next. Both move whole blocks: the reader
+/// lends its current block as a span (block()/skip()), the writer takes
+/// bulk copies.
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "extmem/block_device.hpp"
@@ -91,7 +95,7 @@ class AsyncRunReader {
                  extmem::RunHandle run, std::uint64_t offset,
                  std::uint64_t count, fault::RetryPolicy retry = {})
       : io_(&io), device_(&device), run_(run), retry_(retry),
-        consumed_(offset), start_(offset), end_(offset + count) {
+        consumed_(offset), end_(offset + count) {
     MP_ASSERT(end_ <= run.element_count);
     current_.resize(elems_per_block());
     pending_buf_.resize(elems_per_block());
@@ -117,19 +121,40 @@ class AsyncRunReader {
 
   bool empty() const { return consumed_ == end_; }
   std::uint64_t remaining() const { return end_ - consumed_; }
-  /// Elements consumed within this window (cursor advancement).
-  std::uint64_t consumed() const { return consumed_ - start_; }
+  /// Index within the run of the next element to consume (the cursor).
+  std::uint64_t position() const { return consumed_; }
 
-  const T& peek() {
-    MP_ASSERT(!empty());
+  /// The unconsumed rest of the current block, clipped to the window. A
+  /// used-up block is replaced first (starting the next prefetch), so the
+  /// span is empty only at the end of the window. Valid until the next
+  /// call that refills.
+  std::span<const T> block() {
+    if (empty()) return {};
     refill_if_needed();
-    return current_[cursor_];
+    const std::uint64_t lo = current_block_ * elems_per_block();
+    const std::uint64_t hi = std::min(lo + elems_per_block(), end_);
+    return {current_.data() + (consumed_ - lo),
+            static_cast<std::size_t>(hi - consumed_)};
+  }
+
+  /// Consumes the first `n` elements of block().
+  void skip(std::size_t n) { consumed_ += n; }
+
+  /// Copies the next `n` elements of the window to `dst`, a block at a time.
+  void read(T* dst, std::size_t n) {
+    for (std::size_t done = 0; done < n;) {
+      const std::span<const T> view = block();
+      MP_ASSERT(!view.empty());
+      const std::size_t take = std::min(n - done, view.size());
+      std::copy_n(view.data(), take, dst + done);
+      skip(take);
+      done += take;
+    }
   }
 
   T next() {
-    const T value = peek();
-    ++cursor_;
-    ++consumed_;
+    const T value = block().front();
+    skip(1);
     return value;
   }
 
@@ -152,10 +177,7 @@ class AsyncRunReader {
   void refill_if_needed() {
     if (current_block_ != kNone) {
       const std::uint64_t lo = current_block_ * elems_per_block();
-      if (consumed_ >= lo && consumed_ < lo + elems_per_block()) {
-        cursor_ = static_cast<std::size_t>(consumed_ - lo);
-        return;
-      }
+      if (consumed_ >= lo && consumed_ < lo + elems_per_block()) return;
     }
     const std::uint64_t needed = consumed_ / elems_per_block();
     if (pending_block_ != needed) {
@@ -168,7 +190,6 @@ class AsyncRunReader {
     std::swap(current_, pending_buf_);
     current_block_ = needed;
     pending_block_ = kNone;
-    cursor_ = static_cast<std::size_t>(consumed_ % elems_per_block());
     // Prefetch the next block of the window while this one is consumed.
     const std::uint64_t last = (end_ - 1) / elems_per_block();
     if (needed < last) start_fetch(needed + 1);
@@ -183,9 +204,7 @@ class AsyncRunReader {
   std::uint64_t current_block_ = kNone;  // block index within the run
   std::uint64_t pending_block_ = kNone;
   std::uint64_t pending_ticket_ = 0;
-  std::size_t cursor_ = 0;
   std::uint64_t consumed_;  // absolute element index within the run
-  std::uint64_t start_;
   std::uint64_t end_;
 };
 
@@ -219,9 +238,9 @@ class AsyncRunWriter {
   AsyncRunWriter& operator=(const AsyncRunWriter&) = delete;
 
   ~AsyncRunWriter() {
-    if (inflight_) {
+    for (unsigned b = 0; b < kBuffers; ++b) {
       try {
-        io_->wait(ticket_);
+        settle(b);
       } catch (...) {
       }
     }
@@ -231,23 +250,24 @@ class AsyncRunWriter {
     return device_->config().block_bytes / sizeof(T);
   }
 
-  void append(const T& value) {
-    buffers_[active_].push_back(value);
-    if (buffers_[active_].size() == elems_per_block()) flush_block();
-  }
-
+  /// Appends `count` elements, copying whole block-sized pieces into the
+  /// active buffer and flushing each one as it fills.
   void append(const T* values, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) append(values[i]);
+    while (count > 0) {
+      std::vector<T>& buf = buffers_[active_];
+      const std::size_t take = std::min(count, elems_per_block() - buf.size());
+      buf.insert(buf.end(), values, values + take);
+      values += take;
+      count -= take;
+      if (buf.size() == elems_per_block()) flush_block();
+    }
   }
 
   /// Flushes the tail, settles all in-flight writes (rethrowing any
   /// parked error), and returns the finished run's handle.
   extmem::RunHandle finish() {
     if (!buffers_[active_].empty()) flush_block();
-    if (inflight_) {
-      io_->wait(ticket_);
-      inflight_ = false;
-    }
+    for (unsigned b = 0; b < kBuffers; ++b) settle(b);
     io_->drain();
     return extmem::RunHandle{first_block_ == kUnset ? 0 : first_block_,
                              written_};
@@ -257,25 +277,29 @@ class AsyncRunWriter {
 
  private:
   static constexpr std::uint64_t kUnset = ~0ull;
+  /// One buffer filling, the rest in flight: a flush waits only for the
+  /// write posted kBuffers - 1 flushes earlier, not the one just before.
+  static constexpr unsigned kBuffers = 4;
 
   void reserve() {
-    buffers_[0].reserve(elems_per_block());
-    buffers_[1].reserve(elems_per_block());
+    for (std::vector<T>& buf : buffers_) buf.reserve(elems_per_block());
+  }
+
+  /// Waits out buffer b's write, if one is in flight.
+  void settle(unsigned b) {
+    if (!inflight_[b]) return;
+    inflight_[b] = false;
+    io_->wait(tickets_[b]);
   }
 
   void flush_block() {
-    // At most one block in flight: wait out the previous one before its
-    // buffer is recycled.
-    if (inflight_) {
-      io_->wait(ticket_);
-      inflight_ = false;
-    }
     std::vector<T>* buf = &buffers_[active_];
     if (preallocated_) {
       const std::uint64_t block = next_block_++;
-      ticket_ = io_->post([this, block, buf] { write_one(block, *buf); });
+      tickets_[active_] =
+          io_->post([this, block, buf] { write_one(block, *buf); });
     } else {
-      ticket_ = io_->post([this, buf] {
+      tickets_[active_] = io_->post([this, buf] {
         // Allocation happens here, on the io thread, in FIFO post order:
         // run blocks stay sequential and deterministic.
         const std::uint64_t block = device_->allocate(1);
@@ -283,9 +307,10 @@ class AsyncRunWriter {
         write_one(block, *buf);
       });
     }
-    inflight_ = true;
-    written_ += buffers_[active_].size();
-    active_ ^= 1;
+    inflight_[active_] = true;
+    written_ += buf->size();
+    active_ = (active_ + 1) % kBuffers;
+    settle(active_);  // the oldest write; its buffer is refilled next
     buffers_[active_].clear();
   }
 
@@ -305,10 +330,10 @@ class AsyncRunWriter {
   std::uint64_t next_block_ = 0;
   std::uint64_t first_block_ = kUnset;
   std::uint64_t written_ = 0;
-  std::vector<T> buffers_[2];
+  std::vector<T> buffers_[kBuffers];
   unsigned active_ = 0;
-  bool inflight_ = false;
-  std::uint64_t ticket_ = 0;
+  bool inflight_[kBuffers] = {};
+  std::uint64_t tickets_[kBuffers] = {};
 };
 
 }  // namespace mp::pipeline

@@ -6,9 +6,9 @@
 ///   1. kForm     — per shard, memory-sized chunks of the input are read,
 ///                  sorted in memory (core's resilient Merge Path sort,
 ///                  surviving injected lane faults), and spilled as runs.
-///   2. kMerge    — per shard, a k-way loser-tree merge of its runs into
-///                  one sorted shard run, executed segment-by-segment in
-///                  block-aligned output segments.
+///   2. kMerge    — per shard, a k-way merge of its runs into one sorted
+///                  shard run, executed segment-by-segment in block-aligned
+///                  output segments.
 ///   3. kExchange — R ranks (one per shard) each own a block-aligned slice
 ///                  of the global output. Rank r computes the Merge Path
 ///                  co-ranks (stable multisequence selection) bounding its
@@ -46,15 +46,15 @@
 ///
 /// I/O overlap: all device access runs on one IoThread (async_io.hpp);
 /// with PipelineConfig::double_buffer the readers prefetch and the
-/// writers flush one block ahead of the merge loop.
+/// writers flush ahead of the merge loop.
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <functional>
-#include <limits>
-#include <memory>
 #include <vector>
 
+#include "core/multiway_merge.hpp"
 #include "core/recovery.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
@@ -123,86 +123,6 @@ struct PipelineReport {
 std::uint64_t worst_case_manifest_bytes(unsigned shards,
                                         std::uint64_t total_elements,
                                         std::uint64_t memory_elems);
-
-namespace detail {
-
-/// Loser tree over streaming readers: the exact tournament of
-/// mp::LoserTree (exhausted inputs always lose; ties to the lower run
-/// index — the stability the co-rank selection assumes) with device-backed
-/// cursors instead of in-memory ranges. Reader must expose empty(),
-/// peek(), next().
-template <typename T, typename Reader, typename Comp>
-class StreamLoserTree {
- public:
-  StreamLoserTree(std::vector<Reader*> runs, Comp comp)
-      : runs_(std::move(runs)), comp_(comp) {
-    k_ = runs_.size();
-    slots_ = 1;
-    while (slots_ < k_) slots_ *= 2;
-    tree_.assign(slots_, kNone);
-    if (k_ == 0) return;
-    std::vector<std::size_t> winners(2 * slots_, kNone);
-    for (std::size_t s = 0; s < slots_; ++s)
-      winners[slots_ + s] = s < k_ ? s : kNone;
-    for (std::size_t node = slots_ - 1; node >= 1; --node) {
-      const std::size_t w1 = winners[2 * node];
-      const std::size_t w2 = winners[2 * node + 1];
-      const std::size_t win = play(w1, w2);
-      tree_[node] = win == w1 ? w2 : w1;
-      winners[node] = win;
-    }
-    winner_ = winners[1];
-  }
-
-  bool empty() { return winner_ == kNone || exhausted(winner_); }
-
-  T pop() {
-    MP_ASSERT(!empty());
-    const std::size_t run = winner_;
-    T value = runs_[run]->next();
-    replay(run);
-    return value;
-  }
-
- private:
-  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-  bool exhausted(std::size_t run) {
-    return run >= k_ || runs_[run]->empty();
-  }
-
-  std::size_t play(std::size_t x, std::size_t y) {
-    const bool xe = exhausted(x);
-    const bool ye = exhausted(y);
-    if (xe || ye) {
-      if (xe && ye) return x < y ? x : y;
-      return xe ? y : x;
-    }
-    const T& xv = runs_[x]->peek();
-    const T& yv = runs_[y]->peek();
-    if (comp_(xv, yv)) return x;
-    if (comp_(yv, xv)) return y;
-    return x < y ? x : y;
-  }
-
-  void replay(std::size_t run) {
-    std::size_t contender = run;
-    for (std::size_t node = (slots_ + run) / 2; node >= 1; node /= 2) {
-      const std::size_t winner = play(tree_[node], contender);
-      if (winner != contender) std::swap(tree_[node], contender);
-    }
-    winner_ = contender;
-  }
-
-  std::vector<Reader*> runs_;
-  Comp comp_;
-  std::size_t k_ = 0;
-  std::size_t slots_ = 1;
-  std::vector<std::size_t> tree_;
-  std::size_t winner_ = kNone;
-};
-
-}  // namespace detail
 
 /// The checkpointed sharded external sort. One instance is one
 /// *incarnation*: construct with start() (fresh) or resume() (attach to a
@@ -389,19 +309,17 @@ class Pipeline {
   // ---- kForm -------------------------------------------------------
 
   void form_phase() {
+    std::vector<T> buf;  // one chunk buffer, reused by every run
     for (unsigned s = 0; s < shard_count(); ++s) {
       ShardManifest& sh = m_.shards[s];
       while (sh.formed < sh.input_count) {
         obs::Span span("pipe.form", "shard", s);
         const std::uint64_t chunk =
             std::min(cfg_.memory_elems, sh.input_count - sh.formed);
-        std::vector<T> buf(static_cast<std::size_t>(chunk));
-        {
-          AsyncRunReader<T> reader(*io_, *device_, m_.input,
-                                   sh.input_first + sh.formed, chunk,
-                                   cfg_.retry);
-          for (auto& v : buf) v = reader.next();
-        }
+        buf.resize(static_cast<std::size_t>(chunk));
+        AsyncRunReader<T>(*io_, *device_, m_.input, sh.input_first + sh.formed,
+                          chunk, cfg_.retry)
+            .read(buf.data(), buf.size());
         resilient_parallel_merge_sort(buf.data(), buf.size(), cfg_.exec,
                                       comp_, cfg_.recovery);
         AsyncRunWriter<T> writer(*io_, *device_, cfg_.retry);
@@ -425,7 +343,15 @@ class Pipeline {
     for (unsigned s = 0; s < shard_count(); ++s) {
       ShardManifest& sh = m_.shards[s];
       if (sh.segment_count == 0) merge_init(s, sh);
-      while (sh.segments_done < sh.segment_count) merge_segment(s, sh);
+      if (sh.segments_done < sh.segment_count) {
+        // Staged blocks carry over between segments; a resume reopens here.
+        std::vector<std::uint64_t> run_ends;
+        for (const extmem::RunHandle& run : sh.runs)
+          run_ends.push_back(run.element_count);
+        auto readers = open_readers(sh.runs, sh.cursors, run_ends);
+        while (sh.segments_done < sh.segment_count)
+          merge_segment(s, sh, readers);
+      }
       if (!sh.runs.empty()) {
         // Source runs are dead once the shard is merged. Re-running this
         // after a crash is safe: release_blocks skips already-released
@@ -475,37 +401,93 @@ class Pipeline {
     unit_boundary("merge.init", "merge.init.ckpt", true);
   }
 
-  void merge_segment(unsigned s, ShardManifest& sh) {
+  void merge_segment(unsigned s, ShardManifest& sh,
+                     std::deque<AsyncRunReader<T>>& readers) {
     {
       obs::Span span("pipe.segment", "shard", s);
       const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
       const std::uint64_t g = sh.segments_done;
       const std::uint64_t lo = g * seg_elems;
       const std::uint64_t hi = std::min(sh.input_count, lo + seg_elems);
-      std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
-      std::vector<AsyncRunReader<T>*> ptrs;
-      readers.reserve(sh.runs.size());
-      for (std::size_t t = 0; t < sh.runs.size(); ++t) {
-        readers.push_back(std::make_unique<AsyncRunReader<T>>(
-            *io_, *device_, sh.runs[t], sh.cursors[t],
-            sh.runs[t].element_count - sh.cursors[t], cfg_.retry));
-        ptrs.push_back(readers.back().get());
-      }
-      detail::StreamLoserTree<T, AsyncRunReader<T>, Comp> tree(ptrs, comp_);
-      AsyncRunWriter<T> writer(*io_, *device_,
-                               sh.sorted.first_block + g * cfg_.segment_blocks,
-                               cfg_.retry);
-      for (std::uint64_t i = lo; i < hi; ++i) writer.append(tree.pop());
-      writer.finish();
-      // The readers' consumed counts ARE the merge frontier's co-ranks at
-      // output rank `hi` — the checkpointed cursor a redo restarts from.
-      for (std::size_t t = 0; t < sh.runs.size(); ++t)
-        sh.cursors[t] += readers[t]->consumed();
+      merge_unit(readers, hi - lo,
+                 sh.sorted.first_block + g * cfg_.segment_blocks);
+      // The readers' positions ARE the merge frontier's co-ranks at output
+      // rank `hi` — the checkpointed cursor a redo restarts from.
+      for (std::size_t t = 0; t < readers.size(); ++t)
+        sh.cursors[t] = readers[t].position();
       sh.segments_done = g + 1;
     }
     ++m_.segments_merged;
     obs::MetricsRegistry::instance().counter("pipe.segments_merged").add(1);
     unit_boundary("merge.seg", "merge.seg.ckpt", true);
+  }
+
+  /// Readers over the windows [from[t], to[t]) of `runs`.
+  std::deque<AsyncRunReader<T>> open_readers(
+      const std::vector<extmem::RunHandle>& runs,
+      const std::vector<std::uint64_t>& from,
+      const std::vector<std::uint64_t>& to) {
+    std::deque<AsyncRunReader<T>> readers;
+    for (std::size_t t = 0; t < runs.size(); ++t)
+      readers.emplace_back(*io_, *device_, runs[t], from[t], to[t] - from[t],
+                           cfg_.retry);
+    return readers;
+  }
+
+  /// One merge unit, shared by merge segments and exchange ranks: writes
+  /// the next `count` elements of the stable (value, run, position) merge
+  /// of the readers' windows to the preallocated blocks from `first_block`
+  /// on, leaving every reader at the unit end's co-rank in its run.
+  ///
+  /// Each reader stages one block. The fence is the smallest staged tail
+  /// of a run with more data (ties to the lower run); all unstaged data
+  /// follows it, so the staged elements up to it (upper_bound in runs up
+  /// to the fence's, lower_bound after) are the next stretch of output.
+  /// Each stretch is one multiway_merge, the last clipped to `count` by
+  /// multiway_select; each uses up the fence run's staged block.
+  void merge_unit(std::deque<AsyncRunReader<T>>& readers, std::uint64_t count,
+                  std::uint64_t first_block) {
+    const std::size_t k = readers.size();
+    AsyncRunWriter<T> writer(*io_, *device_, first_block, cfg_.retry);
+    std::vector<std::span<const T>> staged(k);
+    while (count > 0) {
+      std::size_t fence = k;
+      for (std::size_t t = 0; t < k; ++t) {
+        staged[t] = readers[t].block();
+        if (staged[t].size() < readers[t].remaining() &&
+            (fence == k || comp_(staged[t].back(), staged[fence].back())))
+          fence = t;
+      }
+      std::size_t total = 0;
+      for (std::size_t t = 0; t < k; ++t) {
+        const std::span<const T> st = staged[t];
+        auto cut = st.end();  // the fence's own run is taken whole
+        if (fence < k && t != fence) {
+          const T& f = staged[fence].back();
+          cut = t < fence ? std::upper_bound(st.begin(), st.end(), f, comp_)
+                          : std::lower_bound(st.begin(), st.end(), f, comp_);
+        }
+        staged[t] = st.first(static_cast<std::size_t>(cut - st.begin()));
+        total += staged[t].size();
+      }
+      MP_CHECK(total > 0);
+      if (total > count) {
+        const std::vector<std::size_t> ends = multiway_select(
+            std::span<const std::span<const T>>(staged),
+            static_cast<std::size_t>(count), comp_);
+        for (std::size_t t = 0; t < k; ++t)
+          staged[t] = staged[t].first(ends[t]);
+        total = static_cast<std::size_t>(count);
+      }
+      unit_out_.resize(std::max(unit_out_.size(), total));
+      unit_scratch_.resize(unit_out_.size());
+      multiway_merge(std::span<const std::span<const T>>(staged),
+                     unit_out_.data(), unit_scratch_.data(), comp_);
+      writer.append(unit_out_.data(), total);
+      for (std::size_t t = 0; t < k; ++t) readers[t].skip(staged[t].size());
+      count -= total;
+    }
+    writer.finish();
   }
 
   // ---- kExchange ---------------------------------------------------
@@ -562,6 +544,7 @@ class Pipeline {
         });
       });
       cache.block = b;
+      obs::MetricsRegistry::instance().counter("pipe.probe_reads").add(1);
     }
     return cache.data[static_cast<std::size_t>(index % epb())];
   }
@@ -633,21 +616,10 @@ class Pipeline {
             net.reliable_send(static_cast<unsigned>(s), r,
                               frag * sizeof(T));
         }
-        std::vector<std::unique_ptr<AsyncRunReader<T>>> readers;
-        std::vector<AsyncRunReader<T>*> ptrs;
-        for (std::size_t s = 0; s < m_.shards.size(); ++s) {
-          readers.push_back(std::make_unique<AsyncRunReader<T>>(
-              *io_, *device_, m_.shards[s].sorted, m_.exchange_cursors[s],
-              ends[s] - m_.exchange_cursors[s], cfg_.retry));
-          ptrs.push_back(readers.back().get());
-        }
-        detail::StreamLoserTree<T, AsyncRunReader<T>, Comp> tree(ptrs,
-                                                                 comp_);
-        AsyncRunWriter<T> writer(*io_, *device_,
-                                 m_.output.first_block + lo / epb(),
-                                 cfg_.retry);
-        for (std::uint64_t i = lo; i < hi; ++i) writer.append(tree.pop());
-        writer.finish();
+        std::vector<extmem::RunHandle> sorted;
+        for (const ShardManifest& sh : m_.shards) sorted.push_back(sh.sorted);
+        auto readers = open_readers(sorted, m_.exchange_cursors, ends);
+        merge_unit(readers, hi - lo, m_.output.first_block + lo / epb());
         m_.exchange_cursors = ends;
         break;
       } catch (const dist::NetError&) {
@@ -666,6 +638,8 @@ class Pipeline {
   PipelineConfig cfg_;
   Comp comp_;
   IoThread* io_ = nullptr;  // valid only inside run()
+  std::vector<T> unit_out_;      // merge_unit's output stretch
+  std::vector<T> unit_scratch_;  // and its multiway_merge scratch
   std::uint64_t steps_ = 0;
 };
 

@@ -577,7 +577,7 @@ TEST(KernelHotPaths, MultiwayPairwiseFallbackAndLoserTreeMatch) {
     const std::vector<std::vector<std::int32_t>> two{input.a, input.b};
     ASSERT_EQ(parallel_multiway_merge(two, Executor{nullptr, 4}), want2)
         << to_string(kernel);
-    // k=3 stays on the LoserTree; same bytes either way.
+    // k=3 runs the pairwise-tree engine per lane; same bytes either way.
     const std::vector<std::vector<std::int32_t>> three{input.a, input.b,
                                                        extra};
     ASSERT_EQ(parallel_multiway_merge(three, Executor{nullptr, 4}), want3)

@@ -1,6 +1,7 @@
 // Tests for core/multiway_merge.hpp: LoserTree pop order and stability,
-// multiway_select against a brute-force stable reference, and the parallel
-// k-way merge.
+// the pairwise-tree multiway_merge engine against the LoserTree (every
+// kernel, stability-probing records), multiway_select against a
+// brute-force stable reference, and the parallel k-way merge.
 
 #include "core/multiway_merge.hpp"
 
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "kernels/kernels.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
@@ -103,6 +105,126 @@ TEST(LoserTree, NonPowerOfTwoRunCounts) {
     while (!tree.empty()) out.push_back(tree.pop());
     EXPECT_EQ(out, flatten_sorted(runs)) << "k=" << k;
   }
+}
+
+// ---- multiway_merge vs LoserTree ------------------------------------------
+
+/// Key-only-comparator record: the payload tags (run, position), so any
+/// reordering of equal keys changes the bytes.
+struct Tagged32 {
+  std::int32_t key;
+  std::uint32_t tag;
+  friend bool operator==(const Tagged32&, const Tagged32&) = default;
+};
+struct KeyOnlyLess {
+  bool operator()(const Tagged32& a, const Tagged32& b) const {
+    return a.key < b.key;
+  }
+};
+
+template <typename T, typename Comp>
+std::vector<T> loser_tree_merge(const std::vector<std::vector<T>>& runs,
+                                Comp comp) {
+  std::vector<typename LoserTree<T, Comp>::Cursor> cursors;
+  for (const auto& run : runs)
+    cursors.push_back({run.data(), run.data() + run.size()});
+  LoserTree<T, Comp> tree(std::move(cursors), comp);
+  std::vector<T> out;
+  while (!tree.empty()) out.push_back(tree.pop());
+  return out;
+}
+
+template <typename T, typename Comp>
+std::vector<T> engine_merge(const std::vector<std::vector<T>>& runs,
+                            Comp comp) {
+  std::vector<std::span<const T>> views;
+  std::size_t total = 0;
+  for (const auto& run : runs) {
+    views.emplace_back(run.data(), run.size());
+    total += run.size();
+  }
+  std::vector<T> out(total);
+  std::vector<T> scratch(total);
+  multiway_merge(std::span<const std::span<const T>>(views), out.data(),
+                 scratch.data(), comp);
+  return out;
+}
+
+/// k sorted runs of T; every third run is empty, and universe 1 makes
+/// every key equal.
+template <typename T>
+std::vector<std::vector<T>> engine_runs(std::size_t k, std::uint64_t universe,
+                                        std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<T>> runs(k);
+  for (std::size_t t = 0; t < k; ++t) {
+    if (t % 3 == 2) continue;
+    runs[t].resize(rng.bounded(300));
+    for (auto& x : runs[t]) x = static_cast<T>(rng.bounded(universe)) - 3;
+    std::sort(runs[t].begin(), runs[t].end());
+  }
+  return runs;
+}
+
+std::vector<kernels::Kernel> supported_kernels() {
+  std::vector<kernels::Kernel> out;
+  for (kernels::Kernel kernel : kernels::kAllKernels)
+    if (kernels::kernel_supported(kernel)) out.push_back(kernel);
+  return out;  // always includes kScalar: the forced-scalar arm
+}
+
+TEST(MultiwayMergeEngine, MatchesLoserTreeUnderEveryKernel) {
+  const kernels::Kernel saved = kernels::selected_kernel();
+  for (kernels::Kernel kernel : supported_kernels()) {
+    ASSERT_TRUE(kernels::set_kernel(kernel));
+    for (std::size_t k : {0u, 1u, 2u, 3u, 5u, 31u, 32u, 33u}) {
+      for (std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{6},
+                                     std::uint64_t{1} << 30}) {
+        const std::uint64_t seed = 17 * k + universe;
+        const auto r32 = engine_runs<std::int32_t>(k, universe, seed);
+        EXPECT_EQ(engine_merge(r32, std::less<>{}),
+                  loser_tree_merge(r32, std::less<>{}))
+            << kernels::to_string(kernel) << " k=" << k << " u=" << universe;
+        const auto r64 = engine_runs<std::int64_t>(k, universe, seed + 1);
+        EXPECT_EQ(engine_merge(r64, std::less<>{}),
+                  loser_tree_merge(r64, std::less<>{}))
+            << kernels::to_string(kernel) << " k=" << k << " u=" << universe;
+      }
+    }
+  }
+  kernels::set_kernel(saved);
+}
+
+TEST(MultiwayMergeEngine, KeyOnlyRecordsKeepRunThenPositionOrder) {
+  for (std::size_t k : {0u, 1u, 2u, 3u, 5u, 31u, 32u, 33u}) {
+    for (std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{4}}) {
+      const auto keys = engine_runs<std::int32_t>(k, universe, 91 + k);
+      std::vector<std::vector<Tagged32>> runs(k);
+      std::vector<Tagged32> expected;  // run order, then stable by key
+      for (std::size_t t = 0; t < k; ++t) {
+        for (std::size_t i = 0; i < keys[t].size(); ++i) {
+          runs[t].push_back(
+              {keys[t][i], static_cast<std::uint32_t>(t << 16 | i)});
+        }
+        expected.insert(expected.end(), runs[t].begin(), runs[t].end());
+      }
+      std::stable_sort(expected.begin(), expected.end(), KeyOnlyLess{});
+      const auto got = engine_merge(runs, KeyOnlyLess{});
+      EXPECT_EQ(got, loser_tree_merge(runs, KeyOnlyLess{})) << "k=" << k;
+      EXPECT_EQ(got, expected) << "k=" << k << " u=" << universe;
+    }
+  }
+}
+
+TEST(MultiwayMergeEngine, TwoLiveRunsNeedNoScratch) {
+  const std::vector<std::int32_t> a{1, 3, 5};
+  const std::vector<std::int32_t> b{2, 3, 4};
+  const std::vector<std::span<const std::int32_t>> views{
+      {}, {a.data(), a.size()}, {}, {b.data(), b.size()}};
+  std::vector<std::int32_t> out(6);
+  multiway_merge(std::span<const std::span<const std::int32_t>>(views),
+                 out.data(), static_cast<std::int32_t*>(nullptr));
+  EXPECT_EQ(out, (std::vector<std::int32_t>{1, 2, 3, 3, 4, 5}));
 }
 
 // Brute-force stable selection reference: tag every element with

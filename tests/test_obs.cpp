@@ -12,6 +12,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <thread>
 #include <string>
 #include <vector>
 
@@ -281,6 +282,24 @@ TEST_F(ObsTest, MultiThreadedRecordingStress) {
   std::ostringstream os;
   obs::write_chrome_trace(os);
   expect_balanced_json(os.str());
+}
+
+TEST_F(ObsTest, ExitedThreadsHandTheirBufferToTheNextThread) {
+  // One short-lived recording thread after another (the pipeline starts
+  // an IoThread per run) must reuse one buffer, not register a new ring
+  // each time; both threads' spans stay in the trace.
+  obs::arm_tracing(/*events_per_thread=*/64);
+  auto record_on_new_thread = [] {
+    std::thread([] { obs::Span span("reuse.thread"); }).join();
+  };
+  record_on_new_thread();
+  const std::size_t threads = obs::trace_thread_count();
+  for (int i = 0; i < 8; ++i) record_on_new_thread();
+  obs::disarm_tracing();
+  EXPECT_EQ(obs::trace_thread_count(), threads);
+  if (obs::kTraceCompiledIn) {
+    EXPECT_EQ(events_named(obs::trace_snapshot(), "reuse.thread").size(), 9u);
+  }
 }
 
 // ---------------------------------------------------------------------------

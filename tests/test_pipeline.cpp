@@ -1,9 +1,10 @@
 // Tests for the crash-consistent external-sort pipeline (S26): manifest
 // round-trip and torn-write rejection, double-slot fallback, async
-// double-buffered I/O equivalence, clean end-to-end sorting across
-// geometries, scripted crash/resume, the rate-driven crash loop (cumulative
-// counters prove completed work is never redone), and the MP_FAULT=0
-// contract (crash hooks compile to no-ops).
+// double-buffered I/O equivalence (element and whole-block paths), clean
+// end-to-end sorting across geometries, checkpointed merge cursors equal to
+// in-memory multiway_select co-ranks, scripted crash/resume, the
+// rate-driven crash loop (cumulative counters prove completed work is never
+// redone), and the MP_FAULT=0 contract (crash hooks compile to no-ops).
 
 #include "pipeline/pipeline.hpp"
 
@@ -12,6 +13,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/multiway_merge.hpp"
 #include "extmem/run_file.hpp"
 #include "util/rng.hpp"
 
@@ -170,7 +172,36 @@ TEST(AsyncIo, WriterReaderRoundTripAsyncAndInline) {
     while (!reader.empty()) window.push_back(reader.next());
     EXPECT_EQ(window, std::vector<std::int32_t>(values.begin() + 37,
                                                 values.begin() + 537));
-    EXPECT_EQ(reader.consumed(), 500u);
+    EXPECT_EQ(reader.position(), 537u);
+  }
+}
+
+TEST(AsyncIo, BulkReadAndPiecewiseAppendCrossBlocks) {
+  for (const bool async : {false, true}) {
+    extmem::BlockDevice device(tiny_blocks());
+    IoThread io(async);
+    const auto values = make_values(1000, 43);
+    AsyncRunWriter<std::int32_t> writer(io, device);
+    // Uneven pieces: some fill a block exactly, some straddle two or more.
+    std::size_t at = 0;
+    for (const std::size_t piece : {1u, 63u, 64u, 130u, 5u, 700u, 37u}) {
+      writer.append(values.data() + at, piece);
+      at += piece;
+    }
+    ASSERT_EQ(at, values.size());
+    const extmem::RunHandle run = writer.finish();
+    EXPECT_EQ(read_run<std::int32_t>(device, run), values) << async;
+
+    // A mid-block window read in two bulk pieces, then block() at its end.
+    AsyncRunReader<std::int32_t> reader(io, device, run, 37, 500);
+    std::vector<std::int32_t> window(500);
+    reader.read(window.data(), 100);
+    EXPECT_EQ(reader.block().size(), 64u - (37u + 100u) % 64u);
+    reader.read(window.data() + 100, 400);
+    EXPECT_EQ(window, std::vector<std::int32_t>(values.begin() + 37,
+                                                values.begin() + 537));
+    EXPECT_TRUE(reader.block().empty());
+    EXPECT_EQ(reader.position(), 537u);
   }
 }
 
@@ -289,6 +320,80 @@ TEST(Pipeline, GeometryMatrixMatchesStdSort) {
         << " shards=" << shape.cfg.shards;
     ++case_index;
   }
+}
+
+TEST(Pipeline, CheckpointedCursorsAreMultiwaySelectCoRanks) {
+  // Crash after every unit and compare each checkpointed frontier with
+  // multiway_select over in-memory copies of the runs it indexes. Heavy
+  // ties, and runs (300) and shards (833/834) that end mid-block (32
+  // KeyId per block), so unit ends fall mid-block in every run.
+  if constexpr (!fault::kFaultCompiledIn) GTEST_SKIP();
+  const std::size_t n = 2500;
+  const std::uint64_t epb = 32;
+  extmem::BlockDevice device(tiny_blocks());
+  Xoshiro256 rng(5);
+  std::vector<KeyId> values(n);
+  for (std::size_t i = 0; i < n; ++i)
+    values[i] = {static_cast<std::int32_t>(rng() % 7),
+                 static_cast<std::int32_t>(i)};
+  const extmem::RunHandle input = write_input(device, values);
+  fault::FaultConfig fc;
+  fc.seed = 3;
+  fc.rate = 1.0;
+  fault::FaultPlan plan(fc);
+  PipelineConfig cfg = small_config();
+  cfg.crash_plan = &plan;
+  auto co_ranks = [&](const std::vector<extmem::RunHandle>& handles,
+                      std::uint64_t rank) {
+    std::vector<std::vector<KeyId>> copies;
+    for (const extmem::RunHandle& h : handles)
+      copies.push_back(read_run<KeyId>(device, h));
+    std::vector<std::span<const KeyId>> views(copies.begin(), copies.end());
+    const std::vector<std::size_t> pos = multiway_select(
+        std::span<const std::span<const KeyId>>(views), rank, KeyLess{});
+    return std::vector<std::uint64_t>(pos.begin(), pos.end());
+  };
+  auto pipe = Pipeline<KeyId, KeyLess>::start(device, input, cfg);
+  const std::uint64_t base = pipe.manifest_block();
+  std::size_t segment_checks = 0, rank_checks = 0, mid_block = 0;
+  PipelineReport report;
+  for (;;) {
+    const Manifest& m = pipe.manifest();
+    if (m.phase == Phase::kMerge) {
+      for (const ShardManifest& sh : m.shards) {
+        if (sh.cursors.empty()) continue;  // not started, aliased or done
+        const std::uint64_t rank = std::min<std::uint64_t>(
+            sh.input_count, sh.segments_done * cfg.segment_blocks * epb);
+        EXPECT_EQ(sh.cursors, co_ranks(sh.runs, rank)) << "rank " << rank;
+        ++segment_checks;
+        for (const std::uint64_t c : sh.cursors) mid_block += c % epb != 0;
+      }
+    } else if (m.phase == Phase::kExchange) {
+      std::vector<extmem::RunHandle> sorted;
+      for (const ShardManifest& sh : m.shards) sorted.push_back(sh.sorted);
+      const std::uint64_t rank =
+          m.ranks_done >= cfg.shards
+              ? n
+              : (m.ranks_done * n / cfg.shards) / epb * epb;
+      EXPECT_EQ(m.exchange_cursors, co_ranks(sorted, rank)) << "rank " << rank;
+      ++rank_checks;
+      for (const std::uint64_t c : m.exchange_cursors)
+        mid_block += c % epb != 0;
+    }
+    try {
+      report = pipe.run();
+      break;
+    } catch (const CrashError&) {
+      pipe = Pipeline<KeyId, KeyLess>::resume(device, base, n, cfg);
+    }
+  }
+  std::vector<KeyId> expected = values;
+  std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+  EXPECT_EQ(read_run<KeyId>(device, report.output), expected);
+  // Each frontier once: every shard's zero frontier, then every unit's.
+  EXPECT_EQ(segment_checks, report.segments_merged + cfg.shards);
+  EXPECT_EQ(rank_checks, cfg.shards + 1u);
+  EXPECT_GT(mid_block, 0u);
 }
 
 /// Expected steady-state block footprint after a completed pipeline:
