@@ -174,13 +174,14 @@ int main(int argc, char** argv) {
       });
       fault::FaultPlan plan(fault_config);
       fault::ScopedInjector injector(pool, plan);
-      RecoveryReport report;
+      // One recovery context per row: its report sums every repetition.
+      LaneRecovery lanes{recovery};
+      const RecoveryReport& report = lanes.report;
+      const Executor fexec{&pool, p, &lanes};
       obs::reset_span_stats();
       const double faulty_s = time_best_of([&] {
-        report.absorb(resilient_parallel_merge(input.a.data(), m,
-                                               input.b.data(), n, out.data(),
-                                               rexec, std::less<>{},
-                                               recovery));
+        parallel_merge(input.a.data(), m, input.b.data(), n, out.data(),
+                       fexec);
       });
       obs::disarm_span_stats();
       if (out != reference) {
@@ -213,12 +214,13 @@ int main(int argc, char** argv) {
       std::sort(sorted_reference.begin(), sorted_reference.end());
       fault::FaultPlan plan(fault_config);
       fault::ScopedInjector injector(pool, plan);
-      RecoveryReport report;
+      LaneRecovery lanes{recovery};
+      const RecoveryReport& report = lanes.report;
+      const Executor fexec{&pool, p, &lanes};
       obs::reset_span_stats();
       const double faulty_s = time_best_of([&] {
         work = shuffled;
-        report.absorb(resilient_parallel_merge_sort(
-            work.data(), work.size(), rexec, std::less<>{}, recovery));
+        parallel_merge_sort(work.data(), work.size(), fexec);
       });
       obs::disarm_span_stats();
       if (work != sorted_reference) {

@@ -99,7 +99,7 @@ void cache_efficient_parallel_sort(T* data, std::size_t n,
   }
   if (src != data) {
     const unsigned lanes = exec.resolve_threads();
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       const std::size_t begin = lane * n / lanes;
       const std::size_t end = (lane + 1ull) * n / lanes;
       for (std::size_t i = begin; i < end; ++i) data[i] = std::move(src[i]);

@@ -104,7 +104,7 @@ void parallel_merge_by_key(KeyIt keys_a, ValIt values_a, std::size_t m,
                                &j, keys_out, values_out, m + n, comp, li);
     return;
   }
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const MergeSlice slice =
         merge_slice_for_lane(keys_a, m, keys_b, n, lane, lanes, comp, li);

@@ -69,7 +69,7 @@ void parallel_merge_soa(const K* keys_a, std::size_t m, const K* keys_b,
   if (total == 0) return;
 
   const unsigned used = lanes == 0 ? 1 : lanes;
-  exec.resolve_pool().parallel_for_lanes(used, [&](unsigned lane) {
+  exec.run_lanes(used, [&](unsigned lane) {
     const MergeSlice slice =
         merge_slice_for_lane(keys_a, m, keys_b, n, lane, used, comp);
     // Walk the keys once, recording the take pattern and writing keys.

@@ -100,20 +100,23 @@ void sequential_merge_sort(std::span<T> data, Comp comp = {}) {
   sequential_merge_sort(data.data(), scratch.data(), data.size(), comp);
 }
 
-namespace detail {
-
-/// Engine of one flattened merge round, parameterised over the job runner
-/// so the plain path (ThreadPool::parallel_for_lanes) and the fault-aware
-/// path (core/recovery.hpp's run_lanes_with_recovery) share the partition
-/// math and lane body. `run_job(lanes, fn)` must execute fn(lane) for every
-/// lane in [0, lanes); the lane body only reads `src` and writes a disjoint
-/// slice of `dst`, so re-executing a lane is idempotent.
-template <typename T, typename Comp, typename Instr, typename RunJob>
-std::vector<Run> merge_round_impl(const T* src, T* dst,
-                                  const std::vector<Run>& runs,
-                                  unsigned lanes, Comp comp,
-                                  std::span<Instr> instr, RunJob&& run_job) {
+/// One flattened round: merges adjacent pairs of `runs` (runs must tile
+/// [0, n) contiguously) from `src` into `dst`, dividing the round's total
+/// output equally among the executor's lanes. A trailing unpaired run is
+/// copied. Returns the merged run list. Each lane only reads `src` and
+/// writes a disjoint slice of `dst`, so a recovering executor can re-run
+/// any lane on its own.
+///
+/// This is the building block shared by parallel_merge_sort and the
+/// cache-efficient sort; it is exposed for tests.
+template <typename T, typename Comp = std::less<>,
+          typename Instr = NoInstrument>
+std::vector<Run> merge_round_balanced(const T* src, T* dst,
+                                      const std::vector<Run>& runs,
+                                      Executor exec = {}, Comp comp = {},
+                                      std::span<Instr> instr = {}) {
   MP_CHECK(!runs.empty());
+  const unsigned lanes = exec.resolve_threads();
   // Pair descriptors: pair t merges runs[2t] (A) and runs[2t+1] (B, possibly
   // missing). Output starts at runs[2t].begin since runs tile the buffer.
   struct Pair {
@@ -136,7 +139,7 @@ std::vector<Run> merge_round_impl(const T* src, T* dst,
   MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span round_span("sort.round", "runs", runs.size());
 
-  run_job(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     obs::Span span("sort.round_slice", "lane", lane);
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t g0 = base + lane * total / lanes;
@@ -179,29 +182,6 @@ std::vector<Run> merge_round_impl(const T* src, T* dst,
   return merged;
 }
 
-}  // namespace detail
-
-/// One flattened round: merges adjacent pairs of `runs` (runs must tile
-/// [0, n) contiguously) from `src` into `dst`, dividing the round's total
-/// output equally among `lanes` lanes. A trailing unpaired run is copied.
-/// Returns the merged run list.
-///
-/// This is the building block shared by parallel_merge_sort and the
-/// cache-efficient sort; it is exposed for tests.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
-std::vector<Run> merge_round_balanced(const T* src, T* dst,
-                                      const std::vector<Run>& runs,
-                                      Executor exec = {}, Comp comp = {},
-                                      std::span<Instr> instr = {}) {
-  const unsigned lanes = exec.resolve_threads();
-  return detail::merge_round_impl(
-      src, dst, runs, lanes, comp, instr,
-      [&](unsigned l, const std::function<void(unsigned)>& fn) {
-        exec.resolve_pool().parallel_for_lanes(l, fn);
-      });
-}
-
 /// The paper's Parallel Merge Sort (Section III). Sorts [data, data+n)
 /// stably using `exec`. `instr`, when provided, must cover
 /// exec.resolve_threads() lanes and accumulates per-lane operation counts
@@ -222,7 +202,7 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
 
   // Phase 1: p blocks, each sorted sequentially by its own lane.
   std::vector<Run> runs(lanes);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     obs::Span span("sort.block", "lane", lane);
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t begin = lane * n / lanes;
@@ -247,7 +227,7 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   }
   if (src != data) {
     // Result landed in scratch: parallel copy-back (counted as moves).
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       obs::Span span("sort.copyback", "lane", lane);
       const std::size_t begin = lane * n / lanes;
       const std::size_t end = (lane + 1ull) * n / lanes;
@@ -266,104 +246,4 @@ void parallel_merge_sort(std::span<T> data, Executor exec = {},
   parallel_merge_sort(data.data(), data.size(), exec, comp);
 }
 
-#ifdef _OPENMP
-/// OpenMP backend of the Section III sort, mirroring the paper's own
-/// implementation vehicle: one omp parallel region per phase (block sorts,
-/// then each flattened merge round), lane = omp thread.
-template <typename T, typename Comp = std::less<>>
-void parallel_merge_sort_openmp(T* data, std::size_t n, unsigned threads = 0,
-                                Comp comp = {});
-#endif
-
 }  // namespace mp
-
-#ifdef _OPENMP
-#include <omp.h>
-
-namespace mp {
-
-template <typename T, typename Comp>
-void parallel_merge_sort_openmp(T* data, std::size_t n, unsigned threads,
-                                Comp comp) {
-  const int lanes =
-      threads > 0 ? static_cast<int>(threads) : omp_get_max_threads();
-  if (n <= 1) return;
-  std::vector<T> scratch(n);
-  if (lanes <= 1 ||
-      n <= static_cast<std::size_t>(lanes) * detail::kInsertionSortThreshold) {
-    sequential_merge_sort(data, scratch.data(), n, comp);
-    return;
-  }
-
-  const auto ulanes = static_cast<unsigned>(lanes);
-  std::vector<Run> runs(ulanes);
-#pragma omp parallel num_threads(lanes)
-  {
-    const auto lane = static_cast<unsigned>(omp_get_thread_num());
-    const auto actual = static_cast<unsigned>(omp_get_num_threads());
-    if (lane < actual) {
-      const std::size_t begin = lane * n / actual;
-      const std::size_t end = (lane + 1ull) * n / actual;
-      runs[lane] = Run{begin, end};
-      sequential_merge_sort(data + begin, scratch.data() + begin,
-                            end - begin, comp);
-    }
-  }
-  runs.resize(std::min<std::size_t>(runs.size(), ulanes));
-
-  T* src = data;
-  T* dst = scratch.data();
-  while (runs.size() > 1) {
-    // Reuse the flattened round, driven by an OpenMP "pool" of one lane
-    // each: simplest correct composition is to run the round's lane
-    // function under omp for. merge_round_balanced already encapsulates
-    // the slice math; replicate its pair loop here with omp lanes.
-    std::vector<Run> merged;
-    struct Pair {
-      Run a, b;
-    };
-    std::vector<Pair> pairs;
-    for (std::size_t t = 0; 2 * t < runs.size(); ++t) {
-      const Run a = runs[2 * t];
-      const Run b =
-          2 * t + 1 < runs.size() ? runs[2 * t + 1] : Run{a.end, a.end};
-      pairs.push_back(Pair{a, b});
-      merged.push_back(Run{a.begin, b.end});
-    }
-    const std::size_t total = runs.back().end - runs.front().begin;
-    const std::size_t base = runs.front().begin;
-#pragma omp parallel num_threads(lanes)
-    {
-      const auto lane = static_cast<unsigned>(omp_get_thread_num());
-      const auto actual = static_cast<unsigned>(omp_get_num_threads());
-      const std::size_t g0 = base + lane * total / actual;
-      const std::size_t g1 = base + (lane + 1ull) * total / actual;
-      for (const Pair& pr : pairs) {
-        const std::size_t out_begin = pr.a.begin;
-        const std::size_t out_end = pr.b.end;
-        const std::size_t s0 = std::max(g0, out_begin);
-        const std::size_t s1 = std::min(g1, out_end);
-        if (s0 >= s1) continue;
-        const std::size_t m = pr.a.size();
-        const std::size_t n2 = pr.b.size();
-        const PathPoint start = path_point_on_diagonal(
-            src + pr.a.begin, m, src + pr.b.begin, n2, s0 - out_begin,
-            comp);
-        std::size_t i = start.i;
-        std::size_t j = start.j;
-        kernels::merge_steps_auto(src + pr.a.begin, m, src + pr.b.begin, n2,
-                                  &i, &j, dst + s0, s1 - s0, comp);
-      }
-    }
-    runs = std::move(merged);
-    std::swap(src, dst);
-  }
-  if (src != data) {
-#pragma omp parallel for num_threads(lanes) schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i)
-      data[i] = std::move(src[i]);
-  }
-}
-
-}  // namespace mp
-#endif

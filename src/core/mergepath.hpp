@@ -19,6 +19,12 @@
 ///   mp::parallel_merge(a.data(), a.size(), b.data(), b.size(),
 ///                      out.data(), exec);
 ///
+/// The same executor can carry a lane-recovery context, so any algorithm
+/// retries faulted lanes and hedges stragglers (util/recovery.hpp):
+///
+///   mp::LaneRecovery recovery;
+///   mp::parallel_merge_sort(std::span(v), mp::Executor{&pool, 8, &recovery});
+///
 /// All algorithms are stable (ties favour the first input / lower run
 /// index), generic over random-access iterators and comparators, and
 /// lock-free in the sense of the paper: lanes synchronise only at the
@@ -33,7 +39,6 @@
 #include "core/merge_sort.hpp"        // IWYU pragma: export
 #include "core/multiway_merge.hpp"    // IWYU pragma: export
 #include "core/parallel_merge.hpp"    // IWYU pragma: export
-#include "core/recovery.hpp"          // IWYU pragma: export
 #include "core/recursive_merge.hpp"   // IWYU pragma: export
 #include "core/segmented_merge.hpp"   // IWYU pragma: export
 #include "core/sequential_merge.hpp"  // IWYU pragma: export
@@ -41,6 +46,7 @@
 #include "core/stream_merger.hpp"     // IWYU pragma: export
 #include "core/tiled_merge.hpp"       // IWYU pragma: export
 #include "core/verify.hpp"            // IWYU pragma: export
+#include "util/recovery.hpp"          // IWYU pragma: export
 
 namespace mp {
 

@@ -262,48 +262,6 @@ void multiway_merge(std::span<const std::span<const T>> runs, T* out,
                      live.size(), out, scratch, comp);
 }
 
-namespace detail {
-
-/// Lane `lane` of `lanes` of the parallel k-way merge: global output ranks
-/// [lane·N/lanes, (lane+1)·N/lanes), bounded by multiway_select. Shared by
-/// parallel_multiway_merge and its resilient twin. Instrumented lanes pop a
-/// LoserTree so the modelled counts stay log k per element; the rest run
-/// multiway_merge over the selected slices.
-template <typename T, typename Comp, typename Instr>
-void multiway_merge_lane(std::span<const std::span<const T>> runs,
-                         std::size_t total, unsigned lanes, unsigned lane,
-                         T* out, Comp comp, Instr* li) {
-  const std::size_t r0 = lane * total / lanes;
-  const std::size_t r1 = (lane + 1ull) * total / lanes;
-  if (r0 == r1) return;
-  std::vector<std::size_t> start;
-  std::vector<std::size_t> end;
-  {
-    obs::Span span("mwm.select", "lane", lane);
-    start = multiway_select(runs, r0, comp, li);
-    if (li == nullptr) end = multiway_select(runs, r1, comp);
-  }
-  obs::Span span("mwm.merge", "lane", lane);
-  if (li != nullptr) {
-    std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
-    for (std::size_t t = 0; t < runs.size(); ++t) {
-      cursors[t] = {runs[t].data() + start[t],
-                    runs[t].data() + runs[t].size()};
-    }
-    LoserTree<T, Comp> tree(std::move(cursors), comp);
-    tree.pop_n(out + r0, r1 - r0, li);
-    return;
-  }
-  std::vector<std::span<const T>> slices(runs.size());
-  for (std::size_t t = 0; t < runs.size(); ++t)
-    slices[t] = runs[t].subspan(start[t], end[t] - start[t]);
-  const auto scratch = std::make_unique_for_overwrite<T[]>(r1 - r0);
-  multiway_merge(std::span<const std::span<const T>>(slices), out + r0,
-                 scratch.get(), comp);
-}
-
-}  // namespace detail
-
 /// Merges k sorted runs into `out` using p lanes; stable across runs (lower
 /// run index wins ties). Time O((N/p)·log k) per lane plus the selection.
 template <typename T, typename Comp = std::less<>,
@@ -330,9 +288,39 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     return;
   }
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
-    detail::multiway_merge_lane(runs, total, lanes, lane, out, comp,
-                                instr.empty() ? nullptr : &instr[lane]);
+  // Lane k owns global output ranks [k·N/p, (k+1)·N/p), bounded by
+  // multiway_select. Instrumented lanes pop a LoserTree so the modelled
+  // counts stay log k per element; the rest run multiway_merge over the
+  // selected slices.
+  exec.run_lanes(lanes, [&](unsigned lane) {
+    Instr* li = instr.empty() ? nullptr : &instr[lane];
+    const std::size_t r0 = lane * total / lanes;
+    const std::size_t r1 = (lane + 1ull) * total / lanes;
+    if (r0 == r1) return;
+    std::vector<std::size_t> start;
+    std::vector<std::size_t> end;
+    {
+      obs::Span span("mwm.select", "lane", lane);
+      start = multiway_select(runs, r0, comp, li);
+      if (li == nullptr) end = multiway_select(runs, r1, comp);
+    }
+    obs::Span span("mwm.merge", "lane", lane);
+    if (li != nullptr) {
+      std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
+      for (std::size_t t = 0; t < runs.size(); ++t) {
+        cursors[t] = {runs[t].data() + start[t],
+                      runs[t].data() + runs[t].size()};
+      }
+      LoserTree<T, Comp> tree(std::move(cursors), comp);
+      tree.pop_n(out + r0, r1 - r0, li);
+      return;
+    }
+    std::vector<std::span<const T>> slices(runs.size());
+    for (std::size_t t = 0; t < runs.size(); ++t)
+      slices[t] = runs[t].subspan(start[t], end[t] - start[t]);
+    const auto scratch = std::make_unique_for_overwrite<T[]>(r1 - r0);
+    multiway_merge(std::span<const std::span<const T>>(slices), out + r0,
+                   scratch.get(), comp);
   });
 }
 
@@ -359,7 +347,7 @@ void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
 
   // Phase 1: p blocks, each sorted by its own lane (as in Section III).
   std::vector<std::span<const T>> runs(lanes);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     obs::Span span("mwm.block", "lane", lane);
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t begin = lane * n / lanes;
@@ -373,7 +361,7 @@ void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
   // copy back.
   parallel_multiway_merge(std::span<const std::span<const T>>(runs),
                           scratch.data(), exec, comp, instr);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     const std::size_t begin = lane * n / lanes;
     const std::size_t end = (lane + 1ull) * n / lanes;
     for (std::size_t i = begin; i < end; ++i) data[i] = std::move(scratch[i]);

@@ -7,16 +7,11 @@
 /// with that cross diagonal (merge_path.hpp), and (3) runs (|A|+|B|)/p
 /// steps of sequential merge writing to a disjoint slice of the output.
 /// There is no inter-lane communication; the trailing barrier is the
-/// fork-join of ThreadPool::parallel_for_lanes.
+/// executor's fork-join (Executor::run_lanes), which a recovering executor
+/// turns into per-lane retry without a second copy of the lane body.
 ///
 /// Complexity (paper, Section III): time O(N/p + log N), work
 /// O(N + p·log N) for N = |A|+|B|.
-///
-/// Two entry points:
-///  - parallel_merge():        ThreadPool backend (portable, default)
-///  - parallel_merge_openmp(): OpenMP parallel-for backend, the paper's own
-///    implementation vehicle (Section VI); compiled only when OpenMP is
-///    available.
 ///
 /// Instrumented variants fill one OpCounts per lane; the PRAM simulator
 /// turns those into modelled parallel time (DESIGN.md S9/E1).
@@ -82,7 +77,7 @@ void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
     return;
   }
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     MergeSlice slice;
     {
@@ -110,46 +105,4 @@ std::vector<T> parallel_merge(const std::vector<T>& a, const std::vector<T>& b,
   return out;
 }
 
-#ifdef _OPENMP
-/// Algorithm 1 on OpenMP, mirroring the paper's implementation (Section
-/// VI). `threads` == 0 uses the OpenMP default.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-void parallel_merge_openmp(IterA a, std::size_t m, IterB b, std::size_t n,
-                           OutIter out, unsigned threads = 0, Comp comp = {});
-#endif
-
 }  // namespace mp
-
-#ifdef _OPENMP
-#include <omp.h>
-
-namespace mp {
-
-template <typename IterA, typename IterB, typename OutIter, typename Comp>
-void parallel_merge_openmp(IterA a, std::size_t m, IterB b, std::size_t n,
-                           OutIter out, unsigned threads, Comp comp) {
-  const int lanes = threads > 0 ? static_cast<int>(threads)
-                                : omp_get_max_threads();
-  if (lanes <= 1 || m + n <= static_cast<std::size_t>(lanes)) {
-    sequential_merge(a, m, b, n, out, comp);
-    return;
-  }
-#pragma omp parallel num_threads(lanes)
-  {
-    const unsigned lane = static_cast<unsigned>(omp_get_thread_num());
-    const unsigned actual = static_cast<unsigned>(omp_get_num_threads());
-    if (lane < actual) {
-      const MergeSlice slice =
-          merge_slice_for_lane(a, m, b, n, lane, actual, comp);
-      std::size_t i = slice.a_begin;
-      std::size_t j = slice.b_begin;
-      kernels::merge_steps_auto(a, m, b, n, &i, &j,
-                                out + static_cast<std::ptrdiff_t>(slice.out_begin),
-                                slice.steps, comp);
-    }
-  }  // implicit barrier — the "Barrier" closing Algorithm 1
-}
-
-}  // namespace mp
-#endif

@@ -152,7 +152,7 @@ SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
     const std::size_t fill_a = a_target - a_staged;
     const std::size_t fill_b = b_target - b_staged;
     if (fill_a + fill_b > 0) {
-      exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+      exec.run_lanes(lanes, [&](unsigned lane) {
         obs::Span span("spm.fetch", "lane", lane);
         Instr* li = instr.empty() ? nullptr : &instr[lane];
         const std::size_t a0 = a_staged + lane * fill_a / lanes;
@@ -212,7 +212,7 @@ SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
     // --- Step 2: parallel partition + merge of this segment (Theorem 16:
     // the p start points depend only on the staged windows).
     obs::Span::counter("spm.segment_len", seg_len);
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       obs::Span span("spm.segment", "lane", lane);
       Instr* li = instr.empty() ? nullptr : &instr[lane];
       const std::size_t d0 = lane * seg_len / lanes;
@@ -244,7 +244,7 @@ SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
     b_done += seg_end.j;
 
     // --- Step 3: write the merged segment out.
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       obs::Span span("spm.flush", "lane", lane);
       const std::size_t d0 = lane * seg_len / lanes;
       const std::size_t d1 = (lane + 1ull) * seg_len / lanes;

@@ -185,7 +185,7 @@ std::size_t parallel_set_op(IterA a, std::size_t m, IterB b, std::size_t n,
   const auto slices = key_aligned_slices(a, m, b, n, lanes, comp);
 
   std::vector<std::size_t> counts(lanes, 0);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     const SetSlice& s = slices[lane];
     std::size_t c = 0;
     walk(a + static_cast<std::ptrdiff_t>(s.a_begin), s.a_end - s.a_begin,
@@ -197,7 +197,7 @@ std::size_t parallel_set_op(IterA a, std::size_t m, IterB b, std::size_t n,
   std::vector<std::size_t> offsets(lanes + 1, 0);
   std::partial_sum(counts.begin(), counts.end(), offsets.begin() + 1);
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     const SetSlice& s = slices[lane];
     std::size_t pos = offsets[lane];
     walk(a + static_cast<std::ptrdiff_t>(s.a_begin), s.a_end - s.a_begin,

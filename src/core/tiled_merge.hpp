@@ -121,7 +121,7 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   }
 
   std::atomic<std::size_t> next_tile{0};
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     std::size_t hint = 0;
     bool have_hint = false;

@@ -5,12 +5,8 @@
 #include <iostream>
 #include <mutex>
 
-#include "util/hw.hpp"
-
-#if MP_SIMD && (defined(MP_KERNELS_HAVE_SSE4) || defined(MP_KERNELS_HAVE_AVX2) || \
-                defined(MP_KERNELS_HAVE_AVX512))
 #include "kernels/simd_entry.hpp"
-#endif
+#include "util/hw.hpp"
 
 namespace mp::kernels {
 namespace {
@@ -133,21 +129,21 @@ Kernel resolve_override(const char* value, std::string* warning) {
   return *parsed;
 }
 
-std::size_t simd_loop_i32(Kernel kernel, const std::int32_t* a,
-                          std::size_t m, const std::int32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int32_t* out, std::size_t steps) {
+template <typename Key>
+std::size_t simd_loop(Kernel kernel, const Key* a, std::size_t m,
+                      const Key* b, std::size_t n, std::size_t* a_pos,
+                      std::size_t* b_pos, Key* out, std::size_t steps) {
 #if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
   if (kernel == Kernel::kAvx512)
-    return avx512_loop_i32(a, m, b, n, a_pos, b_pos, out, steps);
+    return avx512_loop(a, m, b, n, a_pos, b_pos, out, steps);
 #endif
 #if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
   if (kernel == Kernel::kAvx2)
-    return avx2_loop_i32(a, m, b, n, a_pos, b_pos, out, steps);
+    return avx2_loop(a, m, b, n, a_pos, b_pos, out, steps);
 #endif
 #if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
   if (kernel == Kernel::kSse4)
-    return sse4_loop_i32(a, m, b, n, a_pos, b_pos, out, steps);
+    return sse4_loop(a, m, b, n, a_pos, b_pos, out, steps);
 #endif
   // Compiled out (or an ISA dispatch never selects): pure fallthrough to
   // the caller's scalar tail.
@@ -156,110 +152,17 @@ std::size_t simd_loop_i32(Kernel kernel, const std::int32_t* a,
   return 0;
 }
 
-std::size_t simd_loop_u32(Kernel kernel, const std::uint32_t* a,
-                          std::size_t m, const std::uint32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint32_t* out, std::size_t steps) {
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
-  if (kernel == Kernel::kAvx512)
-    return avx512_loop_u32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
-  if (kernel == Kernel::kAvx2)
-    return avx2_loop_u32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
-  if (kernel == Kernel::kSse4)
-    return sse4_loop_u32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-  (void)kernel, (void)a, (void)m, (void)b, (void)n, (void)a_pos, (void)b_pos,
-      (void)out, (void)steps;
-  return 0;
-}
+template <typename Key>
+using SimdLoopFn = std::size_t(Kernel, const Key*, std::size_t, const Key*,
+                               std::size_t, std::size_t*, std::size_t*, Key*,
+                               std::size_t);
 
-std::size_t simd_loop_i64(Kernel kernel, const std::int64_t* a,
-                          std::size_t m, const std::int64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int64_t* out, std::size_t steps) {
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
-  if (kernel == Kernel::kAvx512)
-    return avx512_loop_i64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
-  if (kernel == Kernel::kAvx2)
-    return avx2_loop_i64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
-  if (kernel == Kernel::kSse4)
-    return sse4_loop_i64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-  (void)kernel, (void)a, (void)m, (void)b, (void)n, (void)a_pos, (void)b_pos,
-      (void)out, (void)steps;
-  return 0;
-}
-
-std::size_t simd_loop_u64(Kernel kernel, const std::uint64_t* a,
-                          std::size_t m, const std::uint64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint64_t* out, std::size_t steps) {
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
-  if (kernel == Kernel::kAvx512)
-    return avx512_loop_u64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
-  if (kernel == Kernel::kAvx2)
-    return avx2_loop_u64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
-  if (kernel == Kernel::kSse4)
-    return sse4_loop_u64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-  (void)kernel, (void)a, (void)m, (void)b, (void)n, (void)a_pos, (void)b_pos,
-      (void)out, (void)steps;
-  return 0;
-}
-
-std::size_t simd_loop_f32(Kernel kernel, const float* a,
-                          std::size_t m, const float* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          float* out, std::size_t steps) {
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
-  if (kernel == Kernel::kAvx512)
-    return avx512_loop_f32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
-  if (kernel == Kernel::kAvx2)
-    return avx2_loop_f32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
-  if (kernel == Kernel::kSse4)
-    return sse4_loop_f32(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-  (void)kernel, (void)a, (void)m, (void)b, (void)n, (void)a_pos, (void)b_pos,
-      (void)out, (void)steps;
-  return 0;
-}
-
-std::size_t simd_loop_f64(Kernel kernel, const double* a,
-                          std::size_t m, const double* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          double* out, std::size_t steps) {
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
-  if (kernel == Kernel::kAvx512)
-    return avx512_loop_f64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
-  if (kernel == Kernel::kAvx2)
-    return avx2_loop_f64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
-  if (kernel == Kernel::kSse4)
-    return sse4_loop_f64(a, m, b, n, a_pos, b_pos, out, steps);
-#endif
-  (void)kernel, (void)a, (void)m, (void)b, (void)n, (void)a_pos, (void)b_pos,
-      (void)out, (void)steps;
-  return 0;
-}
+template SimdLoopFn<std::int32_t> simd_loop<std::int32_t>;
+template SimdLoopFn<std::uint32_t> simd_loop<std::uint32_t>;
+template SimdLoopFn<std::int64_t> simd_loop<std::int64_t>;
+template SimdLoopFn<std::uint64_t> simd_loop<std::uint64_t>;
+template SimdLoopFn<float> simd_loop<float>;
+template SimdLoopFn<double> simd_loop<double>;
 
 }  // namespace detail
 }  // namespace mp::kernels

@@ -170,75 +170,34 @@ namespace detail {
 /// else clamps to widest_supported() and appends a warning.
 Kernel resolve_override(const char* value, std::string* warning);
 
-// Vector main loops, defined in the per-ISA TUs (merge_sse4.cpp /
-// merge_avx2.cpp). Each merges full W-wide steps while both inputs hold
-// >= W unconsumed elements and >= W steps remain, advancing *a_pos and
-// *b_pos exactly as merge_steps() would, and returns the elements
-// written; the caller finishes with the scalar tail. When the matching
-// TU is compiled out they return 0 (pure fallthrough).
-std::size_t simd_loop_i32(Kernel kernel, const std::int32_t* a,
-                          std::size_t m, const std::int32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int32_t* out, std::size_t steps);
-std::size_t simd_loop_u32(Kernel kernel, const std::uint32_t* a,
-                          std::size_t m, const std::uint32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint32_t* out, std::size_t steps);
-std::size_t simd_loop_i64(Kernel kernel, const std::int64_t* a,
-                          std::size_t m, const std::int64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int64_t* out, std::size_t steps);
-std::size_t simd_loop_u64(Kernel kernel, const std::uint64_t* a,
-                          std::size_t m, const std::uint64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint64_t* out, std::size_t steps);
-// Total-order float loops: the TUs apply the sign-flip bijection on load,
-// run the unsigned integer window merge, and invert it before store, so
-// the output bytes equal the scalar kernel's under TotalOrderLess.
-std::size_t simd_loop_f32(Kernel kernel, const float* a, std::size_t m,
-                          const float* b, std::size_t n, std::size_t* a_pos,
-                          std::size_t* b_pos, float* out, std::size_t steps);
-std::size_t simd_loop_f64(Kernel kernel, const double* a, std::size_t m,
-                          const double* b, std::size_t n, std::size_t* a_pos,
-                          std::size_t* b_pos, double* out, std::size_t steps);
+/// Vector main loop of `kernel` for one of the six admitted key types
+/// (int32/uint32/int64/uint64/float/double; defined and explicitly
+/// instantiated in dispatch.cpp, which routes to the per-ISA TUs). Merges
+/// full W-wide steps while both inputs hold >= W unconsumed elements and
+/// >= W steps remain, advancing *a_pos and *b_pos exactly as
+/// merge_steps() would, and returns the elements written; the caller
+/// finishes with the scalar tail. When the matching TU is compiled out it
+/// returns 0 (pure fallthrough). The float/double loops apply the
+/// sign-flip bijection on load, run the unsigned integer window merge,
+/// and invert it before store, so the output bytes equal the scalar
+/// kernel's under TotalOrderLess.
+template <typename Key>
+std::size_t simd_loop(Kernel kernel, const Key* a, std::size_t m,
+                      const Key* b, std::size_t n, std::size_t* a_pos,
+                      std::size_t* b_pos, Key* out, std::size_t steps);
 
-/// Routes a typed pointer merge to the matching exported loop. The
-/// reinterpret_casts are between same-size integer types; the TUs load
-/// through may_alias vector types, so no TBAA hazard.
+/// The simd_loop key an admitted T merges as: float and double as
+/// themselves, integers as the same-size, same-signedness fixed-width
+/// type. The TUs load through may_alias vector types, so reinterpreting
+/// a T buffer as its simd_key_t carries no TBAA hazard.
 template <typename T>
-std::size_t simd_loop(Kernel kernel, const T* a, std::size_t m, const T* b,
-                      std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
-                      T* out, std::size_t steps) {
-  if constexpr (std::is_same_v<T, float>) {
-    return simd_loop_f32(kernel, a, m, b, n, a_pos, b_pos, out, steps);
-  } else if constexpr (std::is_same_v<T, double>) {
-    return simd_loop_f64(kernel, a, m, b, n, a_pos, b_pos, out, steps);
-  } else if constexpr (sizeof(T) == 4) {
-    if constexpr (std::is_signed_v<T>) {
-      return simd_loop_i32(kernel, reinterpret_cast<const std::int32_t*>(a),
-                           m, reinterpret_cast<const std::int32_t*>(b), n,
-                           a_pos, b_pos, reinterpret_cast<std::int32_t*>(out),
-                           steps);
-    } else {
-      return simd_loop_u32(kernel, reinterpret_cast<const std::uint32_t*>(a),
-                           m, reinterpret_cast<const std::uint32_t*>(b), n,
-                           a_pos, b_pos, reinterpret_cast<std::uint32_t*>(out),
-                           steps);
-    }
-  } else {
-    if constexpr (std::is_signed_v<T>) {
-      return simd_loop_i64(kernel, reinterpret_cast<const std::int64_t*>(a),
-                           m, reinterpret_cast<const std::int64_t*>(b), n,
-                           a_pos, b_pos, reinterpret_cast<std::int64_t*>(out),
-                           steps);
-    } else {
-      return simd_loop_u64(kernel, reinterpret_cast<const std::uint64_t*>(a),
-                           m, reinterpret_cast<const std::uint64_t*>(b), n,
-                           a_pos, b_pos, reinterpret_cast<std::uint64_t*>(out),
-                           steps);
-    }
-  }
-}
+using simd_key_t = std::conditional_t<
+    std::is_floating_point_v<T>, T,
+    std::conditional_t<
+        sizeof(T) == 4,
+        std::conditional_t<std::is_signed_v<T>, std::int32_t, std::uint32_t>,
+        std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                           std::uint64_t>>>;
 
 }  // namespace detail
 
@@ -324,8 +283,11 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
           written = branchless_merge_bounded(pa, m, pb, n, a_pos, b_pos, po,
                                              steps, comp);
         } else {
-          written = detail::simd_loop<T>(kind, pa, m, pb, n, a_pos, b_pos, po,
-                                         steps);
+          using Key = detail::simd_key_t<T>;
+          written = detail::simd_loop<Key>(
+              kind, reinterpret_cast<const Key*>(pa), m,
+              reinterpret_cast<const Key*>(pb), n, a_pos, b_pos,
+              reinterpret_cast<Key*>(po), steps);
         }
         out += static_cast<std::ptrdiff_t>(written);
         steps -= written;

@@ -197,54 +197,49 @@ struct Avx512StepF64 {
   }
 };
 
+/// The vector step each admitted key type merges with.
+template <typename Key>
+struct Avx512Steps;
+template <>
+struct Avx512Steps<std::int32_t> {
+  using type = Avx512Step32<std::int32_t, OpsI32>;
+};
+template <>
+struct Avx512Steps<std::uint32_t> {
+  using type = Avx512Step32<std::uint32_t, OpsU32>;
+};
+template <>
+struct Avx512Steps<std::int64_t> {
+  using type = Avx512Step64<std::int64_t, OpsI64>;
+};
+template <>
+struct Avx512Steps<std::uint64_t> {
+  using type = Avx512Step64<std::uint64_t, OpsU64>;
+};
+template <>
+struct Avx512Steps<float> {
+  using type = Avx512StepF32;
+};
+template <>
+struct Avx512Steps<double> {
+  using type = Avx512StepF64;
+};
+
 }  // namespace
 
-std::size_t avx512_loop_i32(const std::int32_t* a, std::size_t m,
-                            const std::int32_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::int32_t* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512Step32<std::int32_t, OpsI32>>(
+template <typename Key>
+std::size_t avx512_loop(const Key* a, std::size_t m, const Key* b,
+                        std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
+                        Key* out, std::size_t steps) {
+  return bounded_vector_merge<typename Avx512Steps<Key>::type>(
       a, m, b, n, a_pos, b_pos, out, steps);
 }
 
-std::size_t avx512_loop_u32(const std::uint32_t* a, std::size_t m,
-                            const std::uint32_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::uint32_t* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512Step32<std::uint32_t, OpsU32>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t avx512_loop_i64(const std::int64_t* a, std::size_t m,
-                            const std::int64_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::int64_t* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512Step64<std::int64_t, OpsI64>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t avx512_loop_u64(const std::uint64_t* a, std::size_t m,
-                            const std::uint64_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::uint64_t* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512Step64<std::uint64_t, OpsU64>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t avx512_loop_f32(const float* a, std::size_t m,
-                            const float* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            float* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512StepF32>(a, m, b, n, a_pos, b_pos, out,
-                                             steps);
-}
-
-std::size_t avx512_loop_f64(const double* a, std::size_t m,
-                            const double* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            double* out, std::size_t steps) {
-  return bounded_vector_merge<Avx512StepF64>(a, m, b, n, a_pos, b_pos, out,
-                                             steps);
-}
+template LoopFn<std::int32_t> avx512_loop<std::int32_t>;
+template LoopFn<std::uint32_t> avx512_loop<std::uint32_t>;
+template LoopFn<std::int64_t> avx512_loop<std::int64_t>;
+template LoopFn<std::uint64_t> avx512_loop<std::uint64_t>;
+template LoopFn<float> avx512_loop<float>;
+template LoopFn<double> avx512_loop<double>;
 
 }  // namespace mp::kernels::detail

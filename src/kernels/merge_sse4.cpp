@@ -185,54 +185,49 @@ struct Sse4StepF64 {
   }
 };
 
+/// The vector step each admitted key type merges with.
+template <typename Key>
+struct Sse4Steps;
+template <>
+struct Sse4Steps<std::int32_t> {
+  using type = Sse4Step32<std::int32_t, MinMaxI32>;
+};
+template <>
+struct Sse4Steps<std::uint32_t> {
+  using type = Sse4Step32<std::uint32_t, MinMaxU32>;
+};
+template <>
+struct Sse4Steps<std::int64_t> {
+  using type = Sse4Step64<std::int64_t, CmpI64>;
+};
+template <>
+struct Sse4Steps<std::uint64_t> {
+  using type = Sse4Step64<std::uint64_t, CmpU64>;
+};
+template <>
+struct Sse4Steps<float> {
+  using type = Sse4StepF32;
+};
+template <>
+struct Sse4Steps<double> {
+  using type = Sse4StepF64;
+};
+
 }  // namespace
 
-std::size_t sse4_loop_i32(const std::int32_t* a, std::size_t m,
-                          const std::int32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int32_t* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4Step32<std::int32_t, MinMaxI32>>(
+template <typename Key>
+std::size_t sse4_loop(const Key* a, std::size_t m, const Key* b,
+                      std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
+                      Key* out, std::size_t steps) {
+  return bounded_vector_merge<typename Sse4Steps<Key>::type>(
       a, m, b, n, a_pos, b_pos, out, steps);
 }
 
-std::size_t sse4_loop_u32(const std::uint32_t* a, std::size_t m,
-                          const std::uint32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint32_t* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4Step32<std::uint32_t, MinMaxU32>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t sse4_loop_i64(const std::int64_t* a, std::size_t m,
-                          const std::int64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int64_t* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4Step64<std::int64_t, CmpI64>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t sse4_loop_u64(const std::uint64_t* a, std::size_t m,
-                          const std::uint64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint64_t* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4Step64<std::uint64_t, CmpU64>>(
-      a, m, b, n, a_pos, b_pos, out, steps);
-}
-
-std::size_t sse4_loop_f32(const float* a, std::size_t m,
-                          const float* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          float* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4StepF32>(a, m, b, n, a_pos, b_pos, out,
-                                           steps);
-}
-
-std::size_t sse4_loop_f64(const double* a, std::size_t m,
-                          const double* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          double* out, std::size_t steps) {
-  return bounded_vector_merge<Sse4StepF64>(a, m, b, n, a_pos, b_pos, out,
-                                           steps);
-}
+template LoopFn<std::int32_t> sse4_loop<std::int32_t>;
+template LoopFn<std::uint32_t> sse4_loop<std::uint32_t>;
+template LoopFn<std::int64_t> sse4_loop<std::int64_t>;
+template LoopFn<std::uint64_t> sse4_loop<std::uint64_t>;
+template LoopFn<float> sse4_loop<float>;
+template LoopFn<double> sse4_loop<double>;
 
 }  // namespace mp::kernels::detail

@@ -1,97 +1,45 @@
 #pragma once
 /// \file simd_entry.hpp
-/// Private declarations of the per-ISA vector merge loops. Each set lives
+/// Private declarations of the per-ISA vector merge loops. Each loop lives
 /// in a TU compiled with its own target flags (merge_sse4.cpp with
 /// -msse4.2, merge_avx2.cpp with -mavx2, merge_avx512.cpp with
-/// -mavx512f -mavx512bw) and is reached only through kernels::detail
-/// dispatch, which never routes to an ISA the cpuid probe did not report.
+/// -mavx512f -mavx512bw), is explicitly instantiated there for the six
+/// admitted key types (int32/uint32/int64/uint64/float/double), and is
+/// reached only through kernels::detail::simd_loop, which never routes to
+/// an ISA the cpuid probe did not report.
 /// Shared contract: merge full W-wide steps while both windows hold >= W
 /// unconsumed elements and >= W steps remain, advance *a_pos / *b_pos
 /// exactly as merge_steps() would, return elements written; the caller
-/// runs the scalar tail. The f32/f64 variants implement the total-order
-/// float mode: sign-flip bijection on load, unsigned integer window
-/// merge, inverse bijection on store (byte-exact vs the scalar kernel
-/// under TotalOrderLess).
+/// runs the scalar tail. The float/double loops implement the total-order
+/// float mode: sign-flip bijection on load, unsigned integer window merge,
+/// inverse bijection on store (byte-exact vs the scalar kernel under
+/// TotalOrderLess).
 
 #include <cstddef>
 #include <cstdint>
 
 namespace mp::kernels::detail {
 
-std::size_t sse4_loop_i32(const std::int32_t* a, std::size_t m,
-                          const std::int32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int32_t* out, std::size_t steps);
-std::size_t sse4_loop_u32(const std::uint32_t* a, std::size_t m,
-                          const std::uint32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint32_t* out, std::size_t steps);
-std::size_t sse4_loop_i64(const std::int64_t* a, std::size_t m,
-                          const std::int64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int64_t* out, std::size_t steps);
-std::size_t sse4_loop_u64(const std::uint64_t* a, std::size_t m,
-                          const std::uint64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint64_t* out, std::size_t steps);
+/// The signature every exported loop shares, for the explicit
+/// instantiations in the ISA TUs.
+template <typename Key>
+using LoopFn = std::size_t(const Key* a, std::size_t m, const Key* b,
+                           std::size_t n, std::size_t* a_pos,
+                           std::size_t* b_pos, Key* out, std::size_t steps);
 
-std::size_t avx2_loop_i32(const std::int32_t* a, std::size_t m,
-                          const std::int32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int32_t* out, std::size_t steps);
-std::size_t avx2_loop_u32(const std::uint32_t* a, std::size_t m,
-                          const std::uint32_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint32_t* out, std::size_t steps);
-std::size_t avx2_loop_i64(const std::int64_t* a, std::size_t m,
-                          const std::int64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::int64_t* out, std::size_t steps);
-std::size_t avx2_loop_u64(const std::uint64_t* a, std::size_t m,
-                          const std::uint64_t* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          std::uint64_t* out, std::size_t steps);
+template <typename Key>
+std::size_t sse4_loop(const Key* a, std::size_t m, const Key* b,
+                      std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
+                      Key* out, std::size_t steps);
 
-std::size_t sse4_loop_f32(const float* a, std::size_t m,
-                          const float* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          float* out, std::size_t steps);
-std::size_t sse4_loop_f64(const double* a, std::size_t m,
-                          const double* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          double* out, std::size_t steps);
-std::size_t avx2_loop_f32(const float* a, std::size_t m,
-                          const float* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          float* out, std::size_t steps);
-std::size_t avx2_loop_f64(const double* a, std::size_t m,
-                          const double* b, std::size_t n,
-                          std::size_t* a_pos, std::size_t* b_pos,
-                          double* out, std::size_t steps);
+template <typename Key>
+std::size_t avx2_loop(const Key* a, std::size_t m, const Key* b,
+                      std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
+                      Key* out, std::size_t steps);
 
-std::size_t avx512_loop_i32(const std::int32_t* a, std::size_t m,
-                            const std::int32_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::int32_t* out, std::size_t steps);
-std::size_t avx512_loop_u32(const std::uint32_t* a, std::size_t m,
-                            const std::uint32_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::uint32_t* out, std::size_t steps);
-std::size_t avx512_loop_i64(const std::int64_t* a, std::size_t m,
-                            const std::int64_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::int64_t* out, std::size_t steps);
-std::size_t avx512_loop_u64(const std::uint64_t* a, std::size_t m,
-                            const std::uint64_t* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            std::uint64_t* out, std::size_t steps);
-std::size_t avx512_loop_f32(const float* a, std::size_t m,
-                            const float* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            float* out, std::size_t steps);
-std::size_t avx512_loop_f64(const double* a, std::size_t m,
-                            const double* b, std::size_t n,
-                            std::size_t* a_pos, std::size_t* b_pos,
-                            double* out, std::size_t steps);
+template <typename Key>
+std::size_t avx512_loop(const Key* a, std::size_t m, const Key* b,
+                        std::size_t n, std::size_t* a_pos, std::size_t* b_pos,
+                        Key* out, std::size_t steps);
 
 }  // namespace mp::kernels::detail

@@ -4,8 +4,9 @@
 /// pipeline that composes the repository's layers:
 ///
 ///   1. kForm     — per shard, memory-sized chunks of the input are read,
-///                  sorted in memory (core's resilient Merge Path sort,
-///                  surviving injected lane faults), and spilled as runs.
+///                  sorted in memory (parallel_merge_sort on a
+///                  recovering executor, surviving injected lane faults),
+///                  and spilled as runs.
 ///   2. kMerge    — per shard, a k-way merge of its runs into one sorted
 ///                  shard run, executed segment-by-segment in block-aligned
 ///                  output segments.
@@ -55,7 +56,6 @@
 #include <vector>
 
 #include "core/multiway_merge.hpp"
-#include "core/recovery.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
 #include "extmem/run_file.hpp"
@@ -66,6 +66,7 @@
 #include "pipeline/async_io.hpp"
 #include "pipeline/manifest.hpp"
 #include "util/assert.hpp"
+#include "util/recovery.hpp"
 #include "util/threading.hpp"
 
 namespace mp::pipeline {
@@ -320,8 +321,10 @@ class Pipeline {
         AsyncRunReader<T>(*io_, *device_, m_.input, sh.input_first + sh.formed,
                           chunk, cfg_.retry)
             .read(buf.data(), buf.size());
-        resilient_parallel_merge_sort(buf.data(), buf.size(), cfg_.exec,
-                                      comp_, cfg_.recovery);
+        LaneRecovery recovery{cfg_.recovery};
+        parallel_merge_sort(
+            buf.data(), buf.size(),
+            Executor{cfg_.exec.pool, cfg_.exec.threads, &recovery}, comp_);
         AsyncRunWriter<T> writer(*io_, *device_, cfg_.retry);
         writer.append(buf.data(), buf.size());
         sh.runs.push_back(writer.finish());

@@ -234,14 +234,13 @@ struct Server::Impl {
           segs.size());
     }
 
-    const RecoveryReport rep = run_lanes_with_recovery(
-        cfg.exec.resolve_pool(), lanes,
-        [&](unsigned lane) {
-          for (std::size_t s = cut[lane]; s < cut[lane + 1]; ++s)
-            sequential_merge_sort(segs[s]);
-        },
-        cfg.recovery);
-    return rep.degraded();
+    LaneRecovery recovery{cfg.recovery};
+    const Executor exec{cfg.exec.pool, cfg.exec.threads, &recovery};
+    exec.run_lanes(lanes, [&](unsigned lane) {
+      for (std::size_t s = cut[lane]; s < cut[lane + 1]; ++s)
+        sequential_merge_sort(segs[s]);
+    });
+    return recovery.report.degraded();
   }
 
   /// Streams A and B through a StreamMerger in stream_chunk slices,
@@ -322,9 +321,10 @@ struct Server::Impl {
   template <typename T>
   bool run_solo_sort(Pending& p) {
     std::vector<T>& data = keys_of<T>(p.req);
-    const RecoveryReport rep = resilient_parallel_merge_sort(
-        std::span<T>(data), cfg.exec, std::less<>{}, cfg.recovery);
-    return rep.degraded();
+    LaneRecovery recovery{cfg.recovery};
+    parallel_merge_sort(std::span<T>(data),
+                        Executor{cfg.exec.pool, cfg.exec.threads, &recovery});
+    return recovery.report.degraded();
   }
 
   bool run_solo(Pending& p) {

@@ -22,9 +22,9 @@
 ///                               │                      │ assemble batch
 ///   typed rejection <───────────┘                      │ execute on
 ///   (kQueueFull, kBackpressure,                        │ ThreadPool via
-///    kOversized, kMalformed,                           │ resilient_* /
-///    kShutdown)                                        │ run_lanes_with_
-///                                                      │ recovery
+///    kOversized, kMalformed,                           │ a recovering
+///    kShutdown)                                        │ Executor
+///                                                      │
 ///   completion callback <──────────────────────────────┘
 ///
 /// Admission control and backpressure: the queue is bounded
@@ -41,7 +41,7 @@
 ///
 /// Fault story: batched segments are disjoint per request, so the
 /// Theorem 14 argument applies verbatim — an injected lane fault
-/// mid-batch is retried/hedged by core/recovery.hpp and at worst degrades
+/// mid-batch is retried/hedged by util/recovery.hpp and at worst degrades
 /// *that batch* to the sequential caller fallback; the server never drops
 /// a request and never dies. Merge requests stream through StreamMerger;
 /// a lane fault in a large parallel pull degrades that one merger to
@@ -76,7 +76,7 @@
 #include <string>
 #include <vector>
 
-#include "core/recovery.hpp"
+#include "util/recovery.hpp"
 #include "util/threading.hpp"
 
 namespace mp::serve {
@@ -168,7 +168,7 @@ struct SubmitResult {
 /// Serving knobs. Watermarks of 0 derive defaults from the capacity
 /// (high = 3/4, low = 1/4). solo_threshold is the batching cut: requests
 /// at or above it amortise a pool job on their own and run solo through
-/// resilient_parallel_merge_sort; smaller sorts coalesce.
+/// parallel_merge_sort on a recovering executor; smaller sorts coalesce.
 struct ServerConfig {
   std::size_t queue_capacity = 1024;
   std::size_t high_watermark = 0;  ///< 0: 3/4 of capacity

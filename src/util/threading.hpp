@@ -158,16 +158,28 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Execution context handed to the parallel algorithms: a pool plus the
-/// number of lanes ("p" in the paper) to use.
+struct LaneRecovery;  // util/recovery.hpp
+
+/// Execution context handed to the parallel algorithms: a pool, the
+/// number of lanes ("p" in the paper) to use, and how those lanes run.
 struct Executor {
   ThreadPool* pool = nullptr;  ///< nullptr => ThreadPool::shared()
   unsigned threads = 0;        ///< 0 => workers()+1 of the pool
+  /// Caller-owned recovery context (util/recovery.hpp). nullptr runs lanes
+  /// plainly; otherwise every job runs under the lane-recovery engine and
+  /// accumulates into recovery->report.
+  LaneRecovery* recovery = nullptr;
 
   /// Resolved lane count, >= 1.
   unsigned resolve_threads() const;
   /// Pool to submit to (shared pool if unset).
   ThreadPool& resolve_pool() const;
+  /// The one fork-join point of every algorithm: fn(lane) for each lane in
+  /// [0, lanes). Without a recovery context this is exactly
+  /// resolve_pool().parallel_for_lanes(lanes, fn); with one, it is
+  /// run_lanes_with_recovery (defined in util/recovery.cpp).
+  void run_lanes(unsigned lanes,
+                 const std::function<void(unsigned)>& fn) const;
 };
 
 }  // namespace mp

@@ -393,7 +393,7 @@ TEST(FaultSweepDist, UnhealedPartitionFailsTypedEverywhere) {
 // ---------------------------------------------------------------------------
 // Compute-fault surface: lane failures inside the in-memory ThreadPool path
 // (kLaneThrow / kLaneAbandon / kLaneDelay) and the recovery layer that
-// re-executes only the failed lanes' disjoint segments (core/recovery.hpp).
+// re-executes only the failed lanes' disjoint segments (util/recovery.hpp).
 
 struct LaneSweepOutcome {
   std::vector<std::int32_t> merged, sorted;
@@ -402,8 +402,8 @@ struct LaneSweepOutcome {
   RecoveryReport merge_report, sort_report;
 };
 
-/// A resilient merge and merge sort on a pool armed with a seeded 10%
-/// lane-fault schedule. Recovery guarantees completion (retries, then a
+/// A merge and merge sort on recovering executors over a pool armed with
+/// a seeded 10% lane-fault schedule. Recovery guarantees completion (retries, then a
 /// caller-side sequential fallback), so unlike the extmem/dist sweeps
 /// there is no "typed failure" arm — only byte-exact output or a test
 /// failure.
@@ -415,15 +415,17 @@ LaneSweepOutcome run_faulty_lanes(const MergeInput& input,
   // separately (test_threading) where timing can be controlled.
   fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0, 200.0});
   fault::ScopedInjector injector(pool, plan);
-  const Executor exec{&pool, 4};
   LaneSweepOutcome out;
+  LaneRecovery merge_recovery, sort_recovery;
   out.merged.resize(input.a.size() + input.b.size());
-  out.merge_report = resilient_parallel_merge(
-      input.a.data(), input.a.size(), input.b.data(), input.b.size(),
-      out.merged.data(), exec);
+  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                 input.b.size(), out.merged.data(),
+                 Executor{&pool, 4, &merge_recovery});
+  out.merge_report = merge_recovery.report;
   out.sorted = unsorted;
-  out.sort_report =
-      resilient_parallel_merge_sort(out.sorted.data(), out.sorted.size(), exec);
+  parallel_merge_sort(out.sorted.data(), out.sorted.size(),
+                      Executor{&pool, 4, &sort_recovery});
+  out.sort_report = sort_recovery.report;
   out.schedule_hash = plan.schedule_hash();
   out.fault_stats = plan.stats();
   return out;
@@ -525,13 +527,12 @@ TEST(FaultSweepLanes, TotalLossDegradesToSequentialFallback) {
   ThreadPool pool(3);
   fault::FaultPlan plan(fault::FaultConfig{5, 1.0, 250.0, 100.0});
   fault::ScopedInjector injector(pool, plan);
-  const Executor exec{&pool, 4};
   std::vector<std::int32_t> out(input.a.size() + input.b.size());
-  RecoveryConfig cfg;
-  cfg.retry.max_attempts = 3;  // keep the doomed retries short
-  const RecoveryReport report = resilient_parallel_merge(
-      input.a.data(), input.a.size(), input.b.data(), input.b.size(),
-      out.data(), exec, std::less<>{}, cfg);
+  LaneRecovery recovery;
+  recovery.config.retry.max_attempts = 3;  // keep the doomed retries short
+  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                 input.b.size(), out.data(), Executor{&pool, 4, &recovery});
+  const RecoveryReport& report = recovery.report;
   EXPECT_EQ(out, merged_ref);
   EXPECT_TRUE(report.degraded());
   EXPECT_GE(report.fallback_lanes, 1u);
@@ -542,18 +543,30 @@ TEST(FaultSweepLanes, GenuineExceptionsAreNotRetried) {
   if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // A real bug in the task (not an injected fault) must surface on the
   // first attempt: retrying user errors would mask them and burn time.
-  ThreadPool pool(3);
-  const Executor exec{&pool, 4};
-  std::atomic<int> runs{0};
-  try {
-    run_lanes_with_recovery(exec.resolve_pool(), 4, [&](unsigned lane) {
-      runs.fetch_add(1);
-      if (lane == 2) throw std::logic_error("task bug");
-    });
-    FAIL() << "the task's own exception must propagate";
-  } catch (const std::logic_error&) {
+  // That holds on a clean pool and when every lane draws an injected
+  // stall first: a delayed lane still runs its own task, so an exception
+  // from that task is genuine too.
+  for (const bool delayed : {false, true}) {
+    SCOPED_TRACE(delayed ? "every lane delayed" : "no plan");
+    fault::FaultConfig config;
+    config.lane_delay_us = 100.0;
+    fault::FaultPlan plan(config);
+    plan.fail_from(0, fault::FaultKind::kLaneDelay);
+    ThreadPool pool(3);  // declared after the plan: detached by dying first
+    if (delayed) pool.set_fault_plan(&plan);
+    const Executor exec{&pool, 4};
+    std::atomic<int> runs{0};
+    try {
+      run_lanes_with_recovery(exec.resolve_pool(), 4, [&](unsigned lane) {
+        runs.fetch_add(1);
+        if (lane == 2) throw std::logic_error("task bug");
+      });
+      FAIL() << "the task's own exception must propagate";
+    } catch (const std::logic_error&) {
+    }
+    EXPECT_LE(runs.load(), 4);  // one attempt, no retry of the buggy lane
+    EXPECT_EQ(runs.load(), 4);  // and every lane's task ran exactly once
   }
-  EXPECT_LE(runs.load(), 4);  // one attempt, no retry of the buggy lane
 }
 
 TEST(FaultGate, CompiledOutInjectorsAreInert) {
@@ -586,11 +599,12 @@ TEST(FaultGate, CompiledOutInjectorsAreInert) {
   // faults, no retries, no fallback.
   ThreadPool pool(2);
   fault::ScopedInjector pool_injector(pool, plan);
-  const Executor exec{&pool, 3};
+  LaneRecovery lane_recovery;
   std::vector<std::int32_t> merged(input.a.size() + input.b.size());
-  const RecoveryReport recovery = resilient_parallel_merge(
-      input.a.data(), input.a.size(), input.b.data(), input.b.size(),
-      merged.data(), exec);
+  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                 input.b.size(), merged.data(),
+                 Executor{&pool, 3, &lane_recovery});
+  const RecoveryReport& recovery = lane_recovery.report;
   EXPECT_EQ(merged, test::reference_merge(input.a, input.b));
   EXPECT_EQ(recovery.injected_faults, 0u);
   EXPECT_EQ(recovery.retried_lanes, 0u);

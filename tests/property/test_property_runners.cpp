@@ -1,0 +1,156 @@
+// One differential table across both lane runners.
+//
+// Every fork-join entry point has one body; whether its lanes run plainly
+// or under lane recovery is the executor's choice (util/recovery.hpp).
+// This table pins the consequence: for each entry point, the output bytes
+// are the std::merge / std::stable_sort reference whichever runner,
+// thread count, kernel and key type runs it — including when a seeded
+// 10% lane-fault schedule with straggler hedging is attacking the
+// recovering runner.
+//
+// Axes: entry {parallel_merge, parallel_merge_sort,
+// parallel_multiway_merge k=2 and k=5, multiway_merge_sort} x runner
+// {plain, recovering} x p {1, 2, 4, 17} x kernel {scalar, widest} x key
+// {int32 under std::less, KeyedRecord under a key-only comparator}.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "core/mergepath.hpp"
+#include "fault/fault.hpp"
+#include "kernels/kernels.hpp"
+#include "util/data_gen.hpp"
+#include "util/rng.hpp"
+
+namespace mp {
+namespace {
+
+constexpr std::uint64_t kSeed = 0x5eed;
+constexpr double kLaneFaultRate = 0.10;
+
+struct KeyOnly {
+  bool operator()(const KeyedRecord& x, const KeyedRecord& y) const {
+    return x.key < y.key;
+  }
+};
+
+/// `n` values over a small key universe (many ties crossing lane
+/// boundaries); records carry their origin index as payload so a tie
+/// reordered anywhere changes the bytes.
+template <typename T>
+std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<T> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto key = static_cast<std::int32_t>(rng.bounded(97)) - 48;
+    if constexpr (std::is_same_v<T, KeyedRecord>)
+      out[i] = KeyedRecord{key, static_cast<std::uint32_t>(seed << 20 | i)};
+    else
+      out[i] = key;
+  }
+  return out;
+}
+
+/// Runs every entry point of the table on `exec` and checks it against
+/// the sequential standard-library reference.
+template <typename T, typename Comp>
+void check_entry_points(const Executor& exec, Comp comp,
+                        const std::string& label) {
+  {  // parallel_merge (Algorithm 1)
+    auto a = make_values<T>(1700, kSeed + 1);
+    auto b = make_values<T>(1300, kSeed + 2);
+    std::stable_sort(a.begin(), a.end(), comp);
+    std::stable_sort(b.begin(), b.end(), comp);
+    std::vector<T> expected(a.size() + b.size());
+    std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin(),
+               comp);
+    std::vector<T> out(a.size() + b.size());
+    parallel_merge(a.data(), a.size(), b.data(), b.size(), out.data(), exec,
+                   comp);
+    EXPECT_EQ(out, expected) << label << " parallel_merge";
+  }
+  {  // parallel_merge_sort (Section III)
+    auto data = make_values<T>(3001, kSeed + 3);
+    auto expected = data;
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    parallel_merge_sort(data.data(), data.size(), exec, comp);
+    EXPECT_EQ(data, expected) << label << " parallel_merge_sort";
+  }
+  for (const std::size_t k : {2u, 5u}) {  // parallel_multiway_merge
+    std::vector<std::vector<T>> runs(k);
+    std::vector<T> expected;  // run order, then stable by key
+    for (std::size_t t = 0; t < k; ++t) {
+      runs[t] = make_values<T>(400 + 150 * t, kSeed + 10 + t);
+      std::stable_sort(runs[t].begin(), runs[t].end(), comp);
+      expected.insert(expected.end(), runs[t].begin(), runs[t].end());
+    }
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    std::vector<std::span<const T>> views(runs.begin(), runs.end());
+    std::vector<T> out(expected.size());
+    parallel_multiway_merge(std::span<const std::span<const T>>(views),
+                            out.data(), exec, comp);
+    EXPECT_EQ(out, expected) << label << " parallel_multiway_merge k=" << k;
+  }
+  {  // multiway_merge_sort
+    auto data = make_values<T>(2999, kSeed + 4);
+    auto expected = data;
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    multiway_merge_sort(data.data(), data.size(), exec, comp);
+    EXPECT_EQ(data, expected) << label << " multiway_merge_sort";
+  }
+}
+
+enum class Runner { kPlain, kRecovering };
+
+class RunnerTable
+    : public ::testing::TestWithParam<std::tuple<Runner, unsigned>> {};
+
+TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
+  const auto [runner, p] = GetParam();
+  const kernels::Kernel saved = kernels::selected_kernel();
+  fault::FaultPlan plan(
+      fault::FaultConfig{kSeed + p, kLaneFaultRate, 250.0, 200.0});
+  ThreadPool pool(3);  // declared after the plan: detached by dying first
+  LaneRecovery recovery;
+  recovery.config.hedge.enabled = true;
+  Executor exec{&pool, p};
+  if (runner == Runner::kRecovering) {
+    pool.set_fault_plan(&plan);
+    exec.recovery = &recovery;
+  }
+  for (const kernels::Kernel kernel :
+       {kernels::Kernel::kScalar, kernels::widest_supported()}) {
+    ASSERT_TRUE(kernels::set_kernel(kernel));
+    const std::string label =
+        std::string("kernel=") + kernels::to_string(kernel);
+    check_entry_points<std::int32_t>(exec, std::less<>{}, label + " int32");
+    check_entry_points<KeyedRecord>(exec, KeyOnly{}, label + " records");
+  }
+  kernels::set_kernel(saved);
+  if (runner == Runner::kRecovering && p > 1 && fault::kFaultCompiledIn) {
+    // The schedule must actually bite for the recovering rows to mean
+    // anything.
+    EXPECT_GT(recovery.report.injected_faults, 0u);
+    EXPECT_GT(recovery.report.retried_lanes, 0u);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Runners, RunnerTable,
+    ::testing::Combine(::testing::Values(Runner::kPlain, Runner::kRecovering),
+                       ::testing::Values(1u, 2u, 4u, 17u)),
+    [](const ::testing::TestParamInfo<RunnerTable::ParamType>& param_info) {
+      return std::string(std::get<0>(param_info.param) == Runner::kPlain
+                             ? "plain"
+                             : "recovering") +
+             "_p" + std::to_string(std::get<1>(param_info.param));
+    });
+
+}  // namespace
+}  // namespace mp

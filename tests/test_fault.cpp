@@ -472,15 +472,15 @@ TEST(RecoveryBackoff, ConfiguredBackoffIsPaidBetweenRetries) {
   // two backoff sleeps (20 ms + 40 ms) with max_attempts = 3.
   plan.fail_from(0, fault::FaultKind::kLaneThrow);
   fault::ScopedInjector injector(pool, plan);
-  RecoveryConfig cfg;
-  cfg.retry.max_attempts = 3;
-  cfg.retry.backoff_us = 20000.0;
+  LaneRecovery recovery;
+  recovery.config.retry.max_attempts = 3;
+  recovery.config.retry.backoff_us = 20000.0;
 
   std::vector<std::int32_t> out(input.a.size() + input.b.size());
   const auto start = std::chrono::steady_clock::now();
-  const RecoveryReport report = resilient_parallel_merge(
-      input.a.data(), input.a.size(), input.b.data(), input.b.size(),
-      out.data(), Executor{&pool, 4}, std::less<>{}, cfg);
+  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                 input.b.size(), out.data(), Executor{&pool, 4, &recovery});
+  const RecoveryReport& report = recovery.report;
   const auto elapsed_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                               std::chrono::steady_clock::now() - start)
                               .count();

@@ -407,15 +407,15 @@ TEST(KernelDispatch, CompiledOutSimdLoopsAreInert) {
   std::vector<float> fout(128, -1.0f);
   for (Kernel k : {Kernel::kSse4, Kernel::kAvx2, Kernel::kAvx512}) {
     std::size_t i = 0, j = 0;
-    EXPECT_EQ(detail::simd_loop_i32(k, a.data(), 64, b.data(), 64, &i, &j,
-                                    out.data(), 128),
+    EXPECT_EQ(detail::simd_loop<std::int32_t>(k, a.data(), 64, b.data(), 64,
+                                              &i, &j, out.data(), 128),
               0u);
     EXPECT_EQ(i, 0u);
     EXPECT_EQ(j, 0u);
     EXPECT_EQ(out[0], -1);
     std::size_t fi = 0, fj = 0;
-    EXPECT_EQ(detail::simd_loop_f32(k, fa.data(), 64, fb.data(), 64, &fi,
-                                    &fj, fout.data(), 128),
+    EXPECT_EQ(detail::simd_loop<float>(k, fa.data(), 64, fb.data(), 64, &fi,
+                                       &fj, fout.data(), 128),
               0u);
     EXPECT_EQ(fi, 0u);
     EXPECT_EQ(fj, 0u);

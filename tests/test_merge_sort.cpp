@@ -178,31 +178,5 @@ TEST(ParallelMergeSort, ManyDuplicatesAcrossManyThreads) {
   EXPECT_EQ(data, expected);
 }
 
-#ifdef _OPENMP
-TEST(ParallelMergeSortOpenMP, MatchesThreadPoolBackend) {
-  for (std::size_t n : {0u, 1u, 1000u, 65537u}) {
-    auto d1 = make_unsorted_values(n, 3000 + n);
-    auto d2 = d1;
-    parallel_merge_sort(d1.data(), n, Executor{nullptr, 4});
-    parallel_merge_sort_openmp(d2.data(), n, 4);
-    EXPECT_EQ(d1, d2) << "n=" << n;
-    EXPECT_TRUE(std::is_sorted(d2.begin(), d2.end()));
-  }
-}
-
-TEST(ParallelMergeSortOpenMP, StableWithDuplicates) {
-  Xoshiro256 rng(37);
-  std::vector<KeyedRecord> data(6000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i].key = static_cast<std::int32_t>(rng.bounded(7));
-    data[i].payload = static_cast<std::uint32_t>(i);
-  }
-  auto expected = data;
-  std::stable_sort(expected.begin(), expected.end());
-  parallel_merge_sort_openmp(data.data(), data.size(), 5);
-  EXPECT_EQ(data, expected);
-}
-#endif
-
 }  // namespace
 }  // namespace mp

@@ -17,14 +17,15 @@
 #include <vector>
 
 #include "core/instrument.hpp"
+#include "core/merge_sort.hpp"
 #include "core/parallel_merge.hpp"
-#include "core/recovery.hpp"
 #include "fault/fault.hpp"
 #include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
 #include "obs/trace.hpp"
+#include "util/recovery.hpp"
 #include "util/threading.hpp"
 
 namespace {
@@ -687,9 +688,10 @@ TEST_F(ObsTest, FlightSnapshotOnDegrade) {
     fault::FaultPlan plan(config);
     plan.fail_from(0, fault::FaultKind::kLaneThrow);
     fault::ScopedInjector injector(pool, plan);
-    const RecoveryReport report = resilient_parallel_merge_sort(
-        data.data(), data.size(), Executor{&pool, 4});
-    EXPECT_GT(report.fallback_lanes, 0u);
+    LaneRecovery recovery;
+    parallel_merge_sort(data.data(), data.size(),
+                        Executor{&pool, 4, &recovery});
+    EXPECT_GT(recovery.report.fallback_lanes, 0u);
   }
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
   EXPECT_TRUE(obs::flight_degraded());

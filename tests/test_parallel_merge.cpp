@@ -1,7 +1,7 @@
 // Tests for core/parallel_merge.hpp (Algorithm 1): correctness against the
 // stable reference across distributions, shapes and thread counts;
 // stability; instrumentation invariants (perfect balance, O(N + p log N)
-// work); exception safety; and the OpenMP backend when available.
+// work); and exception safety.
 
 #include "core/parallel_merge.hpp"
 
@@ -168,18 +168,6 @@ TEST(ParallelMerge, WorkComplexityBound) {
     EXPECT_LE(max_lane_steps, (2 * n) / p + 1);
   }
 }
-
-#ifdef _OPENMP
-TEST(ParallelMergeOpenMP, MatchesReference) {
-  for (Dist dist : kAllDists) {
-    const auto input = make_merge_input(dist, 2000, 1500, 43);
-    std::vector<std::int32_t> out(3500);
-    parallel_merge_openmp(input.a.data(), 2000, input.b.data(), 1500,
-                          out.data(), 4);
-    EXPECT_EQ(out, test::reference_merge(input.a, input.b)) << to_string(dist);
-  }
-}
-#endif
 
 }  // namespace
 }  // namespace mp

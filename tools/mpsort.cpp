@@ -25,8 +25,8 @@
 //
 // `sort --binary --lane-fault-rate R [--fault-seed S]` is the in-memory
 // twin: a dedicated ThreadPool with the schedule attached injects lane
-// throws/abandons/stalls into the parallel merge sort, and the recovery
-// layer (core/recovery.hpp) retries the failed lanes' disjoint segments
+// throws/abandons/stalls into the parallel merge sort, and the recovering
+// executor (util/recovery.hpp) retries the failed lanes' disjoint segments
 // with straggler hedging on. Prints the schedule hash — two runs with the
 // same seed print the same hash and produce byte-identical output.
 //
@@ -435,8 +435,8 @@ int run_fault_sort(const Options& opt) {
 }
 
 /// `sort --binary --lane-fault-rate R`: the in-memory parallel merge sort
-/// on a dedicated ThreadPool carrying a seeded lane-fault schedule, driven
-/// through the recovery layer with straggler hedging on. The output is the
+/// on a dedicated ThreadPool carrying a seeded lane-fault schedule, its
+/// lanes run by a recovering executor with straggler hedging on. The output is the
 /// exact stable sort whatever the schedule injects; the printed schedule
 /// hash proves replay determinism (same seed => same hash, same bytes).
 int run_lane_fault_sort(const Options& opt) {
@@ -446,13 +446,12 @@ int run_lane_fault_sort(const Options& opt) {
   fault::FaultPlan plan(
       fault::FaultConfig{opt.fault_seed, opt.lane_fault_rate, 250.0});
   fault::ScopedInjector injector(pool, plan);
-  RecoveryConfig cfg;
-  cfg.hedge.enabled = true;
-  const Executor exec{&pool, opt.threads};
+  LaneRecovery recovery;
+  recovery.config.hedge.enabled = true;
   Timer timer;
-  const RecoveryReport report =
-      resilient_parallel_merge_sort(data.data(), data.size(), exec,
-                                    std::less<>{}, cfg);
+  parallel_merge_sort(data.data(), data.size(),
+                      Executor{&pool, opt.threads, &recovery});
+  const RecoveryReport& report = recovery.report;
   std::cerr << "sorted " << data.size() << " records in "
             << timer.seconds() * 1e3 << " ms (lane-fault seed "
             << opt.fault_seed << " rate " << opt.lane_fault_rate << ": "
