@@ -2,7 +2,7 @@
 // primitives: the diagonal binary search vs the Deo-Sarkar halving
 // selection, the full path partition, the sequential merge kernels, the
 // loser tree, and multiway selection — plus the kernel ablation family
-// (BM_KernelMerge32/64/F32/F64 and BM_SortSmall24) that
+// (BM_KernelMerge32/64/F32/F64 and BM_SortRuns256) that
 // scripts/bench_kernels.py turns into BENCH_5.json. Carries its own
 // main(): --kernel <name> is stripped before google-benchmark sees argv,
 // forces the dispatch choice for every benchmark, and restricts the
@@ -405,38 +405,32 @@ void run_kernel_merge_f64(benchmark::State& state, kernels::Kernel kernel) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-// Sort base case at the merge-sort grain: 64 Ki keys sorted as
-// independent kInsertionSortThreshold-element runs, fresh (unsorted)
-// bytes every iteration via a timed memcpy both variants pay
-// identically. The "insertion" row calls the fallback directly; the
-// per-kernel rows go through sort_small_auto, which takes the network
-// path under any vector kernel.
-void run_sort_small(benchmark::State& state, kernels::Kernel kernel,
-                    bool force_insertion) {
+// Run formation up to 256-key sorted runs, the width of one AVX-512
+// int32 register block: 64 Ki keys sorted as independent 256-key runs by
+// sequential_merge_sort, fresh (unsorted) bytes every iteration via a
+// timed memcpy every row pays identically. Under a vector kernel each run
+// is one register sort; under scalar/branchless (and in the "insertion"
+// row, which forces scalar) it is 24-key insertion runs plus the merge
+// passes at widths 24..192.
+void run_sort_runs(benchmark::State& state, kernels::Kernel kernel) {
   // Unsorted keys, not make_merge_input (whose arrays are pre-sorted —
   // insertion sort would run its O(n) best case and the comparison would
   // be meaningless).
   std::vector<std::int32_t> pristine(kAblationN);
   Xoshiro256 rng(42);
   for (auto& x : pristine) x = static_cast<std::int32_t>(rng.bounded(1u << 30));
-  std::vector<std::int32_t> data(kAblationN);
+  std::vector<std::int32_t> data(kAblationN), scratch(kAblationN);
   const kernels::Kernel previous = kernels::selected_kernel();
   kernels::set_kernel(kernel);
-  constexpr std::size_t kGrain = detail::kInsertionSortThreshold;
+  constexpr std::size_t kRun = 256;
   for (auto _ : state) {
     std::memcpy(data.data(), pristine.data(),
                 kAblationN * sizeof(std::int32_t));
-    for (std::size_t begin = 0; begin < kAblationN; begin += kGrain) {
-      const std::size_t len = std::min(kGrain, kAblationN - begin);
-      if (force_insertion) {
-        kernels::detail::insertion_sort_fallback(
-            data.data() + begin, len, std::less<>{},
-            static_cast<NoInstrument*>(nullptr));
-      } else {
-        kernels::sort_small_auto(data.data() + begin, len);
-      }
-    }
+    for (std::size_t begin = 0; begin < kAblationN; begin += kRun)
+      sequential_merge_sort(data.data() + begin, scratch.data() + begin,
+                            std::min(kRun, kAblationN - begin));
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
   kernels::set_kernel(previous);
   state.SetItemsProcessed(static_cast<std::int64_t>(kAblationN) *
@@ -445,8 +439,8 @@ void run_sort_small(benchmark::State& state, kernels::Kernel kernel,
 
 void register_kernel_ablation(bool restrict_to_selected) {
   benchmark::RegisterBenchmark(
-      "BM_SortSmall24/insertion", [](benchmark::State& state) {
-        run_sort_small(state, kernels::Kernel::kScalar, true);
+      "BM_SortRuns256/insertion", [](benchmark::State& state) {
+        run_sort_runs(state, kernels::Kernel::kScalar);
       });
   for (const kernels::Kernel kernel : kernels::kAllKernels) {
     if (!kernels::kernel_supported(kernel)) continue;
@@ -474,9 +468,9 @@ void register_kernel_ablation(bool restrict_to_selected) {
           run_kernel_merge_f64(state, kernel);
         });
     benchmark::RegisterBenchmark(
-        ("BM_SortSmall24/" + name).c_str(),
+        ("BM_SortRuns256/" + name).c_str(),
         [kernel](benchmark::State& state) {
-          run_sort_small(state, kernel, false);
+          run_sort_runs(state, kernel);
         });
   }
 }

@@ -6,7 +6,7 @@ Usage:
     bench_kernels.py --check [BENCH_5.json]
 
 The run mode drives bench_micro's ablation families
-(BM_KernelMerge32/64/F32/F64 and BM_SortSmall24) on the pinned inputs
+(BM_KernelMerge32/64/F32/F64 and BM_SortRuns256) on the pinned inputs
 (uniform 32-bit keys, seed 42, m = n = 65536, plus the order-preserving
 64-bit widening and the monotone float/double conversions merged under
 TotalOrderLess — see bench/bench_micro.cpp) once per compiled+supported
@@ -23,7 +23,7 @@ kernel, then writes one JSON document:
         "avx512": {...}
       },
       "sort_small": {
-        "grain": 24,
+        "grain": 256,
         "insertion_ns_per_element": ...,
         "kernels": {"scalar": {...}, "avx512": {...,
                     "speedup_vs_insertion": ...}}
@@ -58,7 +58,7 @@ MERGE_FAMILIES = {
     "BM_KernelMergeF32": "f32",
     "BM_KernelMergeF64": "f64",
 }
-SORT_FAMILY = "BM_SortSmall24"
+SORT_FAMILY = "BM_SortRuns256"
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BENCH = os.path.join(REPO_ROOT, "build", "bench", "bench_micro")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_5.json")
@@ -75,8 +75,9 @@ PINNED_INPUT = {
     "f32": "float(key) merged under TotalOrderLess (monotone, adds ties)",
     "f64": "double(key) * 1.25 merged under TotalOrderLess",
     "sort_small": "64 Ki unsorted int32 (xoshiro, seed 42) sorted as "
-                  "independent 24-key runs (timed memcpy refreshes the "
-                  "bytes each iteration)",
+                  "independent 256-key runs by sequential_merge_sort "
+                  "(insertion = forced scalar kernel; timed memcpy "
+                  "refreshes the bytes each iteration)",
 }
 
 
@@ -125,7 +126,7 @@ def run_bench(bench_path, repetitions):
     if "scalar" not in merge:
         fail("no scalar baseline in benchmark output (wrong filter or binary?)")
     if "insertion" not in sort_small:
-        fail("no insertion baseline in BM_SortSmall24 output")
+        fail(f"no insertion baseline in {SORT_FAMILY} output")
     return merge, sort_small
 
 
@@ -160,7 +161,7 @@ def write_artifact(out_path, isa, merge, sort_small):
         kernels[kernel] = entry
     insertion = sort_small["insertion"]
     sort_doc = {
-        "grain": 24,
+        "grain": 256,
         "insertion_ns_per_element": round(insertion, 4),
         "kernels": {
             kernel: {

@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -70,9 +71,10 @@ void cache_efficient_parallel_sort(T* data, std::size_t n,
   }
 
   // Stage 2: binary merge tree; each pair merged with Algorithm 2.
-  std::vector<T> scratch(n);
+  // Uninitialised: each merge's lanes write their own slices first.
+  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
   T* src = data;
-  T* dst = scratch.data();
+  T* dst = scratch.get();
   while (runs.size() > 1) {
     std::vector<Run> merged;
     merged.reserve((runs.size() + 1) / 2);

@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -45,37 +46,24 @@ struct Run {
   std::size_t size() const { return end - begin; }
 };
 
-namespace detail {
-
-inline constexpr std::size_t kInsertionSortThreshold = 24;
-
-}  // namespace detail
-
 /// Bottom-up stable merge sort of [data, data+n) using caller-provided
-/// scratch of the same length. Runs of kInsertionSortThreshold are formed
-/// by kernels::sort_small_auto — branchless 8/16 sorting networks plus a
-/// kernel merge for the dispatch-certified key types, insertion sort for
-/// everything else and for instrumented calls (see
-/// kernels/sort_network.hpp) — then merged with doubling widths,
-/// ping-ponging between the two buffers; the result always ends in
-/// `data`.
+/// scratch of the same length. kernels::sort_runs_auto forms the initial
+/// runs — register-resident blocks of 16 vector registers for the
+/// dispatch-certified key types (256 int32 under AVX-512), 24-key
+/// insertion sorts for everything else and for instrumented calls (see
+/// kernels/sort_network.hpp) — and the runs are merged with doubling
+/// widths from there, ping-ponging between the two buffers; the result
+/// always ends in `data`.
 template <typename T, typename Comp = std::less<>,
           typename Instr = NoInstrument>
 void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
                            Instr* instr = nullptr) {
   if (n <= 1) return;
 
-  for (std::size_t begin = 0; begin < n;
-       begin += detail::kInsertionSortThreshold) {
-    const std::size_t len =
-        std::min(detail::kInsertionSortThreshold, n - begin);
-    kernels::sort_small_auto(data + begin, len, comp, instr);
-  }
-
   T* src = data;
   T* dst = scratch;
-  for (std::size_t width = detail::kInsertionSortThreshold; width < n;
-       width *= 2) {
+  for (std::size_t width = kernels::sort_runs_auto(data, n, comp, instr);
+       width < n; width *= 2) {
     for (std::size_t begin = 0; begin < n; begin += 2 * width) {
       const std::size_t mid = std::min(begin + width, n);
       const std::size_t end = std::min(begin + 2 * width, n);
@@ -96,8 +84,8 @@ void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
 /// Convenience overload allocating its own scratch.
 template <typename T, typename Comp = std::less<>>
 void sequential_merge_sort(std::span<T> data, Comp comp = {}) {
-  std::vector<T> scratch(data.size());
-  sequential_merge_sort(data.data(), scratch.data(), data.size(), comp);
+  const auto scratch = std::make_unique_for_overwrite<T[]>(data.size());
+  sequential_merge_sort(data.data(), scratch.get(), data.size(), comp);
 }
 
 /// One flattened round: merges adjacent pairs of `runs` (runs must tile
@@ -193,10 +181,11 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   const unsigned lanes = exec.resolve_threads();
   if (n <= 1) return;
   obs::Span sort_span("sort", "n", n);
-  std::vector<T> scratch(n);
-  if (lanes == 1 || n <= lanes * detail::kInsertionSortThreshold) {
+  // Uninitialised: every lane's first write touches its own slice.
+  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
+  if (lanes == 1 || n <= lanes * kernels::kInsertionRunWidth) {
     Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge_sort(data, scratch.data(), n, comp, li);
+    sequential_merge_sort(data, scratch.get(), n, comp, li);
     return;
   }
 
@@ -208,7 +197,7 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
     const std::size_t begin = lane * n / lanes;
     const std::size_t end = (lane + 1ull) * n / lanes;
     runs[lane] = Run{begin, end};
-    sequential_merge_sort(data + begin, scratch.data() + begin, end - begin,
+    sequential_merge_sort(data + begin, scratch.get() + begin, end - begin,
                           comp, li);
   });
 
@@ -218,7 +207,7 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   // that produced it — late rounds merge few, long runs and are where
   // skewed inputs bite.
   T* src = data;
-  T* dst = scratch.data();
+  T* dst = scratch.get();
   std::uint64_t round = 0;
   while (runs.size() > 1) {
     obs::Span::counter("sort.round_index", round++);

@@ -338,10 +338,11 @@ void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
   const unsigned lanes = exec.resolve_threads();
   if (n <= 1) return;
   obs::Span sort_span("mwm.sort", "n", n);
-  std::vector<T> scratch(n);
+  // Uninitialised: every lane's first write touches its own slice.
+  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
   if (lanes == 1 || n <= lanes * 32) {
     Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge_sort(data, scratch.data(), n, comp, li);
+    sequential_merge_sort(data, scratch.get(), n, comp, li);
     return;
   }
 
@@ -352,7 +353,7 @@ void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t begin = lane * n / lanes;
     const std::size_t end = (lane + 1ull) * n / lanes;
-    sequential_merge_sort(data + begin, scratch.data() + begin, end - begin,
+    sequential_merge_sort(data + begin, scratch.get() + begin, end - begin,
                           comp, li);
     runs[lane] = std::span<const T>(data + begin, end - begin);
   });
@@ -360,7 +361,7 @@ void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
   // Phase 2: ONE k-way merge of all blocks into scratch, then a parallel
   // copy back.
   parallel_multiway_merge(std::span<const std::span<const T>>(runs),
-                          scratch.data(), exec, comp, instr);
+                          scratch.get(), exec, comp, instr);
   exec.run_lanes(lanes, [&](unsigned lane) {
     const std::size_t begin = lane * n / lanes;
     const std::size_t end = (lane + 1ull) * n / lanes;

@@ -36,6 +36,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -196,16 +197,17 @@ void recursive_merge_sort(T* data, std::size_t n, RecursiveConfig cfg = {},
   const std::size_t sort_grain = cfg.sort_grain > 0 ? cfg.sort_grain : 1;
   const std::size_t merge_grain = cfg.merge_grain > 0 ? cfg.merge_grain : 1;
   obs::Span sort_span("sort", "n", n);
-  std::vector<T> scratch(n);
+  // Uninitialised: the task that first writes a slice touches its pages.
+  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
   if (TaskScheduler::in_task()) {
-    detail::recursive_sort_node(data, scratch.data(), n, false, sort_grain,
+    detail::recursive_sort_node(data, scratch.get(), n, false, sort_grain,
                                 merge_grain, comp, instr);
     return;
   }
   TaskScheduler& sched = cfg.resolve_scheduler();
   MP_CHECK(instr.empty() || instr.size() >= sched.slots());
   sched.run([&] {
-    detail::recursive_sort_node(data, scratch.data(), n, false, sort_grain,
+    detail::recursive_sort_node(data, scratch.get(), n, false, sort_grain,
                                 merge_grain, comp, instr);
   });
 }

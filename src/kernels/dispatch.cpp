@@ -1,11 +1,13 @@
 #include "kernels/kernels.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
 
 #include "kernels/simd_entry.hpp"
+#include "kernels/sort_network.hpp"
 #include "util/hw.hpp"
 
 namespace mp::kernels {
@@ -163,6 +165,61 @@ template SimdLoopFn<std::int64_t> simd_loop<std::int64_t>;
 template SimdLoopFn<std::uint64_t> simd_loop<std::uint64_t>;
 template SimdLoopFn<float> simd_loop<float>;
 template SimdLoopFn<double> simd_loop<double>;
+
+template <typename Key>
+std::size_t simd_sort_runs(Kernel kernel, Key* data, std::size_t n) {
+  SortBlocksFn<Key>* sort_blocks = nullptr;
+  std::size_t vector_bytes = 0;
+#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX512)
+  if (kernel == Kernel::kAvx512) {
+    sort_blocks = avx512_sort_blocks<Key>;
+    vector_bytes = 64;
+  }
+#endif
+#if MP_SIMD && defined(MP_KERNELS_HAVE_AVX2)
+  if (kernel == Kernel::kAvx2) {
+    sort_blocks = avx2_sort_blocks<Key>;
+    vector_bytes = 32;
+  }
+#endif
+#if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
+  if (kernel == Kernel::kSse4) {
+    sort_blocks = sse4_sort_blocks<Key>;
+    vector_bytes = 16;
+  }
+#endif
+  // Compiled out (or a non-vector kernel): the caller forms its runs.
+  (void)kernel;
+  if (sort_blocks == nullptr) return 0;
+  const std::size_t lanes = vector_bytes / sizeof(Key);
+  const std::size_t width = kSortRegisters * lanes;
+  const std::size_t full = n / width;
+  if (full > 0) sort_blocks(data, full, kSortRegisters);
+  const std::size_t begin = full * width;
+  if (n - begin > 1) {
+    // The tail goes through the smallest power-of-two block that holds
+    // it, padded with the order's maximum: the pads sort to the back, so
+    // the first n - begin outputs are the sorted tail.
+    std::size_t regs = 1;
+    while (regs * lanes < n - begin) regs *= 2;
+    alignas(64) Key buf[kSortRegisters * 64 / sizeof(Key)];
+    std::copy(data + begin, data + n, buf);
+    std::fill(buf + (n - begin), buf + regs * lanes, sort_pad_max<Key>());
+    sort_blocks(buf, 1, regs);
+    std::copy(buf, buf + (n - begin), data + begin);
+  }
+  return width;
+}
+
+template <typename Key>
+using SimdSortRunsFn = std::size_t(Kernel, Key*, std::size_t);
+
+template SimdSortRunsFn<std::int32_t> simd_sort_runs<std::int32_t>;
+template SimdSortRunsFn<std::uint32_t> simd_sort_runs<std::uint32_t>;
+template SimdSortRunsFn<std::int64_t> simd_sort_runs<std::int64_t>;
+template SimdSortRunsFn<std::uint64_t> simd_sort_runs<std::uint64_t>;
+template SimdSortRunsFn<float> simd_sort_runs<float>;
+template SimdSortRunsFn<double> simd_sort_runs<double>;
 
 }  // namespace detail
 }  // namespace mp::kernels

@@ -186,6 +186,18 @@ std::size_t simd_loop(Kernel kernel, const Key* a, std::size_t m,
                       const Key* b, std::size_t n, std::size_t* a_pos,
                       std::size_t* b_pos, Key* out, std::size_t steps);
 
+/// Register-resident run formation of `kernel` for one of the six
+/// admitted key types (defined and explicitly instantiated in
+/// dispatch.cpp, which routes to the per-ISA TUs): sorts every aligned
+/// block of W keys of [data, data+n) in place, a short last block
+/// included, and returns W — 16 registers' worth of keys, so 256 int32
+/// under AVX-512 — or 0 without touching `data` when `kernel` has no
+/// register sort here (scalar, branchless, compiled out). The float and
+/// double sorts apply the sign-flip bijection on load and invert it
+/// before the store, like simd_loop.
+template <typename Key>
+std::size_t simd_sort_runs(Kernel kernel, Key* data, std::size_t n);
+
 /// The simd_loop key an admitted T merges as: float and double as
 /// themselves, integers as the same-size, same-signedness fixed-width
 /// type. The TUs load through may_alias vector types, so reinterpreting

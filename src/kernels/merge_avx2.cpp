@@ -18,12 +18,17 @@
 // Equal keys compare with <=, so ties are taken from A — the same
 // A-priority rule as merge_steps(); integer keys make "the sorted W
 // smallest" bitwise equal to the scalar outputs.
+//
+// The register sort (simd_sort_common.hpp) runs here at half the AVX-512
+// width: 16 ymm x 8 int32 = 128 keys, or 16 x 4 = 64 for 64-bit keys.
 
 #include "kernels/simd_entry.hpp"
 
-#include <immintrin.h>
+#include <utility>
 
+#include "kernels/simd_intrin.hpp"
 #include "kernels/simd_loop_common.hpp"
+#include "kernels/simd_sort_common.hpp"
 
 namespace mp::kernels::detail {
 namespace {
@@ -244,7 +249,124 @@ struct Avx2Steps<double> {
   using type = Avx2StepF64;
 };
 
+// --------------------------------------------------------- register sort
+
+struct NoMap {
+  static __m256i to_key(__m256i v) { return v; }
+  static __m256i from_key(__m256i v) { return v; }
+};
+struct F32Map {
+  static __m256i to_key(__m256i v) { return f32_to_key(v); }
+  static __m256i from_key(__m256i k) { return f32_from_key(k); }
+};
+struct F64Map {
+  static __m256i to_key(__m256i v) { return f64_to_key(v); }
+  static __m256i from_key(__m256i k) { return f64_from_key(k); }
+};
+
+/// The permutevar8x32 index vector that moves lane t ^ X into lane t.
+template <unsigned X, std::size_t... T>
+inline __m256i xor_index_epi32(std::index_sequence<T...>) {
+  alignas(32) static constexpr std::int32_t kIndex[] = {
+      static_cast<std::int32_t>(T ^ X)...};
+  return _mm256_load_si256(reinterpret_cast<const __m256i*>(kIndex));
+}
+
+template <typename Key, typename Map>
+struct Avx2Sort {
+  using V = __m256i;
+  static V load(const Key* p) {
+    return Map::to_key(_mm256_loadu_si256(reinterpret_cast<const V*>(p)));
+  }
+  static void store(Key* p, V v) {
+    _mm256_storeu_si256(reinterpret_cast<V*>(p), Map::from_key(v));
+  }
+};
+
+template <typename Key, typename Ops, typename Map>
+struct Avx2Sort32 : Avx2Sort<Key, Map> {
+  using V = __m256i;
+  static constexpr std::size_t kLanes = 8;
+  static V min(V x, V y) { return Ops::mn(x, y); }
+  static V max(V x, V y) { return Ops::mx(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {
+    if constexpr (X < 4) {  // inside 128-bit halves
+      return _mm256_shuffle_epi32(v, xor_shuffle_imm(X));
+    } else if constexpr (X == 4) {  // swap the halves
+      return _mm256_permute2x128_si256(v, v, 0x01);
+    } else {
+      return _mm256_permutevar8x32_epi32(
+          v, xor_index_epi32<X>(std::make_index_sequence<kLanes>{}));
+    }
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {
+    return _mm256_blend_epi32(lo, hi, lane_mask(kLanes, B, 1));
+  }
+};
+
+template <typename Key, typename Cmp, typename Map>
+struct Avx2Sort64 : Avx2Sort<Key, Map> {
+  using V = __m256i;
+  static constexpr std::size_t kLanes = 4;
+  static V min(V x, V y) { return min_epi64<Cmp>(x, y); }
+  static V max(V x, V y) { return max_epi64<Cmp>(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {
+    if constexpr (X == 1) {  // swap the 64-bit halves of each 128 bits
+      return _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));
+    } else {
+      return _mm256_permute4x64_epi64(v, xor_shuffle_imm(X));
+    }
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {
+    return _mm256_blend_epi32(lo, hi, lane_mask(kLanes, B, 2));
+  }
+};
+
+/// The register-sort traits of each admitted key type.
+template <typename Key>
+struct Avx2Sorts;
+template <>
+struct Avx2Sorts<std::int32_t> {
+  using type = Avx2Sort32<std::int32_t, MinMaxI32, NoMap>;
+};
+template <>
+struct Avx2Sorts<std::uint32_t> {
+  using type = Avx2Sort32<std::uint32_t, MinMaxU32, NoMap>;
+};
+template <>
+struct Avx2Sorts<std::int64_t> {
+  using type = Avx2Sort64<std::int64_t, CmpI64, NoMap>;
+};
+template <>
+struct Avx2Sorts<std::uint64_t> {
+  using type = Avx2Sort64<std::uint64_t, CmpU64, NoMap>;
+};
+template <>
+struct Avx2Sorts<float> {
+  using type = Avx2Sort32<float, MinMaxU32, F32Map>;
+};
+template <>
+struct Avx2Sorts<double> {
+  using type = Avx2Sort64<double, CmpU64, F64Map>;
+};
+
 }  // namespace
+
+template <typename Key>
+void avx2_sort_blocks(Key* data, std::size_t blocks, std::size_t regs) {
+  sort_register_blocks<typename Avx2Sorts<Key>::type>(data, blocks, regs);
+}
+
+template SortBlocksFn<std::int32_t> avx2_sort_blocks<std::int32_t>;
+template SortBlocksFn<std::uint32_t> avx2_sort_blocks<std::uint32_t>;
+template SortBlocksFn<std::int64_t> avx2_sort_blocks<std::int64_t>;
+template SortBlocksFn<std::uint64_t> avx2_sort_blocks<std::uint64_t>;
+template SortBlocksFn<float> avx2_sort_blocks<float>;
+template SortBlocksFn<double> avx2_sort_blocks<double>;
 
 template <typename Key>
 std::size_t avx2_loop(const Key* a, std::size_t m, const Key* b,

@@ -22,12 +22,17 @@
 // sign-flip bijection runs on load (AVX-512 has the 64-bit arithmetic
 // shift the narrower ISAs lack), the window merge runs on unsigned keys,
 // and the inverse map runs before the store.
+//
+// The register sort (simd_sort_common.hpp) runs here at full width: 16 zmm
+// x 16 int32 = 256 keys, or 16 x 8 = 128 for 64-bit keys, per block.
 
 #include "kernels/simd_entry.hpp"
 
-#include <immintrin.h>
+#include <utility>
 
+#include "kernels/simd_intrin.hpp"
 #include "kernels/simd_loop_common.hpp"
+#include "kernels/simd_sort_common.hpp"
 
 namespace mp::kernels::detail {
 namespace {
@@ -225,7 +230,127 @@ struct Avx512Steps<double> {
   using type = Avx512StepF64;
 };
 
+// --------------------------------------------------------- register sort
+
+struct NoMap {
+  static __m512i to_key(__m512i v) { return v; }
+  static __m512i from_key(__m512i v) { return v; }
+};
+struct F32Map {
+  static __m512i to_key(__m512i v) { return f32_to_key(v); }
+  static __m512i from_key(__m512i k) { return f32_from_key(k); }
+};
+struct F64Map {
+  static __m512i to_key(__m512i v) { return f64_to_key(v); }
+  static __m512i from_key(__m512i k) { return f64_from_key(k); }
+};
+
+/// The permutexvar index vector that moves lane t ^ X into lane t.
+template <unsigned X, typename Lane, std::size_t... T>
+inline __m512i xor_index(std::index_sequence<T...>) {
+  alignas(64) static constexpr Lane kIndex[] = {static_cast<Lane>(T ^ X)...};
+  return _mm512_load_si512(kIndex);
+}
+
+template <typename Key, typename Map>
+struct Avx512Sort {
+  using V = __m512i;
+  static V load(const Key* p) { return Map::to_key(_mm512_loadu_si512(p)); }
+  static void store(Key* p, V v) { _mm512_storeu_si512(p, Map::from_key(v)); }
+};
+
+template <typename Key, typename Ops, typename Map>
+struct Avx512Sort32 : Avx512Sort<Key, Map> {
+  using V = __m512i;
+  static constexpr std::size_t kLanes = 16;
+  static V min(V x, V y) { return Ops::mn(x, y); }
+  static V max(V x, V y) { return Ops::mx(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {
+    if constexpr (X < 4) {  // inside 128-bit groups
+      return _mm512_shuffle_epi32(
+          v, static_cast<_MM_PERM_ENUM>(xor_shuffle_imm(X)));
+    } else if constexpr (X % 4 == 0) {  // whole 128-bit groups
+      return _mm512_shuffle_i32x4(v, v, xor_shuffle_imm(X / 4));
+    } else {
+      return _mm512_permutexvar_epi32(
+          xor_index<X, std::int32_t>(std::make_index_sequence<kLanes>{}), v);
+    }
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {
+    return _mm512_mask_mov_epi32(
+        lo, static_cast<__mmask16>(lane_mask(kLanes, B, 1)), hi);
+  }
+};
+
+template <typename Key, typename Ops, typename Map>
+struct Avx512Sort64 : Avx512Sort<Key, Map> {
+  using V = __m512i;
+  static constexpr std::size_t kLanes = 8;
+  static V min(V x, V y) { return Ops::mn(x, y); }
+  static V max(V x, V y) { return Ops::mx(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {
+    if constexpr (X == 1) {  // swap the 64-bit halves of each group
+      return _mm512_shuffle_epi32(v, _MM_PERM_BADC);
+    } else if constexpr (X < 4) {  // inside 256-bit halves
+      return _mm512_permutex_epi64(v, xor_shuffle_imm(X));
+    } else if constexpr (X % 2 == 0) {  // whole 128-bit groups
+      return _mm512_shuffle_i64x2(v, v, xor_shuffle_imm(X / 2));
+    } else {
+      return _mm512_permutexvar_epi64(
+          xor_index<X, std::int64_t>(std::make_index_sequence<kLanes>{}), v);
+    }
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {
+    return _mm512_mask_mov_epi64(
+        lo, static_cast<__mmask8>(lane_mask(kLanes, B, 1)), hi);
+  }
+};
+
+/// The register-sort traits of each admitted key type.
+template <typename Key>
+struct Avx512Sorts;
+template <>
+struct Avx512Sorts<std::int32_t> {
+  using type = Avx512Sort32<std::int32_t, OpsI32, NoMap>;
+};
+template <>
+struct Avx512Sorts<std::uint32_t> {
+  using type = Avx512Sort32<std::uint32_t, OpsU32, NoMap>;
+};
+template <>
+struct Avx512Sorts<std::int64_t> {
+  using type = Avx512Sort64<std::int64_t, OpsI64, NoMap>;
+};
+template <>
+struct Avx512Sorts<std::uint64_t> {
+  using type = Avx512Sort64<std::uint64_t, OpsU64, NoMap>;
+};
+template <>
+struct Avx512Sorts<float> {
+  using type = Avx512Sort32<float, OpsU32, F32Map>;
+};
+template <>
+struct Avx512Sorts<double> {
+  using type = Avx512Sort64<double, OpsU64, F64Map>;
+};
+
 }  // namespace
+
+template <typename Key>
+void avx512_sort_blocks(Key* data, std::size_t blocks, std::size_t regs) {
+  sort_register_blocks<typename Avx512Sorts<Key>::type>(data, blocks, regs);
+}
+
+template SortBlocksFn<std::int32_t> avx512_sort_blocks<std::int32_t>;
+template SortBlocksFn<std::uint32_t> avx512_sort_blocks<std::uint32_t>;
+template SortBlocksFn<std::int64_t> avx512_sort_blocks<std::int64_t>;
+template SortBlocksFn<std::uint64_t> avx512_sort_blocks<std::uint64_t>;
+template SortBlocksFn<float> avx512_sort_blocks<float>;
+template SortBlocksFn<double> avx512_sort_blocks<double>;
 
 template <typename Key>
 std::size_t avx512_loop(const Key* a, std::size_t m, const Key* b,

@@ -2,13 +2,15 @@
 // 2-wide for 64-bit (pcmpgtq is the SSE4.2 instruction the 64-bit
 // variant needs; the 32-bit min/max are SSE4.1). Same scheme as
 // merge_avx2.cpp — anti-diagonal take count + bitonic exchange network —
-// at half the width; see that TU for the correctness argument.
+// at half the width; see that TU for the correctness argument. The
+// register sort (simd_sort_common.hpp) runs here at a quarter of the
+// AVX-512 width: 16 xmm x 4 int32 = 64 keys, or 16 x 2 = 32 for 64-bit.
 
 #include "kernels/simd_entry.hpp"
 
-#include <immintrin.h>
-
+#include "kernels/simd_intrin.hpp"
 #include "kernels/simd_loop_common.hpp"
+#include "kernels/simd_sort_common.hpp"
 
 namespace mp::kernels::detail {
 namespace {
@@ -213,7 +215,105 @@ struct Sse4Steps<double> {
   using type = Sse4StepF64;
 };
 
+// --------------------------------------------------------- register sort
+
+struct NoMap {
+  static __m128i to_key(__m128i v) { return v; }
+  static __m128i from_key(__m128i v) { return v; }
+};
+struct F32Map {
+  static __m128i to_key(__m128i v) { return f32_to_key(v); }
+  static __m128i from_key(__m128i k) { return f32_from_key(k); }
+};
+struct F64Map {
+  static __m128i to_key(__m128i v) { return f64_to_key(v); }
+  static __m128i from_key(__m128i k) { return f64_from_key(k); }
+};
+
+template <typename Key, typename Map>
+struct Sse4Sort {
+  using V = __m128i;
+  static V load(const Key* p) {
+    return Map::to_key(_mm_loadu_si128(reinterpret_cast<const V*>(p)));
+  }
+  static void store(Key* p, V v) {
+    _mm_storeu_si128(reinterpret_cast<V*>(p), Map::from_key(v));
+  }
+};
+
+template <typename Key, typename Ops, typename Map>
+struct Sse4Sort32 : Sse4Sort<Key, Map> {
+  using V = __m128i;
+  static constexpr std::size_t kLanes = 4;
+  static V min(V x, V y) { return Ops::mn(x, y); }
+  static V max(V x, V y) { return Ops::mx(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {
+    return _mm_shuffle_epi32(v, xor_shuffle_imm(X));
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {  // blend_epi16: two mask bits per lane
+    return _mm_blend_epi16(lo, hi, lane_mask(kLanes, B, 2));
+  }
+};
+
+template <typename Key, typename Cmp, typename Map>
+struct Sse4Sort64 : Sse4Sort<Key, Map> {
+  using V = __m128i;
+  static constexpr std::size_t kLanes = 2;
+  static V min(V x, V y) { return min_epi64<Cmp>(x, y); }
+  static V max(V x, V y) { return max_epi64<Cmp>(x, y); }
+  template <unsigned X>
+  static V permute_xor(V v) {  // X == 1: swap the two lanes
+    return reverse_epi64(v);
+  }
+  template <unsigned B>
+  static V blend(V lo, V hi) {
+    return _mm_blend_epi16(lo, hi, lane_mask(kLanes, B, 4));
+  }
+};
+
+/// The register-sort traits of each admitted key type.
+template <typename Key>
+struct Sse4Sorts;
+template <>
+struct Sse4Sorts<std::int32_t> {
+  using type = Sse4Sort32<std::int32_t, MinMaxI32, NoMap>;
+};
+template <>
+struct Sse4Sorts<std::uint32_t> {
+  using type = Sse4Sort32<std::uint32_t, MinMaxU32, NoMap>;
+};
+template <>
+struct Sse4Sorts<std::int64_t> {
+  using type = Sse4Sort64<std::int64_t, CmpI64, NoMap>;
+};
+template <>
+struct Sse4Sorts<std::uint64_t> {
+  using type = Sse4Sort64<std::uint64_t, CmpU64, NoMap>;
+};
+template <>
+struct Sse4Sorts<float> {
+  using type = Sse4Sort32<float, MinMaxU32, F32Map>;
+};
+template <>
+struct Sse4Sorts<double> {
+  using type = Sse4Sort64<double, CmpU64, F64Map>;
+};
+
 }  // namespace
+
+template <typename Key>
+void sse4_sort_blocks(Key* data, std::size_t blocks, std::size_t regs) {
+  sort_register_blocks<typename Sse4Sorts<Key>::type>(data, blocks, regs);
+}
+
+template SortBlocksFn<std::int32_t> sse4_sort_blocks<std::int32_t>;
+template SortBlocksFn<std::uint32_t> sse4_sort_blocks<std::uint32_t>;
+template SortBlocksFn<std::int64_t> sse4_sort_blocks<std::int64_t>;
+template SortBlocksFn<std::uint64_t> sse4_sort_blocks<std::uint64_t>;
+template SortBlocksFn<float> sse4_sort_blocks<float>;
+template SortBlocksFn<double> sse4_sort_blocks<double>;
 
 template <typename Key>
 std::size_t sse4_loop(const Key* a, std::size_t m, const Key* b,

@@ -12,7 +12,8 @@
 namespace mp {
 namespace {
 
-// Parses "32K" / "256K" / "12288K" / "12M" sysfs size strings.
+// Parses sysfs numbers: "3", and sizes such as "32K" / "12288K" / "12M".
+// Anything unparsable reads as 0.
 std::size_t parse_size(const std::string& text) {
   std::size_t value = 0;
   std::size_t i = 0;
@@ -45,7 +46,7 @@ HostInfo probe_host() {
     if (type.empty()) break;
     if (type != "Data" && type != "Unified") continue;
     CacheLevel level;
-    level.level = std::stoi("0" + read_file(dir + "level"));
+    level.level = static_cast<int>(parse_size(read_file(dir + "level")));
     level.size_bytes = parse_size(read_file(dir + "size"));
     const std::string line = read_file(dir + "coherency_line_size");
     if (!line.empty()) level.line_bytes = parse_size(line);

@@ -11,12 +11,18 @@
 // Axes: entry {parallel_merge, parallel_merge_sort,
 // parallel_multiway_merge k=2 and k=5, multiway_merge_sort} x runner
 // {plain, recovering} x p {1, 2, 4, 17} x kernel {scalar, widest} x key
-// {int32 under std::less, KeyedRecord under a key-only comparator}.
+// {int32 under std::less, KeyedRecord under a key-only comparator}. The
+// two sort entry points also run on int64 under std::less and double
+// under TotalOrderLess, whose vector base case is the 64-bit register
+// sort; their outputs are compared byte for byte (-0.0 == +0.0 and NaN
+// != NaN would fool operator==).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <tuple>
@@ -42,19 +48,63 @@ struct KeyOnly {
 
 /// `n` values over a small key universe (many ties crossing lane
 /// boundaries); records carry their origin index as payload so a tie
-/// reordered anywhere changes the bytes.
+/// reordered anywhere changes the bytes. Doubles add signed zeros and
+/// NaNs, whose order only TotalOrderLess defines.
 template <typename T>
 std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<T> out(n);
   for (std::size_t i = 0; i < n; ++i) {
     const auto key = static_cast<std::int32_t>(rng.bounded(97)) - 48;
-    if constexpr (std::is_same_v<T, KeyedRecord>)
+    if constexpr (std::is_same_v<T, KeyedRecord>) {
       out[i] = KeyedRecord{key, static_cast<std::uint32_t>(seed << 20 | i)};
-    else
+    } else if constexpr (std::is_same_v<T, double>) {
+      constexpr double kSpecials[] = {
+          0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+          -std::numeric_limits<double>::quiet_NaN()};
+      out[i] = key % 8 == 0 ? kSpecials[rng.bounded(4)] : key * 0.75;
+    } else if constexpr (std::is_same_v<T, std::int64_t>) {
+      out[i] = static_cast<std::int64_t>(key) << 40 | (key & 7);
+    } else {
       out[i] = key;
+    }
   }
   return out;
+}
+
+/// Byte equality for the arithmetic keys, operator== for records.
+template <typename T>
+::testing::AssertionResult same_output(const std::vector<T>& got,
+                                       const std::vector<T>& want) {
+  bool equal = got.size() == want.size();
+  if constexpr (std::is_arithmetic_v<T>) {
+    equal = equal && (got.empty() || std::memcmp(got.data(), want.data(),
+                                                 got.size() * sizeof(T)) == 0);
+  } else {
+    equal = equal && got == want;
+  }
+  if (equal) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << "output differs from the reference";
+}
+
+/// The two sort entry points against std::stable_sort.
+template <typename T, typename Comp>
+void check_sort_entry_points(const Executor& exec, Comp comp,
+                             const std::string& label) {
+  {  // parallel_merge_sort (Section III)
+    auto data = make_values<T>(3001, kSeed + 3);
+    auto expected = data;
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    parallel_merge_sort(data.data(), data.size(), exec, comp);
+    EXPECT_TRUE(same_output(data, expected)) << label << " parallel_merge_sort";
+  }
+  {  // multiway_merge_sort
+    auto data = make_values<T>(2999, kSeed + 4);
+    auto expected = data;
+    std::stable_sort(expected.begin(), expected.end(), comp);
+    multiway_merge_sort(data.data(), data.size(), exec, comp);
+    EXPECT_TRUE(same_output(data, expected)) << label << " multiway_merge_sort";
+  }
 }
 
 /// Runs every entry point of the table on `exec` and checks it against
@@ -75,13 +125,6 @@ void check_entry_points(const Executor& exec, Comp comp,
                    comp);
     EXPECT_EQ(out, expected) << label << " parallel_merge";
   }
-  {  // parallel_merge_sort (Section III)
-    auto data = make_values<T>(3001, kSeed + 3);
-    auto expected = data;
-    std::stable_sort(expected.begin(), expected.end(), comp);
-    parallel_merge_sort(data.data(), data.size(), exec, comp);
-    EXPECT_EQ(data, expected) << label << " parallel_merge_sort";
-  }
   for (const std::size_t k : {2u, 5u}) {  // parallel_multiway_merge
     std::vector<std::vector<T>> runs(k);
     std::vector<T> expected;  // run order, then stable by key
@@ -97,13 +140,7 @@ void check_entry_points(const Executor& exec, Comp comp,
                             out.data(), exec, comp);
     EXPECT_EQ(out, expected) << label << " parallel_multiway_merge k=" << k;
   }
-  {  // multiway_merge_sort
-    auto data = make_values<T>(2999, kSeed + 4);
-    auto expected = data;
-    std::stable_sort(expected.begin(), expected.end(), comp);
-    multiway_merge_sort(data.data(), data.size(), exec, comp);
-    EXPECT_EQ(data, expected) << label << " multiway_merge_sort";
-  }
+  check_sort_entry_points<T>(exec, comp, label);
 }
 
 enum class Runner { kPlain, kRecovering };
@@ -131,6 +168,10 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
         std::string("kernel=") + kernels::to_string(kernel);
     check_entry_points<std::int32_t>(exec, std::less<>{}, label + " int32");
     check_entry_points<KeyedRecord>(exec, KeyOnly{}, label + " records");
+    check_sort_entry_points<std::int64_t>(exec, std::less<>{},
+                                          label + " int64");
+    check_sort_entry_points<double>(exec, kernels::TotalOrderLess{},
+                                    label + " double");
   }
   kernels::set_kernel(saved);
   if (runner == Runner::kRecovering && p > 1 && fault::kFaultCompiledIn) {

@@ -118,8 +118,13 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple(16, 16), std::tuple(13, 2),
                       std::tuple(2, 13)),
     [](const auto& pinfo) {
-      return "m" + std::to_string(std::get<0>(pinfo.param)) + "_n" +
-             std::to_string(std::get<1>(pinfo.param));
+      // Appended piece by piece: at -O3, GCC 12 reports a false -Wrestrict
+      // in the insert-at-front that "literal" + std::string performs.
+      std::string name = "m";
+      name += std::to_string(std::get<0>(pinfo.param));
+      name += "_n";
+      name += std::to_string(std::get<1>(pinfo.param));
+      return name;
     });
 
 // --- Partition properties on every distribution.

@@ -1,11 +1,15 @@
-// Tests for src/kernels/sort_network.hpp: the Batcher 8/16 networks are
-// proven correct exhaustively via the 0-1 principle, sort_small_auto is
-// checked byte-for-byte against std::stable_sort at every length through
-// kSortNetworkMax (duplicates, all-ties, reverse, random) and under the
-// total-order float comparator on hostile inputs, the instrumented path
-// is pinned to the insertion-sort op counts, and the forced-scalar /
-// MERGEPATH_SIMD=OFF configurations are shown to keep the network path
-// off entirely.
+// Tests for src/kernels/sort_network.hpp: run formation for the merge
+// sorts. Under every kernel set_kernel accepts on this host and for all
+// six admitted key types (int32, uint32, int64, uint64, and float/double
+// under TotalOrderLess), sort_runs_auto is compared byte for byte with
+// std::stable_sort of each run at every length 0 .. 2W+17 (W the run
+// width it reports) on all-ties, reversed, random and pad-valued inputs
+// (keys equal to sort_pad_max: INT32_MAX, UINT64_MAX, +NaN with an
+// all-ones payload), plus signed zeros and NaNs for the floats. The
+// register network is data-oblivious, so the 0-1 principle turns the
+// exhaustive 8- and 16-key cases into proofs. Instrumented calls are
+// pinned to the insertion-sort op counts, and non-admitted types,
+// forced-scalar runs and MERGEPATH_SIMD=OFF builds keep 24-key runs.
 
 #include "kernels/sort_network.hpp"
 
@@ -17,11 +21,12 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
-#include "util/data_gen.hpp"
 
 namespace mp::kernels {
 namespace {
@@ -38,125 +43,219 @@ std::vector<Kernel> supported_kernels() {
   return out;
 }
 
+/// The comparator an admitted key type sorts under.
+template <typename T>
+using AdmittedComp =
+    std::conditional_t<std::is_floating_point_v<T>, TotalOrderLess,
+                       std::less<>>;
+
+/// The run width sort_runs_auto uses for T under the selected kernel
+/// (an empty call touches nothing and reports it).
+template <typename T>
+std::size_t run_width() {
+  return sort_runs_auto(static_cast<T*>(nullptr), 0, AdmittedComp<T>{});
+}
+
+template <typename T>
+bool same_bytes(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+/// Runs sort_runs_auto on `data` under `kernel` and checks every run of
+/// the reported width against std::stable_sort of the same slice.
+template <typename T, typename Comp>
+void expect_runs_like_stable_sort(std::vector<T> data, Comp comp,
+                                  Kernel kernel, const char* shape) {
+  KernelGuard guard;
+  ASSERT_TRUE(set_kernel(kernel));
+  auto want = data;
+  const std::size_t width = sort_runs_auto(data.data(), data.size(), comp);
+  ASSERT_GT(width, 0u);
+  for (std::size_t begin = 0; begin < want.size(); begin += width)
+    std::stable_sort(want.begin() + static_cast<std::ptrdiff_t>(begin),
+                     want.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(begin + width, want.size())),
+                     comp);
+  ASSERT_TRUE(same_bytes(data, want))
+      << to_string(kernel) << " " << shape << " n=" << data.size()
+      << " width=" << width << " sizeof=" << sizeof(T);
+}
+
+/// Keys that stress the network's order for T: the pad value itself, the
+/// type's extremes, and for floats signed zeros, NaNs of both signs with
+/// distinct payloads, infinities and denormals.
+template <typename T>
+std::vector<T> special_keys() {
+  using L = std::numeric_limits<T>;
+  if constexpr (std::is_floating_point_v<T>) {
+    using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                    std::uint64_t>;
+    constexpr Bits kSign = Bits{1} << (sizeof(T) * 8 - 1);
+    return {detail::sort_pad_max<T>(),
+            std::bit_cast<T>(static_cast<Bits>(~Bits{0})),  // -NaN, all ones
+            T(0.0),
+            T(-0.0),
+            L::infinity(),
+            -L::infinity(),
+            L::quiet_NaN(),
+            -L::quiet_NaN(),
+            std::bit_cast<T>(static_cast<Bits>(std::bit_cast<Bits>(
+                                                   L::quiet_NaN()) |
+                                               1)),
+            std::bit_cast<T>(static_cast<Bits>(kSign | 1)),  // -denorm_min
+            L::denorm_min(),
+            L::max(),
+            L::lowest(),
+            T(1.0),
+            T(-1.0)};
+  } else {
+    return {detail::sort_pad_max<T>(), L::max(), L::min(), T(0), T(1),
+            static_cast<T>(L::max() - 1)};
+  }
+}
+
+/// A small-universe key: many ties, both signs where T has them.
+template <typename T>
+T small_key(std::uint64_t r) {
+  if constexpr (std::is_floating_point_v<T>)
+    return static_cast<T>(static_cast<int>(r % 17) - 8) / T(4);
+  else if constexpr (std::is_signed_v<T>)
+    return static_cast<T>(static_cast<int>(r % 33) - 16);
+  else
+    return static_cast<T>(r % 33);
+}
+
+/// Every shape at every length 0 .. 2W+17 under `kernel`.
+template <typename T>
+void check_all_lengths(Kernel kernel, std::uint64_t seed) {
+  KernelGuard guard;
+  ASSERT_TRUE(set_kernel(kernel));
+  const std::size_t width = run_width<T>();
+  const std::vector<T> specials = special_keys<T>();
+  std::mt19937_64 rng(seed);
+  for (std::size_t n = 0; n <= 2 * width + 17; ++n) {
+    std::vector<T> ties(n, small_key<T>(5)), reversed(n), random(n),
+        padded(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      reversed[i] = small_key<T>(n - i);
+      random[i] = small_key<T>(rng());
+      // One key in three is a special, the pad value among them.
+      padded[i] = rng() % 3 == 0 ? specials[rng() % specials.size()]
+                                 : small_key<T>(rng());
+    }
+    std::sort(reversed.begin(), reversed.end(), AdmittedComp<T>{});
+    std::reverse(reversed.begin(), reversed.end());
+    expect_runs_like_stable_sort(ties, AdmittedComp<T>{}, kernel, "ties");
+    expect_runs_like_stable_sort(reversed, AdmittedComp<T>{}, kernel,
+                                 "reversed");
+    expect_runs_like_stable_sort(random, AdmittedComp<T>{}, kernel, "random");
+    expect_runs_like_stable_sort(padded, AdmittedComp<T>{}, kernel,
+                                 "specials");
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
 // ---------------------------------------------------------------------------
-// The networks themselves, via the 0-1 principle: a comparator network
-// sorts every input iff it sorts every 0-1 input, so 2^8 = 256 and
-// 2^16 = 65536 patterns are a complete proof, not a sample.
+// The register network, via the 0-1 principle: a comparator network sorts
+// every input iff it sorts every 0-1 input. The network (padding
+// included) does not depend on the data, so 2^8 and 2^16 patterns prove
+// it for 8 and 16 keys under every kernel.
+
+template <unsigned N>
+void expect_zero_one_patterns_sort() {
+  for (Kernel kernel : supported_kernels()) {
+    KernelGuard guard;
+    ASSERT_TRUE(set_kernel(kernel));
+    for (unsigned pattern = 0; pattern < (1u << N); ++pattern) {
+      std::int32_t d[N];
+      for (unsigned i = 0; i < N; ++i) d[i] = (pattern >> i) & 1u;
+      ASSERT_GE(sort_runs_auto(d, N), std::size_t{N});
+      ASSERT_TRUE(std::is_sorted(d, d + N))
+          << to_string(kernel) << " pattern " << pattern;
+    }
+  }
+}
 
 TEST(SortNetwork, Network8SortsAllZeroOnePatterns) {
-  for (unsigned pattern = 0; pattern < (1u << 8); ++pattern) {
-    std::int32_t d[8];
-    for (unsigned i = 0; i < 8; ++i) d[i] = (pattern >> i) & 1u;
-    detail::sort_network8(d, std::less<>{});
-    EXPECT_TRUE(std::is_sorted(d, d + 8)) << "pattern " << pattern;
-  }
+  expect_zero_one_patterns_sort<8>();
 }
 
 TEST(SortNetwork, Network16SortsAllZeroOnePatterns) {
-  for (unsigned pattern = 0; pattern < (1u << 16); ++pattern) {
-    std::int32_t d[16];
-    for (unsigned i = 0; i < 16; ++i) d[i] = (pattern >> i) & 1u;
-    detail::sort_network16(d, std::less<>{});
-    ASSERT_TRUE(std::is_sorted(d, d + 16)) << "pattern " << pattern;
-  }
+  expect_zero_one_patterns_sort<16>();
 }
 
 // ---------------------------------------------------------------------------
-// sort_small_auto equivalence. std::stable_sort is the oracle; for the
+// sort_runs_auto equivalence. std::stable_sort is the oracle; for the
 // admitted key types equal keys are bitwise identical, so the network's
 // instability is unobservable and the comparison can be exact.
 
-template <typename T, typename Comp>
-void expect_sorts_like_stable_sort(std::vector<T> data, Comp comp,
-                                   Kernel kernel) {
-  auto want = data;
-  std::stable_sort(want.begin(), want.end(), comp);
-  KernelGuard guard;
-  ASSERT_TRUE(set_kernel(kernel));
-  sort_small_auto(data.data(), data.size(), comp);
-  if (data.empty()) return;  // memcmp on a null data() is UB
-  ASSERT_EQ(std::memcmp(data.data(), want.data(), data.size() * sizeof(T)),
-            0)
-      << to_string(kernel) << " n=" << data.size();
-}
-
-TEST(SortSmallAuto, AllLengthsThroughMaxAllKernels) {
-  std::mt19937 rng(0x50f7);
+TEST(SortSmallAuto, RunWidthIsTheRegisterBlock) {
+  // 16 registers of keys per block; 24-key insertion runs without one.
   for (Kernel kernel : supported_kernels()) {
-    for (std::size_t n = 0; n <= kSortNetworkMax; ++n) {
-      // Random with duplicates (small value range forces ties), all-ties,
-      // reverse-sorted, and already-sorted inputs at every length.
-      std::vector<std::int32_t> random(n), ties(n, 42), reverse(n), sorted(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        random[i] = static_cast<std::int32_t>(rng() % 16) - 8;
-        reverse[i] = static_cast<std::int32_t>(n - i);
-        sorted[i] = static_cast<std::int32_t>(i / 2);
-      }
-      expect_sorts_like_stable_sort(random, std::less<>{}, kernel);
-      expect_sorts_like_stable_sort(ties, std::less<>{}, kernel);
-      expect_sorts_like_stable_sort(reverse, std::less<>{}, kernel);
-      expect_sorts_like_stable_sort(sorted, std::less<>{}, kernel);
-    }
+    KernelGuard guard;
+    ASSERT_TRUE(set_kernel(kernel));
+    std::size_t bytes = 0;
+    if (kernel == Kernel::kSse4) bytes = 16 * 16;
+    if (kernel == Kernel::kAvx2) bytes = 16 * 32;
+    if (kernel == Kernel::kAvx512) bytes = 16 * 64;
+    const auto want = [&](std::size_t key_bytes) {
+      return bytes == 0 ? kInsertionRunWidth : bytes / key_bytes;
+    };
+    EXPECT_EQ(run_width<std::int32_t>(), want(4)) << to_string(kernel);
+    EXPECT_EQ(run_width<std::uint32_t>(), want(4)) << to_string(kernel);
+    EXPECT_EQ(run_width<float>(), want(4)) << to_string(kernel);
+    EXPECT_EQ(run_width<std::int64_t>(), want(8)) << to_string(kernel);
+    EXPECT_EQ(run_width<std::uint64_t>(), want(8)) << to_string(kernel);
+    EXPECT_EQ(run_width<double>(), want(8)) << to_string(kernel);
   }
 }
 
+TEST(SortSmallAuto, AllLengthsThroughMaxAllKernels) {
+  for (Kernel kernel : supported_kernels())
+    check_all_lengths<std::int32_t>(kernel, 0x50f7);
+}
+
 TEST(SortSmallAuto, AllKeyWidths) {
-  std::mt19937_64 rng(0x5eed);
   for (Kernel kernel : supported_kernels()) {
-    for (std::size_t n : {7u, 8u, 9u, 16u, 24u, 33u, 64u}) {
-      std::vector<std::uint32_t> u32(n);
-      std::vector<std::int64_t> i64(n);
-      std::vector<std::uint64_t> u64(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        u32[i] = static_cast<std::uint32_t>(rng() % 32);
-        i64[i] = static_cast<std::int64_t>(rng() % 64) - 32;
-        u64[i] = rng() % 16;
-      }
-      expect_sorts_like_stable_sort(u32, std::less<>{}, kernel);
-      expect_sorts_like_stable_sort(i64, std::less<>{}, kernel);
-      expect_sorts_like_stable_sort(u64, std::less<>{}, kernel);
-    }
+    check_all_lengths<std::uint32_t>(kernel, 0x5eed);
+    check_all_lengths<std::int64_t>(kernel, 0x5eee);
+    check_all_lengths<std::uint64_t>(kernel, 0x5eef);
   }
 }
 
 TEST(SortSmallAuto, FloatTotalOrderHostileInputs) {
-  // Signed zeros, NaNs of both signs and with distinct payloads,
-  // denormals, infinities — sorted by TotalOrderLess, compared bitwise
-  // against std::stable_sort under the same comparator.
-  std::mt19937 rng(0xf1);
-  const float specials[] = {
-      0.0f,
-      -0.0f,
-      std::numeric_limits<float>::infinity(),
-      -std::numeric_limits<float>::infinity(),
-      std::numeric_limits<float>::quiet_NaN(),
-      -std::numeric_limits<float>::quiet_NaN(),
-      std::bit_cast<float>(0x7fc00001u),
-      std::bit_cast<float>(0xffc00001u),
-      std::numeric_limits<float>::denorm_min(),
-      -std::numeric_limits<float>::denorm_min(),
-      1.0f,
-      -1.0f,
-  };
   for (Kernel kernel : supported_kernels()) {
-    for (std::size_t n = 0; n <= kSortNetworkMax; ++n) {
-      std::vector<float> data(n);
-      for (std::size_t i = 0; i < n; ++i)
-        data[i] = specials[rng() % std::size(specials)];
-      expect_sorts_like_stable_sort(data, TotalOrderLess{}, kernel);
-      std::vector<double> d64(n);
-      for (std::size_t i = 0; i < n; ++i)
-        d64[i] = static_cast<double>(specials[rng() % std::size(specials)]);
-      expect_sorts_like_stable_sort(d64, TotalOrderLess{}, kernel);
+    check_all_lengths<float>(kernel, 0xf1);
+    check_all_lengths<double>(kernel, 0xf2);
+  }
+}
+
+TEST(SortSmallAuto, FullBlocksSortRandomZeroOneInputs) {
+  // Beyond the exhaustive small cases: random 0-1 inputs of exactly one
+  // full block, where every cross-register merge level runs.
+  std::mt19937 rng(0x01);
+  for (Kernel kernel : supported_kernels()) {
+    KernelGuard guard;
+    ASSERT_TRUE(set_kernel(kernel));
+    const std::size_t width = run_width<std::int32_t>();
+    std::vector<std::int32_t> d(width);
+    for (int trial = 0; trial < 4000; ++trial) {
+      const unsigned density = rng() % 8 + 1;
+      for (auto& x : d) x = rng() % density == 0;
+      sort_runs_auto(d.data(), d.size());
+      ASSERT_TRUE(std::is_sorted(d.begin(), d.end()))
+          << to_string(kernel) << " trial " << trial;
     }
   }
 }
 
 TEST(SortSmallAuto, NonAdmittedTypesStaySorted) {
   // Custom comparators and float-under-std::less are not admitted to the
-  // network (reordering their equal keys would be observable); the
-  // fallback must still sort correctly. NaN-free input keeps std::less a
-  // valid strict weak order here.
+  // network (reordering their equal keys would be observable); they keep
+  // 24-key insertion runs. NaN-free input keeps std::less a valid strict
+  // weak order here.
   struct ByHalf {
     bool operator()(int x, int y) const { return x / 2 < y / 2; }
   };
@@ -166,82 +265,100 @@ TEST(SortSmallAuto, NonAdmittedTypesStaySorted) {
     std::vector<int> v{9, 3, 8, 2, 7, 1, 6, 0, 5, 4, 3, 9};
     auto want = v;
     std::stable_sort(want.begin(), want.end(), ByHalf{});
-    sort_small_auto(v.data(), v.size(), ByHalf{});
+    EXPECT_EQ(sort_runs_auto(v.data(), v.size(), ByHalf{}),
+              kInsertionRunWidth);
     EXPECT_EQ(v, want);
 
     std::vector<float> f{3.5f, -0.0f, 0.0f, 2.25f, -7.0f, 3.5f};
     auto fwant = f;
     std::stable_sort(fwant.begin(), fwant.end(), std::less<>{});
-    sort_small_auto(f.data(), f.size(), std::less<>{});
-    EXPECT_EQ(f, fwant);
+    EXPECT_EQ(sort_runs_auto(f.data(), f.size(), std::less<>{}),
+              kInsertionRunWidth);
+    EXPECT_TRUE(same_bytes(f, fwant));
   }
 }
 
 TEST(SortSmallAuto, InstrumentedCallsKeepInsertionSortCounts) {
   // PRAM accounting models the insertion-sort base case; instrumented
-  // calls must take it and produce its exact compare/move counts.
+  // calls must take it and produce its exact compare/move counts, one
+  // 24-key run at a time.
   std::mt19937 rng(0xc0);
-  std::vector<std::int32_t> data(24);
+  std::vector<std::int32_t> data(24 * 3 + 7);
   for (auto& x : data) x = static_cast<std::int32_t>(rng() % 100);
   auto direct = data;
   OpCounts want_ops;
-  detail::insertion_sort_fallback(direct.data(), direct.size(), std::less<>{},
-                                  &want_ops);
+  for (std::size_t begin = 0; begin < direct.size();
+       begin += kInsertionRunWidth)
+    detail::insertion_sort_fallback(
+        direct.data() + begin,
+        std::min(kInsertionRunWidth, direct.size() - begin), std::less<>{},
+        &want_ops);
   KernelGuard guard;
   ASSERT_TRUE(set_kernel(widest_supported()));
   OpCounts ops;
-  sort_small_auto(data.data(), data.size(), std::less<>{}, &ops);
+  EXPECT_EQ(sort_runs_auto(data.data(), data.size(), std::less<>{}, &ops),
+            kInsertionRunWidth);
   EXPECT_EQ(data, direct);
   EXPECT_EQ(ops.compares, want_ops.compares);
   EXPECT_EQ(ops.moves, want_ops.moves);
 }
 
 TEST(SortSmallAuto, ForcedScalarMatchesNetworkBytes) {
-  // The network engages only under a vector kernel, but its output must
-  // be byte-identical to the scalar base case — the sort's contract does
-  // not depend on the dispatch decision.
+  // The register sort engages only under a vector kernel and forms wider
+  // runs, but the sorted bytes must not depend on the dispatch decision.
   std::mt19937 rng(0x11);
-  for (std::size_t n : {8u, 16u, 24u, 40u, 64u}) {
-    std::vector<std::int32_t> a(n), b;
+  for (std::size_t n : {8u, 24u, 255u, 256u, 257u, 1000u, 4099u}) {
+    std::vector<std::int32_t> a(n), b, scratch(n);
     for (auto& x : a) x = static_cast<std::int32_t>(rng() % 10);
     b = a;
     KernelGuard guard;
     ASSERT_TRUE(set_kernel(Kernel::kScalar));
-    sort_small_auto(a.data(), n);
+    sequential_merge_sort(a.data(), scratch.data(), n);
     ASSERT_TRUE(set_kernel(widest_supported()));
-    sort_small_auto(b.data(), n);
+    sequential_merge_sort(b.data(), scratch.data(), n);
     EXPECT_EQ(a, b) << "n=" << n;
   }
+}
+
+template <typename T>
+void expect_sequential_sort_matches(std::size_t n, std::mt19937_64& rng,
+                                    Kernel kernel) {
+  std::vector<T> data(n);
+  const std::vector<T> specials = special_keys<T>();
+  for (auto& x : data) {
+    if constexpr (std::is_floating_point_v<T>) {
+      using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
+                                      std::uint64_t>;
+      x = rng() % 8 == 0 ? specials[rng() % specials.size()]
+                         : std::bit_cast<T>(static_cast<Bits>(rng()));
+    } else {
+      x = static_cast<T>(rng() % 1000);
+    }
+  }
+  auto want = data;
+  std::stable_sort(want.begin(), want.end(), AdmittedComp<T>{});
+  std::vector<T> scratch(n);
+  sequential_merge_sort(data.data(), scratch.data(), n, AdmittedComp<T>{});
+  EXPECT_TRUE(same_bytes(data, want))
+      << to_string(kernel) << " sizeof=" << sizeof(T) << " n=" << n;
 }
 
 TEST(SortSmallAuto, SequentialMergeSortInheritsTheBaseCase) {
   // End-to-end: the wired base case produces the same bytes as
   // std::stable_sort through sequential_merge_sort, whichever kernel is
   // selected — including float keys under TotalOrderLess.
-  std::mt19937 rng(0xba5e);
+  std::mt19937_64 rng(0xba5e);
   for (Kernel kernel : supported_kernels()) {
     KernelGuard guard;
     ASSERT_TRUE(set_kernel(kernel));
-    std::vector<std::int32_t> data(5000);
-    for (auto& x : data) x = static_cast<std::int32_t>(rng() % 1000);
-    auto want = data;
-    std::stable_sort(want.begin(), want.end());
-    std::vector<std::int32_t> scratch(data.size());
-    sequential_merge_sort(data.data(), scratch.data(), data.size());
-    ASSERT_EQ(data, want) << to_string(kernel);
-
-    std::vector<float> fdata(3000);
-    for (auto& x : fdata)
-      x = std::bit_cast<float>(static_cast<std::uint32_t>(rng()));
-    auto fwant = fdata;
-    std::stable_sort(fwant.begin(), fwant.end(), TotalOrderLess{});
-    std::vector<float> fscratch(fdata.size());
-    sequential_merge_sort(fdata.data(), fscratch.data(), fdata.size(),
-                          TotalOrderLess{});
-    ASSERT_EQ(std::memcmp(fdata.data(), fwant.data(),
-                          fdata.size() * sizeof(float)),
-              0)
-        << to_string(kernel);
+    for (std::size_t n : {3000u, 5000u}) {
+      expect_sequential_sort_matches<std::int32_t>(n, rng, kernel);
+      expect_sequential_sort_matches<std::uint32_t>(n, rng, kernel);
+      expect_sequential_sort_matches<std::int64_t>(n, rng, kernel);
+      expect_sequential_sort_matches<std::uint64_t>(n, rng, kernel);
+      expect_sequential_sort_matches<float>(n, rng, kernel);
+      expect_sequential_sort_matches<double>(n, rng, kernel);
+    }
   }
 }
 
