@@ -1,8 +1,8 @@
 // Throughput microbenchmarks for the extension APIs (S19/S8): set
 // operations, key/value and SoA merging, top-k, the stream merger, the
-// adaptive kernel on run-structured data, multiway merging, and the radix
-// sort — one registry so regressions in the extension surface show up in
-// the same sweep as the core.
+// adaptive kernel on run-structured data, and the radix sort — one
+// registry so regressions in the extension surface show up in the same
+// sweep as the core.
 
 #include <benchmark/benchmark.h>
 
@@ -140,22 +140,5 @@ void BM_AdaptiveVsClassicOnRuns(benchmark::State& state) {
 }
 BENCHMARK(BM_AdaptiveVsClassicOnRuns)->Arg(1 << 18)
     ->Unit(benchmark::kMillisecond);
-
-void BM_MultiwayMergeSort(benchmark::State& state) {
-  const auto values =
-      make_unsorted_values(static_cast<std::size_t>(state.range(0)), 42);
-  std::vector<std::int32_t> data;
-  for (auto _ : state) {
-    state.PauseTiming();
-    data = values;
-    state.ResumeTiming();
-    multiway_merge_sort(data.data(), data.size(),
-                        Executor{nullptr, kThreads});
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(values.size()) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_MultiwayMergeSort)->Arg(1 << 20)->Unit(benchmark::kMillisecond);
 
 }  // namespace

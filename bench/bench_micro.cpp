@@ -125,26 +125,6 @@ void BM_ClassicMergeKernelOrganPipe(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMergeKernelOrganPipe)->Arg(1 << 16);
 
-void BM_BranchlessMergeKernel(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = make_merge_input(Dist::kUniform, n, n, 42);
-  std::vector<std::int32_t> out(2 * n);
-  for (auto _ : state) {
-    // The first-class tail-fallback contract (src/kernels): branchless
-    // prefix, scalar remainder. This used to be a hand-rolled padding
-    // loop here.
-    std::size_t i = 0, j = 0;
-    const std::size_t written = kernels::branchless_merge_bounded(
-        input.a.data(), n, input.b.data(), n, &i, &j, out.data(), 2 * n);
-    merge_steps(input.a.data(), n, input.b.data(), n, &i, &j,
-                out.data() + written, 2 * n - written);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BranchlessMergeKernel)->Arg(1 << 16);
-
 void BM_LoserTreePopN(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<std::int32_t>> runs(k);
@@ -409,8 +389,8 @@ void run_kernel_merge_f64(benchmark::State& state, kernels::Kernel kernel) {
 // int32 register block: 64 Ki keys sorted as independent 256-key runs by
 // sequential_merge_sort, fresh (unsorted) bytes every iteration via a
 // timed memcpy every row pays identically. Under a vector kernel each run
-// is one register sort; under scalar/branchless (and in the "insertion"
-// row, which forces scalar) it is 24-key insertion runs plus the merge
+// is one register sort; under scalar (and in the "insertion" row, which
+// forces scalar) it is 24-key insertion runs plus the merge
 // passes at widths 24..192.
 void run_sort_runs(benchmark::State& state, kernels::Kernel kernel) {
   // Unsorted keys, not make_merge_input (whose arrays are pre-sorted —
@@ -486,8 +466,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--kernel") == 0) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "error: --kernel needs a value "
-                             "(scalar|branchless|sse4|avx2|avx512)\n");
+        std::fprintf(stderr, "error: --kernel needs a value (%s)\n",
+                     kernels::kernel_names().c_str());
         return 2;
       }
       forced = argv[++i];
@@ -500,10 +480,8 @@ int main(int argc, char** argv) {
   if (!forced.empty()) {
     const auto kernel = kernels::parse_kernel(forced);
     if (!kernel) {
-      std::fprintf(stderr,
-                   "error: unknown --kernel '%s' "
-                   "(scalar|branchless|sse4|avx2|avx512)\n",
-                   forced.c_str());
+      std::fprintf(stderr, "error: unknown --kernel '%s' (%s)\n",
+                   forced.c_str(), kernels::kernel_names().c_str());
       return 2;
     }
     if (!kernels::set_kernel(*kernel)) {

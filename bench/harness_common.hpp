@@ -17,7 +17,7 @@
 ///                  at exit (without this flag the harness disables the
 ///                  recorder so measured numbers carry no recording cost)
 ///   --kernel K     force the per-lane merge kernel
-///                  (scalar|branchless|sse4|avx2|avx512); unknown or unsupported
+///                  (kernels::kernel_names()); unknown or unsupported
 ///                  names exit 2. The banner always names the kernel in
 ///                  effect and the detected ISA.
 /// Every harness exits non-zero on unknown flags so sweep typos surface.
@@ -70,8 +70,8 @@ struct Harness {
     if (!kernel_name.empty()) {
       const auto kernel = kernels::parse_kernel(kernel_name);
       if (!kernel) {
-        std::cerr << "error: unknown --kernel '" << kernel_name
-                  << "' (scalar|branchless|sse4|avx2|avx512)\n";
+        std::cerr << "error: unknown --kernel '" << kernel_name << "' ("
+                  << kernels::kernel_names() << ")\n";
         std::exit(2);
       }
       if (!kernels::set_kernel(*kernel)) {

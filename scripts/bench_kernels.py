@@ -51,7 +51,7 @@ import subprocess
 import sys
 
 SCHEMA = "mergepath-kernel-bench-v2"
-KERNELS = ["scalar", "branchless", "sse4", "avx2", "avx512"]
+KERNELS = ["scalar", "sse4", "avx2", "avx512"]
 MERGE_FAMILIES = {
     "BM_KernelMerge32": "key32",
     "BM_KernelMerge64": "key64",

@@ -67,7 +67,7 @@ KNOWN_NAMES = {
     # segmented (cache-aware) merge
     "spm", "spm.fetch", "spm.segment", "spm.segment_len", "spm.flush",
     # multiway merge
-    "mwm", "mwm.select", "mwm.merge", "mwm.sort", "mwm.block",
+    "mwm", "mwm.select", "mwm.merge",
     # in-memory merge sort
     "sort", "sort.round", "sort.round_slice", "sort.partition",
     "sort.block", "sort.copyback", "sort.round_index",

@@ -95,8 +95,8 @@ void sequential_merge_sort(std::span<T> data, Comp comp = {}) {
 /// writes a disjoint slice of `dst`, so a recovering executor can re-run
 /// any lane on its own.
 ///
-/// This is the building block shared by parallel_merge_sort and the
-/// cache-efficient sort; it is exposed for tests.
+/// This is the building block shared by parallel_merge_sort and its PRAM
+/// model (pram::simulate_merge_sort); it is exposed for that and tests.
 template <typename T, typename Comp = std::less<>,
           typename Instr = NoInstrument>
 std::vector<Run> merge_round_balanced(const T* src, T* dst,

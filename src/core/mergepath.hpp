@@ -9,8 +9,10 @@
 ///   std::vector<int> s = mp::parallel_merge(a, b);            // Algorithm 1
 ///   mp::parallel_merge_sort(std::span(v));                    // Section III
 ///   auto t = mp::segmented_parallel_merge(a, b);               // Algorithm 2
-///   mp::cache_efficient_parallel_sort(std::span(v));           // Section IV.C
 ///   auto u = mp::parallel_multiway_merge(runs);                // k-way ext.
+///
+/// Section IV.C's cache-efficient sort is reproduced under the PRAM and
+/// cache models only (mp::pram::simulate_cache_sort, src/pram).
 ///
 /// Thread count and pool are controlled with mp::Executor:
 ///
@@ -30,7 +32,6 @@
 /// lock-free in the sense of the paper: lanes synchronise only at the
 /// terminal fork-join barrier.
 
-#include "core/cache_sort.hpp"        // IWYU pragma: export
 #include "core/instrument.hpp"        // IWYU pragma: export
 #include "core/merge_by_key.hpp"      // IWYU pragma: export
 #include "core/merge_matrix.hpp"      // IWYU pragma: export

@@ -34,7 +34,7 @@
 #include <vector>
 
 #include "core/instrument.hpp"
-#include "core/merge_sort.hpp"
+#include "core/parallel_merge.hpp"
 #include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
@@ -322,61 +322,6 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     multiway_merge(std::span<const std::span<const T>>(slices), out + r0,
                    scratch.get(), comp);
   });
-}
-
-/// One-pass multiway merge sort: p sequentially-sorted blocks fused by a
-/// single parallel k-way merge (k = p), instead of the log2(p) pairwise
-/// rounds of parallel_merge_sort. Two total passes over the data versus
-/// 1 + log2(p) — the win the external-sort literature calls "fan-in": it
-/// trades the merge tree's streaming passes for the loser tree's log k
-/// compare factor. bench/fig_sort reports the crossover under the PRAM
-/// model. Stable.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
-void multiway_merge_sort(T* data, std::size_t n, Executor exec = {},
-                         Comp comp = {}, std::span<Instr> instr = {}) {
-  const unsigned lanes = exec.resolve_threads();
-  if (n <= 1) return;
-  obs::Span sort_span("mwm.sort", "n", n);
-  // Uninitialised: every lane's first write touches its own slice.
-  const auto scratch = std::make_unique_for_overwrite<T[]>(n);
-  if (lanes == 1 || n <= lanes * 32) {
-    Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge_sort(data, scratch.get(), n, comp, li);
-    return;
-  }
-
-  // Phase 1: p blocks, each sorted by its own lane (as in Section III).
-  std::vector<std::span<const T>> runs(lanes);
-  exec.run_lanes(lanes, [&](unsigned lane) {
-    obs::Span span("mwm.block", "lane", lane);
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
-    const std::size_t begin = lane * n / lanes;
-    const std::size_t end = (lane + 1ull) * n / lanes;
-    sequential_merge_sort(data + begin, scratch.get() + begin, end - begin,
-                          comp, li);
-    runs[lane] = std::span<const T>(data + begin, end - begin);
-  });
-
-  // Phase 2: ONE k-way merge of all blocks into scratch, then a parallel
-  // copy back.
-  parallel_multiway_merge(std::span<const std::span<const T>>(runs),
-                          scratch.get(), exec, comp, instr);
-  exec.run_lanes(lanes, [&](unsigned lane) {
-    const std::size_t begin = lane * n / lanes;
-    const std::size_t end = (lane + 1ull) * n / lanes;
-    for (std::size_t i = begin; i < end; ++i) data[i] = std::move(scratch[i]);
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (!instr.empty()) instr[lane].move(end - begin);
-    }
-  });
-}
-
-/// Span front-end.
-template <typename T, typename Comp = std::less<>>
-void multiway_merge_sort(std::span<T> data, Executor exec = {},
-                         Comp comp = {}) {
-  multiway_merge_sort(data.data(), data.size(), exec, comp);
 }
 
 /// Convenience front-end for vector-of-vectors input.

@@ -87,8 +87,8 @@ void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
     obs::Span span("merge.segment", "lane", lane);
     std::size_t i = slice.a_begin;
     std::size_t j = slice.b_begin;
-    // Per-lane kernel: routed through the dispatcher (scalar / branchless
-    // / SIMD — byte-identical by contract, see src/kernels).
+    // Per-lane kernel: routed through the dispatcher (scalar / SIMD —
+    // byte-identical by contract, see src/kernels).
     kernels::merge_steps_auto(a, m, b, n, &i, &j,
                               out + static_cast<std::ptrdiff_t>(slice.out_begin),
                               slice.steps, comp, li);

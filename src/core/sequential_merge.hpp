@@ -2,17 +2,13 @@
 /// \file sequential_merge.hpp
 /// Sequential merge kernels.
 ///
-/// Three kernels are provided:
+/// The kernels the parallel algorithms build on:
 ///  - merge_steps(): merges exactly `steps` output elements starting from
 ///    given positions in A and B. This is the "(|A|+|B|)/p steps of
 ///    sequential merge" primitive of Algorithm 1 and the "L/p steps"
 ///    primitive of Algorithm 2. Handles either input running out.
 ///  - sequential_merge(): the classic full two-array merge (the paper's
 ///    single-thread baseline for the 6%-overhead remark of Section VI).
-///  - branchless_merge_steps(): ablation variant that replaces the
-///    per-element branch with arithmetic selection; requires both inputs to
-///    have a readable element at all times, so callers pad or fall back to
-///    merge_steps() for the tail. Used by bench/ablation studies only.
 ///
 /// All kernels are stable with A-priority (ties take from A), matching the
 /// Merge Matrix definition M[i,j] = A[i] > B[j].
@@ -113,33 +109,6 @@ OutIter classic_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   return out;
 }
 
-/// Branchless inner loop: selects the source with arithmetic on the
-/// comparison result instead of a branch. Only valid while BOTH inputs have
-/// unconsumed elements; the caller must stop `steps` short of either
-/// exhaustion point (parallel_merge's ablation path establishes this from
-/// the partition geometry). Updates positions like merge_steps().
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-OutIter branchless_merge_steps(IterA a, IterB b, std::size_t* a_pos,
-                               std::size_t* b_pos, OutIter out,
-                               std::size_t steps, Comp comp = {}) {
-  std::size_t i = *a_pos;
-  std::size_t j = *b_pos;
-  for (std::size_t s = 0; s < steps; ++s) {
-    const bool take_b = comp(b[j], a[i]);
-    // Read both candidates, keep one: turns the data-dependent branch into
-    // a conditional move the compiler can schedule.
-    const auto av = a[i];
-    const auto bv = b[j];
-    *out++ = take_b ? bv : av;
-    i += take_b ? 0 : 1;
-    j += take_b ? 1 : 0;
-  }
-  *a_pos = i;
-  *b_pos = j;
-  return out;
-}
-
 /// Run-adaptive ("galloping") merge: instead of deciding element by
 /// element, each iteration finds the whole span of consecutive winners
 /// from one input by exponential + binary search, then block-copies it.
@@ -220,21 +189,6 @@ OutIter adaptive_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   while (i < m) *out++ = a[i++];
   while (j < n) *out++ = b[j++];
   return out;
-}
-
-/// Counts how many of the next `steps` path steps are guaranteed safe for
-/// the branchless kernel (i.e. how many can run before either input might
-/// exhaust): min(steps, m - i, n - j) is NOT sufficient in general — the
-/// kernel reads a[i] and b[j] each step, so it is safe exactly while
-/// i < m and j < n, giving min(steps, (m-i) + ... ) conservative bound
-/// min(steps, m - i, n - j).
-inline std::size_t branchless_safe_steps(std::size_t m, std::size_t n,
-                                         std::size_t i, std::size_t j,
-                                         std::size_t steps) {
-  const std::size_t a_left = m - i;
-  const std::size_t b_left = n - j;
-  const std::size_t safe = a_left < b_left ? a_left : b_left;
-  return steps < safe ? steps : safe;
 }
 
 }  // namespace mp

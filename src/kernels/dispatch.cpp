@@ -30,8 +30,6 @@ const char* to_string(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kBranchless:
-      return "branchless";
     case Kernel::kSse4:
       return "sse4";
     case Kernel::kAvx2:
@@ -40,6 +38,18 @@ const char* to_string(Kernel kernel) {
       return "avx512";
   }
   return "?";
+}
+
+const std::string& kernel_names() {
+  static const std::string names = [] {
+    std::string joined;
+    for (const Kernel kernel : kAllKernels) {
+      if (!joined.empty()) joined += '|';
+      joined += to_string(kernel);
+    }
+    return joined;
+  }();
+  return names;
 }
 
 std::optional<Kernel> parse_kernel(std::string_view name) {
@@ -51,7 +61,6 @@ std::optional<Kernel> parse_kernel(std::string_view name) {
 bool kernel_supported(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
-    case Kernel::kBranchless:
       return true;
     case Kernel::kSse4:
 #if MP_SIMD && defined(MP_KERNELS_HAVE_SSE4)
@@ -76,8 +85,6 @@ bool kernel_supported(Kernel kernel) {
 }
 
 Kernel widest_supported() {
-  // kBranchless is deliberately absent: BENCH_5 measured it slower than
-  // scalar, so auto-dispatch never picks it (explicit override only).
   if (kernel_supported(Kernel::kAvx512)) return Kernel::kAvx512;
   if (kernel_supported(Kernel::kAvx2)) return Kernel::kAvx2;
   if (kernel_supported(Kernel::kSse4)) return Kernel::kSse4;
@@ -114,8 +121,7 @@ Kernel resolve_override(const char* value, std::string* warning) {
   if (!parsed) {
     if (warning) {
       *warning = "MP_MERGE_KERNEL='" + std::string(value) +
-                 "' is not a kernel name (scalar|branchless|sse4|avx2|avx512); "
-                 "using " +
+                 "' is not a kernel name (" + kernel_names() + "); using " +
                  to_string(widest_supported());
     }
     return widest_supported();

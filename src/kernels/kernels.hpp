@@ -36,9 +36,8 @@
 ///   - build time: -DMERGEPATH_SIMD=OFF compiles the ISA TUs out
 ///     (MP_SIMD=0), mirroring the TRACE/FAULT gates.
 ///   - run time: cpuid (util/hw cpu_features()) picks the widest
-///     supported kernel; MP_MERGE_KERNEL=
-///     scalar|branchless|sse4|avx2|avx512 or the harness/tool --kernel
-///     flag overrides it.
+///     supported kernel; MP_MERGE_KERNEL=<kernel_names()> or the
+///     harness/tool --kernel flag overrides it.
 ///   - call time: instrumented merges (instr != nullptr) stay scalar so
 ///     PRAM op counts keep meaning one compare/move per path step.
 
@@ -68,34 +67,29 @@ inline constexpr bool kSimdCompiledIn = MP_SIMD != 0;
 /// The dispatchable per-lane merge kernels, narrowest to widest.
 enum class Kernel : std::uint8_t {
   kScalar = 0,   ///< merge_steps(): branchy, one element per iteration
-  /// branchless_merge_bounded() prefix + scalar tail. Demoted: BENCH_5
-  /// measured it at 0.89-0.90x *slower* than scalar on the uniform
-  /// ablation inputs (the cmov arithmetic costs more than the branch
-  /// mispredicts it saves on sorted-random data), so auto-dispatch never
-  /// selects it — it stays reachable via MP_MERGE_KERNEL/--kernel as the
-  /// honest branch-cost ablation baseline.
-  kBranchless,
   kSse4,         ///< 4-wide (32-bit) / 2-wide (64-bit), needs SSE4.2
   kAvx2,         ///< 8-wide (32-bit) / 4-wide (64-bit), needs AVX2
   kAvx512,       ///< 16-wide (32-bit) / 8-wide (64-bit), needs AVX-512 F+BW
 };
 
-inline constexpr Kernel kAllKernels[] = {Kernel::kScalar, Kernel::kBranchless,
-                                         Kernel::kSse4, Kernel::kAvx2,
-                                         Kernel::kAvx512};
+inline constexpr Kernel kAllKernels[] = {Kernel::kScalar, Kernel::kSse4,
+                                         Kernel::kAvx2, Kernel::kAvx512};
 
 /// True for the vector (width > 1) kernels — the ones whose selection
 /// makes the wrapped-ring linearization copy in segmented_merge worth
 /// paying for.
 inline constexpr bool is_vector_kernel(Kernel kernel) {
-  return kernel == Kernel::kSse4 || kernel == Kernel::kAvx2 ||
-         kernel == Kernel::kAvx512;
+  return kernel != Kernel::kScalar;
 }
 
 const char* to_string(Kernel kernel);
 
-/// "scalar|branchless|sse4|avx2|avx512" -> Kernel; anything else ->
-/// nullopt.
+/// Every kernel name in kAllKernels order, '|'-separated
+/// ("scalar|sse4|avx2|avx512"): the spelling usage and warning messages
+/// quote.
+const std::string& kernel_names();
+
+/// kernel_names() entry -> Kernel; anything else -> nullopt.
 std::optional<Kernel> parse_kernel(std::string_view name);
 
 /// Whether `kernel` can actually run: compiled in AND the host ISA has it.
@@ -192,7 +186,7 @@ std::size_t simd_loop(Kernel kernel, const Key* a, std::size_t m,
 /// block of W keys of [data, data+n) in place, a short last block
 /// included, and returns W — 16 registers' worth of keys, so 256 int32
 /// under AVX-512 — or 0 without touching `data` when `kernel` has no
-/// register sort here (scalar, branchless, compiled out). The float and
+/// register sort here (scalar, compiled out). The float and
 /// double sorts apply the sign-flip bijection on load and invert it
 /// before the store, like simd_loop.
 template <typename Key>
@@ -248,29 +242,6 @@ inline constexpr bool use_vector_merge_v = [] {
   }
 }();
 
-/// Dispatchable front of the branchless kernel: merges as much of
-/// `steps` as the both-sides-readable contract allows (chunks re-derived
-/// via branchless_safe_steps after each block), returns the elements
-/// written and advances the cursors; the caller runs the scalar tail on
-/// the remainder. This is the same tail-fallback contract the SIMD loops
-/// follow — bench/test drivers used to hand-roll it.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-std::size_t branchless_merge_bounded(IterA a, std::size_t m, IterB b,
-                                     std::size_t n, std::size_t* a_pos,
-                                     std::size_t* b_pos, OutIter out,
-                                     std::size_t steps, Comp comp = {}) {
-  std::size_t written = 0;
-  for (;;) {
-    const std::size_t safe =
-        branchless_safe_steps(m, n, *a_pos, *b_pos, steps - written);
-    if (safe == 0) break;
-    out = branchless_merge_steps(a, b, a_pos, b_pos, out, safe, comp);
-    written += safe;
-  }
-  return written;
-}
-
 /// Drop-in replacement for merge_steps() at the wiring points: same
 /// signature, same contract, byte-identical output and cursor updates.
 /// Routes the front of the merge through the selected kernel when the
@@ -290,17 +261,11 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
         const T* pa = std::to_address(a);
         const T* pb = std::to_address(b);
         T* po = std::to_address(out);
-        std::size_t written = 0;
-        if (kind == Kernel::kBranchless) {
-          written = branchless_merge_bounded(pa, m, pb, n, a_pos, b_pos, po,
-                                             steps, comp);
-        } else {
-          using Key = detail::simd_key_t<T>;
-          written = detail::simd_loop<Key>(
-              kind, reinterpret_cast<const Key*>(pa), m,
-              reinterpret_cast<const Key*>(pb), n, a_pos, b_pos,
-              reinterpret_cast<Key*>(po), steps);
-        }
+        using Key = detail::simd_key_t<T>;
+        const std::size_t written = detail::simd_loop<Key>(
+            kind, reinterpret_cast<const Key*>(pa), m,
+            reinterpret_cast<const Key*>(pb), n, a_pos, b_pos,
+            reinterpret_cast<Key*>(po), steps);
         out += static_cast<std::ptrdiff_t>(written);
         steps -= written;
       }

@@ -21,7 +21,7 @@
 ///     keys are bitwise identical (the same argument that makes the
 ///     vector merges stable "for free").
 ///   - run time: a vector kernel must actually be selected. Forced
-///     --kernel scalar|branchless runs, MERGEPATH_SIMD=OFF builds and
+///     --kernel scalar runs, MERGEPATH_SIMD=OFF builds and
 ///     non-x86 hosts keep the insertion-sort runs, byte for byte.
 ///   - call time: instrumented sorts (instr != nullptr) keep insertion
 ///     sort so PRAM op counts retain their per-step meaning.

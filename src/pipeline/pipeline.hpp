@@ -55,6 +55,7 @@
 #include <functional>
 #include <vector>
 
+#include "core/merge_sort.hpp"
 #include "core/multiway_merge.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"

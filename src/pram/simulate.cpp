@@ -5,6 +5,7 @@
 
 #include "core/mergepath.hpp"
 #include "util/assert.hpp"
+#include "util/hw.hpp"
 #include "util/threading.hpp"
 
 namespace mp::pram {
@@ -72,6 +73,16 @@ std::uint64_t merge_sort_passes(std::size_t n) {
   std::uint64_t passes = 1;
   for (std::size_t width = 24; width < n; width *= 2) ++passes;
   return passes;
+}
+
+/// The stage-2 merge configuration of the Section IV.C sort. Its
+/// cache_bytes is the resolved budget C (the request, or the host L1d for
+/// 0) that the blocks derive from too, so L = C/3 of the same budget.
+SegmentedConfig cache_sort_merge_config(std::size_t cache_bytes) {
+  SegmentedConfig config;
+  config.cache_bytes =
+      cache_bytes > 0 ? cache_bytes : host_info().l1d_bytes();
+  return config;
 }
 
 }  // namespace
@@ -250,32 +261,87 @@ SimResult simulate_multiway_sort(std::vector<Element> data, unsigned lanes,
   return acc.finish();
 }
 
+std::size_t cache_sort_block_elems(std::size_t cache_bytes) {
+  const std::size_t elems =
+      cache_sort_merge_config(cache_bytes).cache_bytes / kElem / 2;
+  return elems >= 2 ? elems : 2;
+}
+
+void cache_sort(std::span<Element> data, unsigned lanes,
+                std::size_t cache_bytes, std::span<OpCounts> counts) {
+  MP_CHECK(lanes >= 1 && counts.size() >= lanes);
+  const std::size_t n = data.size();
+  if (n <= 1) return;
+  ThreadPool serial_pool(0);
+  const Executor exec{&serial_pool, lanes};
+  const std::size_t block = cache_sort_block_elems(cache_bytes);
+  const SegmentedConfig merge_cfg = cache_sort_merge_config(cache_bytes);
+
+  // Stage 1: sort cache-sized blocks one by one, each with all p lanes.
+  std::vector<Run> runs;
+  for (std::size_t begin = 0; begin < n; begin += block) {
+    const std::size_t end = std::min(begin + block, n);
+    parallel_merge_sort(data.data() + begin, end - begin, exec, std::less<>{},
+                        counts);
+    runs.push_back(Run{begin, end});
+  }
+
+  // Stage 2: binary merge tree; each pair merged with Algorithm 2.
+  std::vector<Element> scratch(n);
+  Element* src = data.data();
+  Element* dst = scratch.data();
+  while (runs.size() > 1) {
+    std::vector<Run> merged;
+    merged.reserve((runs.size() + 1) / 2);
+    for (std::size_t t = 0; 2 * t < runs.size(); ++t) {
+      const Run a = runs[2 * t];
+      if (2 * t + 1 < runs.size()) {
+        const Run b = runs[2 * t + 1];
+        segmented_parallel_merge(src + a.begin, a.size(), src + b.begin,
+                                 b.size(), dst + a.begin, merge_cfg, exec,
+                                 std::less<>{}, counts);
+        merged.push_back(Run{a.begin, b.end});
+      } else {
+        // Unpaired trailing run: carry it over to the other buffer.
+        std::copy(src + a.begin, src + a.end, dst + a.begin);
+        counts[0].move(a.size());
+        merged.push_back(a);
+      }
+    }
+    runs = std::move(merged);
+    std::swap(src, dst);
+  }
+  if (src != data.data()) {
+    for (unsigned lane = 0; lane < lanes; ++lane) {
+      const std::size_t begin = lane * n / lanes;
+      const std::size_t end = (lane + 1ull) * n / lanes;
+      std::copy(src + begin, src + end, data.data() + begin);
+      counts[lane].move(end - begin);
+    }
+  }
+}
+
 SimResult simulate_cache_sort(std::vector<Element> data, unsigned lanes,
                               const MachineModel& model,
                               std::size_t cache_bytes) {
   MP_CHECK(lanes >= 1);
   const std::size_t n = data.size();
-  ThreadPool serial_pool(0);
-  Executor exec{&serial_pool, lanes};
   Accumulator acc(model, lanes);
   if (n <= 1) return acc.finish();
 
-  CacheSortConfig config;
-  config.cache_bytes = cache_bytes;
   std::vector<OpCounts> counts(lanes);
-  cache_efficient_parallel_sort(data.data(), n, config, exec, std::less<>{},
-                                std::span<OpCounts>(counts));
+  cache_sort(data, lanes, cache_bytes, counts);
 
   // Coarse phase pricing (the per-phase structure is inside the algorithm):
   // charge the accumulated per-lane totals as one balanced phase, then add
   // the analytically known barrier count — stage 1 runs one parallel sort
   // per block (1 + ceil(log2 p) + 1 phases each), stage 2 runs two barriers
-  // per merge segment per round.
+  // per merge segment per round, with the L the merges themselves use.
   acc.phase(counts);
-  const std::size_t block = config.resolve_block_elems<Element>();
+  const std::size_t block = cache_sort_block_elems(cache_bytes);
   const std::size_t blocks = (n + block - 1) / block;
   const std::size_t seg =
-      config.merge.resolve_segment_length<Element>();
+      cache_sort_merge_config(cache_bytes).resolve_segment_length<Element>();
   const double log2p = std::ceil(std::log2(static_cast<double>(lanes)));
   const double rounds = std::ceil(std::log2(static_cast<double>(
       std::max<std::size_t>(blocks, 1))));

@@ -11,7 +11,9 @@
 ///
 /// Element type is the paper's: 32-bit integers.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/instrument.hpp"
@@ -55,13 +57,31 @@ SimResult simulate_segmented_merge(const std::vector<std::int32_t>& a,
 SimResult simulate_merge_sort(std::vector<std::int32_t> data, unsigned lanes,
                               const MachineModel& model);
 
-/// One-pass multiway merge sort (multiway_merge_sort) of `data`:
-/// p block sorts + a single k-way merge + copy-back.
+/// One-pass multiway merge sort of `data`: p block sorts, one
+/// parallel_multiway_merge of the p runs (k = p) and a copy-back — the
+/// fan-in alternative to parallel_merge_sort's log2 p pairwise rounds,
+/// driven phase by phase here from the library's building blocks.
 SimResult simulate_multiway_sort(std::vector<std::int32_t> data,
                                  unsigned lanes, const MachineModel& model);
 
-/// Section IV.C cache-efficient parallel sort of `data` (copied
-/// internally).
+/// Block length, in elements, of the Section IV.C sort for a cache budget
+/// of `cache_bytes` (0 = host L1d): half the budget, since a block is
+/// sorted out of place (block + scratch); at least 2.
+std::size_t cache_sort_block_elems(std::size_t cache_bytes);
+
+/// The Section IV.C cache-efficient parallel sort, with `lanes` lanes run
+/// inline in lane order. Stage 1 sorts cache_sort_block_elems() blocks one
+/// after another, each with parallel_merge_sort on all lanes (Fig. 4).
+/// Stage 2 is a binary tree of rounds that merges every pair of adjacent
+/// blocks with segmented_parallel_merge (Algorithm 2), all lanes inside each
+/// pair, with the segment length L = C/3 of the same budget. Sorts `data`
+/// in place and adds each lane's operations to `counts` (at least `lanes`
+/// entries). Complexity (paper): O(N/p·log N + N/C·log p·log C).
+void cache_sort(std::span<std::int32_t> data, unsigned lanes,
+                std::size_t cache_bytes, std::span<OpCounts> counts);
+
+/// cache_sort() of `data` (copied internally), priced: the per-lane totals
+/// as one balanced phase plus the analytic barrier count of both stages.
 SimResult simulate_cache_sort(std::vector<std::int32_t> data, unsigned lanes,
                               const MachineModel& model,
                               std::size_t cache_bytes = 0);

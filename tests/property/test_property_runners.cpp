@@ -9,12 +9,11 @@
 // recovering runner.
 //
 // Axes: entry {parallel_merge, parallel_merge_sort,
-// parallel_multiway_merge k=2 and k=5, multiway_merge_sort} x runner
-// {plain, recovering} x p {1, 2, 4, 17} x kernel {scalar, widest} x key
-// {int32 under std::less, KeyedRecord under a key-only comparator}. The
-// two sort entry points also run on int64 under std::less and double
-// under TotalOrderLess, whose vector base case is the 64-bit register
-// sort; their outputs are compared byte for byte (-0.0 == +0.0 and NaN
+// parallel_multiway_merge k=2 and k=5} x runner {plain, recovering} x
+// p {1, 2, 4, 17} x kernel {scalar, widest} x key {int32 under std::less,
+// KeyedRecord under a key-only comparator}. The sort entry point also
+// runs on int64 under std::less and double under TotalOrderLess, whose
+// vector base case is the 64-bit register sort; their outputs are compared byte for byte (-0.0 == +0.0 and NaN
 // != NaN would fool operator==).
 
 #include <gtest/gtest.h>
@@ -87,24 +86,16 @@ template <typename T>
   return ::testing::AssertionFailure() << "output differs from the reference";
 }
 
-/// The two sort entry points against std::stable_sort.
+/// The sort entry point, parallel_merge_sort (Section III), against
+/// std::stable_sort.
 template <typename T, typename Comp>
-void check_sort_entry_points(const Executor& exec, Comp comp,
-                             const std::string& label) {
-  {  // parallel_merge_sort (Section III)
-    auto data = make_values<T>(3001, kSeed + 3);
-    auto expected = data;
-    std::stable_sort(expected.begin(), expected.end(), comp);
-    parallel_merge_sort(data.data(), data.size(), exec, comp);
-    EXPECT_TRUE(same_output(data, expected)) << label << " parallel_merge_sort";
-  }
-  {  // multiway_merge_sort
-    auto data = make_values<T>(2999, kSeed + 4);
-    auto expected = data;
-    std::stable_sort(expected.begin(), expected.end(), comp);
-    multiway_merge_sort(data.data(), data.size(), exec, comp);
-    EXPECT_TRUE(same_output(data, expected)) << label << " multiway_merge_sort";
-  }
+void check_sort_entry_point(const Executor& exec, Comp comp,
+                            const std::string& label) {
+  auto data = make_values<T>(3001, kSeed + 3);
+  auto expected = data;
+  std::stable_sort(expected.begin(), expected.end(), comp);
+  parallel_merge_sort(data.data(), data.size(), exec, comp);
+  EXPECT_TRUE(same_output(data, expected)) << label << " parallel_merge_sort";
 }
 
 /// Runs every entry point of the table on `exec` and checks it against
@@ -140,7 +131,7 @@ void check_entry_points(const Executor& exec, Comp comp,
                             out.data(), exec, comp);
     EXPECT_EQ(out, expected) << label << " parallel_multiway_merge k=" << k;
   }
-  check_sort_entry_points<T>(exec, comp, label);
+  check_sort_entry_point<T>(exec, comp, label);
 }
 
 enum class Runner { kPlain, kRecovering };
@@ -168,10 +159,10 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
         std::string("kernel=") + kernels::to_string(kernel);
     check_entry_points<std::int32_t>(exec, std::less<>{}, label + " int32");
     check_entry_points<KeyedRecord>(exec, KeyOnly{}, label + " records");
-    check_sort_entry_points<std::int64_t>(exec, std::less<>{},
-                                          label + " int64");
-    check_sort_entry_points<double>(exec, kernels::TotalOrderLess{},
-                                    label + " double");
+    check_sort_entry_point<std::int64_t>(exec, std::less<>{},
+                                         label + " int64");
+    check_sort_entry_point<double>(exec, kernels::TotalOrderLess{},
+                                   label + " double");
   }
   kernels::set_kernel(saved);
   if (runner == Runner::kRecovering && p > 1 && fault::kFaultCompiledIn) {

@@ -305,10 +305,6 @@ TEST(StabilitySorts, ParallelSortsMatchStableSort) {
     auto d1 = data;
     parallel_merge_sort(d1.data(), n, Executor{nullptr, threads});
     ASSERT_EQ(d1, expected) << "parallel_merge_sort payload order";
-
-    auto d2 = data;
-    multiway_merge_sort(d2.data(), n, Executor{nullptr, threads});
-    ASSERT_EQ(d2, expected) << "multiway_merge_sort payload order";
   }
 }
 

@@ -10,6 +10,7 @@
 #include "baselines/baselines.hpp"
 #include "dist/distributed_merge.hpp"
 #include "core/mergepath.hpp"
+#include "pram/simulate.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
@@ -166,11 +167,9 @@ TEST_P(SortFuzz, AllSortsAgree) {
     ASSERT_EQ(d1, expected) << "parallel_merge_sort";
 
     auto d2 = data;
-    CacheSortConfig config;
-    config.cache_bytes = cache;
-    cache_efficient_parallel_sort(d2.data(), n, config,
-                                  Executor{nullptr, threads});
-    ASSERT_EQ(d2, expected) << "cache_sort";
+    std::vector<OpCounts> counts(threads);
+    pram::cache_sort(d2, threads, cache, counts);
+    ASSERT_EQ(d2, expected) << "pram::cache_sort";
 
     auto d3 = data;
     baselines::bitonic_sort(std::span<std::int32_t>(d3),
@@ -365,9 +364,21 @@ TEST_P(ExtensionsFuzz, MultiwayAndDistributedSortsAgree) {
     auto expected = values;
     std::sort(expected.begin(), expected.end());
 
-    auto d1 = values;
-    multiway_merge_sort(d1.data(), n, Executor{nullptr, threads});
-    ASSERT_EQ(d1, expected) << "multiway_merge_sort";
+    // One block per lane, each sorted, then a single k-way merge.
+    auto blocks = values;
+    std::vector<std::span<const std::int32_t>> runs;
+    for (unsigned t = 0; t < threads; ++t) {
+      const std::size_t begin = t * n / threads;
+      const std::size_t end = (t + 1ull) * n / threads;
+      std::sort(blocks.begin() + static_cast<std::ptrdiff_t>(begin),
+                blocks.begin() + static_cast<std::ptrdiff_t>(end));
+      runs.emplace_back(blocks.data() + begin, end - begin);
+    }
+    std::vector<std::int32_t> d1(n);
+    parallel_multiway_merge(
+        std::span<const std::span<const std::int32_t>>(runs), d1.data(),
+        Executor{nullptr, threads});
+    ASSERT_EQ(d1, expected) << "parallel_multiway_merge";
 
     const auto d2 =
         dist::distributed_sort(dist::distribute(values, ranks));

@@ -308,11 +308,11 @@ TEST(KernelDispatch, ParseRoundTripsAndRejectsUnknown) {
   EXPECT_FALSE(parse_kernel("auto").has_value());  // env-only spelling
   EXPECT_FALSE(parse_kernel("AVX2").has_value());
   EXPECT_FALSE(parse_kernel("banana").has_value());
+  EXPECT_EQ(kernel_names(), "scalar|sse4|avx2|avx512");
 }
 
-TEST(KernelDispatch, ScalarAndBranchlessAlwaysSupported) {
+TEST(KernelDispatch, ScalarAlwaysSupported) {
   EXPECT_TRUE(kernel_supported(Kernel::kScalar));
-  EXPECT_TRUE(kernel_supported(Kernel::kBranchless));
 }
 
 TEST(KernelDispatch, SimdSupportRequiresCompiledInTUs) {
@@ -338,17 +338,16 @@ TEST(KernelDispatch, WidestIsOrderedAndSupported) {
 }
 
 TEST(KernelDispatch, BranchlessIsNeverAutoSelected) {
-  // Satellite of the demotion: BENCH_5 measured branchless at 0.89-0.90x
-  // *slower* than scalar, so auto-dispatch must never pick it no matter
-  // which ISA bits the host reports. Explicit override keeps working.
-  EXPECT_NE(widest_supported(), Kernel::kBranchless);
+  // "branchless" names no kernel, so an environment file that still sets
+  // it warns and gets the widest kernel.
+  EXPECT_FALSE(parse_kernel("branchless").has_value());
   std::string warning;
-  EXPECT_NE(detail::resolve_override(nullptr, &warning),
-            Kernel::kBranchless);
-  EXPECT_NE(detail::resolve_override("auto", &warning), Kernel::kBranchless);
   EXPECT_EQ(detail::resolve_override("branchless", &warning),
-            Kernel::kBranchless);
-  EXPECT_TRUE(warning.empty());
+            widest_supported());
+  EXPECT_NE(warning.find("'branchless' is not a kernel name"),
+            std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find(kernel_names()), std::string::npos) << warning;
 }
 
 TEST(KernelDispatch, SetKernelRejectsUnsupportedAndKeepsSelection) {
@@ -374,8 +373,6 @@ TEST(KernelDispatch, EnvOverrideResolution) {
   EXPECT_EQ(detail::resolve_override("auto", &warning), widest_supported());
   EXPECT_TRUE(warning.empty());
   EXPECT_EQ(detail::resolve_override("scalar", &warning), Kernel::kScalar);
-  EXPECT_EQ(detail::resolve_override("branchless", &warning),
-            Kernel::kBranchless);
   EXPECT_TRUE(warning.empty());
   // Unknown names clamp to the widest kernel and explain themselves.
   EXPECT_EQ(detail::resolve_override("banana", &warning), widest_supported());
@@ -391,9 +388,9 @@ TEST(KernelDispatch, EnvOverrideResolution) {
 
 TEST(KernelDispatch, BannerNamesSelectionAndIsa) {
   KernelGuard guard;
-  ASSERT_TRUE(set_kernel(Kernel::kBranchless));
+  ASSERT_TRUE(set_kernel(Kernel::kScalar));
   const std::string banner = kernel_banner();
-  EXPECT_NE(banner.find("kernel branchless"), std::string::npos) << banner;
+  EXPECT_NE(banner.find("kernel scalar"), std::string::npos) << banner;
   EXPECT_NE(banner.find("isa "), std::string::npos) << banner;
 }
 

@@ -1,6 +1,5 @@
 // Tests for core/merge_soa.hpp: multi-column SoA merging — keys match the
-// plain merge, every column follows its key, heterogeneous column types,
-// and the multiway one-pass sort added alongside.
+// plain merge, every column follows its key, heterogeneous column types.
 
 #include "core/merge_soa.hpp"
 
@@ -9,10 +8,8 @@
 #include <algorithm>
 #include <string>
 
-#include "core/multiway_merge.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
-#include "util/rng.hpp"
 
 namespace mp {
 namespace {
@@ -90,41 +87,6 @@ TEST(MergeSoa, EmptySides) {
                      std::tuple{SoaColumn<std::int32_t>{
                          vals.data(), vals.data(), vals_out.data()}});
   EXPECT_EQ(vals_out, vals);
-}
-
-// --- multiway_merge_sort (one-pass k-way sort, added in multiway_merge).
-
-TEST(MultiwayMergeSort, SortsAcrossSizesAndThreads) {
-  for (std::size_t n : {0u, 1u, 100u, 4097u, 100000u}) {
-    for (unsigned p : {1u, 4u, 13u}) {
-      auto data = make_unsorted_values(n, 1300 + n + p);
-      auto expected = data;
-      std::sort(expected.begin(), expected.end());
-      multiway_merge_sort(data.data(), n, Executor{nullptr, p});
-      EXPECT_EQ(data, expected) << "n=" << n << " p=" << p;
-    }
-  }
-}
-
-TEST(MultiwayMergeSort, IsStable) {
-  Xoshiro256 rng(1301);
-  std::vector<KeyedRecord> data(8000);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i].key = static_cast<std::int32_t>(rng.bounded(9));
-    data[i].payload = static_cast<std::uint32_t>(i);
-  }
-  auto expected = data;
-  std::stable_sort(expected.begin(), expected.end());
-  multiway_merge_sort(data.data(), data.size(), Executor{nullptr, 7});
-  EXPECT_EQ(data, expected);
-}
-
-TEST(MultiwayMergeSort, AgreesWithPairwiseSort) {
-  auto d1 = make_unsorted_values(60000, 1303);
-  auto d2 = d1;
-  parallel_merge_sort(d1.data(), d1.size(), Executor{nullptr, 8});
-  multiway_merge_sort(d2.data(), d2.size(), Executor{nullptr, 8});
-  EXPECT_EQ(d1, d2);
 }
 
 }  // namespace

@@ -109,6 +109,17 @@ TEST(MpsortTool, RejectsNonNumericThreadCount) {
   EXPECT_EQ(run("sort " + in + " " + out + " --threads 2"), 0);
 }
 
+TEST(MpsortTool, KernelFlagTakesOnlyKernelNames) {
+  const auto in = temp_file("kernel_in.txt");
+  const auto out = temp_file("kernel_out.txt");
+  write_file(in, "b\na\n");
+  EXPECT_EQ(run("sort " + in + " " + out + " --kernel branchless"), 2);
+  EXPECT_EQ(run("sort " + in + " " + out + " --kernel banana"), 2);
+  EXPECT_EQ(run("sort " + in + " " + out + " --kernel"), 2);  // missing value
+  ASSERT_EQ(run("sort " + in + " " + out + " --kernel scalar"), 0);
+  EXPECT_EQ(read_file(out), "a\nb\n");
+}
+
 TEST(MpsortTool, RejectsMalformedFaultFlags) {
   const auto in = temp_file("fault_in.txt");
   const auto out = temp_file("fault_out.txt");
