@@ -1,46 +1,20 @@
-// Experiment E10 (scheduler half) — scheduling-shape ablation.
+// Experiment E10 (scheduler half) — static slices vs dynamic tiles, modeled.
 //
-// Part 1 (measured): static equispaced lanes (Algorithm 1 on ThreadPool)
-// vs recursive median splitting (par_merge_recursive on the work-stealing
-// TaskScheduler), wall clock and PRAM op counts, across the workloads
-// where the shapes differ:
-//   uniform    one big balanced merge — Corollary 7 territory, static's
-//              best case; recursive pays log(n/grain) extra co-rank
-//              searches and the steal protocol;
-//   clustered  same sizes, skewed interleaving — balance still holds for
-//              both (Merge Path partitions the *output*), isolates the
-//              overhead term;
-//   size-skew  m >> n — the diagonal searches are cheap (log min(m,n))
-//              for both; checks neither shape degrades;
-//   small ×64  a stream of merges far below per-core scale — static pays
-//              a full p-lane fork-join barrier per merge, recursive runs
-//              each as one sequential kernel call under the grain;
-//   mixed ×16  alternating large/small merges — the pattern that
-//              motivates work stealing: idle workers help the big
-//              merges, small ones never fork.
-// PRAM op counts (compare/move/search-step totals, the unit-cost work
-// measure) are gathered in separate instrumented passes — per lane on the
-// static pool, per deque slot on the scheduler — so the throughput gap
-// can be attributed to scheduling, not to extra algorithmic work.
-//
-// Part 2 (modeled, the original E10c): static slices vs dynamically
-// claimed tiles (tiled_parallel_merge) when per-element cost is NOT
-// uniform. Corollary 7's perfect balance assumes every merge step costs
-// the same. With irregular costs (expensive comparators on some values,
-// cold pages) the static partition's makespan is the slowest slice. The
-// harness assigns a deterministic synthetic cost to every output element
+// Corollary 7's perfect balance assumes every merge step costs the same.
+// With irregular costs (expensive comparators on some values, cold pages)
+// the static partition's makespan is the slowest slice. The harness
+// assigns a deterministic synthetic cost to every output element
 // (expensive inside a value band), then computes each scheduler's
 // makespan exactly:
 //   static: cost-sum of each lane's contiguous slice, max over lanes;
 //   tiled:  list-scheduling of the tile cost sequence onto p lanes
 //           (greedy earliest-available, the behaviour of the atomic
-//           claim counter).
+//           claim counter in tiled_parallel_merge).
 // No wall clock involved — exact, host-independent, reproducible.
 //
 // Flags: --elements N (per array, default 1Mi), --threads N (default 8),
-//        --grain N (recursive leaf size, default 4096), --tile N
-//        (default 4096), --expensive-factor F (default 16), --csv,
-//        --seed, --trace F (exports sched.* spans for check_trace.py).
+//        --tile N (default 4096), --expensive-factor F (default 16), --csv,
+//        --seed.
 
 #include <algorithm>
 #include <cstdint>
@@ -51,77 +25,11 @@
 #include "core/mergepath.hpp"
 #include "harness_common.hpp"
 #include "util/data_gen.hpp"
-#include "util/tasksched.hpp"
-#include "util/timer.hpp"
 
 namespace {
 
 using namespace mp;
 using namespace mp::bench;
-
-/// One named batch of merge problems (most workloads are a single pair;
-/// the small/mixed streams hold many).
-struct Workload {
-  std::string name;
-  std::vector<MergeInput> batch;
-  std::size_t total_elements = 0;
-};
-
-Workload make_workload(std::string name, Dist dist,
-                       const std::vector<std::pair<std::size_t, std::size_t>>&
-                           sizes,
-                       std::uint64_t seed) {
-  Workload w;
-  w.name = std::move(name);
-  std::uint64_t s = seed;
-  for (const auto& [m, n] : sizes) {
-    w.batch.push_back(make_merge_input(dist, m, n, s++));
-    w.total_elements += m + n;
-  }
-  return w;
-}
-
-double static_seconds(const Workload& w, unsigned p,
-                      std::vector<std::int32_t>& out) {
-  return time_best_of([&] {
-    for (const auto& in : w.batch)
-      parallel_merge(in.a.data(), in.a.size(), in.b.data(), in.b.size(),
-                     out.data(), Executor{nullptr, p});
-  });
-}
-
-double recursive_seconds(const Workload& w, const RecursiveConfig& cfg,
-                         std::vector<std::int32_t>& out) {
-  return time_best_of([&] {
-    for (const auto& in : w.batch)
-      par_merge_recursive(in.a.data(), in.a.size(), in.b.data(), in.b.size(),
-                          out.data(), cfg);
-  });
-}
-
-std::uint64_t static_ops(const Workload& w, unsigned p,
-                         std::vector<std::int32_t>& out) {
-  std::vector<OpCounts> instr(p);
-  for (const auto& in : w.batch)
-    parallel_merge(in.a.data(), in.a.size(), in.b.data(), in.b.size(),
-                   out.data(), Executor{nullptr, p}, std::less<>{},
-                   std::span<OpCounts>(instr));
-  std::uint64_t total = 0;
-  for (const auto& c : instr) total += c.total();
-  return total;
-}
-
-std::uint64_t recursive_ops(const Workload& w, const RecursiveConfig& cfg,
-                            std::vector<std::int32_t>& out) {
-  std::vector<OpCounts> instr(cfg.resolve_scheduler().slots());
-  for (const auto& in : w.batch)
-    par_merge_recursive(in.a.data(), in.a.size(), in.b.data(), in.b.size(),
-                        out.data(), cfg, std::less<>{},
-                        std::span<OpCounts>(instr));
-  std::uint64_t total = 0;
-  for (const auto& c : instr) total += c.total();
-  return total;
-}
 
 // Deterministic per-element cost: expensive when the merged value falls in
 // a band (e.g. strings that need deep comparison, rows that decompress).
@@ -134,82 +42,15 @@ double element_cost(std::int32_t value, double expensive_factor) {
 
 int main(int argc, char** argv) {
   Harness h(argc, argv, "E10/scheduler",
-            "static lanes vs recursive splitting vs dynamic tiles");
+            "static slices vs dynamic tiles (modeled makespan)");
   const std::size_t per_array =
       static_cast<std::size_t>(h.cli.get_int("elements", 1 << 20));
   const unsigned p = static_cast<unsigned>(h.cli.get_int("threads", 8));
-  const std::size_t grain =
-      static_cast<std::size_t>(h.cli.get_int("grain", 4096));
   const std::size_t tile =
       static_cast<std::size_t>(h.cli.get_int("tile", 4096));
   const double factor = h.cli.get_double("expensive-factor", 16.0);
   h.check_flags();
 
-  // ---- Part 1: static lanes vs recursive splitting, measured. ----------
-  TaskScheduler sched(static_cast<int>(p) - 1);  // run() caller is peer p
-  const RecursiveConfig cfg{&sched, grain};
-
-  std::vector<Workload> workloads;
-  workloads.push_back(make_workload("uniform", Dist::kUniform,
-                                    {{per_array, per_array}}, h.seed));
-  workloads.push_back(make_workload("clustered", Dist::kClustered,
-                                    {{per_array, per_array}}, h.seed));
-  workloads.push_back(make_workload(
-      "size-skew 64:1", Dist::kUniform,
-      {{per_array, std::max<std::size_t>(1, per_array / 64)}}, h.seed));
-  {
-    std::vector<std::pair<std::size_t, std::size_t>> small(
-        64, {per_array / 256, per_array / 256});
-    workloads.push_back(
-        make_workload("small x64", Dist::kUniform, small, h.seed));
-  }
-  {
-    std::vector<std::pair<std::size_t, std::size_t>> mixed;
-    for (int i = 0; i < 16; ++i) {
-      const std::size_t s = (i % 2 == 0) ? per_array / 4 : per_array / 256;
-      mixed.push_back({s, s});
-    }
-    workloads.push_back(
-        make_workload("mixed x16", Dist::kUniform, mixed, h.seed));
-  }
-
-  Table measured({"workload", "elements", "static_ms", "recursive_ms",
-                  "rec_vs_static", "static_pram_ops", "recursive_pram_ops"});
-  for (const auto& w : workloads) {
-    std::size_t max_out = 0;
-    for (const auto& in : w.batch)
-      max_out = std::max(max_out, in.a.size() + in.b.size());
-    std::vector<std::int32_t> out_s(max_out), out_r(max_out);
-
-    const double ts = static_seconds(w, p, out_s);
-    const double tr = recursive_seconds(w, cfg, out_r);
-    // Guard the bench itself: both shapes must produce the identical
-    // stable merge (last batch entry is still in the buffers).
-    if (out_s != out_r) {
-      std::cerr << "error: scheduler outputs diverge on " << w.name << "\n";
-      return 1;
-    }
-    const std::uint64_t ops_s = static_ops(w, p, out_s);
-    const std::uint64_t ops_r = recursive_ops(w, cfg, out_r);
-    measured.add_row({w.name, std::to_string(w.total_elements),
-                      fmt_double(ts * 1e3, 3), fmt_double(tr * 1e3, 3),
-                      fmt_ratio(ts / tr), std::to_string(ops_s),
-                      std::to_string(ops_r)});
-  }
-  h.emit(measured);
-  if (!h.csv) {
-    const auto st = sched.stats();
-    std::cout << "\nscheduler: " << sched.workers() << " workers, "
-              << st.spawns << " spawns, " << st.steals << " steals, max "
-              << "par_do depth " << st.max_depth
-              << " (grain=" << grain << ")\n"
-              << "rec_vs_static > 1.00x means the recursive shape is "
-                 "faster; the op-count columns\nshow both schedulers do "
-                 "the same algorithmic work (recursive adds only the\n"
-                 "extra median co-rank searches).\n\n";
-  }
-
-  // ---- Part 2: modeled makespan under skewed element cost (E10c). ------
   const auto input =
       make_merge_input(Dist::kUniform, per_array, per_array, h.seed);
   std::vector<std::int32_t> merged(2 * per_array);

@@ -32,8 +32,8 @@ report. Checks (schema reference: docs/OBSERVABILITY.md):
   profile: each --traceprof report must carry the
            mergepath-traceprof-v1 schema, a positive wall-clock, a
            non-empty critical path whose attributed time does not exceed
-           the total, and per-worker rows whose busy/idle split is
-           self-consistent.
+           the total, and per-thread rows (busy = time in pool.lane
+           spans) whose busy/idle split is self-consistent.
   names:   with --require-known-names, every non-metadata event name must
            belong to the library's span taxonomy below, so a renamed or
            typo'd span fails CI instead of silently vanishing from
@@ -55,13 +55,6 @@ KNOWN_NAMES = {
     "pool.recover", "pool.lane_fault", "pool.hedge", "pool.fallback",
     # two-array merge (core)
     "merge", "merge.partition", "merge.segment",
-    # recursive splitting on the work-stealing scheduler
-    "merge.rec", "sort.rec",
-    # work-stealing task scheduler (sched.spawn / sched.steal are both
-    # instants and counters; sched.max_depth is a counter; sched.idle wraps
-    # a worker's condvar sleep)
-    "sched.run", "sched.task", "sched.spawn", "sched.steal",
-    "sched.max_depth", "sched.idle",
     # flight recorder: instant marking the moment recovery degraded
     "flight.degraded",
     # segmented (cache-aware) merge
@@ -174,8 +167,8 @@ def check_trace(path: str, min_events: int,
     # Spans on one thread must nest: a span starting inside another must
     # also end inside it. The exporter sorts ties parent-first, so a simple
     # stack sweep suffices. The same sweep measures the deepest nesting
-    # (for --min-span-depth: a trace of a nested fork-join run must show
-    # spans inside spans, or the scheduler instrumentation regressed).
+    # (for --min-span-depth: a trace of a fork-join run must show spans
+    # inside spans, or the pool instrumentation regressed).
     max_depth = 0
     for tid, spans in spans_by_tid.items():
         stack = []
@@ -302,8 +295,7 @@ def check_traceprof(path: str) -> None:
     if not workers:
         fail(f"{path}: no per-worker rows")
     for worker in workers:
-        for key in ("tid", "busy_ns", "idle_ns", "sleep_ns", "tasks",
-                    "steals", "spawns"):
+        for key in ("tid", "busy_ns", "idle_ns", "lanes"):
             if key not in worker:
                 fail(f"{path}: worker row missing {key!r}: {worker}")
         if worker["busy_ns"] + worker["idle_ns"] > doc["wall_ns"] * 1.001 + 1:

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every experiment into results/ (one .txt and one .csv per
-# harness; google-benchmark binaries as .txt). Pass --full to forward the
+# harness; google-benchmark binaries as .txt), plus a traced 4-lane
+# `mpsort sort` and its traceprof report. Pass --full to forward the
 # paper-scale flag to the harnesses.
 set -u
 cd "$(dirname "$0")/.."
@@ -23,4 +24,11 @@ for g in bench_baselines bench_micro; do
   echo "== $g"
   "$BUILD/bench/$g" | tee "$OUT/$g.txt" >/dev/null || exit 1
 done
+echo "== traceprof"
+seq 1 200000 | shuf --random-source=<(yes) > "$OUT/pool_sort_input.txt"
+"$BUILD/tools/mpsort" sort "$OUT/pool_sort_input.txt" \
+  "$OUT/pool_sort_output.txt" --numeric --threads 4 \
+  --trace "$OUT/pool_trace.json" > /dev/null || exit 1
+"$BUILD/tools/traceprof" "$OUT/pool_trace.json" --top 10 \
+  --json "$OUT/pool_prof.json" > "$OUT/traceprof.txt" || exit 1
 echo "results written to $OUT/"

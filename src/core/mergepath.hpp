@@ -40,7 +40,6 @@
 #include "core/merge_sort.hpp"        // IWYU pragma: export
 #include "core/multiway_merge.hpp"    // IWYU pragma: export
 #include "core/parallel_merge.hpp"    // IWYU pragma: export
-#include "core/recursive_merge.hpp"   // IWYU pragma: export
 #include "core/segmented_merge.hpp"   // IWYU pragma: export
 #include "core/sequential_merge.hpp"  // IWYU pragma: export
 #include "core/set_ops.hpp"           // IWYU pragma: export

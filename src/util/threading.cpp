@@ -5,7 +5,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
@@ -35,329 +37,287 @@ std::exception_ptr LaneReport::first_error() const {
 }
 
 struct ThreadPool::Impl {
-  // Job: run lanes [1, lanes) of `task`; lane 0 is the caller's. Workers
-  // claim lane indices from `next_lane` so imbalanced lanes (e.g. the final
-  // ragged segment of a merge) do not idle the other workers.
+  // Claim state of one lane. Written and read under `mutex`: the claimer
+  // and the hedger thread both touch it.
+  struct LaneSlot {
+    bool started = false;  ///< a claimer reached this lane
+    bool ticket = false;   ///< someone owns the right to run the task
+    bool done = false;     ///< the lane's outcome is final
+    std::uint64_t start_ns = 0;
+  };
+
+  // One fork-join job. It lives on the forking caller's stack; the pool
+  // points at it while it is in flight, and the caller's barrier returns
+  // only once no other thread can still touch it. Outcomes are written
+  // under `mutex`, except each outcome's `injected` fault decision, which
+  // the caller writes before the job is published.
+  struct Job {
+    Job(const std::function<void(unsigned)>& fn, unsigned n)
+        : task(fn), lanes(n), lanes_remaining(n), slots(n) {
+      report.lanes.resize(n);
+    }
+
+    bool quiescent() const {
+      return lanes_remaining == 0 && workers_in == 0 && !hedger_running;
+    }
+
+    const std::function<void(unsigned)>& task;
+    const unsigned lanes;
+    const bool timed = obs::lane_metrics_armed();
+    bool forked = false;  ///< workers may claim lanes
+    HedgePolicy hedge{};
+    std::chrono::microseconds delay{0};  ///< injected kLaneDelay stall
+    std::atomic<unsigned> next_lane{0};
+    unsigned lanes_remaining;
+    unsigned workers_in = 0;
+    bool hedger_running = false;  ///< the hedger is running a stolen lane
+    std::vector<LaneSlot> slots;
+    LaneReport report;
+  };
+
+  // The pool whose lane this thread is running, if any. A fork from inside
+  // such a lane runs inline: the pool is busy with the enclosing job.
+  static inline thread_local const Impl* lane_pool = nullptr;
+
   std::mutex mutex;
   std::condition_variable wake_workers;
   std::condition_variable job_done;
+  std::condition_variable pool_free;  ///< `current` went back to nullptr
   // Wakes lanes sleeping off an injected kLaneDelay stall: the hedger
   // notifies after claiming a straggler's ticket so the cancelled sleeper
   // returns immediately instead of finishing its nap.
   std::condition_variable delay_cv;
-  const std::function<void(unsigned)>* task = nullptr;
-  unsigned job_lanes = 0;
-  std::uint64_t job_id = 0;
-  std::atomic<unsigned> next_lane{0};
-  unsigned lanes_remaining = 0;
-  unsigned workers_in_job = 0;
-  std::exception_ptr first_error;
+  Job* current = nullptr;  ///< the job in flight
+  std::uint64_t job_id = 0;  ///< bumped per forked job
   bool shutting_down = false;
-  bool job_active = false;
-  // True while the current job tracks per-lane outcomes (fault plan
-  // attached or try_parallel_for_lanes). Read by workers under the mutex
-  // at check-in.
-  bool job_faulty = false;
-  std::chrono::microseconds job_delay{0};
-  std::vector<std::thread> threads;
-
-  // Per-lane state of a faulty job. All fields are written and read under
-  // `mutex` (the executing thread and the caller's hedger both touch
-  // them), except `injected`, which is written once by the caller before
-  // the job starts.
-  struct LaneSlot {
-    bool started = false;  ///< a claimer reached this lane
-    bool ticket = false;   ///< someone owns the right to run the task
-    bool done = false;     ///< outcome fields below are final
-    bool hedged = false;   ///< the ticket was claimed by the hedger thread
-    std::uint64_t start_ns = 0;
-    std::uint64_t wall_ns = 0;
-    LaneStatus status = LaneStatus::kOk;
-    std::exception_ptr error;
-  };
-  std::vector<LaneSlot> slots;
-  std::vector<fault::FaultKind> decisions;  // per-lane, drawn at fork time
   fault::FaultPlan* plan = nullptr;
+  std::vector<std::thread> threads;
 
   // Dedicated hedger thread (spawned lazily on the first hedged job, one
   // per pool). Running the straggler scan off the caller's thread is what
   // lets a stall on the *caller's own* lane be hedged: the caller sleeps
   // in its lane's cancellable delay wait while the hedger claims the
-  // ticket from outside — previously the scan ran in the caller's barrier
-  // loop, so a caller stuck in its own lane could never reach it.
-  std::thread hedger_thread;
+  // ticket from outside.
   std::condition_variable wake_hedger;
   bool hedger_spawned = false;
-  bool hedger_armed = false;  ///< a hedge-enabled job is in flight
-  bool hedger_busy = false;   ///< hedger is executing a stolen task
-  HedgePolicy hedge_policy{};
-  unsigned hedge_lanes = 0;
-  const std::function<void(unsigned)>* hedge_task = nullptr;
-  bool hedge_timed = false;
+  std::thread hedger_thread;
 
-  bool job_quiescent() const {
-    return lanes_remaining == 0 && workers_in_job == 0;
+  bool hedging() const { return current != nullptr && current->hedge.enabled; }
+
+  // Waits for the pool to be free, draws the job's fault schedule and
+  // publishes the job to the workers and the hedger.
+  void begin(Job& job, const HedgePolicy& hedge) {
+    std::unique_lock lock(mutex);
+    pool_free.wait(lock, [&] { return current == nullptr; });
+    // Draw the whole job's fault schedule up front on the calling thread:
+    // one decision per lane, in lane order. Concurrent claimers would
+    // consult the (single-stream) plan in a nondeterministic order; drawing
+    // at fork time keeps the schedule — and schedule_hash — a pure function
+    // of the seed and the job sequence.
+    if constexpr (fault::kFaultCompiledIn) {
+      if (plan != nullptr) {
+        for (LaneOutcome& outcome : job.report.lanes)
+          outcome.injected = plan->decide(fault::OpClass::kLane);
+        job.delay = std::chrono::microseconds(
+            static_cast<std::int64_t>(plan->config().lane_delay_us));
+      }
+    }
+    if (hedge.enabled && !hedger_spawned) {
+      hedger_thread = std::thread([this] { hedger_main(); });
+      hedger_spawned = true;
+    }
+    job.hedge = hedge;
+    job.forked = job.lanes > 1 && !threads.empty();
+    current = &job;
+    if (job.forked) {
+      ++job_id;
+      wake_workers.notify_all();
+    }
+    if (hedge.enabled) wake_hedger.notify_one();
+  }
+
+  // Runs lane `lane` of `job` on this thread, with `decision` injected
+  // instead of the task when it is a throw or an abandon.
+  std::pair<LaneStatus, std::exception_ptr> run_task(
+      const Job& job, unsigned lane, fault::FaultKind decision) {
+    obs::Span span("pool.lane", "lane", lane);
+    if (decision == fault::FaultKind::kLaneThrow) {
+      obs::Span::instant("pool.lane_fault", "lane", lane);
+      return {LaneStatus::kThrew,
+              std::make_exception_ptr(fault::LaneFault(decision, lane))};
+    }
+    if (decision == fault::FaultKind::kLaneAbandon) {
+      obs::Span::instant("pool.lane_fault", "lane", lane);
+      return {LaneStatus::kAbandoned, nullptr};
+    }
+    const Impl* const outer = std::exchange(lane_pool, this);
+    std::pair<LaneStatus, std::exception_ptr> result{LaneStatus::kOk,
+                                                     nullptr};
+    try {
+      job.task(lane);
+    } catch (...) {
+      result = {LaneStatus::kThrew, std::current_exception()};
+    }
+    lane_pool = outer;
+    return result;
   }
 
   // Must be called with `mutex` held.
-  void arm_hedger(const HedgePolicy& hedge, unsigned lanes,
-                  const std::function<void(unsigned)>& fn, bool timed) {
-    if (!hedger_spawned) {
-      hedger_spawned = true;
-      hedger_thread = std::thread([this] { hedger_main(); });
+  void finish_lane(Job& job, unsigned lane, LaneStatus status,
+                   std::exception_ptr error) {
+    LaneOutcome& outcome = job.report.lanes[lane];
+    outcome.wall_ns = obs::detail::monotonic_ns() - job.slots[lane].start_ns;
+    outcome.status = status;
+    outcome.error = std::move(error);
+    job.slots[lane].done = true;
+    if (job.timed)
+      obs::LaneMetrics::instance().record_lane(lane, outcome.wall_ns);
+  }
+
+  // The one claim loop: the caller and every checked-in worker claim lane
+  // indices from `next_lane` until the job is exhausted, so imbalanced
+  // lanes do not idle the others, then report the lanes they completed.
+  void run_lanes(Job& job) {
+    unsigned completed = 0;
+    for (;;) {
+      const unsigned lane =
+          job.next_lane.fetch_add(1, std::memory_order_relaxed);
+      if (lane >= job.lanes) break;
+      execute_lane(job, lane);
+      ++completed;
     }
-    hedge_policy = hedge;
-    hedge_lanes = lanes;
-    hedge_task = &fn;
-    hedge_timed = timed;
-    hedger_armed = true;
-    wake_hedger.notify_one();
+    if (completed == 0) return;
+    std::lock_guard lock(mutex);
+    job.lanes_remaining -= completed;
+    if (job.quiescent()) job_done.notify_all();
+  }
+
+  // Runs (or injects into) one claimed lane. The claimer still owns the
+  // lane's barrier accounting even when the hedger stole the task: the
+  // ticket decides who *runs*, the claim decides who *reports*.
+  void execute_lane(Job& job, unsigned lane) {
+    const fault::FaultKind decision = job.report.lanes[lane].injected;
+    {
+      std::unique_lock lock(mutex);
+      LaneSlot& slot = job.slots[lane];
+      slot.started = true;
+      slot.start_ns = obs::detail::monotonic_ns();
+      if (decision == fault::FaultKind::kLaneDelay && job.delay.count() > 0) {
+        // Injected straggler: a real stall, but cancellable — the hedger
+        // claims the ticket and notifies, so the barrier never waits out
+        // the full nap once the work has been re-executed elsewhere.
+        delay_cv.wait_for(lock, job.delay,
+                          [&] { return slot.ticket || shutting_down; });
+      }
+      if (slot.ticket) return;  // hedged away: outcome recorded by the hedger
+      slot.ticket = true;
+    }
+    auto [status, error] = run_task(job, lane, decision);
+    std::lock_guard lock(mutex);
+    finish_lane(job, lane, status, std::move(error));
   }
 
   void hedger_main() {
     std::unique_lock lock(mutex);
     for (;;) {
-      wake_hedger.wait(lock, [&] { return hedger_armed || shutting_down; });
+      wake_hedger.wait(lock, [&] { return shutting_down || hedging(); });
       if (shutting_down) return;
-      while (hedger_armed) {
-        // Re-read the interval each pass: a disarm + re-arm can slip by
-        // entirely while we sleep, swapping the policy under us.
-        const auto interval = std::chrono::microseconds(static_cast<
-            std::int64_t>(std::max(1.0, hedge_policy.check_interval_us)));
-        if (wake_hedger.wait_for(lock, interval, [&] {
-              return !hedger_armed || shutting_down;
-            })) {
-          break;
-        }
-        const int victim = find_straggler(hedge_policy, hedge_lanes);
-        if (victim < 0) continue;
-        // Claim the straggler's ticket: from here exactly one thread (us)
-        // will ever run its task, so speculative re-execution is safe for
-        // in-place tasks too, not just disjoint-output merges. Wake the
-        // sleeping claimer so the barrier is not held hostage by its nap.
-        const auto lane = static_cast<unsigned>(victim);
-        LaneSlot& slot = slots[lane];
-        slot.ticket = true;
-        slot.hedged = true;
-        hedger_busy = true;
-        const std::function<void(unsigned)>& fn = *hedge_task;
-        const bool timed = hedge_timed;
-        delay_cv.notify_all();
-        lock.unlock();
-
-        obs::Span::instant("pool.hedge", "lane", lane);
-        LaneStatus status = LaneStatus::kOk;
-        std::exception_ptr error;
-        {
-          obs::Span span("pool.lane", "lane", lane);
-          try {
-            fn(lane);
-          } catch (...) {
-            status = LaneStatus::kThrew;
-            error = std::current_exception();
-          }
-        }
-        lock.lock();
-        slot.wall_ns = obs::detail::monotonic_ns() - slot.start_ns;
-        slot.status = status;
-        slot.error = std::move(error);
-        slot.done = true;
-        hedger_busy = false;
-        if (timed)
-          obs::LaneMetrics::instance().record_lane(lane, slot.wall_ns);
-        // The caller's barrier also waits for !hedger_busy.
-        job_done.notify_all();
-      }
+      const auto interval = std::chrono::microseconds(static_cast<
+          std::int64_t>(std::max(1.0, current->hedge.check_interval_us)));
+      wake_hedger.wait_for(lock, interval,
+                           [&] { return shutting_down || !hedging(); });
       if (shutting_down) return;
+      // Re-read the job after the sleep: the one we slept on may have
+      // finished and another begun.
+      if (!hedging()) continue;
+      Job& job = *current;
+      const int victim = find_straggler(job);
+      if (victim < 0) continue;
+      // Claim the straggler's ticket: from here exactly one thread (us)
+      // will ever run its task, so speculative re-execution is safe for
+      // in-place tasks too, not just disjoint-output merges. Wake the
+      // sleeping claimer so the barrier is not held hostage by its nap.
+      const auto lane = static_cast<unsigned>(victim);
+      job.slots[lane].ticket = true;
+      job.report.lanes[lane].hedged = true;
+      job.hedger_running = true;  // the caller's barrier waits for this
+      delay_cv.notify_all();
+      lock.unlock();
+
+      obs::Span::instant("pool.hedge", "lane", lane);
+      auto [status, error] = run_task(job, lane, fault::FaultKind::kNone);
+      lock.lock();
+      finish_lane(job, lane, status, std::move(error));
+      job.hedger_running = false;
+      job_done.notify_all();
     }
   }
 
-  void worker_main() {
-    std::uint64_t last_seen_job = 0;
-    for (;;) {
-      const std::function<void(unsigned)>* my_task = nullptr;
-      unsigned my_lanes = 0;
-      bool my_faulty = false;
-      {
-        std::unique_lock lock(mutex);
-        wake_workers.wait(lock, [&] {
-          return shutting_down || (job_active && job_id != last_seen_job);
-        });
-        if (shutting_down) return;
-        last_seen_job = job_id;
-        my_task = task;
-        my_lanes = job_lanes;
-        my_faulty = job_faulty;
-        // Check in: parallel_for_lanes must not return (and the next job
-        // must not recycle `task`/`next_lane`) while this worker can still
-        // claim lanes. Without this a worker that picked up job N but lost
-        // the race for its lanes could survive into job N+1, grab a fresh
-        // lane index from the reset counter and run job N's *destroyed*
-        // task — a use-after-scope the old lanes-only wait left open.
-        ++workers_in_job;
-      }
-      if (my_faulty)
-        run_lanes_faulty(*my_task, my_lanes);
-      else
-        run_lanes(*my_task, my_lanes);
-      {
-        // Check out. The time spent acquiring this lock is the per-worker
-        // share of the fork-join teardown cost ROADMAP asks about; it is
-        // timed (when lane metrics are armed) and traced so the answer
-        // comes from measurement, not guesswork.
-        std::unique_lock lock(mutex, std::defer_lock);
-        {
-          obs::Span span("pool.checkout");
-          const bool timed = obs::lane_metrics_armed();
-          const std::uint64_t t0 = timed ? obs::detail::monotonic_ns() : 0;
-          lock.lock();
-          if (timed)
-            obs::LaneMetrics::instance().record_checkout(
-                obs::detail::monotonic_ns() - t0);
-          // ~Span pushes into this worker's trace ring HERE, while the pool
-          // mutex is still held: the push must happen-before the caller
-          // observes quiescence, or a trace_snapshot() taken right after
-          // parallel_for_lanes returns races with it.
-        }
-        --workers_in_job;
-        if (job_quiescent()) job_done.notify_all();
-      }
-    }
-  }
-
-  // Claims and executes lanes until the job is exhausted, then reports the
-  // lanes it completed. The no-plan fast path: no per-lane bookkeeping, no
-  // extra lock traffic.
-  void run_lanes(const std::function<void(unsigned)>& fn, unsigned lanes) {
-    unsigned completed = 0;
-    std::exception_ptr error;
-    const bool timed = obs::lane_metrics_armed();
-    for (;;) {
-      const unsigned lane = next_lane.fetch_add(1, std::memory_order_relaxed);
-      if (lane >= lanes) break;
-      {
-        obs::Span span("pool.lane", "lane", lane);
-        const std::uint64_t t0 = timed ? obs::detail::monotonic_ns() : 0;
-        try {
-          fn(lane);
-        } catch (...) {
-          if (!error) error = std::current_exception();
-        }
-        if (timed)
-          obs::LaneMetrics::instance().record_lane(
-              lane, obs::detail::monotonic_ns() - t0);
-      }
-      ++completed;
-    }
-    if (completed > 0 || error) {
-      std::lock_guard lock(mutex);
-      if (error && !first_error) first_error = error;
-      lanes_remaining -= completed;
-      if (job_quiescent()) job_done.notify_all();
-    }
-  }
-
-  // The outcome-tracking twin of run_lanes, used whenever the job needs a
-  // LaneReport: injected faults fire here (before the task), stalled lanes
-  // sleep cancellably, and every outcome lands in its slot instead of the
-  // shared first_error.
-  void run_lanes_faulty(const std::function<void(unsigned)>& fn,
-                        unsigned lanes) {
-    unsigned completed = 0;
-    for (;;) {
-      const unsigned lane = next_lane.fetch_add(1, std::memory_order_relaxed);
-      if (lane >= lanes) break;
-      execute_faulty_lane(fn, lane);
-      ++completed;
-    }
-    if (completed > 0) {
-      std::lock_guard lock(mutex);
-      lanes_remaining -= completed;
-      if (job_quiescent()) job_done.notify_all();
-    }
-  }
-
-  // Runs (or injects into) one claimed lane. The claimer still owns the
-  // lane's barrier accounting even when the caller's hedge stole the task:
-  // the ticket decides who *runs*, the claim decides who *reports*.
-  void execute_faulty_lane(const std::function<void(unsigned)>& fn,
-                           unsigned lane) {
-    const fault::FaultKind decision = decisions[lane];
-    const bool timed = obs::lane_metrics_armed();
-    {
-      std::unique_lock lock(mutex);
-      LaneSlot& slot = slots[lane];
-      slot.started = true;
-      slot.start_ns = obs::detail::monotonic_ns();
-      if (decision == fault::FaultKind::kLaneDelay &&
-          job_delay.count() > 0) {
-        // Injected straggler: a real stall, but cancellable — the hedger
-        // claims the ticket and notifies, so the barrier never waits out
-        // the full nap once the work has been re-executed elsewhere.
-        LaneSlot* s = &slot;
-        delay_cv.wait_for(lock, job_delay,
-                          [&] { return s->ticket || shutting_down; });
-      }
-      if (slot.ticket) return;  // hedged away: outcome recorded by the hedger
-      slot.ticket = true;
-    }
-
-    LaneStatus status = LaneStatus::kOk;
-    std::exception_ptr error;
-    {
-      obs::Span span("pool.lane", "lane", lane);
-      if (decision == fault::FaultKind::kLaneThrow) {
-        status = LaneStatus::kThrew;
-        error = std::make_exception_ptr(fault::LaneFault(decision, lane));
-        obs::Span::instant("pool.lane_fault", "lane", lane);
-      } else if (decision == fault::FaultKind::kLaneAbandon) {
-        status = LaneStatus::kAbandoned;
-        obs::Span::instant("pool.lane_fault", "lane", lane);
-      } else {
-        try {
-          fn(lane);
-        } catch (...) {
-          status = LaneStatus::kThrew;
-          error = std::current_exception();
-        }
-      }
-    }
-
-    std::lock_guard lock(mutex);
-    LaneSlot& slot = slots[lane];
-    slot.wall_ns = obs::detail::monotonic_ns() - slot.start_ns;
-    slot.status = status;
-    slot.error = std::move(error);
-    slot.done = true;
-    if (timed) obs::LaneMetrics::instance().record_lane(lane, slot.wall_ns);
-  }
-
-  // Caller-side straggler scan (holding `lock`): a started lane whose
-  // ticket is unclaimed and whose elapsed time exceeds the hedge threshold
-  // is a hedge candidate. Returns the lane index or -1.
-  int find_straggler(const HedgePolicy& hedge, unsigned lanes) {
+  // Straggler scan (holding `mutex`): a started lane whose ticket is
+  // unclaimed and whose elapsed time exceeds the hedge threshold is a hedge
+  // candidate. Returns the lane index or -1.
+  static int find_straggler(const Job& job) {
     std::vector<std::uint64_t> walls;
-    walls.reserve(lanes);
-    for (const LaneSlot& slot : slots)
-      if (slot.done) walls.push_back(slot.wall_ns);
+    walls.reserve(job.lanes);
+    for (unsigned lane = 0; lane < job.lanes; ++lane)
+      if (job.slots[lane].done) walls.push_back(job.report.lanes[lane].wall_ns);
     std::uint64_t threshold_ns =
-        static_cast<std::uint64_t>(hedge.min_lane_us * 1000.0);
+        static_cast<std::uint64_t>(job.hedge.min_lane_us * 1000.0);
     if (!walls.empty()) {
       const auto mid = walls.begin() + static_cast<std::ptrdiff_t>(
                                            walls.size() / 2);
       std::nth_element(walls.begin(), mid, walls.end());
       threshold_ns = std::max(
           threshold_ns,
-          static_cast<std::uint64_t>(hedge.factor *
+          static_cast<std::uint64_t>(job.hedge.factor *
                                      static_cast<double>(*mid)));
     }
     const std::uint64_t now = obs::detail::monotonic_ns();
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      const LaneSlot& slot = slots[lane];
+    for (unsigned lane = 0; lane < job.lanes; ++lane) {
+      const LaneSlot& slot = job.slots[lane];
       if (slot.started && !slot.ticket && now - slot.start_ns > threshold_ns)
         return static_cast<int>(lane);
     }
     return -1;
+  }
+
+  void worker_main() {
+    std::uint64_t last_seen_job = 0;
+    std::unique_lock lock(mutex);
+    for (;;) {
+      wake_workers.wait(lock, [&] {
+        return shutting_down ||
+               (current != nullptr && current->forked &&
+                job_id != last_seen_job);
+      });
+      if (shutting_down) return;
+      last_seen_job = job_id;
+      Job& job = *current;
+      // Check in: the caller's barrier must not return (and destroy the
+      // job) while this worker can still claim lanes. Without this a worker
+      // that picked up job N but lost the race for its lanes could survive
+      // into job N+1 and claim a lane of job N's destroyed task.
+      ++job.workers_in;
+      lock.unlock();
+      run_lanes(job);
+      {
+        // Check out. The time spent acquiring this lock is the per-worker
+        // share of the fork-join teardown cost; it is timed (when lane
+        // metrics are armed) and traced.
+        obs::Span span("pool.checkout");
+        const std::uint64_t t0 = job.timed ? obs::detail::monotonic_ns() : 0;
+        lock.lock();
+        if (job.timed)
+          obs::LaneMetrics::instance().record_checkout(
+              obs::detail::monotonic_ns() - t0);
+        // ~Span pushes into this worker's trace ring HERE, while the pool
+        // mutex is still held: the push must happen-before the caller
+        // observes quiescence, or a trace_snapshot() taken right after
+        // parallel_for_lanes returns races with it.
+      }
+      --job.workers_in;
+      if (job.quiescent()) job_done.notify_all();
+    }
   }
 };
 
@@ -392,7 +352,7 @@ unsigned ThreadPool::workers() const {
 
 void ThreadPool::set_fault_plan(fault::FaultPlan* plan) {
   std::lock_guard lock(impl_->mutex);
-  MP_CHECK(!impl_->job_active);  // quiescent control plane, like tracing
+  MP_CHECK(impl_->current == nullptr);  // quiescent control plane
   impl_->plan = plan;
 }
 
@@ -400,175 +360,60 @@ fault::FaultPlan* ThreadPool::fault_plan() const { return impl_->plan; }
 
 void ThreadPool::parallel_for_lanes(
     unsigned lanes, const std::function<void(unsigned)>& task) {
-  if (lanes == 0) return;
-  bool faulty = false;
-  if constexpr (fault::kFaultCompiledIn) faulty = impl_->plan != nullptr;
-  if (faulty) {
-    // A plan is armed: run through the outcome-tracking machinery so the
-    // barrier survives whatever the schedule injects, then surface the
-    // first failure as the typed exception (fault::LaneFault for injected
-    // throws/abandons, the task's own exception otherwise).
-    const LaneReport report = try_parallel_for_lanes(lanes, task);
-    if (auto error = report.first_error()) std::rethrow_exception(error);
-    return;
-  }
-  obs::Span job_span("pool.job", "lanes", lanes);
-  const bool timed = obs::lane_metrics_armed();
-  if (timed) obs::LaneMetrics::instance().record_job(lanes);
-  if (lanes == 1 || impl_->threads.empty()) {
-    // No parallel machinery needed; run inline (still exercises the same
-    // lane function). Lane spans/timings are still recorded so single-
-    // threaded runs produce the same trace shape as pooled ones.
-    for (unsigned lane = 0; lane < lanes; ++lane) {
-      obs::Span span("pool.lane", "lane", lane);
-      const std::uint64_t t0 = timed ? obs::detail::monotonic_ns() : 0;
-      task(lane);
-      if (timed)
-        obs::LaneMetrics::instance().record_lane(
-            lane, obs::detail::monotonic_ns() - t0);
-    }
-    return;
-  }
-
-  {
-    std::lock_guard lock(impl_->mutex);
-    MP_CHECK(!impl_->job_active);  // no nested / concurrent fork-join
-    impl_->task = &task;
-    impl_->job_lanes = lanes;
-    impl_->lanes_remaining = lanes;
-    impl_->next_lane.store(0, std::memory_order_relaxed);
-    impl_->first_error = nullptr;
-    impl_->job_active = true;
-    impl_->job_faulty = false;
-    ++impl_->job_id;
-  }
-  impl_->wake_workers.notify_all();
-
-  // The caller participates as a claimer too, so lanes <= workers+1 all run
-  // concurrently and excess lanes are work-shared.
-  impl_->run_lanes(task, lanes);
-
-  std::exception_ptr error;
-  {
-    // Caller-side barrier: how long lane 0 idles after its own lanes are
-    // done is the join half of the fork-join overhead (see
-    // docs/OBSERVABILITY.md and the ROADMAP check-in/out question).
-    obs::Span barrier_span("pool.barrier", "lanes", lanes);
-    const std::uint64_t b0 = timed ? obs::detail::monotonic_ns() : 0;
-    std::unique_lock lock(impl_->mutex);
-    // Wait for every lane to finish *and* every checked-in worker to leave
-    // run_lanes: only then is it safe to invalidate `task` and let the next
-    // job reset `next_lane`.
-    impl_->job_done.wait(lock, [&] { return impl_->job_quiescent(); });
-    impl_->job_active = false;
-    error = impl_->first_error;
-    if (timed)
-      obs::LaneMetrics::instance().record_barrier_wait(
-          obs::detail::monotonic_ns() - b0);
-  }
-  if (error) std::rethrow_exception(error);
+  // Injected faults surface as fault::LaneFault, the task's own exception
+  // otherwise — always the lowest-indexed failing lane's.
+  if (auto error = try_parallel_for_lanes(lanes, task).first_error())
+    std::rethrow_exception(error);
 }
 
 LaneReport ThreadPool::try_parallel_for_lanes(
     unsigned lanes, const std::function<void(unsigned)>& task,
     const HedgePolicy& hedge) {
-  LaneReport report;
-  if (lanes == 0) return report;
+  if (lanes == 0) return {};
+  Impl& pool = *impl_;
   obs::Span job_span("pool.job", "lanes", lanes);
-  const bool timed = obs::lane_metrics_armed();
-  if (timed) obs::LaneMetrics::instance().record_job(lanes);
+  Impl::Job job(task, lanes);
+  if (job.timed) obs::LaneMetrics::instance().record_job(lanes);
 
-  // Draw the whole job's fault schedule up front on the calling thread:
-  // one decision per lane, in lane order. Concurrent claimers would
-  // consult the (single-stream) plan in a nondeterministic order; drawing
-  // at fork time keeps the schedule — and schedule_hash — a pure function
-  // of the seed and the job sequence.
-  impl_->decisions.assign(lanes, fault::FaultKind::kNone);
-  std::chrono::microseconds delay{0};
-  if constexpr (fault::kFaultCompiledIn) {
-    if (impl_->plan != nullptr) {
-      for (unsigned lane = 0; lane < lanes; ++lane)
-        impl_->decisions[lane] = impl_->plan->decide(fault::OpClass::kLane);
-      delay = std::chrono::microseconds(static_cast<std::int64_t>(
-          impl_->plan->config().lane_delay_us));
-    }
-  }
-  impl_->job_delay = delay;
-  impl_->slots.assign(lanes, Impl::LaneSlot{});
+  // A nested job runs its lanes inline on this thread, draws no fault
+  // decisions (the enclosing lane already drew one) and is never hedged.
+  const bool nested = Impl::lane_pool == &pool;
+  if (!nested) pool.begin(job, hedge);
 
-  if (lanes == 1 || impl_->threads.empty()) {
-    // Inline path: lanes run in order on the caller through the same
-    // ticket/delay machinery as pooled claimers, so an injected stall
-    // sleeps *cancellably* and the hedger thread (armed below) can claim
-    // it — including a stall on the caller's own lane, which the old
-    // caller-side hedge scan could never reach.
-    if (hedge.enabled) {
-      std::lock_guard lock(impl_->mutex);
-      impl_->arm_hedger(hedge, lanes, task, timed);
-    }
-    for (unsigned lane = 0; lane < lanes; ++lane)
-      impl_->execute_faulty_lane(task, lane);
-    {
-      std::unique_lock lock(impl_->mutex);
-      impl_->job_done.wait(lock, [&] { return !impl_->hedger_busy; });
-      impl_->hedger_armed = false;
-      impl_->wake_hedger.notify_one();
-    }
-  } else {
-    {
-      std::lock_guard lock(impl_->mutex);
-      MP_CHECK(!impl_->job_active);  // no nested / concurrent fork-join
-      impl_->task = &task;
-      impl_->job_lanes = lanes;
-      impl_->lanes_remaining = lanes;
-      impl_->next_lane.store(0, std::memory_order_relaxed);
-      impl_->first_error = nullptr;
-      impl_->job_active = true;
-      impl_->job_faulty = true;
-      ++impl_->job_id;
-      if (hedge.enabled) impl_->arm_hedger(hedge, lanes, task, timed);
-    }
-    impl_->wake_workers.notify_all();
+  // The caller claims lanes too, so lanes <= workers+1 all run
+  // concurrently and excess lanes are work-shared. Unforked jobs run every
+  // lane here, in lane order.
+  pool.run_lanes(job);
 
-    impl_->run_lanes_faulty(task, lanes);
-
-    {
-      obs::Span barrier_span("pool.barrier", "lanes", lanes);
-      const std::uint64_t b0 = timed ? obs::detail::monotonic_ns() : 0;
-      std::unique_lock lock(impl_->mutex);
-      // Wait for every lane (and checked-in worker) to retire *and* for
-      // the hedger to finish any stolen task it is still running: a
-      // hedged lane's claimer retires as soon as its ticket is stolen, so
-      // quiescence alone no longer implies the slots are final.
-      impl_->job_done.wait(lock, [&] {
-        return impl_->job_quiescent() && !impl_->hedger_busy;
-      });
-      impl_->job_active = false;
-      impl_->job_faulty = false;
-      impl_->hedger_armed = false;
-      impl_->wake_hedger.notify_one();
-      if (timed)
-        obs::LaneMetrics::instance().record_barrier_wait(
-            obs::detail::monotonic_ns() - b0);
+  {
+    // Caller-side barrier: how long the caller idles after its own lanes
+    // are done is the join half of the fork-join overhead.
+    std::optional<obs::Span> barrier_span;
+    if (job.forked) barrier_span.emplace("pool.barrier", "lanes", lanes);
+    const std::uint64_t b0 =
+        job.forked && job.timed ? obs::detail::monotonic_ns() : 0;
+    std::unique_lock lock(pool.mutex);
+    // Wait for every lane to finish, every checked-in worker to leave the
+    // claim loop and the hedger to finish any stolen lane: a hedged lane's
+    // claimer retires as soon as its ticket is stolen.
+    pool.job_done.wait(lock, [&] { return job.quiescent(); });
+    if (!nested) {
+      pool.current = nullptr;
+      pool.pool_free.notify_one();
+      if (hedge.enabled) pool.wake_hedger.notify_one();
     }
+    if (job.forked && job.timed)
+      obs::LaneMetrics::instance().record_barrier_wait(
+          obs::detail::monotonic_ns() - b0);
   }
 
-  // Workers are all checked out: the slots are quiescent and safe to
-  // harvest without the lock.
-  report.lanes.resize(lanes);
-  for (unsigned lane = 0; lane < lanes; ++lane) {
-    Impl::LaneSlot& slot = impl_->slots[lane];
-    LaneOutcome& outcome = report.lanes[lane];
-    outcome.status = slot.status;
-    outcome.hedged = slot.hedged;
-    outcome.injected = impl_->decisions[lane];
-    outcome.error = std::move(slot.error);
-    outcome.wall_ns = slot.wall_ns;
+  LaneReport& report = job.report;
+  for (const LaneOutcome& outcome : report.lanes) {
     if (outcome.status != LaneStatus::kOk) ++report.failures;
     if (outcome.injected != fault::FaultKind::kNone) ++report.injected_faults;
     if (outcome.hedged) ++report.hedges;
   }
-  return report;
+  return std::move(report);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -1,7 +1,6 @@
 #pragma once
 /// \file threading.hpp
-/// Fork-join execution engine used by all parallel algorithms in this
-/// repository.
+/// Fork-join execution used by all parallel algorithms in this repository.
 ///
 /// The paper's algorithms are pure fork-join: partition, run p independent
 /// lanes, barrier (Algorithm 1's trailing "Barrier"). We provide a reusable
@@ -23,12 +22,10 @@
 /// elapsed time exceeds HedgePolicy::factor x the median completed lane
 /// wall-time, and whose task has not started yet, is re-claimed and run by
 /// a dedicated hedger thread — MapReduce-style speculative re-execution,
-/// safe because
-/// exactly one thread ever runs a lane's task (a claim "ticket" under the
-/// pool mutex) and lane output segments are disjoint (Theorem 14).
-/// With no plan attached, parallel_for_lanes is byte-for-byte the old
-/// allocation-free fast path; under MP_FAULT=0 the injection points do
-/// not exist at all.
+/// safe because exactly one thread ever runs a lane's task (a claim
+/// "ticket" under the pool mutex) and lane output segments are disjoint
+/// (Theorem 14). parallel_for_lanes is the same job path plus a rethrow;
+/// under MP_FAULT=0 the injection points do not exist at all.
 
 #include <cstddef>
 #include <cstdint>
@@ -101,10 +98,18 @@ struct HedgePolicy {
 
 /// Fixed-size pool of worker threads executing fork-join lane tasks.
 ///
-/// Thread-safety: parallel_for_lanes may only be invoked from one thread at
-/// a time (the pool is an engine, not a scheduler); this matches the
-/// paper's single-merge-at-a-time structure. Nested invocation from inside
-/// a lane is rejected with MP_CHECK.
+/// Thread-safety: any thread may call parallel_for_lanes and
+/// try_parallel_for_lanes at any time.
+///  - A call made while the calling thread is running a lane of this pool
+///    (on the caller, a worker or the hedger thread) is nested: it runs its
+///    lanes inline, in lane order, draws no fault decisions (the enclosing
+///    lane drew one) and is never hedged. Its exceptions propagate into the
+///    enclosing lane.
+///  - Any other call made while a job is in flight waits until the pool is
+///    free, then runs normally. The pool runs one job at a time, so fault
+///    schedules and hedging keep their per-job meaning.
+/// A cycle across two pools can deadlock: a lane of pool A waiting on
+/// pool B while a lane of B waits on A. set_fault_plan must not race a job.
 class ThreadPool {
  public:
   /// Creates `workers` persistent worker threads. Negative means "use
@@ -124,7 +129,8 @@ class ThreadPool {
   /// Runs task(lane) for every lane in [0, lanes). Lane 0 executes on the
   /// calling thread; remaining lanes are distributed over the workers (a
   /// worker runs multiple lanes when lanes > workers+1). Returns after all
-  /// lanes complete; rethrows the first lane exception, if any.
+  /// lanes complete; rethrows the lowest-indexed failing lane's exception
+  /// (LaneReport::first_error), if any.
   void parallel_for_lanes(unsigned lanes,
                           const std::function<void(unsigned)>& task);
 
@@ -132,10 +138,9 @@ class ThreadPool {
   /// every outcome (including injected faults from an attached FaultPlan)
   /// and returns them instead of throwing. The barrier always completes —
   /// a throwing, abandoned or stalled lane can not wedge the pool. With
-  /// `hedge.enabled`, the caller speculatively re-executes lanes that
+  /// `hedge.enabled`, the hedger thread speculatively re-executes lanes that
   /// straggle past factor x the median completed lane wall-time and whose
   /// task has not started (first-claimer-wins via a per-lane ticket).
-  /// Same single-caller rule as parallel_for_lanes.
   LaneReport try_parallel_for_lanes(unsigned lanes,
                                     const std::function<void(unsigned)>& task,
                                     const HedgePolicy& hedge = {});

@@ -6,7 +6,7 @@
 // above the host's core count, hammer rapid back-to-back jobs (the window
 // for the stale-worker recycling race fixed in threading.cpp — a worker
 // from job N claiming lanes of job N+1 through the reset counter), and
-// pin down the MP_CHECK rejection of nested fork-join.
+// pin down nested fork-join, which runs inline on the enclosing lane.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 #include "../test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
-#include "util/tasksched.hpp"
 #include "util/threading.hpp"
 
 namespace mp {
@@ -92,78 +91,56 @@ TEST(Oversubscription, AlternatingLaneCountsReusePoolCleanly) {
   }
 }
 
-#if defined(__SANITIZE_THREAD__)
-#define MP_TSAN_ENABLED 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define MP_TSAN_ENABLED 1
-#endif
-#endif
+// threading.hpp: a fork from inside a lane of the same pool runs its lanes
+// inline on the lane's thread. Two shapes: every lane of an outer job
+// forks a nested job (more lanes than workers, so workers and the caller
+// both nest), and nested jobs are in lane order on a 0-worker pool.
+TEST(Oversubscription, NestedForkJoinRunsInline) {
+  ThreadPool pool(2);
+  std::vector<std::atomic<unsigned>> hits(6 * 5);
+  pool.parallel_for_lanes(6, [&](unsigned lane) {
+    pool.parallel_for_lanes(5, [&](unsigned inner) {
+      hits[lane * 5 + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
+  for (std::size_t k = 0; k < hits.size(); ++k)
+    ASSERT_EQ(hits[k].load(), 1u) << "lane " << k / 5 << " inner " << k % 5;
 
-// threading.hpp: "Nested invocation from inside a lane is rejected with
-// MP_CHECK." MP_CHECK aborts, so this is a death test. It documents the
-// *ThreadPool* contract only — the work-stealing TaskScheduler supports
-// nesting natively (positive test below, full stress in
-// test_property_workstealing.cpp); use that when you need fork-join
-// inside a lane. The nested call must request >= 2 lanes on a pool with
-// workers — the single-lane / zero-worker path legitimately runs inline
-// instead.
-TEST(Oversubscription, NestedForkJoinIsRejected) {
-#ifdef MP_TSAN_ENABLED
-  GTEST_SKIP() << "death tests fork; unreliable under TSan";
-#else
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  ASSERT_DEATH(
-      {
-        ThreadPool pool(2);
-        pool.parallel_for_lanes(3, [&](unsigned lane) {
-          if (lane == 0)
-            pool.parallel_for_lanes(2, [](unsigned) {});
-        });
-      },
-      "check failed");
-#endif
+  ThreadPool serial(0);
+  std::vector<unsigned> order;
+  serial.parallel_for_lanes(3, [&](unsigned lane) {
+    serial.parallel_for_lanes(
+        2, [&](unsigned inner) { order.push_back(lane * 2 + inner); });
+  });
+  EXPECT_EQ(order, (std::vector<unsigned>{0, 1, 2, 3, 4, 5}));
 }
 
-// What PR 1 could only forbid, the work-stealing scheduler makes legal:
-// the same shape — fork-join inside a parallel region — composed through
-// TaskScheduler::par_do instead of a nested pool job. A lane that needs
-// to subdivide further calls par_merge_recursive (or par_do directly)
-// from inside sched.run(); deeper stress lives in
-// test_property_workstealing.cpp.
-TEST(Oversubscription, NestedForkJoinWorksOnTaskScheduler) {
-  TaskScheduler sched(2);
+// Nested fork-join composing real merges: an outer two-lane job splits
+// the merge at a key-respecting seam, and each lane runs a full
+// parallel_merge of its half on the same pool.
+TEST(Oversubscription, NestedForkJoinWorksOnThreadPool) {
+  ThreadPool pool(2);
   const auto input = make_merge_input(Dist::kInterleaved, 30000, 30000, 314);
   const auto expected = test::reference_merge(input.a, input.b);
 
   std::vector<std::int32_t> out(input.a.size() + input.b.size());
+  const std::size_t half_a = input.a.size() / 2;
+  // Split point must respect key order across the seam: merge A's low half
+  // with the B-prefix of everything below A[half_a], rest with rest.
+  const auto b_split = static_cast<std::size_t>(
+      std::lower_bound(input.b.begin(), input.b.end(), input.a[half_a]) -
+      input.b.begin());
   std::atomic<unsigned> inner_jobs{0};
-  sched.run([&] {
-    // Nested fork-join: par_do at depth 1 forks two par_merge_recursive
-    // calls (each itself a par_do tree over the shared deques).
-    const std::size_t half_a = input.a.size() / 2;
-    // Split point must respect key order across the seam: merge A's low
-    // half with the B-prefix of everything below A[half_a], rest with rest.
-    const auto b_split = static_cast<std::size_t>(
-        std::lower_bound(input.b.begin(), input.b.end(), input.a[half_a]) -
-        input.b.begin());
-    RecursiveConfig cfg;
-    cfg.scheduler = &sched;
-    cfg.merge_grain = 1024;
-    TaskScheduler::par_do(
-        [&] {
-          par_merge_recursive(input.a.data(), half_a, input.b.data(), b_split,
-                              out.data(), cfg);
-          inner_jobs.fetch_add(1, std::memory_order_relaxed);
-        },
-        [&] {
-          par_merge_recursive(input.a.data() + half_a,
-                              input.a.size() - half_a,
-                              input.b.data() + b_split,
-                              input.b.size() - b_split,
-                              out.data() + half_a + b_split, cfg);
-          inner_jobs.fetch_add(1, std::memory_order_relaxed);
-        });
+  pool.parallel_for_lanes(2, [&](unsigned lane) {
+    const Executor exec{&pool, 4};
+    if (lane == 0)
+      parallel_merge(input.a.data(), half_a, input.b.data(), b_split,
+                     out.data(), exec);
+    else
+      parallel_merge(input.a.data() + half_a, input.a.size() - half_a,
+                     input.b.data() + b_split, input.b.size() - b_split,
+                     out.data() + half_a + b_split, exec);
+    inner_jobs.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(inner_jobs.load(), 2u);
   ASSERT_EQ(out, expected);

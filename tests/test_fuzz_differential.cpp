@@ -80,16 +80,6 @@ TEST_P(DifferentialFuzz, AllImplementationsAgree) {
                          out.data(), c.param, exec);
     ASSERT_EQ(out, expected) << "tiled";
 
-    // Recursive splitting on the shared work-stealing scheduler, with the
-    // fuzzed param as grain size (1..4096 spans the all-sequential to
-    // deeply-forked range for these sizes).
-    std::fill(out.begin(), out.end(), -1);
-    RecursiveConfig rc;
-    rc.merge_grain = c.param;
-    par_merge_recursive(input.a.data(), c.m, input.b.data(), c.n,
-                        out.data(), rc);
-    ASSERT_EQ(out, expected) << "recursive";
-
     // Baselines.
     ASSERT_EQ(baselines::shiloach_vishkin_merge(input.a, input.b, exec),
               expected)
@@ -175,20 +165,13 @@ TEST_P(SortFuzz, AllSortsAgree) {
     baselines::bitonic_sort(std::span<std::int32_t>(d3),
                             Executor{nullptr, threads});
     ASSERT_EQ(d3, expected) << "bitonic_sort";
-
-    auto d4 = data;
-    RecursiveConfig rc;
-    rc.sort_grain = 1 + rng.bounded(4096);
-    rc.merge_grain = 1 + rng.bounded(4096);
-    recursive_merge_sort(d4.data(), n, rc);
-    ASSERT_EQ(d4, expected) << "recursive_merge_sort";
   }
 }
 
-// Skewed and duplicate-heavy inputs for the recursive sort specifically:
-// zipf key frequencies make long tie runs, organ-pipe/all-equal merges
-// stress the co-rank snapping at every split level.
-TEST_P(SortFuzz, RecursiveSortHandlesSkewAndDuplicates) {
+// Skewed and duplicate-heavy inputs: zipf key frequencies make long tie
+// runs, and tiny-universe / descending inputs stress the co-rank snapping
+// of every merge round.
+TEST_P(SortFuzz, SkewAndDuplicatesSortExactly) {
   Xoshiro256 rng(0x51a9ULL + static_cast<std::uint64_t>(GetParam()));
   for (int iter = 0; iter < 10; ++iter) {
     const std::size_t n = rng.bounded(3) == 0 ? rng.bounded(4)
@@ -213,46 +196,9 @@ TEST_P(SortFuzz, RecursiveSortHandlesSkewAndDuplicates) {
     }
     auto expected = data;
     std::sort(expected.begin(), expected.end());
-    RecursiveConfig rc;
-    rc.sort_grain = 1 + rng.bounded(2048);
-    rc.merge_grain = 1 + rng.bounded(2048);
-    recursive_merge_sort(data.data(), n, rc);
-    ASSERT_EQ(data, expected);
-  }
-}
-
-// Grain-size boundaries: n pinned exactly at, below and above the cutoff
-// (including 0 and 1) for both the recursive merge and the recursive
-// sort. Off-by-ones here either lose the base case (infinite recursion,
-// caught by the ctest TIMEOUT) or fork size-0 tasks.
-TEST(RecursiveGrainBoundaries, MergeAndSortAreExactAroundTheCutoff) {
-  for (const std::size_t grain : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{7}, std::size_t{64}}) {
-    for (const std::size_t total :
-         {std::size_t{0}, std::size_t{1}, grain - 1, grain, grain + 1,
-          2 * grain, 2 * grain + 1, 4 * grain + 3}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "grain=" << grain << " total=" << total);
-      RecursiveConfig rc;
-      rc.merge_grain = grain;
-      rc.sort_grain = grain;
-      // Merge: every split of `total` across the two inputs.
-      for (std::size_t m = 0; m <= total; ++m) {
-        const auto input = make_merge_input(Dist::kFewDuplicates, m,
-                                            total - m, 0x60a1 + total);
-        const auto expected = test::reference_merge(input.a, input.b);
-        std::vector<std::int32_t> out(total, -1);
-        par_merge_recursive(input.a.data(), m, input.b.data(), total - m,
-                            out.data(), rc);
-        ASSERT_EQ(out, expected) << "merge m=" << m;
-      }
-      // Sort at the same boundary sizes.
-      auto data = make_unsorted_values(total, 0xb0bb + total);
-      auto expected = data;
-      std::sort(expected.begin(), expected.end());
-      recursive_merge_sort(data.data(), total, rc);
-      ASSERT_EQ(data, expected) << "sort";
-    }
+    const auto threads = static_cast<unsigned>(1 + rng.bounded(12));
+    parallel_merge_sort(data.data(), n, Executor{nullptr, threads});
+    ASSERT_EQ(data, expected) << "threads=" << threads;
   }
 }
 

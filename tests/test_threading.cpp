@@ -1,24 +1,30 @@
-// Tests for the fork-join engine (ThreadPool / Executor): lane coverage,
-// work sharing, exception capture, serial-pool determinism, and reuse
-// across many small jobs (the pattern the algorithm tests hammer) — plus
-// the fault-tolerant surface: try_parallel_for_lanes outcome reporting,
-// injected lane faults, straggler hedging, and the guarantee that a
-// throwing/abandoned lane can never wedge the barrier (run under TSan in
-// CI).
+// Tests for the fork-join pool (ThreadPool / Executor): lane coverage,
+// work sharing, exception capture, serial-pool determinism, reuse across
+// many small jobs (the pattern the algorithm tests hammer), concurrent and
+// nested callers — plus the fault-tolerant surface: try_parallel_for_lanes
+// outcome reporting, injected lane faults, straggler hedging, and the
+// guarantee that a throwing/abandoned lane can never wedge the barrier
+// (run under TSan in CI).
 
 #include "util/threading.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "core/merge_sort.hpp"
+#include "core/parallel_merge.hpp"
 #include "fault/fault.hpp"
-#include "util/tasksched.hpp"
+#include "util/data_gen.hpp"
 
 namespace mp {
 namespace {
@@ -57,6 +63,20 @@ TEST(ThreadPool, ExceptionPropagatesAndPoolSurvives) {
                      if (lane == 5) throw std::runtime_error("lane 5");
                    }),
                std::runtime_error);
+  // Two throwing lanes: the rethrown exception is the lower lane's, even
+  // when the higher lane throws first.
+  try {
+    pool.parallel_for_lanes(8, [](unsigned lane) {
+      if (lane == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("lane 2");
+      }
+      if (lane == 6) throw std::runtime_error("lane 6");
+    });
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& error) {
+    EXPECT_EQ(std::string(error.what()), "lane 2");
+  }
   // Pool must be reusable after a throwing job.
   std::atomic<int> sum{0};
   pool.parallel_for_lanes(8, [&](unsigned lane) {
@@ -282,6 +302,101 @@ TEST(ThreadPoolTry, HedgerThreadRescuesTheCallersOwnStalledLane) {
   EXPECT_LT(elapsed_ms, 2500.0);
 }
 
+// Sorts `seed`'s keyed records and merges two sorted keyed inputs on
+// `exec`; both results must be byte-equal to std::stable_sort /
+// std::merge (the payloads make any stability slip visible).
+void sort_and_merge_exactly(const Executor& exec, std::uint64_t seed) {
+  const std::size_t n = 1000 + seed % 4000;
+  const std::vector<std::int32_t> keys = make_unsorted_values(n, seed);
+  std::vector<KeyedRecord> data(n);
+  for (std::size_t i = 0; i < n; ++i)
+    data[i] = KeyedRecord{keys[i] % 64, static_cast<std::uint32_t>(i)};
+  std::vector<KeyedRecord> expected = data;
+  std::stable_sort(expected.begin(), expected.end());
+  parallel_merge_sort(data.data(), n, exec);
+  ASSERT_EQ(data, expected) << "sort, seed " << seed;
+
+  const KeyedMergeInput input = make_keyed_input(n / 2, n - n / 2, 64, seed);
+  std::vector<KeyedRecord> reference;
+  std::merge(input.a.begin(), input.a.end(), input.b.begin(), input.b.end(),
+             std::back_inserter(reference));
+  std::vector<KeyedRecord> merged(n);
+  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
+                 input.b.size(), merged.data(), exec);
+  ASSERT_EQ(merged, reference) << "merge, seed " << seed;
+}
+
+// Application threads share one pool: the default executor's shared pool
+// and an explicit one. A call made while another thread's job is in
+// flight waits for the pool, then runs normally.
+TEST(ThreadPool, ConcurrentCallersShareThePool) {
+  ThreadPool explicit_pool(3);
+  const Executor executors[] = {Executor{}, Executor{&explicit_pool, 4}};
+  std::vector<std::thread> callers;
+  for (unsigned t = 0; t < 4; ++t) {
+    callers.emplace_back([&, t] {
+      for (std::uint64_t iter = 0; iter < 50; ++iter)
+        for (const Executor& exec : executors)
+          sort_and_merge_exactly(exec, t * 1000 + iter);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+}
+
+// A fork from inside a lane of the same pool runs its lanes inline on the
+// lane's thread: from the caller's and the workers' lanes of a pooled job,
+// and from a lane the hedger thread runs.
+TEST(ThreadPool, NestedCallRunsInline) {
+  ThreadPool pool(3);
+  const Executor exec{&pool, 4};
+  std::vector<std::thread::id> outer(8), inner(8);
+  pool.parallel_for_lanes(8, [&](unsigned lane) {
+    outer[lane] = std::this_thread::get_id();
+    pool.parallel_for_lanes(3, [&](unsigned inner_lane) {
+      if (inner_lane == 2) inner[lane] = std::this_thread::get_id();
+    });
+    sort_and_merge_exactly(exec, 77 + lane);
+  });
+  EXPECT_EQ(inner, outer);
+
+  // Nested exceptions propagate into the enclosing lane.
+  const LaneReport report = pool.try_parallel_for_lanes(2, [&](unsigned lane) {
+    pool.parallel_for_lanes(3, [lane](unsigned inner_lane) {
+      if (lane == 1 && inner_lane == 2) throw std::runtime_error("inner");
+    });
+  });
+  EXPECT_EQ(report.failures, 1u);
+  EXPECT_EQ(report.lanes[1].status, LaneStatus::kThrew);
+
+  if (!fault::kFaultCompiledIn) return;
+  // 0 workers and a stalled lane 0: the hedger thread runs lane 0's task,
+  // and the sort inside it is nested on the hedger thread.
+  ThreadPool serial(0);
+  HedgePolicy hedge;
+  hedge.enabled = true;
+  hedge.min_lane_us = 500.0;
+  hedge.check_interval_us = 200.0;
+  fault::FaultConfig config;
+  config.lane_delay_us = 5e6;
+  fault::FaultPlan plan(config);
+  plan.fail_op(0, fault::FaultKind::kLaneDelay);
+  fault::ScopedInjector injector(serial, plan);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::thread::id ran_on;
+  const LaneReport hedged = serial.try_parallel_for_lanes(
+      1,
+      [&](unsigned) {
+        ran_on = std::this_thread::get_id();
+        sort_and_merge_exactly(Executor{&serial, 4}, 4242);
+      },
+      hedge);
+  EXPECT_TRUE(hedged.all_ok());
+  EXPECT_TRUE(hedged.lanes[0].hedged);
+  EXPECT_NE(ran_on, caller);
+  // The nested jobs drew no fault decisions of their own.
+  EXPECT_EQ(hedged.injected_faults, 1u);
+}
+
 TEST(Executor, DefaultsResolveToSharedPool) {
   Executor exec{};
   EXPECT_GE(exec.resolve_threads(), 1u);
@@ -299,72 +414,6 @@ TEST(Executor, ZeroThreadsMeansPoolWidth) {
   ThreadPool pool(3);
   Executor exec{&pool, 0};
   EXPECT_EQ(exec.resolve_threads(), 4u);  // workers + caller
-}
-
-// ---- TaskScheduler basics (full stress in tests/property/) ----------------
-
-TEST(TaskSchedulerBasics, RunExecutesRootAndParDoRunsBothHalves) {
-  TaskScheduler sched(2);
-  EXPECT_EQ(sched.workers(), 2u);
-  EXPECT_EQ(sched.slots(), 2u + TaskScheduler::kExternalSlots);
-  int f = 0, g = 0;
-  sched.run([&] {
-    EXPECT_TRUE(TaskScheduler::in_task());
-    EXPECT_LT(TaskScheduler::current_slot(), sched.slots());
-    TaskScheduler::par_do([&] { f = 1; }, [&] { g = 1; });
-  });
-  EXPECT_FALSE(TaskScheduler::in_task());
-  EXPECT_EQ(f, 1);
-  EXPECT_EQ(g, 1);
-}
-
-TEST(TaskSchedulerBasics, NegativeWorkerCountSizesToHost) {
-  TaskScheduler sched;  // -1: hardware_concurrency() - 1, floor 0
-  EXPECT_GE(sched.workers() + 1, 1u);
-  std::atomic<int> ran{0};
-  sched.run([&] {
-    TaskScheduler::par_do([&] { ran.fetch_add(1); },
-                          [&] { ran.fetch_add(1); });
-  });
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(TaskSchedulerBasics, RootExceptionPropagatesAndPoolSurvives) {
-  TaskScheduler sched(1);
-  EXPECT_THROW(sched.run([] { throw std::runtime_error("boom"); }),
-               std::runtime_error);
-  int ok = 0;
-  sched.run([&] { ok = 1; });
-  EXPECT_EQ(ok, 1);
-}
-
-TEST(TaskSchedulerBasics, StatsCountSpawnsAndReset) {
-  TaskScheduler sched(2);
-  sched.reset_stats();
-  std::atomic<int> leaves{0};
-  sched.run([&] {
-    TaskScheduler::par_do(
-        [&] {
-          TaskScheduler::par_do([&] { leaves.fetch_add(1); },
-                                [&] { leaves.fetch_add(1); });
-        },
-        [&] { leaves.fetch_add(1); });
-  });
-  EXPECT_EQ(leaves.load(), 3);
-  const auto st = sched.stats();
-  EXPECT_EQ(st.spawns, 2u);
-  EXPECT_GE(st.max_depth, 2u);
-  sched.reset_stats();
-  EXPECT_EQ(sched.stats().spawns, 0u);
-}
-
-TEST(TaskSchedulerBasics, SharedSchedulerIsAProcessSingleton) {
-  TaskScheduler& a = TaskScheduler::shared();
-  TaskScheduler& b = TaskScheduler::shared();
-  EXPECT_EQ(&a, &b);
-  int ran = 0;
-  a.run([&] { ran = 1; });
-  EXPECT_EQ(ran, 1);
 }
 
 }  // namespace

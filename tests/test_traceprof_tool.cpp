@@ -1,7 +1,7 @@
 // End-to-end tests of the traceprof offline analyzer: a real trace is
-// generated in-process by the recursive scheduler, exported in Chrome
+// generated in-process by a pooled parallel_merge_sort, exported in Chrome
 // format, and digested through the actual binary. Complements the CI
-// smoke step, which runs traceprof against ablation_scheduler's trace.
+// smoke step, which runs traceprof against an `mpsort sort --trace` trace.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "core/recursive_merge.hpp"
+#include "core/merge_sort.hpp"
 #include "obs/trace.hpp"
+#include "util/threading.hpp"
 
 namespace {
 
@@ -48,12 +49,14 @@ int run(const std::string& args, const std::string& stdout_path) {
   return WEXITSTATUS(status);
 }
 
-// Generates a scheduler-heavy trace: recursive_merge_sort called outside
-// a task roots sched.run and fans out sched.task spans with spawn/steal
-// instants — exactly the shape traceprof's per-worker breakdown needs.
-// Returns "" when the libraries were built with MP_TRACE=0 (callers
-// skip; the empty-trace behaviour has its own test).
+// Generates a fork-join trace: parallel_merge_sort on a 4-lane pool runs
+// pool.lane spans on the caller and the workers — exactly the shape
+// traceprof's per-worker breakdown needs. The pool outlives the export:
+// only the fork-join barrier orders the workers' spans before the
+// snapshot (TSan checks it). Returns "" when the libraries were built with
+// MP_TRACE=0 (callers skip; the empty-trace behaviour has its own test).
 std::string make_sched_trace(const std::string& name) {
+  ThreadPool pool(3);
   obs::reset_tracing();
   obs::arm_tracing();
   if (!obs::tracing_armed()) {
@@ -63,7 +66,7 @@ std::string make_sched_trace(const std::string& name) {
   std::vector<int> data(1 << 14);
   for (std::size_t i = 0; i < data.size(); ++i)
     data[i] = static_cast<int>(data.size() - i);
-  recursive_merge_sort(data.data(), data.size());
+  parallel_merge_sort(data.data(), data.size(), Executor{&pool, 4});
   obs::disarm_tracing();
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 
@@ -82,7 +85,7 @@ TEST(TraceprofTool, PrintsCriticalPathAndWorkerBreakdown) {
   const std::string text = read_file(report);
   EXPECT_NE(text.find("critical path:"), std::string::npos) << text;
   EXPECT_NE(text.find("per-worker breakdown"), std::string::npos) << text;
-  // The recursive sort's own spans must show up as attribution targets.
+  // The sort's own spans must show up as attribution targets.
   EXPECT_NE(text.find("sort"), std::string::npos) << text;
 }
 
@@ -98,9 +101,9 @@ TEST(TraceprofTool, JsonReportCarriesScheduleAndWorkerCounters) {
   EXPECT_NE(text.find("\"critical_path\":{\"total_ns\":"), std::string::npos);
   EXPECT_NE(text.find("\"workers\":["), std::string::npos);
   EXPECT_NE(text.find("\"busy_ns\":"), std::string::npos);
-  EXPECT_NE(text.find("\"tasks\":"), std::string::npos);
-  EXPECT_NE(text.find("\"steals\":"), std::string::npos);
-  // A real scheduler run is never empty.
+  EXPECT_NE(text.find("\"lanes\":"), std::string::npos);
+  EXPECT_EQ(text.find("\"steals\":"), std::string::npos);
+  // A real pooled run is never empty.
   EXPECT_EQ(text.find("\"spans\":0,"), std::string::npos);
   EXPECT_EQ(text.find("\"wall_ns\":0,"), std::string::npos);
 }

@@ -15,15 +15,14 @@
 //    critical path is ~wall-clock of one lane — anything longer than the
 //    busiest worker is scheduling/idle time, which this attribution
 //    exposes by name.
-//  - per-worker run/steal/idle breakdowns for TaskScheduler traces: busy
-//    time (root spans), idle (window minus busy, including `sched.idle`
-//    sleep), task counts (`sched.task`), steals/spawns (`sched.steal` /
-//    `sched.spawn` instants).
+//  - a per-thread busy/idle breakdown: busy is the time inside
+//    `pool.lane` spans (a lane nested in a lane counts once), idle is the
+//    window minus busy, and `lanes` counts the `pool.lane` spans.
 //
 // The critical path over complete events is a heuristic (the trace has no
 // explicit dependency edges); it is exact for fork-join traces where a
 // parent's residual segments resume when its children finish — which is
-// what the ThreadPool and TaskScheduler emit.
+// what the ThreadPool emits.
 //
 // --json writes a machine-readable report (schema mergepath-traceprof-v1)
 // that scripts/check_trace.py validates in CI. The parser below is a
@@ -274,12 +273,9 @@ struct Segment {
 
 struct WorkerStats {
   std::uint32_t tid = 0;
-  std::uint64_t busy_ns = 0;   ///< root spans (excluding sched.idle)
-  std::uint64_t sleep_ns = 0;  ///< sched.idle span time
-  std::uint64_t idle_ns = 0;   ///< window − busy
-  std::uint64_t tasks = 0;     ///< sched.task spans
-  std::uint64_t steals = 0;    ///< sched.steal instants
-  std::uint64_t spawns = 0;    ///< sched.spawn instants
+  std::uint64_t busy_ns = 0;  ///< outermost pool.lane span time
+  std::uint64_t idle_ns = 0;  ///< window − busy
+  std::uint64_t lanes = 0;    ///< pool.lane spans
 };
 
 struct PathEntry {
@@ -323,7 +319,7 @@ void analyze_thread(std::vector<SpanRec>& spans, WorkerStats& stats,
     while (!stack.empty() && stack.back().span->end <= limit) {
       Open open = stack.back();
       stack.pop_back();
-      if (open.span->end > open.cursor && open.span->name != "sched.idle")
+      if (open.span->end > open.cursor)
         segments.push_back(Segment{open.cursor, open.span->end,
                                    open.span->tid, &open.span->name});
       if (!stack.empty())
@@ -332,21 +328,21 @@ void analyze_thread(std::vector<SpanRec>& spans, WorkerStats& stats,
     }
   };
 
+  std::uint64_t lane_end = 0;  // end of the outermost open pool.lane
   for (const SpanRec& span : spans) {
     close_to(span.begin);
-    if (stack.empty()) {
-      if (span.name == "sched.idle")
-        stats.sleep_ns += span.end - span.begin;
-      else
+    if (span.name == "pool.lane") {
+      ++stats.lanes;
+      if (span.begin >= lane_end) {
         stats.busy_ns += span.end - span.begin;
+        lane_end = span.end;
+      }
     }
-    if (span.name == "sched.task") ++stats.tasks;
     if (!stack.empty() && span.begin > stack.back().cursor) {
       // The parent ran its own code up to this child's start.
       const Open& parent = stack.back();
-      if (parent.span->name != "sched.idle")
-        segments.push_back(Segment{parent.cursor, span.begin,
-                                   parent.span->tid, &parent.span->name});
+      segments.push_back(Segment{parent.cursor, span.begin, parent.span->tid,
+                                 &parent.span->name});
     }
     if (!stack.empty())
       stack.back().cursor = std::max(stack.back().cursor, span.begin);
@@ -462,9 +458,6 @@ Analysis analyze(const Value& doc) {
       max_end = std::max(max_end, span.end);
       spans_by_tid[t].push_back(std::move(span));
       ++out.span_count;
-    } else if (ph->str == "i") {
-      if (name->str == "sched.steal") ++worker.steals;
-      if (name->str == "sched.spawn") ++worker.spawns;
     }
   }
 
@@ -531,8 +524,7 @@ void print_report(const Analysis& analysis, std::size_t top) {
 
   std::cout << "\nper-worker breakdown (window " << fmt_ms(analysis.wall_ns)
             << " ms)\n";
-  mp::Table worker_table({"tid", "busy_ms", "idle_ms", "busy_pct", "tasks",
-                          "steals", "spawns", "sleep_ms"});
+  mp::Table worker_table({"tid", "busy_ms", "idle_ms", "busy_pct", "lanes"});
   for (const WorkerStats& worker : analysis.workers) {
     const double pct =
         analysis.wall_ns
@@ -542,8 +534,7 @@ void print_report(const Analysis& analysis, std::size_t top) {
     worker_table.add_row(
         {std::to_string(worker.tid), fmt_ms(worker.busy_ns),
          fmt_ms(worker.idle_ns), mp::fmt_double(pct, 1) + "%",
-         std::to_string(worker.tasks), std::to_string(worker.steals),
-         std::to_string(worker.spawns), fmt_ms(worker.sleep_ns)});
+         std::to_string(worker.lanes)});
   }
   worker_table.print(std::cout);
 }
@@ -584,10 +575,8 @@ bool write_json_report(const Analysis& analysis, const std::string& path) {
     if (!first) out << ',';
     first = false;
     out << "\n{\"tid\":" << worker.tid << ",\"busy_ns\":" << worker.busy_ns
-        << ",\"idle_ns\":" << worker.idle_ns
-        << ",\"sleep_ns\":" << worker.sleep_ns
-        << ",\"tasks\":" << worker.tasks << ",\"steals\":" << worker.steals
-        << ",\"spawns\":" << worker.spawns << '}';
+        << ",\"idle_ns\":" << worker.idle_ns << ",\"lanes\":" << worker.lanes
+        << '}';
   }
   out << "]}\n";
   return out.good();
