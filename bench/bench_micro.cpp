@@ -1,7 +1,8 @@
 // Experiment E10 (micro half) — google-benchmark microbenchmarks of the
 // primitives: the diagonal binary search vs the Deo-Sarkar halving
 // selection, the full path partition, the sequential merge kernels, the
-// loser tree, and multiway selection — plus the kernel ablation family
+// loser tree, multiway selection and the record merge (BM_MergeRecords)
+// — plus the kernel ablation family
 // (BM_KernelMerge32/64/F32/F64 and BM_SortRuns256) that
 // scripts/bench_kernels.py turns into BENCH_5.json. Carries its own
 // main(): --kernel <name> is stripped before google-benchmark sees argv,
@@ -416,6 +417,53 @@ void run_sort_runs(benchmark::State& state, kernels::Kernel kernel) {
   state.SetItemsProcessed(static_cast<std::int64_t>(kAblationN) *
                           static_cast<std::int64_t>(state.iterations()));
 }
+
+// Payload merges, which the vector trait refuses: two sorted runs of
+// 512 Ki 8-byte records (Zipf(s = 1) keys over 65536 ranks, payload =
+// index) merged under a key-only comparator, in ns per output element.
+// "merge_steps" is the one-element-per-iteration scalar body;
+// "auto" is what merge_steps_auto dispatches (the chained body).
+constexpr std::size_t kRecordsHalf = 1 << 19;
+
+struct RecordKeyLess {
+  bool operator()(const KeyedRecord& x, const KeyedRecord& y) const {
+    return x.key < y.key;
+  }
+};
+
+std::vector<KeyedRecord> zipf_record_run(std::uint64_t seed) {
+  const auto keys = make_zipf_values(kRecordsHalf, 65536, 1.0, seed);
+  std::vector<KeyedRecord> run(kRecordsHalf);
+  for (std::size_t k = 0; k < kRecordsHalf; ++k)
+    run[k] = KeyedRecord{keys[k], static_cast<std::uint32_t>(k)};
+  return run;
+}
+
+void BM_MergeRecords(benchmark::State& state, bool dispatched) {
+  const auto a = zipf_record_run(42);
+  const auto b = zipf_record_run(43);
+  std::vector<KeyedRecord> out(2 * kRecordsHalf);
+  for (auto _ : state) {
+    std::size_t i = 0, j = 0;
+    if (dispatched)
+      kernels::merge_steps_auto(a.data(), kRecordsHalf, b.data(),
+                                kRecordsHalf, &i, &j, out.data(),
+                                2 * kRecordsHalf, RecordKeyLess{});
+    else
+      merge_steps(a.data(), kRecordsHalf, b.data(), kRecordsHalf, &i, &j,
+                  out.data(), 2 * kRecordsHalf, RecordKeyLess{});
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  // Inverted element rate: seconds per element, printed as "<x>ns".
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(2 * kRecordsHalf),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(BM_MergeRecords, merge_steps, false);
+BENCHMARK_CAPTURE(BM_MergeRecords, auto, true);
 
 void register_kernel_ablation(bool restrict_to_selected) {
   benchmark::RegisterBenchmark(

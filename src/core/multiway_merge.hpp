@@ -242,9 +242,9 @@ std::span<const T> merge_tree(std::span<const std::span<const T>> runs,
 /// ping-pong between `out` and `scratch`, which needs room for the total
 /// when more than two runs are non-empty (it is unused otherwise and may
 /// be null). One non-empty run is copied. Admitted key types run the
-/// dispatched vector kernel; any other T or Comp runs scalar merge_steps,
-/// still ceil(log2 k) two-way passes rather than a tournament. `out` and
-/// `scratch` must not overlap the runs or each other.
+/// dispatched vector kernel; any other T or Comp runs the chained scalar
+/// merge, still ceil(log2 k) two-way passes rather than a tournament.
+/// `out` and `scratch` must not overlap the runs or each other.
 template <typename T, typename Comp = std::less<>>
 void multiway_merge(std::span<const std::span<const T>> runs, T* out,
                     T* scratch, Comp comp = {}) {

@@ -71,9 +71,11 @@ void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   obs::Span merge_span("merge", "n", m + n);
 
   if (lanes == 1 || m + n <= lanes) {
-    // Degenerate cases: sequential merge is both faster and simpler.
+    // Degenerate cases: one lane merges everything, through the same
+    // dispatched kernel the lanes use.
     Instr* in0 = instr.empty() ? nullptr : &instr[0];
-    sequential_merge(a, m, b, n, out, comp, in0);
+    std::size_t i = 0, j = 0;
+    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, m + n, comp, in0);
     return;
   }
 

@@ -30,7 +30,7 @@
 
 #include "core/merge_path.hpp"
 #include "core/parallel_merge.hpp"
-#include "core/sequential_merge.hpp"
+#include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
@@ -108,7 +108,8 @@ class StreamMerger {
       parallel_merge(a, cut.i, b, cut.j, out.data(), exec_, comp_);
     } else {
       std::size_t i = 0, j = 0;
-      merge_steps(a, cut.i, b, cut.j, &i, &j, out.data(), take, comp_);
+      kernels::merge_steps_auto(a, cut.i, b, cut.j, &i, &j, out.data(), take,
+                                comp_);
     }
     head_a_ += cut.i;
     head_b_ += cut.j;

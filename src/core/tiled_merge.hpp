@@ -27,7 +27,7 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_path.hpp"
-#include "core/sequential_merge.hpp"
+#include "kernels/kernels.hpp"
 #include "util/assert.hpp"
 #include "util/threading.hpp"
 
@@ -116,7 +116,8 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   const std::size_t tiles = (total + tile_size - 1) / tile_size;
   if (lanes == 1 || tiles == 1) {
     Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge(a, m, b, n, out, comp, li);
+    std::size_t i = 0, j = 0;
+    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, total, comp, li);
     return;
   }
 
@@ -137,8 +138,9 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
               : diagonal_intersection(a, m, b, n, d0, comp, li);
       std::size_t i = i0;
       std::size_t j = d0 - i0;
-      merge_steps(a, m, b, n, &i, &j,
-                  out + static_cast<std::ptrdiff_t>(d0), d1 - d0, comp, li);
+      kernels::merge_steps_auto(a, m, b, n, &i, &j,
+                                out + static_cast<std::ptrdiff_t>(d0), d1 - d0,
+                                comp, li);
       // Consecutive claims are adjacent with high probability: the end of
       // this tile is the perfect hint for the next one's start.
       hint = i;

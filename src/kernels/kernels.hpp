@@ -28,19 +28,22 @@
 ///     plus float/double keys under the opt-in TotalOrderLess comparator
 ///     (the IEEE totalOrder sign-flip bijection makes equal keys bitwise
 ///     identical again, which is what the byte-exactness proof needs).
-///     Payload merges (KeyedRecord), custom comparators, floats under
+///     Payload merges (KeyedRecord), custom comparators and floats under
 ///     plain std::less (equal floats need not be bitwise identical:
-///     -0.0/+0.0, and NaN breaks strict weak order) and ring-buffer views
-///     stay on the scalar kernel, which preserves A-priority stability by
-///     construction.
+///     -0.0/+0.0, and NaN breaks strict weak order) compile to the
+///     chained scalar loop detail::chained_merge_steps (four interleaved
+///     Merge Path merges, A-priority stable like merge_steps) when all
+///     three iterators are random access and the call has at least
+///     kChainedMinSteps steps; anything else runs merge_steps.
 ///   - build time: -DMERGEPATH_SIMD=OFF compiles the ISA TUs out
 ///     (MP_SIMD=0), mirroring the TRACE/FAULT gates.
 ///   - run time: cpuid (util/hw cpu_features()) picks the widest
 ///     supported kernel; MP_MERGE_KERNEL=<kernel_names()> or the
 ///     harness/tool --kernel flag overrides it.
-///   - call time: instrumented merges (instr != nullptr) stay scalar so
-///     PRAM op counts keep meaning one compare/move per path step.
+///   - call time: instrumented merges (instr != nullptr) run merge_steps
+///     so PRAM op counts keep meaning one compare/move per path step.
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -52,6 +55,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "core/merge_path.hpp"
 #include "core/sequential_merge.hpp"
 
 #ifndef MP_SIMD
@@ -242,11 +246,123 @@ inline constexpr bool use_vector_merge_v = [] {
   }
 }();
 
+namespace detail {
+
+/// Independent merges chained_merge_steps interleaves: enough
+/// load -> compare -> advance chains in flight to hide one chain's latency.
+inline constexpr std::size_t kMergeChains = 4;
+
+/// Shortest call merge_steps_auto hands to chained_merge_steps; below it
+/// the kMergeChains - 1 diagonal searches cost more than the overlap
+/// saves (measured crossover: 40-48 steps for 8-byte records).
+inline constexpr std::size_t kChainedMinSteps = 48;
+
+/// Whether chained_merge_steps can take (IterA, IterB, OutIter): random
+/// access on all three sides, and inputs that dereference to lvalues of
+/// one element type, so a step can pick its source by address.
+template <typename IterA, typename IterB, typename OutIter>
+inline constexpr bool use_chained_merge_v = [] {
+  if constexpr (std::random_access_iterator<IterA> &&
+                std::random_access_iterator<IterB> &&
+                std::random_access_iterator<OutIter>) {
+    return std::is_lvalue_reference_v<std::iter_reference_t<IterA>> &&
+           std::is_lvalue_reference_v<std::iter_reference_t<IterB>> &&
+           std::is_same_v<std::iter_value_t<IterA>, std::iter_value_t<IterB>>;
+  } else {
+    return false;
+  }
+}();
+
+/// y when `pick_y`, else x, computed with a mask: with kMergeChains
+/// chains live the cursors spill, and the compiler turns a spilled
+/// cursor's ternary back into a branch that mispredicts on every other
+/// element.
+template <typename T>
+const T* select_address(bool pick_y, const T* x, const T* y) {
+  const auto ux = reinterpret_cast<std::uintptr_t>(x);
+  const auto uy = reinterpret_cast<std::uintptr_t>(y);
+  const std::uintptr_t mask = std::uintptr_t{0} - pick_y;
+  return reinterpret_cast<const T*>(ux ^ ((ux ^ uy) & mask));
+}
+
+/// Merges exactly `steps` outputs from (*a_pos, *b_pos) as kMergeChains
+/// interleaved merges. The outputs are cut at equispaced cross diagonals
+/// of the remaining merge (path_point_on_diagonal, Theorem 14), so the
+/// chains write disjoint slices and no chain's next load waits on another
+/// chain's comparison. The A-priority co-rank on each diagonal is unique,
+/// so the slices, the output bytes and the final cursors (the last
+/// chain's end) equal merge_steps()'s.
+///
+/// Bounds hold for any comparator, even one that is not a strict weak
+/// order: a chain starting on diagonal d has at least steps - d elements
+/// left across the two inputs, and the interleaved loop runs only as many
+/// steps as every chain has left on both sides; merge_steps() finishes
+/// each chain from there.
+template <typename IterA, typename IterB, typename OutIter, typename Comp>
+OutIter chained_merge_steps(IterA a, std::size_t m, IterB b, std::size_t n,
+                            std::size_t* a_pos, std::size_t* b_pos,
+                            OutIter out, std::size_t steps, Comp comp) {
+  constexpr std::size_t K = kMergeChains;
+  const std::size_t i0 = *a_pos;
+  const std::size_t j0 = *b_pos;
+  MP_ASSERT(steps <= (m - i0) + (n - j0));
+  std::size_t i[K], j[K], left[K];
+  OutIter o[K];
+  for (std::size_t c = 0; c < K; ++c) {
+    const std::size_t d0 = c * steps / K;
+    const PathPoint p =
+        c == 0 ? PathPoint{}
+               : path_point_on_diagonal(a + i0, m - i0, b + j0, n - j0, d0,
+                                        comp);
+    i[c] = i0 + p.i;
+    j[c] = j0 + p.j;
+    o[c] = out + static_cast<std::ptrdiff_t>(d0);
+    left[c] = (c + 1) * steps / K - d0;
+  }
+  for (;;) {
+    std::size_t safe = left[0];
+    for (std::size_t c = 0; c < K; ++c)
+      safe = std::min({safe, left[c], m - i[c], n - j[c]});
+    if (safe == 0) break;
+    IterA pa[K];
+    IterB pb[K];
+    for (std::size_t c = 0; c < K; ++c) {
+      pa[c] = a + static_cast<std::ptrdiff_t>(i[c]);
+      pb[c] = b + static_cast<std::ptrdiff_t>(j[c]);
+    }
+    for (std::size_t s = 0; s < safe; ++s) {
+      for (std::size_t c = 0; c < K; ++c) {
+        const auto& x = *pa[c];
+        const auto& y = *pb[c];
+        const bool take_b = comp(y, x);  // ties take A: stability
+        *o[c]++ = *select_address(take_b, std::addressof(x),
+                                  std::addressof(y));
+        pb[c] += take_b;
+        pa[c] += !take_b;
+      }
+    }
+    for (std::size_t c = 0; c < K; ++c) {
+      i[c] = static_cast<std::size_t>(pa[c] - a);
+      j[c] = static_cast<std::size_t>(pb[c] - b);
+      left[c] -= safe;
+    }
+  }
+  for (std::size_t c = 0; c < K; ++c)
+    merge_steps(a, m, b, n, &i[c], &j[c], o[c], left[c], comp);
+  *a_pos = i[K - 1];
+  *b_pos = j[K - 1];
+  return out + static_cast<std::ptrdiff_t>(steps);
+}
+
+}  // namespace detail
+
 /// Drop-in replacement for merge_steps() at the wiring points: same
 /// signature, same contract, byte-identical output and cursor updates.
-/// Routes the front of the merge through the selected kernel when the
-/// compile-time trait admits it and the call is uninstrumented, then
-/// always finishes with merge_steps() for the tail.
+/// Uninstrumented calls take the selected vector kernel when the
+/// compile-time trait admits the types (finishing the tail with
+/// merge_steps()). When it does not, calls of at least kChainedMinSteps
+/// steps over iterators detail::use_chained_merge_v admits take
+/// detail::chained_merge_steps. Everything else is merge_steps().
 template <typename IterA, typename IterB, typename OutIter,
           typename Comp = std::less<>, typename Instr = NoInstrument>
 OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
@@ -270,6 +386,10 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
         steps -= written;
       }
     }
+  } else if constexpr (detail::use_chained_merge_v<IterA, IterB, OutIter>) {
+    if (instr == nullptr && steps >= detail::kChainedMinSteps)
+      return detail::chained_merge_steps(a, m, b, n, a_pos, b_pos, out, steps,
+                                         comp);
   }
   return merge_steps(a, m, b, n, a_pos, b_pos, out, steps, comp, instr);
 }

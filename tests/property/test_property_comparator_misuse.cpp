@@ -35,6 +35,9 @@ struct LyingComparator {
     h ^= h >> 33;
     return (h & 1) != 0;
   }
+  bool operator()(const KeyedRecord& x, const KeyedRecord& y) const {
+    return (*this)(x.key, y.key);
+  }
 };
 
 constexpr std::int32_t kSentinel = -1;
@@ -106,6 +109,34 @@ TEST(ComparatorMisuse, LyingComparatorSortTerminatesInBounds) {
       ASSERT_TRUE(
           std::binary_search(universe.begin(), universe.end(), data[k]))
           << "position " << k;
+  }
+}
+
+// Records under a key-only comparator take the chained scalar merge
+// (kernels::detail::chained_merge_steps) in every pass of the block sorts
+// and every merge round. Its interleaved loop trusts no verdict for its
+// bounds, so lies may reorder, drop or repeat records but never read or
+// write outside the buffers (the ASan/UBSan presets check that part).
+TEST(ComparatorMisuse, LyingComparatorRecordSortStaysInBounds) {
+  Xoshiro256 rng(0x11a48ULL);
+  for (int iter = 0; iter < 10; ++iter) {
+    const std::size_t n = rng.bounded(20000);
+    const unsigned threads = static_cast<unsigned>(1 + rng.bounded(12));
+    const std::uint64_t salt = rng();
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " p=" << threads
+                                      << " salt=" << salt);
+    std::vector<KeyedRecord> data(n);
+    for (std::size_t k = 0; k < n; ++k)
+      data[k] = KeyedRecord{static_cast<std::int32_t>(rng.bounded(64)),
+                            static_cast<std::uint32_t>(k)};
+    const auto input = data;
+    parallel_merge_sort(data.data(), n, Executor{nullptr, threads},
+                        LyingComparator{salt});
+    // Payloads are input positions: every emitted record is an input one.
+    for (std::size_t k = 0; k < data.size(); ++k) {
+      ASSERT_LT(data[k].payload, n) << "position " << k;
+      ASSERT_EQ(data[k], input[data[k].payload]) << "position " << k;
+    }
   }
 }
 

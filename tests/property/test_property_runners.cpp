@@ -11,7 +11,8 @@
 // Axes: entry {parallel_merge, parallel_merge_sort,
 // parallel_multiway_merge k=2 and k=5} x runner {plain, recovering} x
 // p {1, 2, 4, 17} x kernel {scalar, widest} x key {int32 under std::less,
-// KeyedRecord under a key-only comparator}. The sort entry point also
+// KeyedRecord under a key-only comparator}, plus a sort of 20000
+// Zipf-keyed records (long tie runs across lanes). The sort entry point also
 // runs on int64 under std::less and double under TotalOrderLess, whose
 // vector base case is the 64-bit register sort; their outputs are compared byte for byte (-0.0 == +0.0 and NaN
 // != NaN would fool operator==).
@@ -71,6 +72,20 @@ std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// `n` records with Zipf(s = 1) keys over 1024 ranks, shuffled: the top
+/// key holds ~13% of them, so long tie runs cross every lane boundary and
+/// every merge chain's cut. Payloads are input positions.
+std::vector<KeyedRecord> make_zipf_records(std::size_t n, std::uint64_t seed) {
+  const auto keys = make_zipf_values(n, 1024, 1.0, seed);
+  std::vector<KeyedRecord> out(n);
+  for (std::size_t i = 0; i < n; ++i)
+    out[i] = KeyedRecord{keys[i], static_cast<std::uint32_t>(i)};
+  Xoshiro256 rng(seed + 1);
+  for (std::size_t i = n; i > 1; --i)
+    std::swap(out[i - 1], out[rng.bounded(i)]);
+  return out;
+}
+
 /// Byte equality for the arithmetic keys, operator== for records.
 template <typename T>
 ::testing::AssertionResult same_output(const std::vector<T>& got,
@@ -96,6 +111,16 @@ void check_sort_entry_point(const Executor& exec, Comp comp,
   std::stable_sort(expected.begin(), expected.end(), comp);
   parallel_merge_sort(data.data(), data.size(), exec, comp);
   EXPECT_TRUE(same_output(data, expected)) << label << " parallel_merge_sort";
+}
+
+/// The sort entry point on stable Zipf-keyed records.
+void check_zipf_record_sort(const Executor& exec, const std::string& label) {
+  auto data = make_zipf_records(20000, kSeed + 4);
+  auto expected = data;
+  std::stable_sort(expected.begin(), expected.end(), KeyOnly{});
+  parallel_merge_sort(data.data(), data.size(), exec, KeyOnly{});
+  EXPECT_TRUE(same_output(data, expected))
+      << label << " parallel_merge_sort zipf records";
 }
 
 /// Runs every entry point of the table on `exec` and checks it against
@@ -163,6 +188,7 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
                                          label + " int64");
     check_sort_entry_point<double>(exec, kernels::TotalOrderLess{},
                                    label + " double");
+    check_zipf_record_sort(exec, label);
   }
   kernels::set_kernel(saved);
   if (runner == Runner::kRecovering && p > 1 && fault::kFaultCompiledIn) {

@@ -4,8 +4,9 @@
 // partial step budgets, the dispatch/override surface (parse, env
 // resolution, set_kernel clamping), the MERGEPATH_SIMD=OFF inertness
 // contract, the compile-time trait that keeps payload/comparator/float
-// merges off the vector path, and end-to-end equivalence through the
-// wired hot paths (parallel merge, SPM, merge sort, multiway).
+// merges off the vector path, the chained scalar body those merges take
+// instead, and end-to-end equivalence through the wired hot paths
+// (parallel merge, SPM, merge sort, multiway).
 
 #include "kernels/kernels.hpp"
 
@@ -293,6 +294,115 @@ TEST(KernelEquivalence, InstrumentedCallsStayScalar) {
   EXPECT_EQ(ops.moves, 1000u);
   EXPECT_GE(ops.compares, 500u);
   EXPECT_EQ(out, test::reference_merge(input.a, input.b));
+}
+
+// ---------------------------------------------------------------------------
+// The chained scalar body for types the vector trait refuses.
+
+struct KeyOnly {
+  bool operator()(const KeyedRecord& x, const KeyedRecord& y) const {
+    return x.key < y.key;
+  }
+};
+
+/// Merges `steps` outputs of (a, b) from (i0, j0) with merge_steps() as
+/// the oracle, then with merge_steps_auto() and chained_merge_steps()
+/// called directly (which also takes budgets below kChainedMinSteps), and
+/// requires identical bytes and both cursors.
+void expect_chained_equivalent(const std::vector<KeyedRecord>& a,
+                               const std::vector<KeyedRecord>& b,
+                               std::size_t i0, std::size_t j0,
+                               std::size_t steps) {
+  const KeyedRecord poison{-1, 0xdeadbeef};
+  std::vector<KeyedRecord> want(steps + 1, poison);
+  std::size_t wi = i0, wj = j0;
+  merge_steps(a.data(), a.size(), b.data(), b.size(), &wi, &wj, want.data(),
+              steps, KeyOnly{});
+  for (const bool direct : {false, true}) {
+    std::vector<KeyedRecord> got(steps + 1, poison);
+    std::size_t gi = i0, gj = j0;
+    KeyedRecord* end =
+        direct ? detail::chained_merge_steps(a.data(), a.size(), b.data(),
+                                             b.size(), &gi, &gj, got.data(),
+                                             steps, KeyOnly{})
+               : merge_steps_auto(a.data(), a.size(), b.data(), b.size(), &gi,
+                                  &gj, got.data(), steps, KeyOnly{});
+    const auto where = ::testing::Message()
+                       << (direct ? "direct" : "auto") << " m=" << a.size()
+                       << " n=" << b.size() << " start=(" << i0 << "," << j0
+                       << ") steps=" << steps;
+    ASSERT_EQ(end, got.data() + steps) << where;
+    ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(KeyedRecord)),
+              0)
+        << where;
+    ASSERT_EQ(gi, wi) << where << " a-cursor";
+    ASSERT_EQ(gj, wj) << where << " b-cursor";
+  }
+}
+
+/// Sorted records keyed key_of(t) for t in [0, n); payloads tag the side.
+template <typename KeyOf>
+std::vector<KeyedRecord> records(std::size_t n, std::uint32_t side,
+                                 KeyOf key_of) {
+  std::vector<KeyedRecord> out(n);
+  for (std::size_t t = 0; t < n; ++t)
+    out[t] = KeyedRecord{key_of(t), side << 24 | static_cast<std::uint32_t>(t)};
+  return out;
+}
+
+TEST(Kernels, ChainedMergeMatchesMergeSteps) {
+  // 8-byte {key, index} records under a key-only comparator: the vector
+  // trait refuses them, so merge_steps_auto runs the chained body from
+  // kChainedMinSteps up. Ties carry distinct payloads, so a chain that
+  // started a tie class on the wrong side would change the bytes.
+  static_assert(!use_vector_merge_v<const KeyedRecord*, const KeyedRecord*,
+                                    KeyedRecord*, KeyOnly>);
+  static_assert(detail::use_chained_merge_v<const KeyedRecord*,
+                                            const KeyedRecord*, KeyedRecord*>);
+  const auto mixed = make_keyed_input(500, 420, 9, 0xc4a1);
+  const auto sparse = make_keyed_input(300, 333, 100000, 0xc4a2);
+  const auto low = records(200, 1, [](std::size_t t) {
+    return static_cast<std::int32_t>(t);
+  });
+  const auto high = records(180, 2, [](std::size_t t) {
+    return static_cast<std::int32_t>(1000 + t);
+  });
+  const auto equal_a = records(150, 1, [](std::size_t) { return 7; });
+  const auto equal_b = records(170, 2, [](std::size_t) { return 7; });
+  const std::vector<KeyedRecord> empty;
+  struct Shape {
+    const std::vector<KeyedRecord>& a;
+    const std::vector<KeyedRecord>& b;
+  };
+  const Shape shapes[] = {
+      {mixed.a, mixed.b},
+      {sparse.a, sparse.b},
+      {low, high},          // all of A before B
+      {high, low},          // all of B before A
+      {equal_a, equal_b},   // all-equal keys
+      {empty, mixed.b},     // one side empty
+      {mixed.a, empty},
+  };
+  constexpr std::size_t kMin = detail::kChainedMinSteps;
+  for (const Shape& shape : shapes) {
+    const std::size_t m = shape.a.size();
+    const std::size_t n = shape.b.size();
+    // Start cursors: the origin, a path point (a lane slice's start) and
+    // an arbitrary pair (the merge of the two suffixes).
+    const PathPoint on_path = path_point_on_diagonal(
+        shape.a.data(), m, shape.b.data(), n, (m + n) / 3, KeyOnly{});
+    const PathPoint starts[] = {{0, 0}, on_path, {m / 2, n / 5}};
+    for (const PathPoint start : starts) {
+      const std::size_t left = (m - start.i) + (n - start.j);
+      for (std::size_t steps :
+           {std::size_t{0}, std::size_t{1}, std::size_t{3}, kMin - 1, kMin,
+            kMin + 1, left / 2, left - 1, left}) {
+        if (steps > left) continue;
+        expect_chained_equivalent(shape.a, shape.b, start.i, start.j, steps);
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
