@@ -1,8 +1,8 @@
 // Experiment E10 (micro half) — google-benchmark microbenchmarks of the
 // primitives: the diagonal binary search vs the Deo-Sarkar halving
 // selection, the full path partition, the sequential merge kernels, the
-// loser tree, multiway selection and the record merge (BM_MergeRecords)
-// — plus the kernel ablation family
+// loser tree, multiway selection, the record merge (BM_MergeRecords) and
+// the record sort (BM_SortRecords) — plus the kernel ablation family
 // (BM_KernelMerge32/64/F32/F64 and BM_SortRuns256) that
 // scripts/bench_kernels.py turns into BENCH_5.json. Carries its own
 // main(): --kernel <name> is stripped before google-benchmark sees argv,
@@ -13,9 +13,12 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "baselines/deo_sarkar.hpp"
 #include "core/merge_sort.hpp"
@@ -464,6 +467,44 @@ void BM_MergeRecords(benchmark::State& state, bool dispatched) {
 
 BENCHMARK_CAPTURE(BM_MergeRecords, merge_steps, false);
 BENCHMARK_CAPTURE(BM_MergeRecords, auto, true);
+
+// The records sort behind inmem-64mib's lanes: sequential_merge_sort of
+// 2 Mi 8-byte records (Zipf(s = 1) keys over 65536 ranks in random order,
+// payload = index) under a key-only comparator, in ns per element, against
+// std::stable_sort. Run formation and every pass are in the timing; the
+// input copy is not.
+constexpr std::size_t kSortRecords = 1 << 21;
+
+void BM_SortRecords(benchmark::State& state, bool reference) {
+  auto keys = make_zipf_values(kSortRecords, 65536, 1.0, 44);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(44));
+  std::vector<KeyedRecord> pristine(kSortRecords);
+  for (std::size_t k = 0; k < kSortRecords; ++k)
+    pristine[k] = KeyedRecord{keys[k], static_cast<std::uint32_t>(k)};
+  std::vector<KeyedRecord> data(kSortRecords), scratch(kSortRecords);
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::memcpy(data.data(), pristine.data(),
+                kSortRecords * sizeof(KeyedRecord));
+    state.ResumeTiming();
+    if (reference)
+      std::stable_sort(data.begin(), data.end(), RecordKeyLess{});
+    else
+      sequential_merge_sort(data.data(), scratch.data(), kSortRecords,
+                            RecordKeyLess{});
+    benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(kSortRecords),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK_CAPTURE(BM_SortRecords, sequential_merge_sort, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SortRecords, std_stable_sort, true)
+    ->Unit(benchmark::kMillisecond);
 
 void register_kernel_ablation(bool restrict_to_selected) {
   benchmark::RegisterBenchmark(

@@ -35,6 +35,7 @@
 #include "kernels/sort_network.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/hw.hpp"
 #include "util/threading.hpp"
 
 namespace mp {
@@ -64,13 +65,7 @@ void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
   T* dst = scratch;
   for (std::size_t width = kernels::sort_runs_auto(data, n, comp, instr);
        width < n; width *= 2) {
-    for (std::size_t begin = 0; begin < n; begin += 2 * width) {
-      const std::size_t mid = std::min(begin + width, n);
-      const std::size_t end = std::min(begin + 2 * width, n);
-      std::size_t i = 0, j = 0;
-      kernels::merge_steps_auto(src + begin, mid - begin, src + mid, end - mid,
-                                &i, &j, dst + begin, end - begin, comp, instr);
-    }
+    kernels::merge_pass_auto(src, dst, n, width, comp, instr);
     std::swap(src, dst);
   }
   if (src != data) {
@@ -85,6 +80,7 @@ void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
 template <typename T, typename Comp = std::less<>>
 void sequential_merge_sort(std::span<T> data, Comp comp = {}) {
   const auto scratch = std::make_unique_for_overwrite<T[]>(data.size());
+  advise_huge_pages(scratch.get(), data.size() * sizeof(T));
   sequential_merge_sort(data.data(), scratch.get(), data.size(), comp);
 }
 
@@ -181,8 +177,10 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   const unsigned lanes = exec.resolve_threads();
   if (n <= 1) return;
   obs::Span sort_span("sort", "n", n);
-  // Uninitialised: every lane's first write touches its own slice.
+  // Uninitialised: every lane's first write touches its own slice, in
+  // huge pages where the kernel grants them.
   const auto scratch = std::make_unique_for_overwrite<T[]>(n);
+  advise_huge_pages(scratch.get(), n * sizeof(T));
   if (lanes == 1 || n <= lanes * kernels::kInsertionRunWidth) {
     Instr* li = instr.empty() ? nullptr : &instr[0];
     sequential_merge_sort(data, scratch.get(), n, comp, li);

@@ -38,6 +38,7 @@
 #include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/assert.hpp"
+#include "util/hw.hpp"
 #include "util/threading.hpp"
 
 namespace mp {
@@ -319,6 +320,7 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     for (std::size_t t = 0; t < runs.size(); ++t)
       slices[t] = runs[t].subspan(start[t], end[t] - start[t]);
     const auto scratch = std::make_unique_for_overwrite<T[]>(r1 - r0);
+    advise_huge_pages(scratch.get(), (r1 - r0) * sizeof(T));
     multiway_merge(std::span<const std::span<const T>>(slices), out + r0,
                    scratch.get(), comp);
   });

@@ -31,17 +31,21 @@
 ///     Payload merges (KeyedRecord), custom comparators and floats under
 ///     plain std::less (equal floats need not be bitwise identical:
 ///     -0.0/+0.0, and NaN breaks strict weak order) compile to the
-///     chained scalar loop detail::chained_merge_steps (four interleaved
-///     Merge Path merges, A-priority stable like merge_steps) when all
-///     three iterators are random access and the call has at least
-///     kChainedMinSteps steps; anything else runs merge_steps.
+///     chained scalar loop detail::chain_merge (four interleaved Merge
+///     Path merges, A-priority stable like merge_steps) when all three
+///     iterators are random access: merge_steps_auto takes it for calls
+///     of at least kChainedMinSteps steps (detail::chained_merge_steps,
+///     the one-pair case), merge_pass_auto for a whole merge-sort pass at
+///     once (detail::chained_merge_pass, chains crossing pair
+///     boundaries); anything else runs merge_steps.
 ///   - build time: -DMERGEPATH_SIMD=OFF compiles the ISA TUs out
 ///     (MP_SIMD=0), mirroring the TRACE/FAULT gates.
 ///   - run time: cpuid (util/hw cpu_features()) picks the widest
 ///     supported kernel; MP_MERGE_KERNEL=<kernel_names()> or the
 ///     harness/tool --kernel flag overrides it.
-///   - call time: instrumented merges (instr != nullptr) run merge_steps
-///     so PRAM op counts keep meaning one compare/move per path step.
+///   - call time: instrumented merges and passes (instr != nullptr) run
+///     merge_steps so PRAM op counts keep meaning one compare/move per
+///     path step.
 
 #include <algorithm>
 #include <bit>
@@ -248,16 +252,17 @@ inline constexpr bool use_vector_merge_v = [] {
 
 namespace detail {
 
-/// Independent merges chained_merge_steps interleaves: enough
+/// Independent merges a chained loop interleaves: enough
 /// load -> compare -> advance chains in flight to hide one chain's latency.
 inline constexpr std::size_t kMergeChains = 4;
 
-/// Shortest call merge_steps_auto hands to chained_merge_steps; below it
-/// the kMergeChains - 1 diagonal searches cost more than the overlap
-/// saves (measured crossover: 40-48 steps for 8-byte records).
+/// Shortest output range a chained loop cuts into kMergeChains slices;
+/// below it the kMergeChains - 1 diagonal searches cost more than the
+/// overlap saves (measured crossover: 40-48 steps for 8-byte records).
+/// merge_steps_auto hands shorter calls to merge_steps.
 inline constexpr std::size_t kChainedMinSteps = 48;
 
-/// Whether chained_merge_steps can take (IterA, IterB, OutIter): random
+/// Whether the chained loop can take (IterA, IterB, OutIter): random
 /// access on all three sides, and inputs that dereference to lvalues of
 /// one element type, so a step can pick its source by address.
 template <typename IterA, typename IterB, typename OutIter>
@@ -285,73 +290,216 @@ const T* select_address(bool pick_y, const T* x, const T* y) {
   return reinterpret_cast<const T*>(ux ^ ((ux ^ uy) & mask));
 }
 
-/// Merges exactly `steps` outputs from (*a_pos, *b_pos) as kMergeChains
-/// interleaved merges. The outputs are cut at equispaced cross diagonals
-/// of the remaining merge (path_point_on_diagonal, Theorem 14), so the
-/// chains write disjoint slices and no chain's next load waits on another
-/// chain's comparison. The A-priority co-rank on each diagonal is unique,
-/// so the slices, the output bytes and the final cursors (the last
-/// chain's end) equal merge_steps()'s.
+/// One merge of a chained pass: a[0, m) with b[0, n) into the pass
+/// outputs [base, base + m + n).
+template <typename IterA, typename IterB>
+struct ChainPair {
+  IterA a;
+  std::size_t m;
+  IterB b;
+  std::size_t n;
+  std::size_t base;
+};
+
+/// The pairs of one bottom-up merge pass over src[0, n): pair t merges
+/// the width-wide runs at 2·t·width and (2·t+1)·width; a trailing
+/// unpaired run is a pair with an empty B.
+template <typename T>
+struct PassPairs {
+  const T* src;
+  std::size_t n;
+  std::size_t width;
+  ChainPair<const T*, const T*> at(std::size_t t) const {
+    const std::size_t begin = 2 * width * t;
+    const std::size_t mid = std::min(begin + width, n);
+    const std::size_t end = std::min(begin + 2 * width, n);
+    return {src + begin, mid - begin, src + mid, end - mid, begin};
+  }
+  /// The pair holding output g; the last pair for g == n.
+  std::size_t find(std::size_t g) const {
+    return std::min(g, n - 1) / (2 * width);
+  }
+};
+
+/// A single merge seen as a one-pair pass.
+template <typename IterA, typename IterB>
+struct OnePair {
+  ChainPair<IterA, IterB> pair;
+  ChainPair<IterA, IterB> at(std::size_t) const { return pair; }
+  std::size_t find(std::size_t) const { return 0; }
+};
+
+/// One chain's cursor: at (pa, pb) inside pair t, writing o, ending at oe.
+template <typename IterA, typename IterB, typename OutIter>
+struct ChainCursor {
+  std::size_t t = 0;
+  IterA pa{}, ae{};
+  IterB pb{}, be{};
+  OutIter o{}, oe{};
+};
+
+template <typename Pairs, typename Cursor>
+void chain_enter(const Pairs& pairs, Cursor& c, std::size_t t, std::size_t i,
+                 std::size_t j) {
+  const auto p = pairs.at(t);
+  c.t = t;
+  c.pa = p.a + static_cast<std::ptrdiff_t>(i);
+  c.ae = p.a + static_cast<std::ptrdiff_t>(p.m);
+  c.pb = p.b + static_cast<std::ptrdiff_t>(j);
+  c.be = p.b + static_cast<std::ptrdiff_t>(p.n);
+}
+
+/// Called when one side of the chain's pair is used up: copies the rest
+/// of the other side, up to the chain's end, and moves to the next pair
+/// if the chain has outputs left. Outputs track inputs one for one, so a
+/// chain with outputs left past its pair always has a next pair.
+template <typename Pairs, typename Cursor>
+void chain_cross(const Pairs& pairs, Cursor& c) {
+  if (c.pa == c.ae) {
+    while (c.pb != c.be && c.o != c.oe) *c.o++ = *c.pb++;
+  } else {
+    while (c.pa != c.ae && c.o != c.oe) *c.o++ = *c.pa++;
+  }
+  if (c.o != c.oe) chain_enter(pairs, c, c.t + 1, 0, 0);
+}
+
+/// Runs chain `c` to its end alone, merge_steps() pair by pair.
+template <typename Pairs, typename Cursor, typename Comp>
+void chain_walk(const Pairs& pairs, Cursor& c, Comp comp) {
+  while (c.o != c.oe) {
+    if (c.pa == c.ae || c.pb == c.be) {
+      chain_cross(pairs, c);
+      continue;
+    }
+    const auto p = pairs.at(c.t);
+    std::size_t i = static_cast<std::size_t>(c.pa - p.a);
+    std::size_t j = static_cast<std::size_t>(c.pb - p.b);
+    const auto steps = std::min<std::ptrdiff_t>(
+        c.oe - c.o, (c.ae - c.pa) + (c.be - c.pb));
+    c.o = merge_steps(p.a, p.m, p.b, p.n, &i, &j, c.o,
+                      static_cast<std::size_t>(steps), comp);
+    c.pa = p.a + static_cast<std::ptrdiff_t>(i);
+    c.pb = p.b + static_cast<std::ptrdiff_t>(j);
+  }
+}
+
+/// Merges the outputs [c.o, c.oe) of a pass, starting from cursor `c`,
+/// as kMergeChains interleaved merges, and leaves `c` at the range's end
+/// (`out` is output 0 of the pass). The range is cut into equal slices;
+/// each slice start is the A-priority co-rank of its output inside its
+/// pair (path_point_on_diagonal, Theorem 14), which is unique, so the
+/// slices, the bytes and the final cursor equal merge_steps()'s, pair by
+/// pair. Each chain walks its slice across consecutive pairs: when its
+/// pair runs out on one side it copies the rest of the other and enters
+/// the next pair.
 ///
-/// Bounds hold for any comparator, even one that is not a strict weak
-/// order: a chain starting on diagonal d has at least steps - d elements
-/// left across the two inputs, and the interleaved loop runs only as many
-/// steps as every chain has left on both sides; merge_steps() finishes
-/// each chain from there.
+/// The interleaved loop runs `safe` steps between checks, the fewest any
+/// chain has left on either side of its pair or before its slice end, so
+/// no read leaves a pair's inputs even under a comparator that is not a
+/// strict weak order. When the first chain finishes its slice the others
+/// finish theirs: a rest of at least kChainedMinSteps is cut again, a
+/// shorter one runs merge_steps() pair by pair.
+template <typename Pairs, typename Cursor, typename OutIter, typename Comp>
+void chain_merge(const Pairs& pairs, Cursor& c, OutIter out, Comp comp) {
+  constexpr std::size_t K = kMergeChains;
+  const auto g0 = static_cast<std::size_t>(c.o - out);
+  const auto len = static_cast<std::size_t>(c.oe - c.o);
+  if (len < kChainedMinSteps) return chain_walk(pairs, c, comp);
+  Cursor ch[K];
+  for (std::size_t k = 0; k < K; ++k) {
+    const std::size_t g = g0 + k * len / K;
+    if (k == 0) {
+      ch[k] = c;
+    } else {
+      const std::size_t t = pairs.find(g);
+      const auto p = pairs.at(t);
+      const PathPoint at =
+          path_point_on_diagonal(p.a, p.m, p.b, p.n, g - p.base, comp);
+      chain_enter(pairs, ch[k], t, at.i, at.j);
+      ch[k].o = out + static_cast<std::ptrdiff_t>(g);
+    }
+    ch[k].oe = out + static_cast<std::ptrdiff_t>(g0 + (k + 1) * len / K);
+  }
+  using IterA = decltype(c.pa);
+  using IterB = decltype(c.pb);
+  for (;;) {
+    std::ptrdiff_t safe = ch[0].oe - ch[0].o;
+    for (std::size_t k = 0; k < K; ++k)
+      safe = std::min<std::ptrdiff_t>(
+          {safe, ch[k].ae - ch[k].pa, ch[k].be - ch[k].pb, ch[k].oe - ch[k].o});
+    if (safe == 0) {
+      bool done = false;
+      for (std::size_t k = 0; k < K; ++k) {
+        if (ch[k].o == ch[k].oe)
+          done = true;
+        else if (ch[k].pa == ch[k].ae || ch[k].pb == ch[k].be)
+          chain_cross(pairs, ch[k]);
+      }
+      if (done) break;
+      continue;
+    }
+    IterA pa[K];
+    IterB pb[K];
+    OutIter o[K];
+    for (std::size_t k = 0; k < K; ++k) {
+      pa[k] = ch[k].pa;
+      pb[k] = ch[k].pb;
+      o[k] = ch[k].o;
+    }
+    for (std::ptrdiff_t s = 0; s < safe; ++s) {
+      for (std::size_t k = 0; k < K; ++k) {
+        const auto& x = *pa[k];
+        const auto& y = *pb[k];
+        const bool take_b = comp(y, x);  // ties take A: stability
+        *o[k]++ = *select_address(take_b, std::addressof(x),
+                                  std::addressof(y));
+        pb[k] += take_b;
+        pa[k] += !take_b;
+      }
+    }
+    for (std::size_t k = 0; k < K; ++k) {
+      ch[k].pa = pa[k];
+      ch[k].pb = pb[k];
+      ch[k].o = o[k];
+    }
+  }
+  for (std::size_t k = 0; k < K; ++k) chain_merge(pairs, ch[k], out, comp);
+  c = ch[K - 1];
+}
+
+/// Merges exactly `steps` outputs from (*a_pos, *b_pos): chain_merge over
+/// the one pair that is the rest of the merge. Bytes and cursors equal
+/// merge_steps()'s.
 template <typename IterA, typename IterB, typename OutIter, typename Comp>
 OutIter chained_merge_steps(IterA a, std::size_t m, IterB b, std::size_t n,
                             std::size_t* a_pos, std::size_t* b_pos,
                             OutIter out, std::size_t steps, Comp comp) {
-  constexpr std::size_t K = kMergeChains;
-  const std::size_t i0 = *a_pos;
-  const std::size_t j0 = *b_pos;
-  MP_ASSERT(steps <= (m - i0) + (n - j0));
-  std::size_t i[K], j[K], left[K];
-  OutIter o[K];
-  for (std::size_t c = 0; c < K; ++c) {
-    const std::size_t d0 = c * steps / K;
-    const PathPoint p =
-        c == 0 ? PathPoint{}
-               : path_point_on_diagonal(a + i0, m - i0, b + j0, n - j0, d0,
-                                        comp);
-    i[c] = i0 + p.i;
-    j[c] = j0 + p.j;
-    o[c] = out + static_cast<std::ptrdiff_t>(d0);
-    left[c] = (c + 1) * steps / K - d0;
-  }
-  for (;;) {
-    std::size_t safe = left[0];
-    for (std::size_t c = 0; c < K; ++c)
-      safe = std::min({safe, left[c], m - i[c], n - j[c]});
-    if (safe == 0) break;
-    IterA pa[K];
-    IterB pb[K];
-    for (std::size_t c = 0; c < K; ++c) {
-      pa[c] = a + static_cast<std::ptrdiff_t>(i[c]);
-      pb[c] = b + static_cast<std::ptrdiff_t>(j[c]);
-    }
-    for (std::size_t s = 0; s < safe; ++s) {
-      for (std::size_t c = 0; c < K; ++c) {
-        const auto& x = *pa[c];
-        const auto& y = *pb[c];
-        const bool take_b = comp(y, x);  // ties take A: stability
-        *o[c]++ = *select_address(take_b, std::addressof(x),
-                                  std::addressof(y));
-        pb[c] += take_b;
-        pa[c] += !take_b;
-      }
-    }
-    for (std::size_t c = 0; c < K; ++c) {
-      i[c] = static_cast<std::size_t>(pa[c] - a);
-      j[c] = static_cast<std::size_t>(pb[c] - b);
-      left[c] -= safe;
-    }
-  }
-  for (std::size_t c = 0; c < K; ++c)
-    merge_steps(a, m, b, n, &i[c], &j[c], o[c], left[c], comp);
-  *a_pos = i[K - 1];
-  *b_pos = j[K - 1];
-  return out + static_cast<std::ptrdiff_t>(steps);
+  MP_ASSERT(steps <= (m - *a_pos) + (n - *b_pos));
+  const OnePair<IterA, IterB> pairs{
+      {a + static_cast<std::ptrdiff_t>(*a_pos), m - *a_pos,
+       b + static_cast<std::ptrdiff_t>(*b_pos), n - *b_pos, 0}};
+  ChainCursor<IterA, IterB, OutIter> c;
+  chain_enter(pairs, c, 0, 0, 0);
+  c.o = out;
+  c.oe = out + static_cast<std::ptrdiff_t>(steps);
+  chain_merge(pairs, c, out, comp);
+  *a_pos += static_cast<std::size_t>(c.pa - pairs.pair.a);
+  *b_pos += static_cast<std::size_t>(c.pb - pairs.pair.b);
+  return c.o;
+}
+
+/// One bottom-up pass over src[0, n): the width-wide runs merged pairwise
+/// into dst as one chain_merge over the whole pass, so every width keeps
+/// kMergeChains chains busy for K - 1 diagonal searches per pass.
+template <typename T, typename Comp>
+void chained_merge_pass(const T* src, T* dst, std::size_t n,
+                        std::size_t width, Comp comp) {
+  const PassPairs<T> pairs{src, n, width};
+  ChainCursor<const T*, const T*, T*> c;
+  chain_enter(pairs, c, 0, 0, 0);
+  c.o = dst;
+  c.oe = dst + n;
+  chain_merge(pairs, c, dst, comp);
 }
 
 }  // namespace detail
@@ -392,6 +540,28 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
                                          comp);
   }
   return merge_steps(a, m, b, n, a_pos, b_pos, out, steps, comp, instr);
+}
+
+/// One pass of a bottom-up merge sort: merges the adjacent width-wide
+/// runs of src[0, n) pairwise into dst (a trailing unpaired run is
+/// copied). Uninstrumented passes over types the vector trait refuses run
+/// as one detail::chained_merge_pass; everything else is one
+/// merge_steps_auto call per pair.
+template <typename T, typename Comp = std::less<>,
+          typename Instr = NoInstrument>
+void merge_pass_auto(const T* src, T* dst, std::size_t n, std::size_t width,
+                     Comp comp = {}, Instr* instr = nullptr) {
+  if constexpr (!use_vector_merge_v<const T*, const T*, T*, Comp>) {
+    if (instr == nullptr)
+      return detail::chained_merge_pass(src, dst, n, width, comp);
+  }
+  for (std::size_t begin = 0; begin < n; begin += 2 * width) {
+    const std::size_t mid = std::min(begin + width, n);
+    const std::size_t end = std::min(begin + 2 * width, n);
+    std::size_t i = 0, j = 0;
+    merge_steps_auto(src + begin, mid - begin, src + mid, end - mid, &i, &j,
+                     dst + begin, end - begin, comp, instr);
+  }
 }
 
 }  // namespace mp::kernels

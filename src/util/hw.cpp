@@ -1,12 +1,17 @@
 #include "util/hw.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <thread>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
+#endif
+
+#if defined(__linux__)
+#include <sys/mman.h>
 #endif
 
 namespace mp {
@@ -137,6 +142,21 @@ std::string describe(const HostInfo& info) {
        << (c.size_bytes >> 10) << "KiB/" << c.associativity << "-way";
   }
   return os.str();
+}
+
+void advise_huge_pages(void* data, std::size_t bytes) {
+#if defined(__linux__) && defined(MADV_HUGEPAGE)
+  constexpr std::uintptr_t kHugePage = std::uintptr_t{2} << 20;
+  const auto begin = reinterpret_cast<std::uintptr_t>(data);
+  const std::uintptr_t lo = (begin + kHugePage - 1) & ~(kHugePage - 1);
+  const std::uintptr_t hi = (begin + bytes) & ~(kHugePage - 1);
+  // A refusal (THP disabled, an old kernel) leaves 4 KiB pages: ignored.
+  if (lo < hi)
+    (void)madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_HUGEPAGE);
+#else
+  (void)data;
+  (void)bytes;
+#endif
 }
 
 }  // namespace mp

@@ -1,6 +1,7 @@
 #pragma once
 /// \file hw.hpp
-/// Host hardware introspection: core count and data-cache geometry.
+/// Host hardware introspection: core count and data-cache geometry, plus
+/// the huge-page hint for large scratch buffers.
 ///
 /// Cache sizes feed the Segmented Parallel Merge default (L = C/3, Section
 /// IV.B of the paper) and the cache-simulator presets. On Linux we read
@@ -70,5 +71,13 @@ HostInfo paper_machine();
 
 /// One-line description for harness banners.
 std::string describe(const HostInfo& info);
+
+/// Asks the kernel to back the 2 MiB-aligned interior of
+/// [data, data + bytes) with transparent huge pages
+/// (madvise(MADV_HUGEPAGE)), so that the first touch of a large fresh
+/// buffer takes one page fault per 2 MiB instead of one per 4 KiB. A
+/// no-op off Linux, for buffers holding no aligned 2 MiB page, and where
+/// the kernel declines; the buffer's contents are never affected.
+void advise_huge_pages(void* data, std::size_t bytes);
 
 }  // namespace mp

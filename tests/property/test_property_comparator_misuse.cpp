@@ -112,11 +112,12 @@ TEST(ComparatorMisuse, LyingComparatorSortTerminatesInBounds) {
   }
 }
 
-// Records under a key-only comparator take the chained scalar merge
-// (kernels::detail::chained_merge_steps) in every pass of the block sorts
-// and every merge round. Its interleaved loop trusts no verdict for its
-// bounds, so lies may reorder, drop or repeat records but never read or
-// write outside the buffers (the ASan/UBSan presets check that part).
+// Records under a key-only comparator take the chained scalar merge: one
+// chained loop per pass of the block sorts (kernels::detail::
+// chained_merge_pass) and kernels::detail::chained_merge_steps in every
+// merge round. Its interleaved loop trusts no verdict for its bounds, so
+// lies may reorder, drop or repeat records but never read or write outside
+// the buffers (the ASan/UBSan presets check that part).
 TEST(ComparatorMisuse, LyingComparatorRecordSortStaysInBounds) {
   Xoshiro256 rng(0x11a48ULL);
   for (int iter = 0; iter < 10; ++iter) {
@@ -136,6 +137,33 @@ TEST(ComparatorMisuse, LyingComparatorRecordSortStaysInBounds) {
     for (std::size_t k = 0; k < data.size(); ++k) {
       ASSERT_LT(data[k].payload, n) << "position " << k;
       ASSERT_EQ(data[k], input[data[k].payload]) << "position " << k;
+    }
+  }
+}
+
+// The same through sequential_merge_sort directly, at n = 1..7 (mod 8):
+// a short last rank-sort block, a trailing unpaired run in every pass
+// and chains that cross pair boundaries. The rank sort scatters into a
+// copy of its block, so repeated ranks repeat input records, never
+// uninitialised bytes.
+TEST(ComparatorMisuse, LyingComparatorSequentialRecordSortStaysInBounds) {
+  Xoshiro256 rng(0x11a49ULL);
+  for (std::size_t blocks : {0u, 1u, 5u, 37u, 613u}) {
+    for (std::size_t rest = 1; rest < 8; ++rest) {
+      const std::size_t n = 8 * blocks + rest;
+      const std::uint64_t salt = rng();
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " salt=" << salt);
+      std::vector<KeyedRecord> data(n), scratch(n);
+      for (std::size_t k = 0; k < n; ++k)
+        data[k] = KeyedRecord{static_cast<std::int32_t>(rng.bounded(64)),
+                              static_cast<std::uint32_t>(k)};
+      const auto input = data;
+      sequential_merge_sort(data.data(), scratch.data(), n,
+                            LyingComparator{salt});
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_LT(data[k].payload, n) << "position " << k;
+        ASSERT_EQ(data[k], input[data[k].payload]) << "position " << k;
+      }
     }
   }
 }

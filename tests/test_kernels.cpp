@@ -405,6 +405,85 @@ TEST(Kernels, ChainedMergeMatchesMergeSteps) {
   }
 }
 
+/// One bottom-up pass input: n records keyed key_of(t), every aligned
+/// width-wide run stably sorted by key; payloads are the input index.
+template <typename KeyOf>
+std::vector<KeyedRecord> pass_input(std::size_t n, std::size_t width,
+                                    KeyOf key_of) {
+  std::vector<KeyedRecord> v(n);
+  for (std::size_t t = 0; t < n; ++t)
+    v[t] = KeyedRecord{key_of(t), static_cast<std::uint32_t>(t)};
+  for (std::size_t begin = 0; begin < n; begin += width)
+    std::stable_sort(v.begin() + static_cast<std::ptrdiff_t>(begin),
+                     v.begin() + static_cast<std::ptrdiff_t>(
+                                     std::min(begin + width, n)),
+                     KeyOnly{});
+  return v;
+}
+
+TEST(Kernels, ChainedPassMatchesMergeSteps) {
+  // A whole pass as one chained loop (merge_pass_auto on records, and
+  // detail::chained_merge_pass called directly) against the pass as one
+  // merge_steps() call per pair. Chains cross pair boundaries, so every
+  // width from the rank runs' 8 up, passes whose length is not a multiple
+  // of 2·width (a trailing unpaired run or short B), passes shorter than
+  // kMergeChains·width and a width at or past n (a pure copy) are covered.
+  constexpr std::size_t K = detail::kMergeChains;
+  std::mt19937 rng(0x9a55);
+  for (std::size_t n : {std::size_t{1}, std::size_t{7}, std::size_t{47},
+                        std::size_t{48}, std::size_t{100}, std::size_t{1000},
+                        std::size_t{4099}, std::size_t{8192}}) {
+    for (std::size_t width :
+         {std::size_t{8}, std::size_t{16}, std::size_t{24}, std::size_t{64},
+          std::size_t{256}, std::size_t{1024}, n, 2 * n}) {
+      const std::size_t pair_len = 2 * width;
+      const std::vector<KeyedRecord> inputs[] = {
+          pass_input(n, width, [&](std::size_t) {  // many ties
+            return static_cast<std::int32_t>(rng() % 9);
+          }),
+          pass_input(n, width, [&](std::size_t) {  // few ties
+            return static_cast<std::int32_t>(rng() % 100000);
+          }),
+          pass_input(n, width, [](std::size_t) { return 7; }),  // all equal
+          pass_input(n, width, [](std::size_t t) {  // all of A before B
+            return static_cast<std::int32_t>(t);
+          }),
+          pass_input(n, width, [&](std::size_t t) {  // all of B before A
+            const bool in_a = t % pair_len < width;
+            return static_cast<std::int32_t>(t % width + (in_a ? width : 0));
+          }),
+      };
+      for (std::size_t shape = 0; shape < std::size(inputs); ++shape) {
+        const auto& src = inputs[shape];
+        const KeyedRecord poison{-1, 0xdeadbeef};
+        std::vector<KeyedRecord> want(n + 1, poison);
+        for (std::size_t begin = 0; begin < n; begin += pair_len) {
+          const std::size_t mid = std::min(begin + width, n);
+          const std::size_t end = std::min(begin + pair_len, n);
+          std::size_t i = 0, j = 0;
+          merge_steps(src.data() + begin, mid - begin, src.data() + mid,
+                      end - mid, &i, &j, want.data() + begin, end - begin,
+                      KeyOnly{});
+        }
+        for (const bool direct : {false, true}) {
+          std::vector<KeyedRecord> got(n + 1, poison);
+          if (direct)
+            detail::chained_merge_pass(src.data(), got.data(), n, width,
+                                       KeyOnly{});
+          else
+            merge_pass_auto(src.data(), got.data(), n, width, KeyOnly{});
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(KeyedRecord)),
+                    0)
+              << (direct ? "direct" : "auto") << " n=" << n
+              << " width=" << width << " shape=" << shape
+              << (n < K * width ? " (n < K*width)" : "");
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Dispatch surface.
 

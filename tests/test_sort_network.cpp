@@ -8,8 +8,9 @@
 // all-ones payload), plus signed zeros and NaNs for the floats. The
 // register network is data-oblivious, so the 0-1 principle turns the
 // exhaustive 8- and 16-key cases into proofs. Instrumented calls are
-// pinned to the insertion-sort op counts, and non-admitted types,
-// forced-scalar runs and MERGEPATH_SIMD=OFF builds keep 24-key runs.
+// pinned to the insertion-sort op counts, forced-scalar runs and
+// MERGEPATH_SIMD=OFF builds keep 24-key runs, and non-admitted types form
+// 8-key stable rank-sort runs.
 
 #include "kernels/sort_network.hpp"
 
@@ -27,6 +28,7 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
+#include "util/data_gen.hpp"
 
 namespace mp::kernels {
 namespace {
@@ -253,28 +255,68 @@ TEST(SortSmallAuto, FullBlocksSortRandomZeroOneInputs) {
 
 TEST(SortSmallAuto, NonAdmittedTypesStaySorted) {
   // Custom comparators and float-under-std::less are not admitted to the
-  // network (reordering their equal keys would be observable); they keep
-  // 24-key insertion runs. NaN-free input keeps std::less a valid strict
-  // weak order here.
+  // network (reordering their equal keys would be observable); they form
+  // 8-key stable rank-sort runs. NaN-free input keeps std::less a valid
+  // strict weak order here.
   struct ByHalf {
     bool operator()(int x, int y) const { return x / 2 < y / 2; }
   };
   for (Kernel kernel : supported_kernels()) {
     KernelGuard guard;
     ASSERT_TRUE(set_kernel(kernel));
+    // One full run and a short one, each sorted on its own.
     std::vector<int> v{9, 3, 8, 2, 7, 1, 6, 0, 5, 4, 3, 9};
     auto want = v;
-    std::stable_sort(want.begin(), want.end(), ByHalf{});
-    EXPECT_EQ(sort_runs_auto(v.data(), v.size(), ByHalf{}),
-              kInsertionRunWidth);
+    std::stable_sort(want.begin(), want.begin() + kRankRunWidth, ByHalf{});
+    std::stable_sort(want.begin() + kRankRunWidth, want.end(), ByHalf{});
+    EXPECT_EQ(sort_runs_auto(v.data(), v.size(), ByHalf{}), kRankRunWidth);
     EXPECT_EQ(v, want);
 
     std::vector<float> f{3.5f, -0.0f, 0.0f, 2.25f, -7.0f, 3.5f};
     auto fwant = f;
     std::stable_sort(fwant.begin(), fwant.end(), std::less<>{});
     EXPECT_EQ(sort_runs_auto(f.data(), f.size(), std::less<>{}),
-              kInsertionRunWidth);
+              kRankRunWidth);
     EXPECT_TRUE(same_bytes(f, fwant));
+  }
+}
+
+TEST(SortSmallAuto, RankRunsAreStable) {
+  // 8-byte {key, index} records under a key-only comparator: every key
+  // pattern over three values at every block length 1-8 (so every short
+  // last block), behind zero to two full blocks. Ties carry distinct
+  // payloads, so an unstable rank would change the bytes.
+  struct KeyOnly {
+    bool operator()(const KeyedRecord& x, const KeyedRecord& y) const {
+      return x.key < y.key;
+    }
+  };
+  std::mt19937 rng(0x8a4c);
+  for (std::size_t last = 1; last <= kRankRunWidth; ++last) {
+    std::size_t patterns = 1;
+    for (std::size_t t = 0; t < last; ++t) patterns *= 3;
+    for (std::size_t full = 0; full <= 2; ++full) {
+      const std::size_t n = full * kRankRunWidth + last;
+      for (std::size_t pattern = 0; pattern < patterns; ++pattern) {
+        std::vector<KeyedRecord> v(n);
+        for (std::size_t t = 0; t < n; ++t)
+          v[t] = KeyedRecord{static_cast<std::int32_t>(rng() % 3),
+                             static_cast<std::uint32_t>(t)};
+        for (std::size_t t = 0, code = pattern; t < last; ++t, code /= 3)
+          v[n - last + t].key = static_cast<std::int32_t>(code % 3);
+        auto want = v;
+        for (std::size_t begin = 0; begin < n; begin += kRankRunWidth)
+          std::stable_sort(want.begin() + static_cast<std::ptrdiff_t>(begin),
+                           want.begin() + static_cast<std::ptrdiff_t>(
+                                              std::min(begin + kRankRunWidth,
+                                                       n)),
+                           KeyOnly{});
+        ASSERT_EQ(sort_runs_auto(v.data(), n, KeyOnly{}), kRankRunWidth);
+        ASSERT_EQ(std::memcmp(v.data(), want.data(), n * sizeof(KeyedRecord)),
+                  0)
+            << "n=" << n << " pattern=" << pattern;
+      }
+    }
   }
 }
 
