@@ -47,24 +47,58 @@ struct Run {
   std::size_t size() const { return end - begin; }
 };
 
+/// Elements of `elem_bytes` bytes in one chunk of sequential_merge_sort's
+/// blocked passes: a chunk and its scratch fill half the core's L2
+/// (128 Ki int32 for a 2 MiB L2; a quarter or all of the L2 measured the
+/// same, docs/PERFORMANCE.md).
+inline std::size_t sort_chunk_elems(std::size_t elem_bytes) {
+  return host_info().l2_bytes() / (4 * elem_bytes);
+}
+
 /// Bottom-up stable merge sort of [data, data+n) using caller-provided
 /// scratch of the same length. kernels::sort_runs_auto forms the initial
 /// runs — register-resident blocks of 16 vector registers for the
-/// dispatch-certified key types (256 int32 under AVX-512), 24-key
-/// insertion sorts for everything else and for instrumented calls (see
+/// dispatch-certified key types (256 int32 under AVX-512), 8-key rank
+/// runs or 24-key insertion sorts for everything else (see
 /// kernels/sort_network.hpp) — and the runs are merged with doubling
 /// widths from there, ping-ponging between the two buffers; the result
 /// always ends in `data`.
+///
+/// Pass order (uninstrumented calls): every pass narrower than the L2
+/// chunk (sort_chunk_elems) runs chunk by chunk, so one chunk's passes
+/// stay in the core's L2 until the chunk is one run; the wider passes
+/// then run over the whole range. The chunk is the run width doubled up
+/// to the L2 target, so chunk boundaries are pair boundaries at every
+/// blocked width and each pass merges the same pairs as a pass over the
+/// whole range would: same bytes, same comparisons. Instrumented calls
+/// keep whole passes, so the modelled runs see the order they always saw.
 template <typename T, typename Comp = std::less<>,
           typename Instr = NoInstrument>
 void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
                            Instr* instr = nullptr) {
   if (n <= 1) return;
 
-  T* src = data;
-  T* dst = scratch;
-  for (std::size_t width = kernels::sort_runs_auto(data, n, comp, instr);
-       width < n; width *= 2) {
+  const std::size_t runs = kernels::sort_runs_auto(data, n, comp, instr);
+  std::size_t chunk = runs;
+  if (instr == nullptr) {
+    const std::size_t target = sort_chunk_elems(sizeof(T));
+    while (chunk < n && 2 * chunk <= target) chunk *= 2;
+  }
+  std::size_t width = runs;
+  bool in_scratch = false;
+  for (std::size_t begin = 0; begin < n; begin += chunk) {
+    T* src = data + begin;
+    T* dst = scratch + begin;
+    for (width = runs; width < chunk && width < n; width *= 2) {
+      kernels::merge_pass_auto(src, dst, std::min(chunk, n - begin), width,
+                               comp, instr);
+      std::swap(src, dst);
+    }
+    in_scratch = src != data + begin;
+  }
+  T* src = in_scratch ? scratch : data;
+  T* dst = in_scratch ? data : scratch;
+  for (; width < n; width *= 2) {
     kernels::merge_pass_auto(src, dst, n, width, comp, instr);
     std::swap(src, dst);
   }

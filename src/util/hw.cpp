@@ -96,6 +96,13 @@ std::size_t HostInfo::l1d_bytes() const {
   return 32u << 10;
 }
 
+std::size_t HostInfo::l2_bytes() const {
+  for (const auto& c : caches)
+    if (c.level == 2) return c.size_bytes;
+  return std::clamp<std::size_t>(256u << 10, l1d_bytes(),
+                                 std::max(l1d_bytes(), llc_bytes()));
+}
+
 std::size_t HostInfo::llc_bytes() const {
   if (!caches.empty()) return caches.back().size_bytes;
   return 12u << 20;

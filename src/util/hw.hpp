@@ -29,6 +29,10 @@ struct HostInfo {
 
   /// First-level data cache size (bytes); paper-machine fallback 32 KiB.
   std::size_t l1d_bytes() const;
+  /// Second-level cache size (bytes): the per-core cache the merge sort
+  /// blocks its narrow passes for. Paper-machine fallback 256 KiB, kept
+  /// within [l1d_bytes(), llc_bytes()] when the host lists other levels.
+  std::size_t l2_bytes() const;
   /// Last-level cache size (bytes); paper-machine fallback 12 MiB.
   std::size_t llc_bytes() const;
 };

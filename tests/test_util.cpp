@@ -159,13 +159,30 @@ TEST(Hw, HostInfoHasSaneFallbacks) {
   EXPECT_GE(info.logical_cpus, 1u);
   EXPECT_GE(info.l1d_bytes(), 4u * 1024);
   EXPECT_GE(info.llc_bytes(), info.l1d_bytes());
+  EXPECT_LE(info.l1d_bytes(), info.l2_bytes());
+  EXPECT_LE(info.l2_bytes(), info.llc_bytes());
   EXPECT_FALSE(describe(info).empty());
+}
+
+TEST(Hw, L2FallsBackToPaperMachine) {
+  // No cache listed: the paper machine's 256 KiB, as its preset reports.
+  EXPECT_EQ(HostInfo{}.l2_bytes(), 256u * 1024);
+  EXPECT_EQ(paper_machine().l2_bytes(), 256u * 1024);
+  // Levels listed but no L2: the fallback stays within L1d and the LLC.
+  HostInfo l1_only;
+  l1_only.caches = {CacheLevel{1, 48u << 10, 64, 12, false}};
+  EXPECT_EQ(l1_only.l2_bytes(), 48u * 1024);
+  HostInfo big_l1;
+  big_l1.caches = {CacheLevel{1, 512u << 10, 64, 8, false},
+                   CacheLevel{3, 32u << 20, 64, 16, true}};
+  EXPECT_EQ(big_l1.l2_bytes(), 512u * 1024);
 }
 
 TEST(Hw, PaperMachinePreset) {
   const HostInfo paper = paper_machine();
   EXPECT_EQ(paper.logical_cpus, 12u);
   EXPECT_EQ(paper.l1d_bytes(), 32u * 1024);
+  EXPECT_EQ(paper.l2_bytes(), 256u * 1024);
   EXPECT_EQ(paper.llc_bytes(), 12u * 1024 * 1024);
   ASSERT_EQ(paper.caches.size(), 3u);
   EXPECT_FALSE(paper.caches[0].shared);
