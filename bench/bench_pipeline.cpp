@@ -1,22 +1,18 @@
 /// \file bench_pipeline.cpp
-/// E18 — crash-consistent pipeline: double-buffering overlap win and
-/// checkpoint overhead (BENCH_9).
+/// E18 — crash-consistent pipeline: checkpoint overhead (BENCH_9).
 ///
-/// Three runs of the identical sharded external sort on a device with
+/// Two runs of the identical sharded external sort on a device with
 /// realize_scale > 0 (transfers really sleep for a scaled fraction of
-/// their modeled cost — modeled time is a pure sum and cannot show
-/// overlap; wall-clock can):
+/// their modeled cost, so the wall time carries the I/O):
 ///
-///   serial        double_buffer=false: every transfer inline on the
-///                 caller, the PR's own baseline
-///   overlapped    double_buffer=true: transfers on the I/O thread,
-///                 prefetch/flush overlap the sort and merge compute
-///   no-checkpoint overlapped with checkpoints=false: isolates what the
+///   serial        the pipeline as shipped: every transfer on the calling
+///                 thread, a checkpoint after every unit
+///   no-checkpoint the same with checkpoints=false: isolates what the
 ///                 manifest writes cost
 ///
-/// overlap_speedup = serial / overlapped wall time; checkpoint overhead =
-/// (overlapped - no-checkpoint) / no-checkpoint. Every run's output is
-/// verified against std::sort before a number is reported.
+/// checkpoint overhead = (serial - no-checkpoint) / no-checkpoint. Every
+/// run's output is verified against std::sort before a number is
+/// reported.
 ///
 /// Flags (beyond the harness_common set):
 ///   --n N               elements (default 1 Mi; --full 4 Mi)
@@ -27,7 +23,7 @@
 ///                       (default 0.2; --full 0.4)
 ///   --threads N         lanes for the in-memory sorts (default 0 = all)
 ///   --json PATH         write the BENCH_9 artifact
-///                       (schema mergepath-bench-pipeline-v1)
+///                       (schema mergepath-bench-pipeline-v2)
 
 #include <algorithm>
 #include <cstdint>
@@ -104,14 +100,14 @@ void write_artifact(const std::string& path, std::uint64_t n,
                     const extmem::DeviceConfig& device_config,
                     const pipeline::PipelineConfig& cfg, std::uint64_t seed,
                     const std::vector<ModeResult>& modes,
-                    double overlap_speedup, double checkpoint_overhead_pct) {
+                    double checkpoint_overhead_pct) {
   std::ofstream os(path);
   if (!os) {
     std::cerr << "error: cannot write " << path << "\n";
     std::exit(1);
   }
   os << "{\n"
-     << "  \"schema\": \"mergepath-bench-pipeline-v1\",\n"
+     << "  \"schema\": \"mergepath-bench-pipeline-v2\",\n"
      << "  \"experiment\": \"E18\",\n"
      << "  \"host\": \"" << describe(host_info()) << "\",\n"
      << "  \"seed\": " << seed << ",\n"
@@ -122,7 +118,6 @@ void write_artifact(const std::string& path, std::uint64_t n,
      << "  \"block_bytes\": " << device_config.block_bytes << ",\n"
      << "  \"elem_bytes\": " << sizeof(std::int32_t) << ",\n"
      << "  \"realize_scale\": " << device_config.realize_scale << ",\n"
-     << "  \"overlap_speedup\": " << overlap_speedup << ",\n"
      << "  \"checkpoint_overhead_pct\": " << checkpoint_overhead_pct
      << ",\n"
      << "  \"modes\": [\n";
@@ -154,7 +149,7 @@ int main(int argc, char** argv) {
   using namespace mp::bench;
 
   Harness h(argc, argv, "E18",
-            "crash-consistent pipeline: I/O overlap + checkpoint overhead");
+            "crash-consistent pipeline: checkpoint overhead");
   const auto n = static_cast<std::uint64_t>(
       h.cli.get_int("n", h.full ? 4 << 20 : 1 << 20));
   const auto shards = static_cast<unsigned>(h.cli.get_int("shards", 3));
@@ -184,17 +179,10 @@ int main(int argc, char** argv) {
   cfg.segment_blocks = segment_blocks;
   cfg.exec = Executor{nullptr, threads};
 
-  // Serial first: if warm-up drift favours anyone, it favours the
-  // baseline we bet against.
+  // Checkpointed first: if warm-up drift favours anyone, it favours the
+  // baseline the overhead is measured against.
   std::vector<ModeResult> modes;
-  {
-    pipeline::PipelineConfig serial = cfg;
-    serial.double_buffer = false;
-    modes.push_back(run_mode("serial", values, expected, device_config,
-                             serial));
-  }
-  modes.push_back(run_mode("overlapped", values, expected, device_config,
-                           cfg));
+  modes.push_back(run_mode("serial", values, expected, device_config, cfg));
   {
     pipeline::PipelineConfig nockpt = cfg;
     nockpt.checkpoints = false;
@@ -202,8 +190,7 @@ int main(int argc, char** argv) {
                              device_config, nockpt));
   }
   const ModeResult& serial = modes[0];
-  const ModeResult& overlapped = modes[1];
-  const ModeResult& nockpt = modes[2];
+  const ModeResult& nockpt = modes[1];
 
   Table table({"mode", "wall_ms", "modeled_io_ms", "reads", "writes",
                "checkpoints", "steps"});
@@ -217,20 +204,16 @@ int main(int argc, char** argv) {
   }
   h.emit(table);
 
-  const double overlap_speedup =
-      overlapped.wall_ms > 0.0 ? serial.wall_ms / overlapped.wall_ms : 0.0;
   const double checkpoint_overhead_pct =
       nockpt.wall_ms > 0.0
-          ? (overlapped.wall_ms - nockpt.wall_ms) / nockpt.wall_ms * 100.0
+          ? (serial.wall_ms - nockpt.wall_ms) / nockpt.wall_ms * 100.0
           : 0.0;
   if (!h.csv) {
-    std::cout << "double-buffer overlap win: "
-              << fmt_double(overlap_speedup, 2) << "x\n"
-              << "checkpoint overhead: "
+    std::cout << "checkpoint overhead: "
               << fmt_double(checkpoint_overhead_pct, 1) << "%\n";
   }
   if (!json_path.empty())
     write_artifact(json_path, n, device_config, cfg, h.seed, modes,
-                   overlap_speedup, checkpoint_overhead_pct);
+                   checkpoint_overhead_pct);
   return 0;
 }

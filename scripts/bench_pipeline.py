@@ -8,20 +8,19 @@ Usage:
 
 The run mode drives `bench_pipeline --json <out>` (the harness itself
 writes the artifact after verifying every mode's output against
-std::sort) and echoes the summary lines. The artifact records three runs
-of the identical checkpointed sharded external sort — serial I/O,
-double-buffered, and double-buffered without intermediate checkpoints —
-plus the two derived headline numbers:
+std::sort) and echoes the summary lines. The artifact records two runs
+of the identical sharded external sort — checkpointed ("serial": all I/O
+on the calling thread, as the pipeline runs) and without intermediate
+checkpoints — plus the derived headline number:
 
-    overlap_speedup          serial wall / overlapped wall
-    checkpoint_overhead_pct  (overlapped - no-checkpoint) / no-checkpoint
+    checkpoint_overhead_pct  (serial - no-checkpoint) / no-checkpoint
 
---check validates the schema instead of running anything: all three modes
-must be present with positive wall times, the block read/write counts of
-serial and overlapped must be identical (double-buffering may not change
-WHAT is transferred, only WHEN), the no-checkpoint run must write fewer
-blocks and record exactly 1 checkpoint (the final completion manifest),
-and the derived numbers must be consistent with the per-mode wall times.
+--check validates the schema instead of running anything: both modes
+must be present with positive wall times, both must do the same work
+(reads, steps, runs, segments, ranks), the no-checkpoint run must write
+fewer blocks and record exactly 1 checkpoint (the final completion
+manifest), and the derived number must be consistent with the per-mode
+wall times.
 Read amplification is bounded: apart from the exchange's co-rank probes
 (probe_reads), every mode reads at most the blocks each unit's windows
 cover, once, plus one block straddling the unit boundary per input run
@@ -34,8 +33,8 @@ import os
 import subprocess
 import sys
 
-SCHEMA = "mergepath-bench-pipeline-v1"
-MODES = ["serial", "overlapped", "no-checkpoint"]
+SCHEMA = "mergepath-bench-pipeline-v2"
+MODES = ["serial", "no-checkpoint"]
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_BENCH = os.path.join(REPO_ROOT, "build", "bench", "bench_pipeline")
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_9.json")
@@ -102,7 +101,8 @@ def check(path):
             fail(f"{path}: missing {key}")
     if not (isinstance(doc.get("realize_scale"), (int, float))
             and doc["realize_scale"] > 0):
-        fail(f"{path}: realize_scale must be > 0 (else overlap is unmeasurable)")
+        fail(f"{path}: realize_scale must be > 0 (else the wall times "
+             "carry no I/O)")
 
     modes = {m.get("mode"): m for m in doc.get("modes", [])}
     if sorted(modes) != sorted(MODES):
@@ -115,14 +115,13 @@ def check(path):
             if not isinstance(value, (int, float)) or value <= 0:
                 fail(f"{path}: modes.{name}.{key} must be > 0, got {value!r}")
 
-    serial, overlapped, nockpt = (modes[m] for m in MODES)
-    # Double-buffering changes WHEN blocks move, never WHAT moves.
-    for key in ("block_reads", "probe_reads", "block_writes", "steps",
-                "checkpoints", "runs_formed", "segments_merged",
-                "ranks_exchanged"):
-        if serial.get(key) != overlapped.get(key):
-            fail(f"{path}: serial vs overlapped disagree on {key} "
-                 f"({serial.get(key)} vs {overlapped.get(key)})")
+    serial, nockpt = (modes[m] for m in MODES)
+    # Checkpoints write manifests; they never change what the units read.
+    for key in ("block_reads", "probe_reads", "steps", "runs_formed",
+                "segments_merged", "ranks_exchanged"):
+        if serial.get(key) != nockpt.get(key):
+            fail(f"{path}: serial vs no-checkpoint disagree on {key} "
+                 f"({serial.get(key)} vs {nockpt.get(key)})")
     # Read amplification: each unit reads each block it needs once, plus
     # one straddling block per input run; only the probes come on top.
     bound = data_read_bound(doc)
@@ -139,27 +138,20 @@ def check(path):
     if nockpt.get("checkpoints") != 1:
         fail(f"{path}: no-checkpoint run must record exactly 1 checkpoint, "
              f"got {nockpt.get('checkpoints')!r}")
-    if overlapped["checkpoints"] <= 1:
-        fail(f"{path}: checkpointed runs recorded no intermediate checkpoints")
-    if nockpt["block_writes"] >= overlapped["block_writes"]:
+    if serial["checkpoints"] <= 1:
+        fail(f"{path}: checkpointed run recorded no intermediate checkpoints")
+    if nockpt["block_writes"] >= serial["block_writes"]:
         fail(f"{path}: no-checkpoint run must write fewer blocks "
-             f"({nockpt['block_writes']} vs {overlapped['block_writes']})")
+             f"({nockpt['block_writes']} vs {serial['block_writes']})")
 
-    speedup = doc.get("overlap_speedup")
     overhead = doc.get("checkpoint_overhead_pct")
-    if not isinstance(speedup, (int, float)) or speedup <= 0:
-        fail(f"{path}: overlap_speedup must be > 0, got {speedup!r}")
     if not isinstance(overhead, (int, float)):
         fail(f"{path}: checkpoint_overhead_pct missing")
-    want = serial["wall_ms"] / overlapped["wall_ms"]
-    if abs(speedup - want) > 0.02 * want:
-        fail(f"{path}: overlap_speedup {speedup} inconsistent with wall "
-             f"times (want {want:.4f})")
-    if speedup < 0.8:
-        fail(f"{path}: double-buffering lost >20% vs serial — the overlap "
-             "machinery is costing more than it hides")
-    print(f"{path}: ok (overlap {speedup:.2f}x, checkpoint overhead "
-          f"{overhead:.1f}%)")
+    want = (serial["wall_ms"] - nockpt["wall_ms"]) / nockpt["wall_ms"] * 100
+    if abs(overhead - want) > 0.5:
+        fail(f"{path}: checkpoint_overhead_pct {overhead} inconsistent with "
+             f"wall times (want {want:.2f})")
+    print(f"{path}: ok (checkpoint overhead {overhead:.1f}%)")
 
 
 def main():

@@ -83,12 +83,12 @@ KNOWN_NAMES = {
     "serve.reject", "serve.shed", "serve.merge_fallback",
     # crash-consistent pipeline (pipeline): pipe.sort wraps the whole
     # drive; pipe.form / pipe.segment / pipe.exchange / pipe.select /
-    # pipe.checkpoint / pipe.io are phase and unit spans; pipe.crash /
+    # pipe.checkpoint are phase and unit spans; pipe.crash /
     # pipe.resume / pipe.retry are instants; pipe.runs_formed /
     # pipe.segments_merged / pipe.ranks_exchanged / pipe.checkpoints /
     # pipe.crashes / pipe.resumes / pipe.probe_reads are counters.
     "pipe.sort", "pipe.form", "pipe.segment", "pipe.exchange",
-    "pipe.select", "pipe.checkpoint", "pipe.io",
+    "pipe.select", "pipe.checkpoint",
     "pipe.crash", "pipe.resume", "pipe.retry",
     "pipe.runs_formed", "pipe.segments_merged", "pipe.ranks_exchanged",
     "pipe.checkpoints", "pipe.crashes", "pipe.resumes", "pipe.probe_reads",

@@ -40,11 +40,9 @@ struct DeviceConfig {
   /// IoError(kNoSpace) — the honest way to test ENOSPC recovery paths.
   std::uint64_t max_blocks = 0;
   /// When > 0, every successful transfer also *sleeps* for
-  /// realize_scale × its modeled cost. Modeled time is a pure sum and so
-  /// cannot show overlap; realized time can — the pipeline's
-  /// double-buffering bench (E18) runs reads on an I/O thread and measures
-  /// the wall-clock win. 0 (the default) keeps every other experiment
-  /// instantaneous.
+  /// realize_scale × its modeled cost, so wall-clock time carries the I/O
+  /// — the pipeline bench (E18) measures its checkpoint overhead this way.
+  /// 0 (the default) keeps every other experiment instantaneous.
   double realize_scale = 0.0;
 };
 

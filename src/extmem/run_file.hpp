@@ -16,6 +16,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -77,15 +78,33 @@ std::uint64_t retry_io(BlockDevice& device, const fault::RetryPolicy& retry,
 
 }  // namespace detail
 
-/// Streams elements out to freshly allocated blocks.
+/// Streams elements out to device blocks, in one of two modes:
+///  - fresh allocation (run formation, spills): each block is allocated
+///    as it is flushed, so a run's blocks are consecutive and a writer
+///    abandoned mid-run can release them;
+///  - preallocated range (the pipeline's merge segments and exchange
+///    slices): blocks first_block, first_block + 1, ... that the caller
+///    allocated up front, so a redone unit rewrites exactly its own
+///    disjoint blocks — the idempotence the checkpoint layer needs.
+/// Bulk appends write whole blocks straight from the caller's memory
+/// whenever nothing is staged; only partial blocks are staged.
 template <typename T>
 class RunWriter {
   static_assert(std::is_trivially_copyable_v<T>);
 
  public:
+  /// Fresh-allocation mode.
   explicit RunWriter(BlockDevice& device, fault::RetryPolicy retry = {})
       : device_(&device), retry_(retry) {
     buffer_.reserve(elems_per_block());
+  }
+
+  /// Preallocated mode: writes into blocks [first_block, ...).
+  RunWriter(BlockDevice& device, std::uint64_t first_block,
+            fault::RetryPolicy retry = {})
+      : RunWriter(device, retry) {
+    preallocated_ = true;
+    next_block_ = first_block;
   }
 
   std::size_t elems_per_block() const {
@@ -94,30 +113,46 @@ class RunWriter {
 
   void append(const T& value) {
     buffer_.push_back(value);
-    if (buffer_.size() == elems_per_block()) flush_block();
+    if (buffer_.size() == elems_per_block()) flush_buffer();
   }
 
   void append(const T* values, std::size_t count) {
-    for (std::size_t i = 0; i < count; ++i) append(values[i]);
+    const std::size_t per_block = elems_per_block();
+    while (count > 0) {
+      if (buffer_.empty() && count >= per_block) {
+        write_block(values, per_block);
+        values += per_block;
+        count -= per_block;
+        continue;
+      }
+      const std::size_t take = std::min(count, per_block - buffer_.size());
+      buffer_.insert(buffer_.end(), values, values + take);
+      values += take;
+      count -= take;
+      if (buffer_.size() == per_block) flush_buffer();
+    }
   }
 
-  /// Flushes the tail and returns the finished run's handle. The writer
-  /// may be reused for a new run afterwards.
+  /// Flushes the tail and returns the finished run's handle (first block
+  /// 0 for an empty run). The writer may be reused for a new run
+  /// afterwards; in preallocated mode it continues at the next block.
   RunHandle finish() {
-    if (!buffer_.empty()) flush_block();
-    RunHandle handle{first_block_, written_};
+    if (!buffer_.empty()) flush_buffer();
+    RunHandle handle{first_block_ == kUnset ? 0 : first_block_, written_};
     first_block_ = kUnset;
     written_ = 0;
     blocks_flushed_ = 0;
     return handle;
   }
 
-  /// Abandons the in-progress run: drops buffered data and releases every
-  /// block already flushed for it. Recovery paths call this so a failed
-  /// sort leaves no partial run behind. The writer is reusable afterwards.
+  /// Abandons the in-progress run: drops buffered data and, in
+  /// fresh-allocation mode, releases every block already flushed for it
+  /// (a preallocated range belongs to the caller). Recovery paths call
+  /// this so a failed sort leaves no partial run behind. The writer is
+  /// reusable afterwards.
   void abandon() {
     buffer_.clear();
-    if (first_block_ != kUnset)
+    if (first_block_ != kUnset && !preallocated_)
       device_->release_blocks(first_block_, blocks_flushed_);
     first_block_ = kUnset;
     written_ = 0;
@@ -130,33 +165,42 @@ class RunWriter {
  private:
   static constexpr std::uint64_t kUnset = ~0ull;
 
-  void flush_block() {
+  void flush_buffer() {
+    write_block(buffer_.data(), buffer_.size());
+    buffer_.clear();
+  }
+
+  void write_block(const T* data, std::size_t count) {
     // allocate() may throw IoError(kNoSpace); the caller's recovery path
     // abandons the writer, releasing earlier blocks of this run.
-    const std::uint64_t block = device_->allocate(1);
+    const std::uint64_t block =
+        preallocated_ ? next_block_++ : device_->allocate(1);
     if (first_block_ == kUnset) first_block_ = block;
     retries_ += detail::retry_io(
         *device_, retry_, block, "write", [&] {
           return device_->try_write_block(
-              block, buffer_.data(),
-              static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
+              block, data, static_cast<std::uint32_t>(count * sizeof(T)));
         });
     ++blocks_flushed_;
-    written_ += buffer_.size();
-    buffer_.clear();
+    written_ += count;
   }
 
   BlockDevice* device_;
   fault::RetryPolicy retry_;
-  std::vector<T> buffer_;
+  bool preallocated_ = false;
+  std::uint64_t next_block_ = 0;
+  std::vector<T> buffer_;  // the staged partial block
   std::uint64_t first_block_ = kUnset;
   std::uint64_t written_ = 0;
   std::uint64_t blocks_flushed_ = 0;
   std::uint64_t retries_ = 0;
 };
 
-/// Buffered sequential reader over a run. Holds one block in memory —
-/// the B-sized input buffer of the Aggarwal-Vitter merge.
+/// Buffered sequential reader over a run (or a window of one). Holds one
+/// block in memory — the B-sized input buffer of the Aggarwal-Vitter
+/// merge — which it lends out whole (block()/skip()) or element by
+/// element (peek()/next()). Bulk reads move whole aligned blocks straight
+/// into the caller's memory.
 template <typename T>
 class RunReader {
   static_assert(std::is_trivially_copyable_v<T>);
@@ -164,9 +208,8 @@ class RunReader {
  public:
   RunReader(BlockDevice& device, RunHandle handle,
             fault::RetryPolicy retry = {})
-      : device_(&device), handle_(handle), retry_(retry) {
-    buffer_.resize(elems_per_block());
-  }
+      : device_(&device), first_block_(handle.first_block), retry_(retry),
+        end_(handle.element_count) {}
 
   /// Windowed reader over elements [offset, offset + count) of the run.
   /// The pipeline's resume path and co-rank fragment fetches start
@@ -177,57 +220,106 @@ class RunReader {
       : RunReader(device, handle, retry) {
     MP_ASSERT(offset + count <= handle.element_count);
     consumed_ = offset;
-    handle_.element_count = offset + count;
+    end_ = offset + count;
   }
 
   std::size_t elems_per_block() const {
     return device_->config().block_bytes / sizeof(T);
   }
 
-  bool empty() const { return consumed_ == handle_.element_count; }
-  std::uint64_t remaining() const { return handle_.element_count - consumed_; }
+  bool empty() const { return consumed_ == end_; }
+  std::uint64_t remaining() const { return end_ - consumed_; }
+  /// Index within the run of the next element to consume (the cursor).
+  std::uint64_t position() const { return consumed_; }
 
   const T& peek() {
     MP_ASSERT(!empty());
-    refill_if_needed();
-    return buffer_[cursor_];
+    if (!buffered()) load();
+    return buffer_[static_cast<std::size_t>(consumed_ - buf_lo_)];
   }
 
   T next() {
     const T value = peek();
-    ++cursor_;
     ++consumed_;
     return value;
+  }
+
+  /// The unconsumed rest of the current block, clipped to the window. A
+  /// used-up block is replaced first, so the span is empty only at the
+  /// end of the window. Valid until the next call that refills.
+  std::span<const T> block() {
+    if (empty()) return {};
+    if (!buffered()) load();
+    return {buffer_.data() + (consumed_ - buf_lo_),
+            static_cast<std::size_t>(buf_hi_ - consumed_)};
+  }
+
+  /// Consumes the first `n` elements of block().
+  void skip(std::size_t n) {
+    MP_ASSERT(n <= remaining());
+    consumed_ += n;
+  }
+
+  /// Copies the next `n` elements of the window to `dst`. A whole block
+  /// that starts at the cursor, lies inside the `n` and is not buffered
+  /// already is read straight into `dst`; the partial blocks at either
+  /// end go through the buffer.
+  void read(T* dst, std::size_t n) {
+    MP_ASSERT(n <= remaining());
+    const std::size_t per_block = elems_per_block();
+    while (n > 0) {
+      if (n >= per_block && consumed_ % per_block == 0 && !buffered()) {
+        fetch(consumed_ / per_block, dst);
+        dst += per_block;
+        n -= per_block;
+        consumed_ += per_block;
+        continue;
+      }
+      const std::span<const T> view = block();
+      const std::size_t take = std::min(n, view.size());
+      std::copy_n(view.data(), take, dst);
+      dst += take;
+      n -= take;
+      consumed_ += take;
+    }
   }
 
   /// Transient-fault retries performed over this reader's lifetime.
   std::uint64_t retries() const { return retries_; }
 
  private:
-  void refill_if_needed() {
-    if (cursor_ < valid_) return;
-    const std::uint64_t block_index = consumed_ / elems_per_block();
-    const std::uint64_t in_block = consumed_ % elems_per_block();
-    const std::uint64_t block = handle_.first_block + block_index;
+  /// Whether the buffer holds the block the cursor is in.
+  bool buffered() const { return consumed_ >= buf_lo_ && consumed_ < buf_hi_; }
+
+  /// Buffers the block the cursor is in.
+  void load() {
+    const std::uint64_t per_block = elems_per_block();
+    if (buffer_.empty()) buffer_.resize(static_cast<std::size_t>(per_block));
+    const std::uint64_t block_index = consumed_ / per_block;
+    fetch(block_index, buffer_.data());
+    buf_lo_ = block_index * per_block;
+    buf_hi_ = std::min(buf_lo_ + per_block, end_);
+  }
+
+  /// Reads one whole block of the run into `dst`.
+  void fetch(std::uint64_t block_index, T* dst) {
+    const std::uint64_t block = first_block_ + block_index;
     retries_ += detail::retry_io(
         *device_, retry_, block, "read", [&] {
           return device_->try_read_block(
-              block, buffer_.data(),
-              static_cast<std::uint32_t>(buffer_.size() * sizeof(T)));
+              block, dst,
+              static_cast<std::uint32_t>(elems_per_block() * sizeof(T)));
         });
-    valid_ = std::min<std::uint64_t>(
-        elems_per_block(),
-        handle_.element_count - block_index * elems_per_block());
-    cursor_ = static_cast<std::size_t>(in_block);
   }
 
   BlockDevice* device_;
-  RunHandle handle_;
+  std::uint64_t first_block_;
   fault::RetryPolicy retry_;
   std::vector<T> buffer_;
-  std::size_t cursor_ = 0;
-  std::size_t valid_ = 0;
-  std::uint64_t consumed_ = 0;
+  std::uint64_t buf_lo_ = 0;  // run indices the buffer holds: [lo, hi)
+  std::uint64_t buf_hi_ = 0;
+  std::uint64_t consumed_ = 0;  // absolute element index within the run
+  std::uint64_t end_;
   std::uint64_t retries_ = 0;
 };
 

@@ -27,8 +27,8 @@ namespace detail {
 namespace {
 
 /// Hands the calling thread's buffer back to the registry when the thread
-/// exits, so short-lived threads (one IoThread per pipeline run) recycle
-/// one buffer instead of leaking a trace ring each.
+/// exits, so short-lived threads (the workers of a ThreadPool built per
+/// call) recycle one buffer instead of leaking a trace ring each.
 struct BufferLease {
   ThreadBuffer* buffer = nullptr;
   ~BufferLease() {

@@ -3,10 +3,12 @@
 /// Crash-consistent sharded external sort — the end-to-end "petasort"
 /// pipeline that composes the repository's layers:
 ///
-///   1. kForm     — per shard, memory-sized chunks of the input are read,
-///                  sorted in memory (parallel_merge_sort on a
-///                  recovering executor, surviving injected lane faults),
-///                  and spilled as runs.
+///   1. kForm     — per shard, memory-sized chunks of the input are read
+///                  in groups of one chunk per lane, sorted in memory in
+///                  one fork (each lane runs sequential_merge_sort on its
+///                  own chunk, on a recovering executor that survives
+///                  injected lane faults), and spilled as runs in chunk
+///                  order.
 ///   2. kMerge    — per shard, a k-way merge of its runs into one sorted
 ///                  shard run, executed segment-by-segment in block-aligned
 ///                  output segments.
@@ -45,14 +47,17 @@
 /// new unit. Scripted crashes fire anywhere, including between a unit's
 /// work and its checkpoint.
 ///
-/// I/O overlap: all device access runs on one IoThread (async_io.hpp);
-/// with PipelineConfig::double_buffer the readers prefetch and the
-/// writers flush ahead of the merge loop.
+/// Device I/O runs on the calling thread through extmem::RunReader /
+/// RunWriter: there is no I/O thread and no per-block hand-off. The form
+/// phase's group fork is the pipeline's only concurrency; it holds one
+/// chunk plus its sort scratch per lane (memory_elems stays the run
+/// length). docs/PIPELINE.md ("I/O on the caller") has the measurement
+/// behind this.
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "core/merge_sort.hpp"
@@ -64,7 +69,6 @@
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "pipeline/async_io.hpp"
 #include "pipeline/manifest.hpp"
 #include "util/assert.hpp"
 #include "util/recovery.hpp"
@@ -88,9 +92,6 @@ struct PipelineConfig {
   /// recording completion is still written) — the bench's baseline for
   /// measuring checkpoint overhead.
   bool checkpoints = true;
-  /// false runs every block transfer inline on the calling thread (serial
-  /// baseline); true overlaps I/O with the merge via the IoThread.
-  bool double_buffer = true;
   /// Retry policy for every device transfer and the recovery engine.
   fault::RetryPolicy retry{};
   /// Exchange network model; net.faults attaches the network fault plan,
@@ -99,9 +100,10 @@ struct PipelineConfig {
   /// Crash schedule (not owned; nullptr = never crashes). Consulted only
   /// at step boundaries, with OpClass::kStep.
   fault::FaultPlan* crash_plan = nullptr;
-  /// Lanes for the in-memory sorts of the kForm phase.
+  /// Lanes of the kForm phase: each formation group reads one chunk per
+  /// lane and sorts the group in one fork.
   Executor exec{};
-  /// Lane-fault recovery for those sorts (hedging, lane retries).
+  /// Lane-fault recovery for that fork (hedging, lane retries).
   RecoveryConfig recovery{};
 };
 
@@ -199,10 +201,8 @@ class Pipeline {
 
   /// Runs to completion from whatever state the manifest holds.
   PipelineReport run() {
-    IoThread io(cfg_.double_buffer);
-    io_ = &io;
     dist::RankNetwork net(static_cast<unsigned>(m_.shards.size()), cfg_.net);
-    try {
+    {
       obs::Span span("pipe.sort", "n", m_.total_elements);
       while (m_.phase != Phase::kDone) {
         switch (m_.phase) {
@@ -212,11 +212,7 @@ class Pipeline {
           case Phase::kDone: break;
         }
       }
-    } catch (...) {
-      io_ = nullptr;
-      throw;
     }
-    io_ = nullptr;
     PipelineReport report;
     report.output = m_.output;
     report.steps = steps_;
@@ -278,15 +274,13 @@ class Pipeline {
     }
   }
 
-  /// Writes the manifest (watermark refreshed inside the I/O thread, so
-  /// it observes every allocation the unit performed).
+  /// Writes the manifest with the watermark refreshed, so it covers
+  /// every allocation the unit performed.
   void checkpoint() {
     obs::Span span("pipe.checkpoint", "seq", m_.seq + 1);
     ++m_.checkpoints;
-    io_->run([&] {
-      m_.watermark = device_->blocks_allocated();
-      store_.write(m_);
-    });
+    m_.watermark = device_->blocks_allocated();
+    store_.write(m_);
     obs::MetricsRegistry::instance().counter("pipe.checkpoints").add(1);
   }
 
@@ -302,39 +296,63 @@ class Pipeline {
 
   void release_handle(extmem::RunHandle& handle) {
     if (handle.element_count == 0) return;
-    const std::uint64_t first = handle.first_block;
-    const std::uint64_t count = blocks_for(handle.element_count);
-    io_->run([&] { device_->release_blocks(first, count); });
+    device_->release_blocks(handle.first_block,
+                            blocks_for(handle.element_count));
     handle = extmem::RunHandle{};
   }
 
   // ---- kForm -------------------------------------------------------
 
+  /// Forms the runs in groups: up to one chunk per lane is read, the
+  /// group is sorted in one fork (lane g sorts chunk g in place with its
+  /// own scratch), and the runs are written and checkpointed in chunk
+  /// order — the same runs, blocks and steps as forming them one by one.
+  /// A lane body never runs twice once started (util/recovery.hpp), so
+  /// the in-place sorts are safe under lane faults and hedging; a crash
+  /// inside a group re-forms from the checkpointed sh.formed.
   void form_phase() {
-    std::vector<T> buf;  // one chunk buffer, reused by every run
+    const unsigned lanes = cfg_.exec.resolve_threads();
+    std::uint64_t largest = 0;
+    for (const ShardManifest& sh : m_.shards)
+      largest = std::max(largest, sh.input_count - sh.formed);
+    const auto chunk_cap = static_cast<std::size_t>(
+        std::min<std::uint64_t>(cfg_.memory_elems, largest));
+    // One chunk and its scratch per lane, reused by every group.
+    const auto chunks = std::make_unique_for_overwrite<T[]>(lanes * chunk_cap);
+    const auto scratch = std::make_unique_for_overwrite<T[]>(lanes * chunk_cap);
+    std::vector<std::size_t> sizes(lanes);
+    extmem::RunWriter<T> writer(*device_, cfg_.retry);
     for (unsigned s = 0; s < shard_count(); ++s) {
       ShardManifest& sh = m_.shards[s];
       while (sh.formed < sh.input_count) {
         obs::Span span("pipe.form", "shard", s);
-        const std::uint64_t chunk =
-            std::min(cfg_.memory_elems, sh.input_count - sh.formed);
-        buf.resize(static_cast<std::size_t>(chunk));
-        AsyncRunReader<T>(*io_, *device_, m_.input, sh.input_first + sh.formed,
-                          chunk, cfg_.retry)
-            .read(buf.data(), buf.size());
+        unsigned group = 0;
+        for (std::uint64_t at = sh.formed;
+             group < lanes && at < sh.input_count; ++group) {
+          sizes[group] = static_cast<std::size_t>(
+              std::min(cfg_.memory_elems, sh.input_count - at));
+          extmem::RunReader<T>(*device_, m_.input, sh.input_first + at,
+                               sizes[group], cfg_.retry)
+              .read(chunks.get() + group * chunk_cap, sizes[group]);
+          at += sizes[group];
+        }
         LaneRecovery recovery{cfg_.recovery};
-        parallel_merge_sort(
-            buf.data(), buf.size(),
-            Executor{cfg_.exec.pool, cfg_.exec.threads, &recovery}, comp_);
-        AsyncRunWriter<T> writer(*io_, *device_, cfg_.retry);
-        writer.append(buf.data(), buf.size());
-        sh.runs.push_back(writer.finish());
-        sh.formed += chunk;
-        ++m_.runs_formed;
-        obs::MetricsRegistry::instance().counter("pipe.runs_formed").add(1);
-        unit_boundary("form", "form.ckpt",
-                      sh.runs.size() % cfg_.checkpoint_every_runs == 0 ||
-                          sh.formed == sh.input_count);
+        Executor{cfg_.exec.pool, group, &recovery}.run_lanes(
+            group, [&](unsigned lane) {
+              sequential_merge_sort(chunks.get() + lane * chunk_cap,
+                                    scratch.get() + lane * chunk_cap,
+                                    sizes[lane], comp_);
+            });
+        for (unsigned g = 0; g < group; ++g) {
+          writer.append(chunks.get() + g * chunk_cap, sizes[g]);
+          sh.runs.push_back(writer.finish());
+          sh.formed += sizes[g];
+          ++m_.runs_formed;
+          obs::MetricsRegistry::instance().counter("pipe.runs_formed").add(1);
+          unit_boundary("form", "form.ckpt",
+                        sh.runs.size() % cfg_.checkpoint_every_runs == 0 ||
+                            sh.formed == sh.input_count);
+        }
       }
     }
     m_.phase = Phase::kMerge;
@@ -373,7 +391,7 @@ class Pipeline {
     m_.output = extmem::RunHandle{};
     if (n > 0) {
       const std::uint64_t blocks = blocks_for(n);
-      m_.output.first_block = io_->run([&] { return device_->allocate(blocks); });
+      m_.output.first_block = device_->allocate(blocks);
       m_.output.element_count = n;
     }
     for (auto& c : m_.exchange_cursors) c = 0;
@@ -396,7 +414,7 @@ class Pipeline {
     }
     const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
     const std::uint64_t blocks = blocks_for(sh.input_count);
-    sh.sorted.first_block = io_->run([&] { return device_->allocate(blocks); });
+    sh.sorted.first_block = device_->allocate(blocks);
     sh.sorted.element_count = sh.input_count;
     sh.segment_count = (sh.input_count + seg_elems - 1) / seg_elems;
     sh.segments_done = 0;
@@ -406,7 +424,7 @@ class Pipeline {
   }
 
   void merge_segment(unsigned s, ShardManifest& sh,
-                     std::deque<AsyncRunReader<T>>& readers) {
+                     std::vector<extmem::RunReader<T>>& readers) {
     {
       obs::Span span("pipe.segment", "shard", s);
       const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
@@ -427,13 +445,14 @@ class Pipeline {
   }
 
   /// Readers over the windows [from[t], to[t]) of `runs`.
-  std::deque<AsyncRunReader<T>> open_readers(
+  std::vector<extmem::RunReader<T>> open_readers(
       const std::vector<extmem::RunHandle>& runs,
       const std::vector<std::uint64_t>& from,
       const std::vector<std::uint64_t>& to) {
-    std::deque<AsyncRunReader<T>> readers;
+    std::vector<extmem::RunReader<T>> readers;
+    readers.reserve(runs.size());
     for (std::size_t t = 0; t < runs.size(); ++t)
-      readers.emplace_back(*io_, *device_, runs[t], from[t], to[t] - from[t],
+      readers.emplace_back(*device_, runs[t], from[t], to[t] - from[t],
                            cfg_.retry);
     return readers;
   }
@@ -449,10 +468,10 @@ class Pipeline {
   /// to the fence's, lower_bound after) are the next stretch of output.
   /// Each stretch is one multiway_merge, the last clipped to `count` by
   /// multiway_select; each uses up the fence run's staged block.
-  void merge_unit(std::deque<AsyncRunReader<T>>& readers, std::uint64_t count,
-                  std::uint64_t first_block) {
+  void merge_unit(std::vector<extmem::RunReader<T>>& readers,
+                  std::uint64_t count, std::uint64_t first_block) {
     const std::size_t k = readers.size();
-    AsyncRunWriter<T> writer(*io_, *device_, first_block, cfg_.retry);
+    extmem::RunWriter<T> writer(*device_, first_block, cfg_.retry);
     std::vector<std::span<const T>> staged(k);
     while (count > 0) {
       std::size_t fence = k;
@@ -540,12 +559,10 @@ class Pipeline {
       }
       cache.data.resize(static_cast<std::size_t>(epb()));
       const std::uint64_t block = m_.shards[s].sorted.first_block + b;
-      io_->run([&] {
-        extmem::detail::retry_io(*device_, cfg_.retry, block, "probe", [&] {
-          return device_->try_read_block(
-              block, cache.data.data(),
-              static_cast<std::uint32_t>(cache.data.size() * sizeof(T)));
-        });
+      extmem::detail::retry_io(*device_, cfg_.retry, block, "probe", [&] {
+        return device_->try_read_block(
+            block, cache.data.data(),
+            static_cast<std::uint32_t>(cache.data.size() * sizeof(T)));
       });
       cache.block = b;
       obs::MetricsRegistry::instance().counter("pipe.probe_reads").add(1);
@@ -641,7 +658,6 @@ class Pipeline {
   Manifest m_;
   PipelineConfig cfg_;
   Comp comp_;
-  IoThread* io_ = nullptr;  // valid only inside run()
   std::vector<T> unit_out_;      // merge_unit's output stretch
   std::vector<T> unit_scratch_;  // and its multiway_merge scratch
   std::uint64_t steps_ = 0;

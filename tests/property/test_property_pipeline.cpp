@@ -148,9 +148,7 @@ PipelineConfig sweep_config() {
 /// runs the full crash/resume loop to completion and must reproduce the
 /// clean run's bytes, its exact work counters (no redone form / merge /
 /// exchange units, no extra checkpoints), and its block footprint.
-TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
+void kill_at_every_step(const PipelineConfig& cfg) {
 #if MP_TEST_SANITIZED
   const std::size_t n = 450;
 #else
@@ -159,7 +157,6 @@ TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
   const auto values = make_records(n, 0xabcd);
   std::vector<KeyId> expected = values;
   std::stable_sort(expected.begin(), expected.end(), KeyLess{});
-  const PipelineConfig cfg = sweep_config();
 
   // Clean reference: counters and the step count that bounds the sweep.
   extmem::BlockDevice clean_device(tiny_blocks());
@@ -194,14 +191,35 @@ TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
   }
 }
 
+TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
+  if constexpr (!fault::kFaultCompiledIn)
+    GTEST_SKIP() << "MP_FAULT=0 build";
+  kill_at_every_step(sweep_config());
+}
+
+/// The same sweep with the form phase on a 3-lane pool and 80-record
+/// runs: each shard forms as a group of three runs and a group of one (a
+/// single group of two under sanitizers, where n is smaller), so kills
+/// land between the runs of one group's fork.
+TEST(PipelineCrashSweep, KillAtEveryStepInsideFormationGroups) {
+  if constexpr (!fault::kFaultCompiledIn)
+    GTEST_SKIP() << "MP_FAULT=0 build";
+  ThreadPool pool(2);
+  PipelineConfig cfg = sweep_config();
+  cfg.memory_elems = 80;
+  cfg.exec = Executor{&pool, 3};
+  kill_at_every_step(cfg);
+}
+
 /// Randomized geometries × rate-driven crash schedules. Each seed draws a
-/// shape (n, shards, run size, segment size, buffering mode, checkpoint
-/// cadence) and a crash rate up to 1.0, runs clean and crash-riddled
-/// pipelines, and demands byte-exact agreement, counter equality, and a
-/// leak-free device.
+/// shape (n, shards, run size, segment size, checkpoint cadence, one or
+/// three formation lanes) and a crash rate up to 1.0, runs clean and
+/// crash-riddled pipelines, and demands byte-exact agreement, counter
+/// equality, and a leak-free device.
 TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
   if constexpr (!fault::kFaultCompiledIn)
     GTEST_SKIP() << "MP_FAULT=0 build";
+  ThreadPool pool(2);
   std::uint64_t crashes_total = 0;
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 0x9e3779b97f4a7c15ULL + 1);
@@ -211,14 +229,14 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
     cfg.memory_elems = 48 + rng.bounded(300);
     cfg.segment_blocks = 1 + rng.bounded(4);
     cfg.checkpoint_every_runs = 1 + rng.bounded(3);
-    cfg.double_buffer = rng.bounded(2) == 0;
+    cfg.exec = Executor{&pool, rng.bounded(2) == 0 ? 1u : 3u};
     const double rate = 0.25 + 0.25 * static_cast<double>(rng.bounded(4));
     SCOPED_TRACE(::testing::Message()
                  << "seed=" << seed << " n=" << n << " shards=" << cfg.shards
                  << " memory_elems=" << cfg.memory_elems
                  << " segment_blocks=" << cfg.segment_blocks
                  << " every=" << cfg.checkpoint_every_runs
-                 << " double_buffer=" << cfg.double_buffer
+                 << " lanes=" << cfg.exec.threads
                  << " rate=" << rate);
     const auto values = make_records(n, seed ^ 0x5eedULL);
     std::vector<KeyId> expected = values;

@@ -1,6 +1,8 @@
 // Tests for the external-memory substrate (S17): device mechanics, run
-// writer/reader round-trips, external sort correctness and stability, and
-// the Aggarwal-Vitter transfer-count bound.
+// writer/reader round-trips (element-wise, bulk whole-block, windowed,
+// preallocated, and under scripted and random faults), external sort
+// correctness and stability, and the Aggarwal-Vitter transfer-count
+// bound.
 
 #include "extmem/external_sort.hpp"
 
@@ -90,6 +92,203 @@ TEST(RunFile, PeekDoesNotConsume) {
   EXPECT_EQ(reader.remaining(), 1u);
   EXPECT_EQ(reader.next(), 42);
   EXPECT_TRUE(reader.empty());
+}
+
+DeviceConfig tiny_blocks() {
+  DeviceConfig config;
+  config.block_bytes = 256;  // 64 int32 per block
+  return config;
+}
+
+std::vector<std::int32_t> read_all(BlockDevice& device, RunHandle run) {
+  RunReader<std::int32_t> reader(device, run);
+  std::vector<std::int32_t> out;
+  while (!reader.empty()) out.push_back(reader.next());
+  return out;
+}
+
+TEST(RunFile, BulkReadsCoverEveryWindowOnce) {
+  // Windows starting on and off block boundaries and ending mid-block, on
+  // a boundary or at the run's end, each read in one piece and in pieces
+  // that cross blocks. Whole blocks go straight into the destination,
+  // the rest through the buffer; either way every block the window
+  // touches is read exactly once and nothing outside it.
+  BlockDevice device(tiny_blocks());
+  const auto values = make_uniform_values(1000, 41);
+  RunWriter<std::int32_t> writer(device);
+  writer.append(values.data(), values.size());
+  const RunHandle run = writer.finish();
+  for (const std::uint64_t offset : {0u, 1u, 63u, 64u, 100u, 128u}) {
+    for (const std::uint64_t count :
+         {0u, 1u, 64u, 127u, 128u, 300u, 1000u - static_cast<unsigned>(offset)}) {
+      for (const std::size_t piece : {std::size_t{1000}, std::size_t{1},
+                                      std::size_t{63}, std::size_t{65},
+                                      std::size_t{130}}) {
+        SCOPED_TRACE(::testing::Message() << "offset=" << offset << " count="
+                                          << count << " piece=" << piece);
+        const std::uint64_t reads = device.stats().block_reads;
+        RunReader<std::int32_t> reader(device, run, offset, count);
+        std::vector<std::int32_t> window(count);
+        for (std::size_t at = 0; at < count;) {
+          const std::size_t take = std::min<std::size_t>(piece, count - at);
+          reader.read(window.data() + at, take);
+          at += take;
+        }
+        EXPECT_EQ(window, std::vector<std::int32_t>(
+                              values.begin() + offset,
+                              values.begin() + offset + count));
+        EXPECT_TRUE(reader.empty());
+        EXPECT_TRUE(reader.block().empty());
+        EXPECT_EQ(reader.position(), offset + count);
+        const std::uint64_t touched =
+            count == 0 ? 0 : (offset + count - 1) / 64 - offset / 64 + 1;
+        EXPECT_EQ(device.stats().block_reads - reads, touched);
+      }
+    }
+  }
+}
+
+TEST(RunFile, BlockSkipAndBulkReadInterleave) {
+  BlockDevice device(tiny_blocks());
+  const auto values = make_uniform_values(1000, 43);
+  RunWriter<std::int32_t> writer(device);
+  writer.append(values.data(), values.size());
+  const RunHandle run = writer.finish();
+
+  // A mid-block window: a bulk piece, the lent rest of the block and a
+  // skip to a block boundary, a peek that buffers the next block, then a
+  // bulk read from that buffered boundary, which must copy the buffered
+  // block rather than read it again.
+  const std::uint64_t reads = device.stats().block_reads;
+  RunReader<std::int32_t> reader(device, run, 37, 500);
+  std::vector<std::int32_t> window(500);
+  reader.read(window.data(), 100);
+  const std::span<const std::int32_t> rest = reader.block();
+  ASSERT_EQ(rest.size(), 64u - (37u + 100u) % 64u);
+  std::copy(rest.begin(), rest.end(), window.begin() + 100);
+  reader.skip(rest.size());
+  const std::size_t at = 100 + rest.size();
+  EXPECT_EQ(reader.position(), 192u);
+  EXPECT_EQ(reader.peek(), values[192]);
+  reader.read(window.data() + at, 500 - at);
+  EXPECT_EQ(window, std::vector<std::int32_t>(values.begin() + 37,
+                                              values.begin() + 537));
+  EXPECT_TRUE(reader.block().empty());
+  EXPECT_EQ(reader.position(), 537u);
+  EXPECT_EQ(device.stats().block_reads - reads, 536u / 64 - 37u / 64 + 1);
+
+  // The same window element by element.
+  RunReader<std::int32_t> single(device, run, 37, 500);
+  std::vector<std::int32_t> elems;
+  while (!single.empty()) elems.push_back(single.next());
+  EXPECT_EQ(elems, window);
+  EXPECT_EQ(single.position(), 537u);
+}
+
+TEST(RunFile, WholeBlocksDirectThenPartialTail) {
+  // Pieces that fill a block exactly, straddle two or more, and arrive
+  // while a partial block is staged; whole blocks appended with nothing
+  // staged are written straight from the caller's memory. The last
+  // append is two whole blocks then a partial tail.
+  BlockDevice device(tiny_blocks());
+  const auto values = make_uniform_values(1138, 47);
+  RunWriter<std::int32_t> writer(device);
+  std::size_t at = 0;
+  for (const std::size_t piece : {1u, 63u, 64u, 130u, 5u, 700u, 37u, 138u}) {
+    writer.append(values.data() + at, piece);
+    at += piece;
+  }
+  ASSERT_EQ(at, values.size());
+  const RunHandle run = writer.finish();
+  EXPECT_EQ(run.element_count, values.size());
+  EXPECT_EQ(device.stats().block_writes, (values.size() + 63) / 64);
+  EXPECT_EQ(read_all(device, run), values);
+}
+
+TEST(RunFile, PreallocatedWriterRewritesItsOwnBlocks) {
+  BlockDevice device(tiny_blocks());
+  const std::uint64_t first = device.allocate(6);
+  const auto values = make_uniform_values(200, 5);  // 3 blocks + 8
+  for (const std::int32_t delta : {0, 1}) {
+    // The second pass is a redo with different bytes: same blocks.
+    std::vector<std::int32_t> shifted = values;
+    for (std::int32_t& v : shifted) v += delta;
+    RunWriter<std::int32_t> writer(device, first + 1);
+    writer.append(shifted.data(), shifted.size());
+    const RunHandle run = writer.finish();
+    EXPECT_EQ(run.first_block, first + 1);
+    EXPECT_EQ(run.element_count, values.size());
+    EXPECT_EQ(read_all(device, run), shifted);
+    EXPECT_EQ(device.blocks_allocated(), first + 6);  // nothing allocated
+    EXPECT_FALSE(device.is_written(first));
+    EXPECT_FALSE(device.is_written(first + 5));
+  }
+  // Abandoning a preallocated run keeps the caller's blocks.
+  RunWriter<std::int32_t> writer(device, first + 1);
+  writer.append(values.data(), 64);
+  writer.abandon();
+  EXPECT_TRUE(device.is_written(first + 1));
+}
+
+TEST(RunFile, DirectPathsRecoverScriptedShortAndTransientFaults) {
+  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
+  BlockDevice device(tiny_blocks());
+  const std::uint64_t first = device.allocate(4);
+  const auto values = make_uniform_values(200, 9);  // 3 whole blocks + 8
+  {
+    // Ops: 0 short and 1 retry (block 0, direct), 2 transient and 3
+    // retry (block 1, direct), 4 block 2, 5 the staged tail.
+    fault::FaultPlan plan;
+    plan.fail_op(0, fault::FaultKind::kShort);
+    plan.fail_op(2, fault::FaultKind::kTransient);
+    fault::ScopedInjector injector(device, plan);
+    RunWriter<std::int32_t> writer(device, first);
+    writer.append(values.data(), values.size());
+    writer.finish();
+    EXPECT_EQ(writer.retries(), 2u);
+  }
+  EXPECT_EQ(device.stats().short_transfers, 1u);
+  EXPECT_EQ(device.stats().block_writes, 4u);
+  {
+    // The same pattern on a bulk read: two direct blocks each retried.
+    fault::FaultPlan plan;
+    plan.fail_op(0, fault::FaultKind::kShort);
+    plan.fail_op(2, fault::FaultKind::kTransient);
+    fault::ScopedInjector injector(device, plan);
+    RunReader<std::int32_t> reader(device, RunHandle{first, values.size()});
+    std::vector<std::int32_t> back(values.size());
+    reader.read(back.data(), back.size());
+    EXPECT_EQ(back, values);
+    EXPECT_EQ(reader.retries(), 2u);
+  }
+  EXPECT_EQ(device.stats().short_transfers, 2u);
+}
+
+TEST(RunFile, SurvivesRandomFaultsViaRetry) {
+  BlockDevice device(tiny_blocks());
+  fault::FaultConfig fc;
+  fc.seed = 99;
+  fc.rate = 0.2;  // transient/short/latency storms on every transfer
+  fault::FaultPlan plan(fc);
+  fault::ScopedInjector injector(device, plan);
+  fault::RetryPolicy retry;
+  retry.max_attempts = 64;
+  const auto values = make_uniform_values(600, 7);
+  RunWriter<std::int32_t> writer(device, retry);
+  writer.append(values.data(), values.size());
+  const RunHandle run = writer.finish();
+  RunReader<std::int32_t> bulk(device, run, 0, run.element_count, retry);
+  std::vector<std::int32_t> back(values.size());
+  bulk.read(back.data(), back.size());
+  EXPECT_EQ(back, values);
+  RunReader<std::int32_t> single(device, run, retry);
+  back.clear();
+  while (!single.empty()) back.push_back(single.next());
+  EXPECT_EQ(back, values);
+  if constexpr (fault::kFaultCompiledIn) {
+    EXPECT_GT(plan.stats().injected, 0u);
+    EXPECT_GT(writer.retries() + bulk.retries() + single.retries(), 0u);
+  }
 }
 
 class ExternalSortParam

@@ -286,9 +286,9 @@ TEST_F(ObsTest, MultiThreadedRecordingStress) {
 }
 
 TEST_F(ObsTest, ExitedThreadsHandTheirBufferToTheNextThread) {
-  // One short-lived recording thread after another (the pipeline starts
-  // an IoThread per run) must reuse one buffer, not register a new ring
-  // each time; both threads' spans stay in the trace.
+  // One short-lived recording thread after another (the workers of a
+  // ThreadPool built per call) must reuse one buffer, not register a new
+  // ring each time; both threads' spans stay in the trace.
   obs::arm_tracing(/*events_per_thread=*/64);
   auto record_on_new_thread = [] {
     std::thread([] { obs::Span span("reuse.thread"); }).join();

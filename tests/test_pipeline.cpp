@@ -1,10 +1,12 @@
 // Tests for the crash-consistent external-sort pipeline (S26): manifest
-// round-trip and torn-write rejection, double-slot fallback, async
-// double-buffered I/O equivalence (element and whole-block paths), clean
-// end-to-end sorting across geometries, checkpointed merge cursors equal to
-// in-memory multiway_select co-ranks, scripted crash/resume, the
-// rate-driven crash loop (cumulative counters prove completed work is never
-// redone), and the MP_FAULT=0 contract (crash hooks compile to no-ops).
+// round-trip and torn-write rejection, double-slot fallback, clean
+// end-to-end sorting across geometries, grouped run formation identical
+// at every lane count, checkpointed merge cursors equal to in-memory
+// multiway_select co-ranks, scripted crash/resume, the rate-driven crash
+// loop (cumulative counters prove completed work is never redone), disk,
+// network, lane and crash faults together, and the MP_FAULT=0 contract
+// (crash hooks compile to no-ops). The run reader/writer the pipeline
+// drives are tested in test_extmem.cpp.
 
 #include "pipeline/pipeline.hpp"
 
@@ -155,92 +157,6 @@ TEST(ManifestStore, UnwrittenRegionIsTypedError) {
   EXPECT_THROW(store.load(), ManifestError);
 }
 
-TEST(AsyncIo, WriterReaderRoundTripAsyncAndInline) {
-  for (const bool async : {false, true}) {
-    extmem::BlockDevice device(tiny_blocks());
-    IoThread io(async);
-    const auto values = make_values(1000, 41);
-    AsyncRunWriter<std::int32_t> writer(io, device);
-    writer.append(values.data(), values.size());
-    const extmem::RunHandle run = writer.finish();
-    EXPECT_EQ(run.element_count, values.size());
-    EXPECT_EQ(read_run<std::int32_t>(device, run), values) << async;
-
-    // Windowed read, starting mid-block.
-    AsyncRunReader<std::int32_t> reader(io, device, run, 37, 500);
-    std::vector<std::int32_t> window;
-    while (!reader.empty()) window.push_back(reader.next());
-    EXPECT_EQ(window, std::vector<std::int32_t>(values.begin() + 37,
-                                                values.begin() + 537));
-    EXPECT_EQ(reader.position(), 537u);
-  }
-}
-
-TEST(AsyncIo, BulkReadAndPiecewiseAppendCrossBlocks) {
-  for (const bool async : {false, true}) {
-    extmem::BlockDevice device(tiny_blocks());
-    IoThread io(async);
-    const auto values = make_values(1000, 43);
-    AsyncRunWriter<std::int32_t> writer(io, device);
-    // Uneven pieces: some fill a block exactly, some straddle two or more.
-    std::size_t at = 0;
-    for (const std::size_t piece : {1u, 63u, 64u, 130u, 5u, 700u, 37u}) {
-      writer.append(values.data() + at, piece);
-      at += piece;
-    }
-    ASSERT_EQ(at, values.size());
-    const extmem::RunHandle run = writer.finish();
-    EXPECT_EQ(read_run<std::int32_t>(device, run), values) << async;
-
-    // A mid-block window read in two bulk pieces, then block() at its end.
-    AsyncRunReader<std::int32_t> reader(io, device, run, 37, 500);
-    std::vector<std::int32_t> window(500);
-    reader.read(window.data(), 100);
-    EXPECT_EQ(reader.block().size(), 64u - (37u + 100u) % 64u);
-    reader.read(window.data() + 100, 400);
-    EXPECT_EQ(window, std::vector<std::int32_t>(values.begin() + 37,
-                                                values.begin() + 537));
-    EXPECT_TRUE(reader.block().empty());
-    EXPECT_EQ(reader.position(), 537u);
-  }
-}
-
-TEST(AsyncIo, PreallocatedSlotWriterLandsAtFixedBlocks) {
-  extmem::BlockDevice device(tiny_blocks());
-  IoThread io(true);
-  const std::uint64_t first = device.allocate(4);
-  const auto values = make_values(200, 5);  // 4 blocks at 64/elem block
-  AsyncRunWriter<std::int32_t> writer(io, device, first);
-  writer.append(values.data(), values.size());
-  const extmem::RunHandle run = writer.finish();
-  EXPECT_EQ(run.first_block, first);
-  EXPECT_EQ(read_run<std::int32_t>(device, run), values);
-}
-
-TEST(AsyncIo, SurvivesTransientFaultsViaRetry) {
-  extmem::BlockDevice device(tiny_blocks());
-  fault::FaultConfig fc;
-  fc.seed = 99;
-  fc.rate = 0.2;  // transient/short/latency storms on every transfer
-  fault::FaultPlan plan(fc);
-  fault::ScopedInjector injector(device, plan);
-  IoThread io(true);
-  fault::RetryPolicy retry;
-  retry.max_attempts = 64;
-  const auto values = make_values(600, 7);
-  AsyncRunWriter<std::int32_t> writer(io, device, retry);
-  writer.append(values.data(), values.size());
-  const extmem::RunHandle run = writer.finish();
-  AsyncRunReader<std::int32_t> reader(io, device, run, 0,
-                                      run.element_count, retry);
-  std::vector<std::int32_t> back;
-  while (!reader.empty()) back.push_back(reader.next());
-  EXPECT_EQ(back, values);
-  if constexpr (fault::kFaultCompiledIn) {
-    EXPECT_GT(plan.stats().injected, 0u);
-  }
-}
-
 /// Stability probe: sort by key only, ids record input order.
 struct KeyId {
   std::int32_t key;
@@ -298,9 +214,9 @@ TEST(Pipeline, GeometryMatrixMatchesStdSort) {
       shapes.push_back({n, cfg});
     }
   }
-  {  // serial-I/O baseline and checkpoint-free mode
+  {  // one-lane formation groups and checkpoint-free mode
     PipelineConfig cfg = small_config();
-    cfg.double_buffer = false;
+    cfg.exec.threads = 1;
     shapes.push_back({800, cfg});
     cfg = small_config();
     cfg.checkpoints = false;
@@ -319,6 +235,78 @@ TEST(Pipeline, GeometryMatrixMatchesStdSort) {
         << "case " << case_index << " n=" << shape.n
         << " shards=" << shape.cfg.shards;
     ++case_index;
+  }
+}
+
+TEST(Pipeline, GroupedFormationMatchesAcrossLaneCounts) {
+  // A formation group is one chunk per lane, so the lane count decides
+  // how the runs are batched — and nothing else. 2500 records over 3
+  // shards (833/833/834) with 65-record runs: 13 runs per shard, so every
+  // lane count from 2 to 4 ends each shard in a short group, every shard
+  // ends in a short run, and runs end mid-block (32 KeyId per block).
+  const std::size_t n = 2500;
+  const std::uint64_t runs = 39;
+  Xoshiro256 rng(9);
+  std::vector<KeyId> values(n);
+  for (std::size_t i = 0; i < n; ++i)
+    values[i] = {static_cast<std::int32_t>(rng() % 40),
+                 static_cast<std::int32_t>(i)};
+  std::vector<KeyId> expected = values;
+  std::stable_sort(expected.begin(), expected.end(), KeyLess{});
+  struct Outcome {
+    std::vector<KeyId> output;
+    PipelineReport report;
+    extmem::DeviceStats stats;
+    std::vector<extmem::RunHandle> runs;  // every shard's, in order
+  };
+  auto run_with = [&](unsigned lanes) {
+    ThreadPool pool(static_cast<int>(lanes) - 1);
+    PipelineConfig cfg = small_config();
+    cfg.memory_elems = 65;
+    cfg.exec = Executor{&pool, lanes};
+    Outcome out;
+    {
+      extmem::BlockDevice device(tiny_blocks());
+      const extmem::RunHandle input = write_input(device, values);
+      device.reset_stats();
+      auto pipe = Pipeline<KeyId, KeyLess>::start(device, input, cfg);
+      out.report = pipe.run();
+      out.stats = device.stats();
+      out.output = read_run<KeyId>(device, out.report.output);
+    }
+    if constexpr (fault::kFaultCompiledIn) {
+      // The same run killed at the end of the form phase (two steps per
+      // run), where the manifest still lists every formed run.
+      extmem::BlockDevice device(tiny_blocks());
+      const extmem::RunHandle input = write_input(device, values);
+      fault::FaultPlan plan;
+      plan.fail_op(2 * runs, fault::FaultKind::kCrash);
+      cfg.crash_plan = &plan;
+      auto pipe = Pipeline<KeyId, KeyLess>::start(device, input, cfg);
+      EXPECT_THROW(pipe.run(), CrashError);
+      for (const ShardManifest& sh : pipe.manifest().shards) {
+        EXPECT_EQ(sh.formed, sh.input_count);
+        out.runs.insert(out.runs.end(), sh.runs.begin(), sh.runs.end());
+      }
+    }
+    return out;
+  };
+  const Outcome one = run_with(1);
+  EXPECT_EQ(one.output, expected);
+  EXPECT_EQ(one.report.runs_formed, runs);
+  if constexpr (fault::kFaultCompiledIn) {
+    EXPECT_EQ(one.runs.size(), runs);
+  }
+  for (const unsigned lanes : {2u, 3u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
+    const Outcome many = run_with(lanes);
+    EXPECT_EQ(many.output, one.output);
+    EXPECT_EQ(many.report.runs_formed, one.report.runs_formed);
+    EXPECT_EQ(many.report.checkpoints, one.report.checkpoints);
+    EXPECT_EQ(many.report.steps, one.report.steps);
+    EXPECT_EQ(many.runs, one.runs);
+    EXPECT_EQ(many.stats.block_reads, one.stats.block_reads);
+    EXPECT_EQ(many.stats.block_writes, one.stats.block_writes);
   }
 }
 
@@ -555,9 +543,10 @@ TEST(Pipeline, ResumeAfterCompletionReturnsSameOutput) {
 
 TEST(Pipeline, SurvivesDiskNetworkAndLaneFaultsTogether) {
   // The end-to-end robustness claim: disk faults (device plan), network
-  // faults (exchange plan), lane faults (pool plan via ScopedInjector in
-  // the form phase's recovery engine), AND rate-driven crashes, all armed
-  // at once — output still byte-exact.
+  // faults (exchange plan), lane faults (a plan on a 3-lane pool, healed
+  // by the recovery engine of the form phase's group fork, so a lane
+  // fault hits one chunk of a group while its neighbours sort), AND
+  // rate-driven crashes, all armed at once — output still byte-exact.
   const std::size_t n = 900;
   const auto values = make_values(n, 55);
   std::vector<std::int32_t> expected = values;
@@ -575,7 +564,16 @@ TEST(Pipeline, SurvivesDiskNetworkAndLaneFaultsTogether) {
   fault::FaultConfig crash_fc{/*seed=*/7, /*rate=*/0.15};
   fault::FaultPlan crash_plan(crash_fc);
 
+  ThreadPool pool(2);
+  fault::FaultConfig lane_fc{/*seed=*/8, /*rate=*/0.3};
+  lane_fc.lane_delay_us = 200.0;
+  fault::FaultPlan lane_plan(lane_fc);
+  fault::ScopedInjector lane_injector(pool, lane_plan);
+
   PipelineConfig cfg = small_config();
+  cfg.memory_elems = 100;  // 3 runs per shard: full 3-lane groups
+  cfg.exec = Executor{&pool, 3};
+  cfg.recovery.hedge.enabled = true;
   cfg.retry.max_attempts = 64;
   cfg.retry.jitter = 0.5;
   cfg.net.faults = &net_plan;
@@ -600,6 +598,7 @@ TEST(Pipeline, SurvivesDiskNetworkAndLaneFaultsTogether) {
   EXPECT_EQ(device.live_blocks(), expected_live_blocks(device, n, 4, cfg));
   if constexpr (fault::kFaultCompiledIn) {
     EXPECT_GT(disk_plan.stats().injected, 0u);
+    EXPECT_GT(lane_plan.stats().injected, 0u);
   }
 }
 

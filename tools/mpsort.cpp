@@ -80,13 +80,14 @@ using namespace mp;
       "  mpsort check <input> [--binary] [--numeric]\n"
       "  mpsort xsort <input> <output> --device <image> [--resume]\n"
       "               [--shards N] [--memory N] [--segment-blocks N]\n"
-      "               [--no-double-buffer] [--threads N] [--crash-at K]\n"
-      "               [--crash-rate R] [--crash-seed S] [--corrupt-manifest]\n"
+      "               [--threads N] [--crash-at K] [--crash-rate R]\n"
+      "               [--crash-seed S] [--corrupt-manifest]\n"
       "               crash-consistent external sort of little-endian int32;\n"
-      "               the simulated device persists to --device across\n"
-      "               incarnations. exits: 0 sorted, 1 typed I/O error,\n"
-      "               3 crashed (rerun with --resume), 4 manifest\n"
-      "               unrecoverable (full restart)\n"
+      "               the N lanes sort N runs per fork, device I/O runs on\n"
+      "               the calling thread, and the simulated device persists\n"
+      "               to --device across incarnations. exits: 0 sorted,\n"
+      "               1 typed I/O error, 3 crashed (rerun with --resume),\n"
+      "               4 manifest unrecoverable (full restart)\n"
       "kernel selection (any command):\n"
       "  --kernel K             force the per-lane merge kernel, K in\n"
       "                         " << kernels::kernel_names() << " (default: the\n"
@@ -130,7 +131,6 @@ struct Options {
   std::string device_path;
   bool resume = false;
   bool corrupt_manifest = false;
-  bool no_double_buffer = false;
   unsigned shards = 4;
   std::uint64_t memory_elems = 1ull << 15;
   std::uint64_t segment_blocks = 4;
@@ -227,8 +227,6 @@ Options parse(int argc, char** argv, int first) {
       opt.resume = true;
     } else if (arg == "--corrupt-manifest") {
       opt.corrupt_manifest = true;
-    } else if (arg == "--no-double-buffer") {
-      opt.no_double_buffer = true;
     } else if (arg == "--shards") {
       if (++i >= argc) usage();
       opt.shards = static_cast<unsigned>(
@@ -487,7 +485,6 @@ int run_xsort(const Options& opt) {
   cfg.shards = opt.shards;
   cfg.memory_elems = opt.memory_elems;
   cfg.segment_blocks = opt.segment_blocks;
-  cfg.double_buffer = !opt.no_double_buffer;
   cfg.exec = Executor{nullptr, opt.threads};
   fault::FaultPlan crash_plan =
       opt.crash_rate > 0.0
