@@ -176,18 +176,17 @@ void BM_MultiwaySelect(benchmark::State& state) {
 BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(64);
 
 // --- Ring-window linearization (SPM) -------------------------------------
-// Prices SegmentedConfig::linearize_wrapped: the same serial segmented
-// merge with wrapped ring windows either copied flat (vector segment
-// loop) or walked through CyclicView (scalar segment loop). L = 192 is
-// deliberately not a power of two so most windows wrap.
+// The serial segmented merge with wrapped ring windows copied flat so the
+// segment loop runs the vector kernel (under MP_MERGE_KERNEL=scalar they
+// are walked through CyclicView instead). L = 192 is deliberately not a
+// power of two so most windows wrap.
 
-void run_segmented_linearize(benchmark::State& state, bool linearize) {
+void BM_SegmentedLinearize(benchmark::State& state) {
   constexpr std::size_t kN = 256 << 10;
   const auto input = make_merge_input(Dist::kUniform, kN, kN, 42);
   std::vector<std::int32_t> out(2 * kN);
   SegmentedConfig config;
   config.segment_length = 192;
-  config.linearize_wrapped = linearize;
   for (auto _ : state) {
     segmented_parallel_merge(input.a.data(), kN, input.b.data(), kN,
                              out.data(), config, Executor{nullptr, 1});
@@ -196,16 +195,7 @@ void run_segmented_linearize(benchmark::State& state, bool linearize) {
   state.SetItemsProcessed(static_cast<std::int64_t>(2 * kN) *
                           static_cast<std::int64_t>(state.iterations()));
 }
-
-void BM_SegmentedLinearize_On(benchmark::State& state) {
-  run_segmented_linearize(state, true);
-}
-BENCHMARK(BM_SegmentedLinearize_On);
-
-void BM_SegmentedLinearize_Off(benchmark::State& state) {
-  run_segmented_linearize(state, false);
-}
-BENCHMARK(BM_SegmentedLinearize_Off);
+BENCHMARK(BM_SegmentedLinearize);
 
 // --- Span overhead -------------------------------------------------------
 // Prices one obs::Span construct/destruct edge under every consumer

@@ -92,12 +92,11 @@ int main(int argc, char** argv) {
           mp::pram::simulate_parallel_merge(input.a, input.b, 1, model);
       const auto run =
           mp::pram::simulate_parallel_merge(input.a, input.b, 12, model);
-      ThreadPool serial(0);
       std::vector<OpCounts> counts(12);
       std::vector<std::int32_t> out(input.a.size() + input.b.size());
-      parallel_merge(input.a.data(), input.a.size(), input.b.data(),
-                     input.b.size(), out.data(), Executor{&serial, 12},
-                     std::less<>{}, std::span<OpCounts>(counts));
+      mp::pram::counted_parallel_merge(input.a.data(), input.a.size(),
+                                       input.b.data(), input.b.size(),
+                                       out.data(), 12, counts);
       std::uint64_t max_elems = 0, sum_elems = 0, max_ops = 0, sum_ops = 0;
       for (const auto& c : counts) {
         max_elems = std::max(max_elems, c.moves);

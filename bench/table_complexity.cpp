@@ -4,10 +4,10 @@
 //   work(p)  = O(N + p·log N)    (total ops across lanes)
 //   time(p)  = O(N/p + log N)    (critical path: slowest lane)
 //
-// For each (size, threads) cell the harness runs the instrumented
-// Algorithm 1, prints the measured totals next to the analytic bound, and
-// flags any violation. Also prints the same for the Section IV.B segmented
-// merge: work = O(N/C·p·log C + N).
+// For each (size, threads) cell the harness runs the counted Algorithm 1
+// (pram::counted_parallel_merge), prints the measured totals next to the
+// analytic bound, and flags any violation. Also prints the same for the
+// Section IV.B segmented merge: work = O(N/C·p·log C + N).
 //
 // Flags: --full (larger sizes), --csv, --seed.
 
@@ -17,6 +17,7 @@
 
 #include "core/mergepath.hpp"
 #include "harness_common.hpp"
+#include "pram/simulate.hpp"
 #include "util/data_gen.hpp"
 
 int main(int argc, char** argv) {
@@ -39,12 +40,10 @@ int main(int argc, char** argv) {
     const std::size_t total = 2 * per_array;
     const double log_n = std::log2(static_cast<double>(per_array));
     for (unsigned p : threads) {
-      ThreadPool serial(0);
       std::vector<OpCounts> counts(p);
       std::vector<std::int32_t> out(total);
-      parallel_merge(input.a.data(), per_array, input.b.data(), per_array,
-                     out.data(), Executor{&serial, p}, std::less<>{},
-                     std::span<OpCounts>(counts));
+      pram::counted_parallel_merge(input.a.data(), per_array, input.b.data(),
+                                   per_array, out.data(), p, counts);
       std::uint64_t work = 0, crit = 0;
       for (const auto& c : counts) {
         work += c.total();

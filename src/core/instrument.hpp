@@ -1,13 +1,13 @@
 #pragma once
 /// \file instrument.hpp
-/// Operation-counting hooks threaded through the algorithm templates.
-///
-/// Every algorithm in src/core is templated on an instrument policy. The
-/// default NoInstrument inlines to nothing, so production calls pay zero
-/// cost. The PRAM cost-model simulator (src/pram) passes OpCounts, one per
-/// lane, and derives modelled parallel time from the per-lane totals; this
-/// is how the repository reproduces the paper's speedup figures on a host
-/// with fewer cores than the authors' testbed (see DESIGN.md section 2).
+/// Operation-counting hooks of the scalar primitives the PRAM model
+/// composes (merge_steps, the diagonal searches, multiway_select,
+/// LoserTree::pop_n, the insertion sort, segmented_parallel_merge and the
+/// baselines). The default NoInstrument inlines to nothing. The PRAM
+/// drivers (pram/simulate.hpp) pass one OpCounts per lane and derive
+/// modelled parallel time from the per-lane totals; this is how the
+/// repository reproduces the paper's speedup figures on a host with fewer
+/// cores than the authors' testbed (see DESIGN.md section 2).
 ///
 /// Counted events:
 ///  - compare:     one key comparison (merge kernel or binary search)

@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "core/instrument.hpp"
@@ -39,11 +38,13 @@ namespace detail {
 /// Bounded key/value merge kernel: the merge_steps() twin that moves a
 /// value alongside every key.
 template <typename KeyIt, typename ValIt, typename KeyIt2, typename ValIt2,
-          typename KeyOut, typename ValOut, typename Comp, typename Instr>
+          typename KeyOut, typename ValOut, typename Comp,
+          typename Instr = NoInstrument>
 void merge_by_key_steps(KeyIt ka, ValIt va, std::size_t m, KeyIt2 kb,
                         ValIt2 vb, std::size_t n, std::size_t* a_pos,
                         std::size_t* b_pos, KeyOut key_out, ValOut val_out,
-                        std::size_t steps, Comp comp, Instr* instr) {
+                        std::size_t steps, Comp comp,
+                        Instr* instr = nullptr) {
   std::size_t i = *a_pos;
   std::size_t j = *b_pos;
   MP_ASSERT(steps <= (m - i) + (n - j));
@@ -88,33 +89,28 @@ void merge_by_key_steps(KeyIt ka, ValIt va, std::size_t m, KeyIt2 kb,
 /// into (keys_out, values_out). Stable with A-priority. The partition is
 /// computed on keys only; values are never compared.
 template <typename KeyIt, typename ValIt, typename KeyIt2, typename ValIt2,
-          typename KeyOut, typename ValOut, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
+          typename KeyOut, typename ValOut, typename Comp = std::less<>>
 void parallel_merge_by_key(KeyIt keys_a, ValIt values_a, std::size_t m,
                            KeyIt2 keys_b, ValIt2 values_b, std::size_t n,
                            KeyOut keys_out, ValOut values_out,
-                           Executor exec = {}, Comp comp = {},
-                           std::span<Instr> instr = {}) {
+                           Executor exec = {}, Comp comp = {}) {
   const unsigned lanes = exec.resolve_threads();
-  MP_CHECK(instr.empty() || instr.size() >= lanes);
   if (lanes == 1 || m + n <= lanes) {
     std::size_t i = 0, j = 0;
-    Instr* li = instr.empty() ? nullptr : &instr[0];
     detail::merge_by_key_steps(keys_a, values_a, m, keys_b, values_b, n, &i,
-                               &j, keys_out, values_out, m + n, comp, li);
+                               &j, keys_out, values_out, m + n, comp);
     return;
   }
   exec.run_lanes(lanes, [&](unsigned lane) {
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
     const MergeSlice slice =
-        merge_slice_for_lane(keys_a, m, keys_b, n, lane, lanes, comp, li);
+        merge_slice_for_lane(keys_a, m, keys_b, n, lane, lanes, comp);
     std::size_t i = slice.a_begin;
     std::size_t j = slice.b_begin;
     detail::merge_by_key_steps(
         keys_a, values_a, m, keys_b, values_b, n, &i, &j,
         keys_out + static_cast<std::ptrdiff_t>(slice.out_begin),
         values_out + static_cast<std::ptrdiff_t>(slice.out_begin),
-        slice.steps, comp, li);
+        slice.steps, comp);
   });
 }
 

@@ -27,7 +27,6 @@
 #include <span>
 #include <vector>
 
-#include "core/instrument.hpp"
 #include "core/merge_path.hpp"
 #include "core/parallel_merge.hpp"
 #include "core/sequential_merge.hpp"
@@ -64,26 +63,22 @@ inline std::size_t sort_chunk_elems(std::size_t elem_bytes) {
 /// widths from there, ping-ponging between the two buffers; the result
 /// always ends in `data`.
 ///
-/// Pass order (uninstrumented calls): every pass narrower than the L2
-/// chunk (sort_chunk_elems) runs chunk by chunk, so one chunk's passes
-/// stay in the core's L2 until the chunk is one run; the wider passes
-/// then run over the whole range. The chunk is the run width doubled up
-/// to the L2 target, so chunk boundaries are pair boundaries at every
-/// blocked width and each pass merges the same pairs as a pass over the
-/// whole range would: same bytes, same comparisons. Instrumented calls
-/// keep whole passes, so the modelled runs see the order they always saw.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
-void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
-                           Instr* instr = nullptr) {
+/// Pass order: every pass narrower than the L2 chunk (sort_chunk_elems)
+/// runs chunk by chunk, so one chunk's passes stay in the core's L2 until
+/// the chunk is one run; the wider passes then run over the whole range.
+/// The chunk is the run width doubled up to the L2 target, so chunk
+/// boundaries are pair boundaries at every blocked width and each pass
+/// merges the same pairs as a pass over the whole range would: same
+/// bytes, same comparisons.
+template <typename T, typename Comp = std::less<>>
+void sequential_merge_sort(T* data, T* scratch, std::size_t n,
+                           Comp comp = {}) {
   if (n <= 1) return;
 
-  const std::size_t runs = kernels::sort_runs_auto(data, n, comp, instr);
+  const std::size_t runs = kernels::sort_runs_auto(data, n, comp);
+  const std::size_t target = sort_chunk_elems(sizeof(T));
   std::size_t chunk = runs;
-  if (instr == nullptr) {
-    const std::size_t target = sort_chunk_elems(sizeof(T));
-    while (chunk < n && 2 * chunk <= target) chunk *= 2;
-  }
+  while (chunk < n && 2 * chunk <= target) chunk *= 2;
   std::size_t width = runs;
   bool in_scratch = false;
   for (std::size_t begin = 0; begin < n; begin += chunk) {
@@ -91,7 +86,7 @@ void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
     T* dst = scratch + begin;
     for (width = runs; width < chunk && width < n; width *= 2) {
       kernels::merge_pass_auto(src, dst, std::min(chunk, n - begin), width,
-                               comp, instr);
+                               comp);
       std::swap(src, dst);
     }
     in_scratch = src != data + begin;
@@ -99,15 +94,11 @@ void sequential_merge_sort(T* data, T* scratch, std::size_t n, Comp comp = {},
   T* src = in_scratch ? scratch : data;
   T* dst = in_scratch ? data : scratch;
   for (; width < n; width *= 2) {
-    kernels::merge_pass_auto(src, dst, n, width, comp, instr);
+    kernels::merge_pass_auto(src, dst, n, width, comp);
     std::swap(src, dst);
   }
-  if (src != data) {
+  if (src != data)
     for (std::size_t i = 0; i < n; ++i) data[i] = std::move(src[i]);
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (instr) instr->move(n);
-    }
-  }
 }
 
 /// Convenience overload allocating its own scratch.
@@ -125,14 +116,12 @@ void sequential_merge_sort(std::span<T> data, Comp comp = {}) {
 /// writes a disjoint slice of `dst`, so a recovering executor can re-run
 /// any lane on its own.
 ///
-/// This is the building block shared by parallel_merge_sort and its PRAM
-/// model (pram::simulate_merge_sort); it is exposed for that and tests.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
+/// The building block of parallel_merge_sort, exposed for the layer
+/// measurements that replay a sort round by round, and for tests.
+template <typename T, typename Comp = std::less<>>
 std::vector<Run> merge_round_balanced(const T* src, T* dst,
                                       const std::vector<Run>& runs,
-                                      Executor exec = {}, Comp comp = {},
-                                      std::span<Instr> instr = {}) {
+                                      Executor exec = {}, Comp comp = {}) {
   MP_CHECK(!runs.empty());
   const unsigned lanes = exec.resolve_threads();
   // Pair descriptors: pair t merges runs[2t] (A) and runs[2t+1] (B, possibly
@@ -154,12 +143,10 @@ std::vector<Run> merge_round_balanced(const T* src, T* dst,
   }
   const std::size_t total = runs.back().end - runs.front().begin;
   const std::size_t base = runs.front().begin;
-  MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span round_span("sort.round", "runs", runs.size());
 
   exec.run_lanes(lanes, [&](unsigned lane) {
     obs::Span span("sort.round_slice", "lane", lane);
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t g0 = base + lane * total / lanes;
     const std::size_t g1 = base + (lane + 1ull) * total / lanes;
     if (g0 == g1) return;
@@ -189,25 +176,23 @@ std::vector<Run> merge_round_balanced(const T* src, T* dst,
       {
         obs::Span search_span("sort.partition", "lane", lane);
         start = path_point_on_diagonal(src + pr.a.begin, m, src + pr.b.begin,
-                                       n2, local_diag, comp, li);
+                                       n2, local_diag, comp);
       }
       std::size_t i = start.i;
       std::size_t j = start.j;
       kernels::merge_steps_auto(src + pr.a.begin, m, src + pr.b.begin, n2, &i,
-                                &j, dst + s0, s1 - s0, comp, li);
+                                &j, dst + s0, s1 - s0, comp);
     }
   });
   return merged;
 }
 
 /// The paper's Parallel Merge Sort (Section III). Sorts [data, data+n)
-/// stably using `exec`. `instr`, when provided, must cover
-/// exec.resolve_threads() lanes and accumulates per-lane operation counts
-/// across the base sorts and all merge rounds.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
+/// stably using `exec`. Its PRAM model, with the same phases, is
+/// pram::counted_parallel_merge_sort.
+template <typename T, typename Comp = std::less<>>
 void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
-                         Comp comp = {}, std::span<Instr> instr = {}) {
+                         Comp comp = {}) {
   const unsigned lanes = exec.resolve_threads();
   if (n <= 1) return;
   obs::Span sort_span("sort", "n", n);
@@ -216,8 +201,7 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   const auto scratch = std::make_unique_for_overwrite<T[]>(n);
   advise_huge_pages(scratch.get(), n * sizeof(T));
   if (lanes == 1 || n <= lanes * kernels::kInsertionRunWidth) {
-    Instr* li = instr.empty() ? nullptr : &instr[0];
-    sequential_merge_sort(data, scratch.get(), n, comp, li);
+    sequential_merge_sort(data, scratch.get(), n, comp);
     return;
   }
 
@@ -225,12 +209,11 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   std::vector<Run> runs(lanes);
   exec.run_lanes(lanes, [&](unsigned lane) {
     obs::Span span("sort.block", "lane", lane);
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t begin = lane * n / lanes;
     const std::size_t end = (lane + 1ull) * n / lanes;
     runs[lane] = Run{begin, end};
     sequential_merge_sort(data + begin, scratch.get() + begin, end - begin,
-                          comp, li);
+                          comp);
   });
 
   // Phase 2: log2(p) flattened merge rounds, ping-ponging buffers. The
@@ -243,19 +226,16 @@ void parallel_merge_sort(T* data, std::size_t n, Executor exec = {},
   std::uint64_t round = 0;
   while (runs.size() > 1) {
     obs::Span::counter("sort.round_index", round++);
-    runs = merge_round_balanced(src, dst, runs, exec, comp, instr);
+    runs = merge_round_balanced(src, dst, runs, exec, comp);
     std::swap(src, dst);
   }
   if (src != data) {
-    // Result landed in scratch: parallel copy-back (counted as moves).
+    // Result landed in scratch: parallel copy-back.
     exec.run_lanes(lanes, [&](unsigned lane) {
       obs::Span span("sort.copyback", "lane", lane);
       const std::size_t begin = lane * n / lanes;
       const std::size_t end = (lane + 1ull) * n / lanes;
       for (std::size_t i = begin; i < end; ++i) data[i] = std::move(src[i]);
-      if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-        if (!instr.empty()) instr[lane].move(end - begin);
-      }
     });
   }
 }

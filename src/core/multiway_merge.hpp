@@ -6,13 +6,13 @@
 ///
 /// Four components:
 ///  - LoserTree: classic sequential k-way merge in O(N log k) comparisons,
-///    one element per tournament. Kept as the instrumented lane body (its
-///    log-k compare counts are the PRAM model's) and as the reference order.
+///    one element per tournament. Kept as the PRAM model's k-way lane body
+///    (pram::counted_multiway_merge) and as the reference order.
 ///  - multiway_merge(): the same stable order from a balanced tree of
 ///    pairwise Merge Path merges (kernels::merge_steps_auto) — ceil(log2 k)
 ///    streaming passes of the dispatched two-way kernel instead of a
-///    per-element tournament. The uninstrumented lane body and the
-///    pipeline's block-batched merge units.
+///    per-element tournament. The lane body and the pipeline's
+///    block-batched merge units.
 ///  - multiway_select(): multisequence selection — finds, for a global rank
 ///    r, the unique stable split positions across the k runs such that the
 ///    union of the prefixes is exactly the r smallest elements (ties broken
@@ -21,9 +21,8 @@
 ///    diagonal_intersection computes.
 ///  - parallel_multiway_merge(): p lanes; lane k spans global output ranks
 ///    [k·N/p, (k+1)·N/p), locates its bounds with multiway_select(), and
-///    merges its quota with multiway_merge() (a LoserTree when
-///    instrumented). Perfect load balance, no inter-lane communication —
-///    Algorithm 1 generalised to k inputs.
+///    merges its quota with multiway_merge(). Perfect load balance, no
+///    inter-lane communication — Algorithm 1 generalised to k inputs.
 
 #include <algorithm>
 #include <cstddef>
@@ -265,36 +264,27 @@ void multiway_merge(std::span<const std::span<const T>> runs, T* out,
 
 /// Merges k sorted runs into `out` using p lanes; stable across runs (lower
 /// run index wins ties). Time O((N/p)·log k) per lane plus the selection.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
+template <typename T, typename Comp = std::less<>>
 void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
-                             Executor exec = {}, Comp comp = {},
-                             std::span<Instr> instr = {}) {
+                             Executor exec = {}, Comp comp = {}) {
   std::size_t total = 0;
   for (const auto& r : runs) total += r.size();
   if (total == 0) return;
   const unsigned lanes = exec.resolve_threads();
-  MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span mwm_span("mwm", "n", total);
 
-  if (runs.size() == 2 && instr.empty()) {
+  if (runs.size() == 2) {
     // Pairwise fallback: two runs are exactly Algorithm 1, whose diagonal
-    // search is cheaper than multiway selection and whose per-lane kernel
-    // can take the dispatched vector path (LoserTree pops are inherently
-    // scalar). Lower-run-wins tie breaking IS A-priority, so the output is
-    // identical. Instrumented calls keep the LoserTree so the modelled
-    // log-k compare counts stay honest.
+    // search is cheaper than multiway selection. Lower-run-wins tie
+    // breaking IS A-priority, so the output is identical.
     parallel_merge(runs[0].data(), runs[0].size(), runs[1].data(),
                    runs[1].size(), out, exec, comp);
     return;
   }
 
   // Lane k owns global output ranks [k·N/p, (k+1)·N/p), bounded by
-  // multiway_select. Instrumented lanes pop a LoserTree so the modelled
-  // counts stay log k per element; the rest run multiway_merge over the
-  // selected slices.
+  // multiway_select, and runs multiway_merge over the selected slices.
   exec.run_lanes(lanes, [&](unsigned lane) {
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t r0 = lane * total / lanes;
     const std::size_t r1 = (lane + 1ull) * total / lanes;
     if (r0 == r1) return;
@@ -302,20 +292,10 @@ void parallel_multiway_merge(std::span<const std::span<const T>> runs, T* out,
     std::vector<std::size_t> end;
     {
       obs::Span span("mwm.select", "lane", lane);
-      start = multiway_select(runs, r0, comp, li);
-      if (li == nullptr) end = multiway_select(runs, r1, comp);
+      start = multiway_select(runs, r0, comp);
+      end = multiway_select(runs, r1, comp);
     }
     obs::Span span("mwm.merge", "lane", lane);
-    if (li != nullptr) {
-      std::vector<typename LoserTree<T, Comp>::Cursor> cursors(runs.size());
-      for (std::size_t t = 0; t < runs.size(); ++t) {
-        cursors[t] = {runs[t].data() + start[t],
-                      runs[t].data() + runs[t].size()};
-      }
-      LoserTree<T, Comp> tree(std::move(cursors), comp);
-      tree.pop_n(out + r0, r1 - r0, li);
-      return;
-    }
     std::vector<std::span<const T>> slices(runs.size());
     for (std::size_t t = 0; t < runs.size(); ++t)
       slices[t] = runs[t].subspan(start[t], end[t] - start[t]);

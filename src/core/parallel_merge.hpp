@@ -13,12 +13,11 @@
 /// Complexity (paper, Section III): time O(N/p + log N), work
 /// O(N + p·log N) for N = |A|+|B|.
 ///
-/// Instrumented variants fill one OpCounts per lane; the PRAM simulator
-/// turns those into modelled parallel time (DESIGN.md S9/E1).
+/// pram::counted_parallel_merge counts the same lanes for the PRAM model
+/// (DESIGN.md S9/E1).
 
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "core/instrument.hpp"
@@ -59,32 +58,27 @@ MergeSlice merge_slice_for_lane(IterA a, std::size_t m, IterB b,
 }
 
 /// Algorithm 1 with an explicit executor. Merges sorted [a, a+m) and
-/// [b, b+n) into [out, out+m+n); stable with A-priority. `instr`, when
-/// non-null, must point to exec.resolve_threads() OpCounts entries.
+/// [b, b+n) into [out, out+m+n); stable with A-priority.
 template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>, typename Instr = NoInstrument>
+          typename Comp = std::less<>>
 void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
-                    OutIter out, Executor exec = {}, Comp comp = {},
-                    std::span<Instr> instr = {}) {
+                    OutIter out, Executor exec = {}, Comp comp = {}) {
   const unsigned lanes = exec.resolve_threads();
-  MP_CHECK(instr.empty() || instr.size() >= lanes);
   obs::Span merge_span("merge", "n", m + n);
 
   if (lanes == 1 || m + n <= lanes) {
     // Degenerate cases: one lane merges everything, through the same
     // dispatched kernel the lanes use.
-    Instr* in0 = instr.empty() ? nullptr : &instr[0];
     std::size_t i = 0, j = 0;
-    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, m + n, comp, in0);
+    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, m + n, comp);
     return;
   }
 
   exec.run_lanes(lanes, [&](unsigned lane) {
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
     MergeSlice slice;
     {
       obs::Span span("merge.partition", "lane", lane);
-      slice = merge_slice_for_lane(a, m, b, n, lane, lanes, comp, li);
+      slice = merge_slice_for_lane(a, m, b, n, lane, lanes, comp);
     }
     obs::Span span("merge.segment", "lane", lane);
     std::size_t i = slice.a_begin;
@@ -93,7 +87,7 @@ void parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
     // byte-identical by contract, see src/kernels).
     kernels::merge_steps_auto(a, m, b, n, &i, &j,
                               out + static_cast<std::ptrdiff_t>(slice.out_begin),
-                              slice.steps, comp, li);
+                              slice.steps, comp);
   });
 }
 

@@ -70,15 +70,6 @@ struct SegmentedConfig {
   /// Segment length L in ELEMENTS; 0 = derive as (cache_bytes/elem)/3, the
   /// paper's L = C/3 rule.
   std::size_t segment_length = 0;
-  /// Copy wrapped ring windows into linear staging slabs so every segment
-  /// merge can take the dispatched vector kernel (a wrapped CyclicView
-  /// window otherwise falls back to the scalar path). Only engages when
-  /// the key/comparator pair is vector-eligible, a vector kernel is
-  /// selected and the run is uninstrumented; the copy costs O(L) extra
-  /// moves per wrapped segment, which the wider kernel more than repays
-  /// on vector-eligible keys (see docs/PERFORMANCE.md for the measured
-  /// tradeoff).
-  bool linearize_wrapped = true;
 
   template <typename T>
   std::size_t resolve_segment_length() const {
@@ -96,8 +87,8 @@ struct SegmentedStats {
   std::size_t segments = 0;
   std::size_t staged_a = 0;
   std::size_t staged_b = 0;
-  /// Ring windows copied into the linear slabs (0 when linearize_wrapped
-  /// is off, the merge is scalar anyway, or no window ever wrapped).
+  /// Ring windows copied into the linear slabs (0 when the merge is
+  /// scalar or counted, or no window ever wrapped).
   std::size_t linearized_windows = 0;
   /// Elements those copies moved.
   std::size_t linearized_elements = 0;
@@ -105,7 +96,10 @@ struct SegmentedStats {
 
 /// Algorithm 2: merges sorted [a, a+m) and [b, b+n) into [out, out+m+n)
 /// through cache-sized staging buffers. Stable with A-priority, like all
-/// merges in this library. `instr` (optional) is per-lane.
+/// merges in this library. `instr` (optional, per lane) is the PRAM
+/// model's: counted lanes run merge_steps. Uncounted lanes of a
+/// vector-eligible merge under a vector kernel copy wrapped ring windows
+/// flat, so every segment takes the vector kernel (docs/PERFORMANCE.md).
 template <typename T, typename Comp = std::less<>,
           typename Instr = NoInstrument>
 SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
@@ -125,13 +119,13 @@ SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
   std::vector<T> ring_b(std::max<std::size_t>(L, 1));
   std::vector<T> seg_out(std::max<std::size_t>(L, 1));
 
-  // Ring-window linearization (tentpole c): when enabled and profitable,
-  // wrapped windows are copied into these slabs before step 2 so the
-  // segment merge always sees contiguous arrays. Decided once per run —
-  // the selected kernel cannot change mid-merge.
+  // Ring-window linearization: when profitable, wrapped windows are
+  // copied into these slabs before step 2 so the segment merge always sees
+  // contiguous arrays. Decided once per run — the selected kernel cannot
+  // change mid-merge.
   bool linearize = false;
   if constexpr (kernels::use_vector_merge_v<const T*, const T*, T*, Comp>) {
-    linearize = config.linearize_wrapped && instr.empty() &&
+    linearize = instr.empty() &&
                 kernels::is_vector_kernel(kernels::selected_kernel());
   }
   std::vector<T> lin_a(linearize ? std::max<std::size_t>(L, 1) : 0);
@@ -223,8 +217,12 @@ SegmentedStats segmented_parallel_merge(const T* a, std::size_t m, const T* b,
             path_point_on_diagonal(flat_a, win_a, flat_b, win_b, d0, comp, li);
         std::size_t i = start.i;
         std::size_t j = start.j;
-        kernels::merge_steps_auto(flat_a, win_a, flat_b, win_b, &i, &j,
-                                  seg_out.data() + d0, d1 - d0, comp, li);
+        if (li)
+          merge_steps(flat_a, win_a, flat_b, win_b, &i, &j,
+                      seg_out.data() + d0, d1 - d0, comp, li);
+        else
+          kernels::merge_steps_auto(flat_a, win_a, flat_b, win_b, &i, &j,
+                                    seg_out.data() + d0, d1 - d0, comp);
       } else {
         const PathPoint start =
             path_point_on_diagonal(va, win_a, vb, win_b, d0, comp, li);

@@ -22,7 +22,6 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "core/instrument.hpp"
@@ -103,27 +102,23 @@ std::size_t diagonal_intersection_hinted(IterA a, std::size_t m, IterB b,
 /// Tiled parallel merge: stable, identical output to parallel_merge().
 /// Lanes dynamically claim tiles of `tile_size` output elements.
 template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>, typename Instr = NoInstrument>
+          typename Comp = std::less<>>
 void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
                           OutIter out, std::size_t tile_size = 4096,
-                          Executor exec = {}, Comp comp = {},
-                          std::span<Instr> instr = {}) {
+                          Executor exec = {}, Comp comp = {}) {
   MP_CHECK(tile_size >= 1);
   const std::size_t total = m + n;
   const unsigned lanes = exec.resolve_threads();
-  MP_CHECK(instr.empty() || instr.size() >= lanes);
   if (total == 0) return;
   const std::size_t tiles = (total + tile_size - 1) / tile_size;
   if (lanes == 1 || tiles == 1) {
-    Instr* li = instr.empty() ? nullptr : &instr[0];
     std::size_t i = 0, j = 0;
-    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, total, comp, li);
+    kernels::merge_steps_auto(a, m, b, n, &i, &j, out, total, comp);
     return;
   }
 
   std::atomic<std::size_t> next_tile{0};
-  exec.run_lanes(lanes, [&](unsigned lane) {
-    Instr* li = instr.empty() ? nullptr : &instr[lane];
+  exec.run_lanes(lanes, [&](unsigned) {
     std::size_t hint = 0;
     bool have_hint = false;
     for (;;) {
@@ -134,13 +129,13 @@ void tiled_parallel_merge(IterA a, std::size_t m, IterB b, std::size_t n,
       const std::size_t d1 = std::min(d0 + tile_size, total);
       const std::size_t i0 =
           have_hint
-              ? diagonal_intersection_hinted(a, m, b, n, d0, hint, comp, li)
-              : diagonal_intersection(a, m, b, n, d0, comp, li);
+              ? diagonal_intersection_hinted(a, m, b, n, d0, hint, comp)
+              : diagonal_intersection(a, m, b, n, d0, comp);
       std::size_t i = i0;
       std::size_t j = d0 - i0;
       kernels::merge_steps_auto(a, m, b, n, &i, &j,
                                 out + static_cast<std::ptrdiff_t>(d0), d1 - d0,
-                                comp, li);
+                                comp);
       // Consecutive claims are adjacent with high probability: the end of
       // this tile is the perfect hint for the next one's start.
       hint = i;

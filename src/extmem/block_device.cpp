@@ -112,8 +112,9 @@ IoStatus BlockDevice::try_write_block(std::uint64_t block, const void* data,
       break;
   }
   if (slot.empty()) ++live_blocks_;
-  slot.assign(config_.block_bytes, 0);
-  std::memcpy(slot.data(), data, bytes);
+  const auto* src = static_cast<const std::uint8_t*>(data);
+  slot.assign(src, src + bytes);  // then zeros past `bytes` only
+  slot.resize(config_.block_bytes);
   ++stats_.block_writes;
   note_access(block);
   realize_transfer();

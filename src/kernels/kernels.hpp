@@ -54,9 +54,7 @@
 ///     supported kernel; MP_MERGE_KERNEL=<kernel_names()> or the
 ///     harness/tool --kernel flag overrides it. Under the scalar kernel
 ///     the admitted types run merge_steps.
-///   - call time: instrumented merges and passes (instr != nullptr) run
-///     merge_steps so PRAM op counts keep meaning one compare/move per
-///     path step.
+/// Nothing here counts operations; the PRAM model counts merge_steps.
 
 #include <algorithm>
 #include <bit>
@@ -574,19 +572,17 @@ bool vector_merge_pass(Kernel kernel, const Key* src, Key* dst, std::size_t n,
 
 /// Drop-in replacement for merge_steps() at the wiring points: same
 /// signature, same contract, byte-identical output and cursor updates.
-/// Uninstrumented calls take the selected vector kernel's chained merge
-/// when the compile-time trait admits the types. When it does not, calls
-/// of at least kChainedMinSteps steps over iterators
-/// detail::use_chained_merge_v admits take the scalar chained merge.
-/// Everything else is merge_steps().
+/// Calls take the selected vector kernel's chained merge when the
+/// compile-time trait admits the types. When it does not, calls of at
+/// least kChainedMinSteps steps over iterators detail::use_chained_merge_v
+/// admits take the scalar chained merge. Everything else is merge_steps().
 template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>, typename Instr = NoInstrument>
+          typename Comp = std::less<>>
 OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
                          std::size_t* a_pos, std::size_t* b_pos, OutIter out,
-                         std::size_t steps, Comp comp = {},
-                         Instr* instr = nullptr) {
+                         std::size_t steps, Comp comp = {}) {
   if constexpr (use_vector_merge_v<IterA, IterB, OutIter, Comp>) {
-    if (instr == nullptr && steps > 0) {
+    if (steps > 0) {
       const Kernel kind = selected_kernel();
       using T = std::remove_cv_t<std::iter_value_t<OutIter>>;
       using Key = detail::simd_key_t<T>;
@@ -598,41 +594,38 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
         return out + static_cast<std::ptrdiff_t>(steps);
     }
   } else if constexpr (detail::use_chained_merge_v<IterA, IterB, OutIter>) {
-    if (instr == nullptr && steps >= detail::kChainedMinSteps)
+    if (steps >= detail::kChainedMinSteps)
       return detail::chained_merge_steps(a, m, b, n, a_pos, b_pos, out, steps,
                                          detail::ScalarStep<Comp>{comp});
   }
-  return merge_steps(a, m, b, n, a_pos, b_pos, out, steps, comp, instr);
+  return merge_steps(a, m, b, n, a_pos, b_pos, out, steps, comp);
 }
 
 /// One pass of a bottom-up merge sort: merges the adjacent width-wide
 /// runs of src[0, n) pairwise into dst (a trailing unpaired run is
-/// copied). Uninstrumented passes run as one chained merge: the selected
-/// vector kernel's for types the vector trait admits, the scalar one for
-/// the others. Instrumented passes, and admitted types under the scalar
-/// kernel, run one merge_steps() call per pair.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
+/// copied). The pass runs as one chained merge: the selected vector
+/// kernel's for types the vector trait admits, the scalar one for the
+/// others. Admitted types under the scalar kernel run one merge_steps()
+/// call per pair.
+template <typename T, typename Comp = std::less<>>
 void merge_pass_auto(const T* src, T* dst, std::size_t n, std::size_t width,
-                     Comp comp = {}, Instr* instr = nullptr) {
+                     Comp comp = {}) {
   if constexpr (use_vector_merge_v<const T*, const T*, T*, Comp>) {
     using Key = detail::simd_key_t<T>;
-    if (instr == nullptr &&
-        detail::vector_merge_pass<Key>(
+    if (detail::vector_merge_pass<Key>(
             selected_kernel(), reinterpret_cast<const Key*>(src),
             reinterpret_cast<Key*>(dst), n, width))
       return;
+    for (std::size_t begin = 0; begin < n; begin += 2 * width) {
+      const std::size_t mid = std::min(begin + width, n);
+      const std::size_t end = std::min(begin + 2 * width, n);
+      std::size_t i = 0, j = 0;
+      merge_steps(src + begin, mid - begin, src + mid, end - mid, &i, &j,
+                  dst + begin, end - begin, comp);
+    }
   } else {
-    if (instr == nullptr)
-      return detail::chained_merge_pass(src, dst, n, width,
-                                        detail::ScalarStep<Comp>{comp});
-  }
-  for (std::size_t begin = 0; begin < n; begin += 2 * width) {
-    const std::size_t mid = std::min(begin + width, n);
-    const std::size_t end = std::min(begin + 2 * width, n);
-    std::size_t i = 0, j = 0;
-    merge_steps(src + begin, mid - begin, src + mid, end - mid, &i, &j,
-                dst + begin, end - begin, comp, instr);
+    detail::chained_merge_pass(src, dst, n, width,
+                               detail::ScalarStep<Comp>{comp});
   }
 }
 

@@ -14,10 +14,10 @@
 ///     arXiv:1704.08579) — each register sorted on its own, then
 ///     cross-register merges 1+1 -> 2+2 -> 4+4 -> 8+8, each finished
 ///     inside the registers;
-///   - 8-key rank runs, for uninstrumented calls the trait refuses
-///     (records, custom comparators, floats under std::less) on trivially
-///     copyable types: a branch-free stable rank sort, one comparison per
-///     pair, whose runs the chained merge passes take from width 8;
+///   - 8-key rank runs, for the trivially copyable types the trait
+///     refuses (records, custom comparators, floats under std::less): a
+///     branch-free stable rank sort, one comparison per pair, whose runs
+///     the chained merge passes take from width 8;
 ///   - 24-key insertion runs for everything else.
 ///
 /// Gating mirrors the merge dispatch exactly:
@@ -31,8 +31,8 @@
 ///     --kernel scalar runs, MERGEPATH_SIMD=OFF builds and
 ///     non-x86 hosts keep the insertion-sort runs for admitted types,
 ///     byte for byte.
-///   - call time: instrumented sorts (instr != nullptr) keep insertion
-///     sort so PRAM op counts retain their per-step meaning.
+/// The PRAM model forms its runs with insertion_sort_fallback directly
+/// (pram/simulate.cpp), so its op counts keep their per-step meaning.
 /// Every path produces the bytes std::stable_sort would: the rank sort is
 /// stable, and the admitted types' equal keys are bitwise identical, so
 /// their sorted sequence — and so the merged result, whatever the run
@@ -74,11 +74,11 @@ constexpr T sort_pad_max() {
   }
 }
 
-/// The insertion sort behind 24-key runs: the op counts instrumented
-/// (PRAM-modelled) sorts depend on.
-template <typename T, typename Comp, typename Instr>
+/// The insertion sort behind 24-key runs, and the base case of the PRAM
+/// model's counted sort, whose op counts depend on it.
+template <typename T, typename Comp, typename Instr = NoInstrument>
 void insertion_sort_fallback(T* data, std::size_t n, Comp comp,
-                             Instr* instr) {
+                             Instr* instr = nullptr) {
   for (std::size_t i = 1; i < n; ++i) {
     T value = std::move(data[i]);
     std::size_t j = i;
@@ -133,34 +133,27 @@ void rank_sort_block(T* data, std::size_t k, Comp comp) {
 /// Forms sorted runs over all of [data, data+n): every aligned block of
 /// the returned width W is sorted in place (the last one may be short).
 /// W is the selected kernel's register-sort width when the trait admits
-/// T/Comp, a vector kernel is selected and the call is uninstrumented;
-/// kRankRunWidth via rank sort when the trait refuses T/Comp, T is
-/// trivially copyable and the call is uninstrumented; otherwise
+/// T/Comp and a vector kernel is selected; kRankRunWidth via rank sort
+/// when the trait refuses T/Comp and T is trivially copyable; otherwise
 /// W = kInsertionRunWidth via insertion sort.
-template <typename T, typename Comp = std::less<>,
-          typename Instr = NoInstrument>
-std::size_t sort_runs_auto(T* data, std::size_t n, Comp comp = {},
-                           Instr* instr = nullptr) {
+template <typename T, typename Comp = std::less<>>
+std::size_t sort_runs_auto(T* data, std::size_t n, Comp comp = {}) {
   if constexpr (use_vector_merge_v<const T*, const T*, T*, Comp>) {
-    if (instr == nullptr) {
-      using Key = detail::simd_key_t<T>;
-      if (const std::size_t width = detail::simd_sort_runs<Key>(
-              selected_kernel(), reinterpret_cast<Key*>(data), n))
-        return width;
-    }
+    using Key = detail::simd_key_t<T>;
+    if (const std::size_t width = detail::simd_sort_runs<Key>(
+            selected_kernel(), reinterpret_cast<Key*>(data), n))
+      return width;
   } else if constexpr (std::is_trivially_copyable_v<T>) {
-    if (instr == nullptr) {
-      // Full blocks pass a constant k, so the unrolled loops specialise.
-      std::size_t begin = 0;
-      for (; n - begin >= kRankRunWidth; begin += kRankRunWidth)
-        detail::rank_sort_block(data + begin, kRankRunWidth, comp);
-      if (begin < n) detail::rank_sort_block(data + begin, n - begin, comp);
-      return kRankRunWidth;
-    }
+    // Full blocks pass a constant k, so the unrolled loops specialise.
+    std::size_t begin = 0;
+    for (; n - begin >= kRankRunWidth; begin += kRankRunWidth)
+      detail::rank_sort_block(data + begin, kRankRunWidth, comp);
+    if (begin < n) detail::rank_sort_block(data + begin, n - begin, comp);
+    return kRankRunWidth;
   }
   for (std::size_t begin = 0; begin < n; begin += kInsertionRunWidth)
     detail::insertion_sort_fallback(
-        data + begin, std::min(kInsertionRunWidth, n - begin), comp, instr);
+        data + begin, std::min(kInsertionRunWidth, n - begin), comp);
   return kInsertionRunWidth;
 }
 

@@ -167,22 +167,10 @@ void LaneMetrics::record_checkout(std::uint64_t ns) {
   checkout_ns_.fetch_add(ns, std::memory_order_relaxed);
 }
 
-void LaneMetrics::record_ops(unsigned lane, const OpCounts& ops) {
-  Slot& slot = slots_[std::min(lane, kMaxMetricLanes - 1)];
-  slot.compares.fetch_add(ops.compares, std::memory_order_relaxed);
-  slot.moves.fetch_add(ops.moves, std::memory_order_relaxed);
-  slot.search_steps.fetch_add(ops.search_steps, std::memory_order_relaxed);
-  slot.stages.fetch_add(ops.stages, std::memory_order_relaxed);
-}
-
 void LaneMetrics::reset() {
   for (Slot& slot : slots_) {
     slot.runs.store(0, std::memory_order_relaxed);
     slot.lane_ns.store(0, std::memory_order_relaxed);
-    slot.compares.store(0, std::memory_order_relaxed);
-    slot.moves.store(0, std::memory_order_relaxed);
-    slot.search_steps.store(0, std::memory_order_relaxed);
-    slot.stages.store(0, std::memory_order_relaxed);
   }
   jobs_.store(0, std::memory_order_relaxed);
   barrier_waits_.store(0, std::memory_order_relaxed);
@@ -199,13 +187,7 @@ LaneReport LaneMetrics::snapshot() const {
     row.lane = lane;
     row.runs = slot.runs.load(std::memory_order_relaxed);
     row.lane_ns = slot.lane_ns.load(std::memory_order_relaxed);
-    row.compares = slot.compares.load(std::memory_order_relaxed);
-    row.moves = slot.moves.load(std::memory_order_relaxed);
-    row.search_steps = slot.search_steps.load(std::memory_order_relaxed);
-    row.stages = slot.stages.load(std::memory_order_relaxed);
-    if (row.runs == 0 && row.compares == 0 && row.moves == 0 &&
-        row.search_steps == 0 && row.stages == 0)
-      continue;
+    if (row.runs == 0) continue;
     report.lanes.push_back(row);
   }
   report.jobs = jobs_.load(std::memory_order_relaxed);
@@ -214,29 +196,25 @@ LaneReport LaneMetrics::snapshot() const {
   report.checkouts = checkouts_.load(std::memory_order_relaxed);
   report.checkout_ns = checkout_ns_.load(std::memory_order_relaxed);
 
-  std::uint64_t timed_lanes = 0, total_ns = 0;
+  if (report.lanes.empty()) return report;
+  std::uint64_t total_ns = 0;
+  report.lane_ns_min = report.lanes.front().lane_ns;
   for (const LaneReport::Row& row : report.lanes) {
-    if (row.runs == 0) continue;
-    ++timed_lanes;
     total_ns += row.lane_ns;
     report.lane_ns_max = std::max(report.lane_ns_max, row.lane_ns);
-    report.lane_ns_min = timed_lanes == 1
-                             ? row.lane_ns
-                             : std::min(report.lane_ns_min, row.lane_ns);
+    report.lane_ns_min = std::min(report.lane_ns_min, row.lane_ns);
   }
-  if (timed_lanes > 0) {
-    report.lane_ns_mean =
-        static_cast<double>(total_ns) / static_cast<double>(timed_lanes);
-    report.imbalance = report.lane_ns_mean > 0.0
-                           ? static_cast<double>(report.lane_ns_max) /
-                                 report.lane_ns_mean
-                           : 1.0;
-  }
+  report.lane_ns_mean = static_cast<double>(total_ns) /
+                        static_cast<double>(report.lanes.size());
+  report.imbalance = report.lane_ns_mean > 0.0
+                         ? static_cast<double>(report.lane_ns_max) /
+                               report.lane_ns_mean
+                         : 1.0;
   return report;
 }
 
 void LaneReport::write_json(std::ostream& os) const {
-  os << "{\"schema\":\"mergepath-lane-metrics-v1\",\"jobs\":" << jobs
+  os << "{\"schema\":\"mergepath-lane-metrics-v2\",\"jobs\":" << jobs
      << ",\"barrier\":{\"waits\":" << barrier_waits
      << ",\"wait_ns\":" << barrier_ns << ",\"checkouts\":" << checkouts
      << ",\"checkout_ns\":" << checkout_ns << "},\"lanes\":[";
@@ -245,10 +223,7 @@ void LaneReport::write_json(std::ostream& os) const {
     if (!first) os << ',';
     first = false;
     os << "\n{\"lane\":" << row.lane << ",\"runs\":" << row.runs
-       << ",\"lane_ns\":" << row.lane_ns << ",\"compares\":" << row.compares
-       << ",\"moves\":" << row.moves
-       << ",\"search_steps\":" << row.search_steps
-       << ",\"stages\":" << row.stages << '}';
+       << ",\"lane_ns\":" << row.lane_ns << '}';
   }
   os << "],\"lane_time\":{\"max_ns\":" << lane_ns_max
      << ",\"min_ns\":" << lane_ns_min << ",\"mean_ns\":";

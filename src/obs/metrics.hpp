@@ -2,10 +2,9 @@
 /// \file metrics.hpp
 /// Lane-level metrics: a process-wide registry of counters, gauges and
 /// fixed-bucket (power-of-two) histograms, plus a dedicated per-lane
-/// aggregator that turns the library's existing OpCounts channels and the
-/// ThreadPool's lane/barrier timings into the paper's load-balance
-/// numbers — max/min/mean lane wall-time and the max/mean imbalance ratio
-/// Section V argues about.
+/// aggregator that turns the ThreadPool's lane/barrier timings into the
+/// paper's load-balance numbers — max/min/mean lane wall-time and the
+/// max/mean imbalance ratio Section V argues about.
 ///
 /// Everything here is cheap enough to stay always-compiled: recording is a
 /// handful of relaxed atomic adds, and the ThreadPool only takes clock
@@ -23,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "core/instrument.hpp"
 #include "util/table.hpp"
 
 namespace mp::obs {
@@ -139,12 +137,8 @@ struct LaneReport {
     unsigned lane = 0;
     std::uint64_t runs = 0;      ///< times this lane index executed
     std::uint64_t lane_ns = 0;   ///< wall time inside lane bodies
-    std::uint64_t compares = 0;
-    std::uint64_t moves = 0;
-    std::uint64_t search_steps = 0;
-    std::uint64_t stages = 0;
   };
-  std::vector<Row> lanes;  ///< only lanes that recorded something
+  std::vector<Row> lanes;  ///< only lanes that ran
 
   std::uint64_t jobs = 0;           ///< parallel_for_lanes invocations
   std::uint64_t barrier_waits = 0;  ///< caller-side barrier waits
@@ -152,7 +146,7 @@ struct LaneReport {
   std::uint64_t checkouts = 0;      ///< worker check-out lock acquisitions
   std::uint64_t checkout_ns = 0;    ///< total worker check-out time
 
-  // Lane wall-time balance, over lanes with runs > 0.
+  // Lane wall-time balance over `lanes`.
   std::uint64_t lane_ns_max = 0;
   std::uint64_t lane_ns_min = 0;
   double lane_ns_mean = 0.0;
@@ -164,13 +158,10 @@ struct LaneReport {
   /// One row per lane plus a summary footer, via util/table.hpp. Inline so
   /// the obs library itself carries no link dependency on mp_util.
   Table to_table() const {
-    Table table({"lane", "runs", "time_ms", "compares", "moves",
-                 "search_steps", "stages"});
+    Table table({"lane", "runs", "time_ms"});
     for (const Row& row : lanes) {
       table.add_row({std::to_string(row.lane), std::to_string(row.runs),
-                     fmt_double(static_cast<double>(row.lane_ns) / 1e6, 3),
-                     fmt_count(row.compares), fmt_count(row.moves),
-                     fmt_count(row.search_steps), fmt_count(row.stages)});
+                     fmt_double(static_cast<double>(row.lane_ns) / 1e6, 3)});
     }
     return table;
   }
@@ -190,7 +181,6 @@ class LaneMetrics {
   void record_job(unsigned lanes);
   void record_barrier_wait(std::uint64_t ns);
   void record_checkout(std::uint64_t ns);
-  void record_ops(unsigned lane, const OpCounts& ops);
 
   void reset();
   LaneReport snapshot() const;
@@ -199,10 +189,6 @@ class LaneMetrics {
   struct Slot {
     std::atomic<std::uint64_t> runs{0};
     std::atomic<std::uint64_t> lane_ns{0};
-    std::atomic<std::uint64_t> compares{0};
-    std::atomic<std::uint64_t> moves{0};
-    std::atomic<std::uint64_t> search_steps{0};
-    std::atomic<std::uint64_t> stages{0};
   };
   std::array<Slot, kMaxMetricLanes> slots_{};
   std::atomic<std::uint64_t> jobs_{0};

@@ -7,6 +7,7 @@
 #include "cachesim/cache.hpp"
 #include "core/mergepath.hpp"
 #include "extmem/external_sort.hpp"
+#include "pram/simulate.hpp"
 #include "util/cli.hpp"
 
 namespace mp {
@@ -42,11 +43,17 @@ TEST(Contracts, InstrumentSpanMustCoverLanes) {
   const std::vector<std::int32_t> a{1, 2, 3, 4}, b{5, 6, 7, 8};
   std::vector<std::int32_t> out(8);
   std::vector<OpCounts> too_few(2);
-  ThreadPool serial(0);
-  EXPECT_DEATH(parallel_merge(a.data(), 4, b.data(), 4, out.data(),
-                              Executor{&serial, 4}, std::less<>{},
-                              std::span<OpCounts>(too_few)),
+  EXPECT_DEATH(pram::counted_parallel_merge(a.data(), 4, b.data(), 4,
+                                            out.data(), 4, too_few),
                "check failed");
+  std::vector<std::int32_t> data{3, 1, 2, 0, 7, 5, 6, 4};
+  EXPECT_DEATH(pram::counted_parallel_merge_sort(data.data(), data.size(), 4,
+                                                 too_few),
+               "check failed");
+  // Boundary: exactly `lanes` entries is enough.
+  pram::counted_parallel_merge(a.data(), 4, b.data(), 4, out.data(), 2,
+                               too_few);
+  EXPECT_EQ(out, (std::vector<std::int32_t>{1, 2, 3, 4, 5, 6, 7, 8}));
 }
 
 TEST(Contracts, StreamMergerRejectsPushAfterClose) {

@@ -314,22 +314,6 @@ TEST(KernelEquivalence, PartialBudgetsAndResume) {
   }
 }
 
-TEST(KernelEquivalence, InstrumentedCallsStayScalar) {
-  // PRAM op counts model one compare/move per path step; the vector path
-  // would falsify them, so instr != nullptr must force the scalar kernel.
-  const auto input = make_merge_input(Dist::kUniform, 500, 500, 0x0b5);
-  KernelGuard guard;
-  ASSERT_TRUE(set_kernel(widest_supported()));
-  std::vector<std::int32_t> out(1000);
-  OpCounts ops;
-  std::size_t i = 0, j = 0;
-  merge_steps_auto(input.a.data(), 500, input.b.data(), 500, &i, &j,
-                   out.data(), 1000, std::less<>{}, &ops);
-  EXPECT_EQ(ops.moves, 1000u);
-  EXPECT_GE(ops.compares, 500u);
-  EXPECT_EQ(out, test::reference_merge(input.a, input.b));
-}
-
 // ---------------------------------------------------------------------------
 // The chained scalar body for types the vector trait refuses.
 
@@ -1099,25 +1083,6 @@ TEST(KernelHotPaths, MultiwayPairwiseFallbackAndLoserTreeMatch) {
     ASSERT_EQ(parallel_multiway_merge(three, Executor{nullptr, 4}), want3)
         << to_string(kernel);
   }
-}
-
-TEST(KernelHotPaths, InstrumentedMultiwayKeepsLoserTreeCounts) {
-  // The pairwise fallback is forbidden when instrumentation is on: the
-  // modelled compare counts must reflect the log-k selection tree.
-  const auto input = make_merge_input(Dist::kUniform, 5000, 5000, 0x77);
-  const std::vector<std::vector<std::int32_t>> two{input.a, input.b};
-  std::vector<std::span<const std::int32_t>> views{
-      {input.a.data(), input.a.size()}, {input.b.data(), input.b.size()}};
-  std::vector<std::int32_t> out(10000);
-  std::vector<OpCounts> ops(4);
-  parallel_multiway_merge(std::span<const std::span<const std::int32_t>>(
-                              views.data(), views.size()),
-                          out.data(), Executor{nullptr, 4}, std::less<>{},
-                          std::span<OpCounts>(ops));
-  ASSERT_EQ(out, test::reference_merge(input.a, input.b));
-  std::size_t moves = 0;
-  for (const auto& o : ops) moves += o.moves;
-  EXPECT_EQ(moves, 10000u);
 }
 
 }  // namespace

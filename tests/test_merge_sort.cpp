@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "pram/simulate.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
@@ -152,16 +153,14 @@ TEST(ParallelMergeSort, SpanFrontEndAndComparator) {
 }
 
 TEST(ParallelMergeSort, BalancedWorkAcrossLanes) {
-  // Every lane's move count should be within a small factor of the mean —
-  // the flattened rounds guarantee near-perfect balance (Corollary 7
-  // applied per round).
+  // Every lane's op count in the PRAM model of the sort should be within
+  // a small factor of the mean — the flattened rounds guarantee
+  // near-perfect balance (Corollary 7 applied per round).
   const std::size_t n = 1 << 16;
   auto data = make_unsorted_values(n, 29);
   const unsigned p = 8;
-  ThreadPool serial(0);
   std::vector<OpCounts> counts(p);
-  parallel_merge_sort(data.data(), n, Executor{&serial, p}, std::less<>{},
-                      std::span<OpCounts>(counts));
+  pram::counted_parallel_merge_sort(data.data(), n, p, counts);
   EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
   std::uint64_t lo = ~0ull, hi = 0;
   for (const auto& c : counts) {

@@ -775,29 +775,6 @@ TEST(LaneMetrics, ImbalanceSummaryFromKnownTimes) {
   metrics.reset();
 }
 
-TEST(LaneMetrics, OpCountsAggregateAcrossLanesAndRuns) {
-  auto& metrics = obs::LaneMetrics::instance();
-  metrics.reset();
-  OpCounts ops0;
-  ops0.compare(10);
-  ops0.move(20);
-  ops0.search_step();
-  OpCounts ops1;
-  ops1.compare(5);
-  ops1.stage(3);
-  metrics.record_ops(0, ops0);
-  metrics.record_ops(1, ops1);
-  metrics.record_ops(0, ops0);  // second run accumulates
-  const obs::LaneReport report = metrics.snapshot();
-  ASSERT_EQ(report.lanes.size(), 2u);
-  EXPECT_EQ(report.lanes[0].compares, 20u);
-  EXPECT_EQ(report.lanes[0].moves, 40u);
-  EXPECT_EQ(report.lanes[0].search_steps, 2u);
-  EXPECT_EQ(report.lanes[1].compares, 5u);
-  EXPECT_EQ(report.lanes[1].stages, 3u);
-  metrics.reset();
-}
-
 TEST(LaneMetrics, LaneIndexAboveCapFoldsIntoLastSlot) {
   auto& metrics = obs::LaneMetrics::instance();
   metrics.reset();
@@ -829,7 +806,7 @@ TEST(LaneMetrics, ArmedPoolRunRecordsLaneTimesAndBarrier) {
   report.write_json(os);
   const std::string json = os.str();
   expect_balanced_json(json);
-  EXPECT_NE(json.find("\"schema\":\"mergepath-lane-metrics-v1\""),
+  EXPECT_NE(json.find("\"schema\":\"mergepath-lane-metrics-v2\""),
             std::string::npos);
   EXPECT_NE(json.find("\"imbalance\""), std::string::npos);
   metrics.reset();

@@ -1,7 +1,7 @@
 // Tests for core/parallel_merge.hpp (Algorithm 1): correctness against the
 // stable reference across distributions, shapes and thread counts;
-// stability; instrumentation invariants (perfect balance, O(N + p log N)
-// work); and exception safety.
+// stability; the counted lanes' invariants (perfect balance,
+// O(N + p log N) work); and exception safety.
 
 #include "core/parallel_merge.hpp"
 
@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <tuple>
 
+#include "pram/simulate.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 
@@ -147,12 +148,11 @@ TEST(ParallelMerge, WorkComplexityBound) {
   const std::size_t n = 1 << 15;
   const auto input = make_merge_input(Dist::kUniform, n, n, 37);
   for (unsigned p : {1u, 4u, 16u}) {
-    ThreadPool serial(0);
     std::vector<OpCounts> counts(p);
     std::vector<std::int32_t> out(2 * n);
-    parallel_merge(input.a.data(), n, input.b.data(), n, out.data(),
-                   Executor{&serial, p}, std::less<>{},
-                   std::span<OpCounts>(counts));
+    pram::counted_parallel_merge(input.a.data(), n, input.b.data(), n,
+                                 out.data(), p, counts);
+    EXPECT_EQ(out, test::reference_merge(input.a, input.b));
     std::uint64_t compares = 0, moves = 0, searches = 0;
     std::uint64_t max_lane_steps = 0;
     for (const auto& c : counts) {

@@ -118,25 +118,29 @@ TEST(SegmentedMerge, EquivalentToParallelMergeOnLargeInput) {
 }
 
 TEST(SegmentedMerge, LinearizationIsByteExactAtEveryWrapOffset) {
-  // Ring-window linearization (tentpole c): with linearize_wrapped on,
-  // wrapped staged windows are copied flat and merged by the dispatched
-  // kernel; with it off they take the CyclicView + scalar path. The two
+  // Ring-window linearization: under a vector kernel, wrapped staged
+  // windows are copied flat and merged by the dispatched kernel; under the
+  // forced scalar kernel they take the CyclicView + scalar path. The two
   // must agree byte for byte. Sweeping the A-side length through a full
   // ring period (L consecutive sizes) drives the ring heads through every
   // wrap offset, because the heads advance by the data-dependent consumed
   // counts modulo L.
   constexpr std::size_t kL = 48;
+  struct RestoreKernel {
+    kernels::Kernel saved = kernels::selected_kernel();
+    ~RestoreKernel() { kernels::set_kernel(saved); }
+  } restore;
   for (std::size_t delta = 0; delta < kL; ++delta) {
     const std::size_t m = 600 + delta;
     const auto input = make_merge_input(Dist::kClustered, m, 555, 71 + delta);
     std::vector<std::int32_t> flat_out(m + 555), ring_out(m + 555);
     SegmentedConfig config;
     config.segment_length = kL;
-    config.linearize_wrapped = true;
+    ASSERT_TRUE(kernels::set_kernel(kernels::widest_supported()));
     const auto flat_stats = segmented_parallel_merge(
         input.a.data(), m, input.b.data(), 555, flat_out.data(), config,
         Executor{nullptr, 3});
-    config.linearize_wrapped = false;
+    ASSERT_TRUE(kernels::set_kernel(kernels::Kernel::kScalar));
     const auto ring_stats = segmented_parallel_merge(
         input.a.data(), m, input.b.data(), 555, ring_out.data(), config,
         Executor{nullptr, 3});
@@ -147,18 +151,17 @@ TEST(SegmentedMerge, LinearizationIsByteExactAtEveryWrapOffset) {
 }
 
 TEST(SegmentedMerge, LinearizationActuallyEngagesOnWrappedWindows) {
-  // Guard against the flag silently becoming a no-op: a non-power-of-two
-  // segment length over a long merge must produce wrapped windows, and
-  // with the flag on (plus a vector kernel selected) they must be counted
-  // as linearized. Skipped where no vector kernel exists — the gate keeps
-  // the copy off on scalar-only hosts by design.
+  // Guard against linearization silently becoming a no-op: a
+  // non-power-of-two segment length over a long merge must produce wrapped
+  // windows, and with a vector kernel selected they must be counted as
+  // linearized. Skipped where no vector kernel exists — the gate keeps the
+  // copy off on scalar-only hosts by design.
   if (!kernels::is_vector_kernel(kernels::widest_supported()))
     GTEST_SKIP() << "no vector kernel on this host/build";
   const auto input = make_merge_input(Dist::kUniform, 7001, 6400, 83);
   std::vector<std::int32_t> out(13401);
   SegmentedConfig config;
   config.segment_length = 192;
-  config.linearize_wrapped = true;
   const auto stats = segmented_parallel_merge(input.a.data(), 7001,
                                               input.b.data(), 6400,
                                               out.data(), config,
@@ -170,13 +173,11 @@ TEST(SegmentedMerge, LinearizationActuallyEngagesOnWrappedWindows) {
 
 TEST(SegmentedMerge, LinearizationStaysOffForNonVectorTypes) {
   // KeyedRecord merges are not vector-eligible; the trait keeps the
-  // linearize slabs unallocated and the counters at zero, flag or no
-  // flag.
+  // linearize slabs unallocated and the counters at zero.
   const auto keyed = make_keyed_input(900, 800, 5, 0x91);
   std::vector<KeyedRecord> out(1700);
   SegmentedConfig config;
   config.segment_length = 96;
-  config.linearize_wrapped = true;
   const auto stats = segmented_parallel_merge(
       keyed.a.data(), keyed.a.size(), keyed.b.data(), keyed.b.size(),
       out.data(), config, Executor{nullptr, 3});

@@ -320,31 +320,6 @@ TEST(SortSmallAuto, RankRunsAreStable) {
   }
 }
 
-TEST(SortSmallAuto, InstrumentedCallsKeepInsertionSortCounts) {
-  // PRAM accounting models the insertion-sort base case; instrumented
-  // calls must take it and produce its exact compare/move counts, one
-  // 24-key run at a time.
-  std::mt19937 rng(0xc0);
-  std::vector<std::int32_t> data(24 * 3 + 7);
-  for (auto& x : data) x = static_cast<std::int32_t>(rng() % 100);
-  auto direct = data;
-  OpCounts want_ops;
-  for (std::size_t begin = 0; begin < direct.size();
-       begin += kInsertionRunWidth)
-    detail::insertion_sort_fallback(
-        direct.data() + begin,
-        std::min(kInsertionRunWidth, direct.size() - begin), std::less<>{},
-        &want_ops);
-  KernelGuard guard;
-  ASSERT_TRUE(set_kernel(widest_supported()));
-  OpCounts ops;
-  EXPECT_EQ(sort_runs_auto(data.data(), data.size(), std::less<>{}, &ops),
-            kInsertionRunWidth);
-  EXPECT_EQ(data, direct);
-  EXPECT_EQ(ops.compares, want_ops.compares);
-  EXPECT_EQ(ops.moves, want_ops.moves);
-}
-
 TEST(SortSmallAuto, ForcedScalarMatchesNetworkBytes) {
   // The register sort engages only under a vector kernel and forms wider
   // runs, but the sorted bytes must not depend on the dispatch decision.

@@ -334,16 +334,7 @@ int run_sort(const Options& opt, std::vector<T> data, Comp comp,
              auto write_fn) {
   const Executor exec{nullptr, opt.threads};
   Timer timer;
-  if (obs::lane_metrics_armed()) {
-    std::vector<OpCounts> ops(exec.resolve_threads());
-    parallel_merge_sort(data.data(), data.size(), exec, comp,
-                        std::span<OpCounts>(ops));
-    for (std::size_t lane = 0; lane < ops.size(); ++lane)
-      obs::LaneMetrics::instance().record_ops(static_cast<unsigned>(lane),
-                                              ops[lane]);
-  } else {
-    parallel_merge_sort(data.data(), data.size(), exec, comp);
-  }
+  parallel_merge_sort(data.data(), data.size(), exec, comp);
   std::cerr << "sorted " << data.size() << " records in "
             << timer.seconds() * 1e3 << " ms\n";
   write_fn(opt.files[1], data);
@@ -368,18 +359,8 @@ int run_merge(const Options& opt, std::vector<std::vector<T>> inputs,
   std::vector<T> merged(total);
   const Executor exec{nullptr, opt.threads};
   Timer timer;
-  if (obs::lane_metrics_armed()) {
-    std::vector<OpCounts> ops(exec.resolve_threads());
-    parallel_multiway_merge(std::span<const std::span<const T>>(views),
-                            merged.data(), exec, comp,
-                            std::span<OpCounts>(ops));
-    for (std::size_t lane = 0; lane < ops.size(); ++lane)
-      obs::LaneMetrics::instance().record_ops(static_cast<unsigned>(lane),
-                                              ops[lane]);
-  } else {
-    parallel_multiway_merge(std::span<const std::span<const T>>(views),
-                            merged.data(), exec, comp);
-  }
+  parallel_multiway_merge(std::span<const std::span<const T>>(views),
+                          merged.data(), exec, comp);
   std::cerr << "merged " << inputs.size() << " inputs, " << total
             << " records in " << timer.seconds() * 1e3 << " ms\n";
   write_fn(opt.files[0], merged);
