@@ -173,7 +173,7 @@ void BM_MultiwaySelect(benchmark::State& state) {
         std::span<const std::span<const std::int32_t>>(views), rank));
   }
 }
-BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(64);
+BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
 
 // --- Ring-window linearization (SPM) -------------------------------------
 // The serial segmented merge with wrapped ring windows copied flat so the

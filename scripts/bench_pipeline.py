@@ -8,10 +8,11 @@ Usage:
 
 The run mode drives `bench_pipeline --json <out>` (the harness itself
 writes the artifact after verifying every mode's output against
-std::sort) and echoes the summary lines. The artifact records two runs
+std::sort) and echoes the summary lines. The artifact records two modes
 of the identical sharded external sort — checkpointed ("serial": all I/O
 on the calling thread, as the pipeline runs) and without intermediate
-checkpoints — plus the derived headline number:
+checkpoints — each run `repeats` times, alternating; a mode's wall_ms is
+the median of its wall_ms_runs. The derived headline number is
 
     checkpoint_overhead_pct  (serial - no-checkpoint) / no-checkpoint
 

@@ -105,7 +105,9 @@ class BlockDevice {
   /// Fallible transfers: consult the fault plan, report the outcome, and
   /// only count successful attempts in block_reads/block_writes. A failed
   /// write leaves the block unwritten (reading it is an error), so a
-  /// caller that ignores a short write cannot silently read garbage.
+  /// caller that ignores a short write cannot silently read garbage. A
+  /// successful write of fewer than block_bytes zero-fills the rest of the
+  /// block (0 bytes writes a block of zeros).
   IoStatus try_write_block(std::uint64_t block, const void* data,
                            std::uint32_t bytes);
   IoStatus try_read_block(std::uint64_t block, void* data,

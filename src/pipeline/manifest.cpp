@@ -207,20 +207,18 @@ void ManifestStore::write(Manifest& m) {
   MP_CHECK(image.size() <= slot_blocks_ * bb);  // sized at create time
   const std::uint64_t slot = m.seq % 2;
   const std::uint64_t first = base_ + slot * slot_blocks_;
-  std::vector<std::uint8_t> block(bb, 0);
+  // Each block takes its share of the image straight from it; the device
+  // zero-fills a block past the bytes written, so the slot's padding (and
+  // every block past the image) reads back as zeros.
   for (std::uint64_t b = 0; b < slot_blocks_; ++b) {
-    const std::size_t at = static_cast<std::size_t>(b * bb);
-    const std::size_t take =
-        at < image.size()
-            ? std::min<std::size_t>(bb, image.size() - at)
-            : 0;
-    std::memcpy(block.data(), image.data() + at, take);
-    if (take < bb) std::memset(block.data() + take, 0, bb - take);
+    const std::size_t at =
+        std::min(static_cast<std::size_t>(b * bb), image.size());
+    const std::size_t take = std::min<std::size_t>(bb, image.size() - at);
     extmem::detail::retry_io(*device_, retry_, first + b, "manifest write",
                              [&] {
                                return device_->try_write_block(
-                                   first + b, block.data(),
-                                   static_cast<std::uint32_t>(bb));
+                                   first + b, image.data() + at,
+                                   static_cast<std::uint32_t>(take));
                              });
   }
 }

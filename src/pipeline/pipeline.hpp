@@ -570,10 +570,20 @@ class Pipeline {
     return cache.data[static_cast<std::size_t>(index % epb())];
   }
 
-  /// Device-backed multiway_select (same greedy advancement, same
-  /// (value, run-index) tie-breaking) for global rank `target`: returns
-  /// the stable co-rank positions across the shard runs. Deterministic —
-  /// a redone rank recomputes identical ends.
+  /// Device-backed selection for global rank `target`: returns the stable
+  /// (value, run-index) co-rank positions across the shard runs, the same
+  /// positions multiway_select gives. It stays a greedy block advancement
+  /// (while `remaining` is unclaimed, advance by up to c = max(1,
+  /// remaining/(2·active)) the run whose c-th unclaimed element v is
+  /// smallest, ties to the lower run; for c > 1 at most active·c <=
+  /// remaining/2 unclaimed elements stably precede or equal v, and for
+  /// c = 1 v is the smallest unclaimed head, so the block is in the prefix)
+  /// rather than multiway_select's bisection: every probe here is a
+  /// modeled block read plus a 16-byte network message. The greedy's
+  /// probes land in few distinct blocks (ProbeCache keeps one per shard),
+  /// while a bisection's first refinements binary-search every run over
+  /// its whole length, a new block at nearly every step. Deterministic — a
+  /// redone rank recomputes identical ends.
   std::vector<std::uint64_t> select_ends(unsigned rank, std::uint64_t target,
                                          std::vector<ProbeCache>& caches,
                                          dist::RankNetwork& net) {

@@ -168,6 +168,41 @@ TEST(ComparatorMisuse, LyingComparatorSequentialRecordSortStaysInBounds) {
   }
 }
 
+// multiway_select's intervals are kept by arithmetic, not by verdicts: under
+// any comparator the positions must sum to the rank and stay inside their
+// runs (Pipeline::merge_unit clips each stretch to exactly `count` output
+// elements with that sum), and every search read stays in bounds.
+TEST(ComparatorMisuse, LyingComparatorMultiwaySelectStaysInBounds) {
+  Xoshiro256 rng(0x11a4aULL);
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::size_t k = 1 + rng.bounded(40);
+    std::vector<std::vector<std::int32_t>> runs(k);
+    std::size_t total = 0;
+    for (auto& run : runs) {
+      run = nonneg(make_uniform_values(rng.bounded(300), rng()));
+      total += run.size();
+    }
+    const std::vector<std::span<const std::int32_t>> views(runs.begin(),
+                                                           runs.end());
+    const std::uint64_t salt = rng();
+    for (std::size_t rank : {std::size_t{0}, total, rng.bounded(total + 1),
+                             rng.bounded(total + 1)}) {
+      SCOPED_TRACE(::testing::Message() << "k=" << k << " rank=" << rank
+                                        << " salt=" << salt);
+      const auto pos = multiway_select(
+          std::span<const std::span<const std::int32_t>>(views), rank,
+          LyingComparator{salt});
+      ASSERT_EQ(pos.size(), k);
+      std::size_t sum = 0;
+      for (std::size_t t = 0; t < k; ++t) {
+        ASSERT_LE(pos[t], runs[t].size()) << "run " << t;
+        sum += pos[t];
+      }
+      ASSERT_EQ(sum, rank);
+    }
+  }
+}
+
 // The diagonal search must stay within its clamped window even when the
 // comparator's verdicts are maximally biased (always-true / always-false
 // are the extreme points of the lying-comparator family).

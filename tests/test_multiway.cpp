@@ -1,13 +1,15 @@
 // Tests for core/multiway_merge.hpp: LoserTree pop order and stability,
 // the pairwise-tree multiway_merge engine against the LoserTree (every
 // kernel, stability-probing records), multiway_select against a
-// brute-force stable reference, and the parallel k-way merge.
+// brute-force stable reference (with its documented comparison bound), and
+// the parallel k-way merge.
 
 #include "core/multiway_merge.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <tuple>
 
 #include "kernels/kernels.hpp"
@@ -287,6 +289,174 @@ TEST(MultiwaySelect, TwoRunsAgreesWithDiagonalSearchSemantics) {
                                          static_cast<std::ptrdiff_t>(rank));
     std::sort(prefix.begin(), prefix.end());
     EXPECT_EQ(claimed, prefix) << "rank " << rank;
+  }
+}
+
+// ---- multiway_select: differential families and the comparison bound ----
+
+enum class SelectFamily {
+  kRandom,        // random lengths and keys
+  kUnequal,       // empty runs beside runs of 1 and of hundreds
+  kAllEqual,      // one key everywhere: run index alone decides
+  kDisjointUp,    // run t holds the t-th value range
+  kDisjointDown,  // run t holds the (k-1-t)-th value range
+  kGiant,         // one big run in the middle, tiny runs around it
+  kHeavyTies,     // a universe of 3 keys
+};
+
+constexpr SelectFamily kSelectFamilies[] = {
+    SelectFamily::kRandom,       SelectFamily::kUnequal,
+    SelectFamily::kAllEqual,     SelectFamily::kDisjointUp,
+    SelectFamily::kDisjointDown, SelectFamily::kGiant,
+    SelectFamily::kHeavyTies};
+
+std::vector<std::vector<std::int32_t>> select_family(SelectFamily family,
+                                                     std::size_t k,
+                                                     std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<std::vector<std::int32_t>> runs(k);
+  for (std::size_t t = 0; t < k; ++t) {
+    std::size_t len = rng.bounded(120);
+    std::int32_t base = 0;
+    std::uint64_t universe = 1u << 20;
+    switch (family) {
+      case SelectFamily::kRandom: break;
+      case SelectFamily::kUnequal:
+        len = t % 3 == 0 ? 0 : t % 3 == 1 ? 1 : 200 + rng.bounded(400);
+        break;
+      case SelectFamily::kAllEqual: universe = 1; break;
+      case SelectFamily::kDisjointUp:
+        base = static_cast<std::int32_t>(t) << 20;
+        break;
+      case SelectFamily::kDisjointDown:
+        base = static_cast<std::int32_t>(k - 1 - t) << 20;
+        break;
+      case SelectFamily::kGiant:
+        len = t == k / 2 ? 3000 : rng.bounded(3);
+        break;
+      case SelectFamily::kHeavyTies: universe = 3; break;
+    }
+    runs[t].resize(len);
+    for (auto& x : runs[t])
+      x = base + static_cast<std::int32_t>(rng.bounded(universe));
+    std::sort(runs[t].begin(), runs[t].end());
+  }
+  return runs;
+}
+
+/// Ranks 0, 1, total - 1 and total, then `extra` random ones.
+std::vector<std::size_t> probe_ranks(std::size_t total, std::size_t extra,
+                                     std::uint64_t seed) {
+  std::vector<std::size_t> ranks{0, total};
+  if (total > 0) ranks.insert(ranks.end(), {1, total - 1});
+  Xoshiro256 rng(seed);
+  for (std::size_t i = 0; i < extra; ++i)
+    ranks.push_back(rng.bounded(total + 1));
+  return ranks;
+}
+
+/// The documented worst case of multiway_select: L·(L - 1)/2 comparisons
+/// for L = sum_t phi(|run_t|), phi(w) = ceil(log2 w) + 1, phi(0) = 0.
+std::uint64_t select_comparison_bound(
+    const std::vector<std::vector<std::int32_t>>& runs) {
+  std::uint64_t l = 0;
+  for (const auto& run : runs)
+    if (!run.empty()) l += std::bit_width(run.size() - 1) + 1;
+  return l > 0 ? l * (l - 1) / 2 : 0;
+}
+
+constexpr std::size_t kSelectRunCounts[] = {1, 2, 3, 5, 8, 31, 32, 33, 64};
+
+TEST(MultiwaySelect, MatchesBruteForceOnEveryFamily) {
+  for (SelectFamily family : kSelectFamilies) {
+    for (std::size_t k : kSelectRunCounts) {
+      const std::uint64_t seed = 1000 * static_cast<std::uint64_t>(family) + k;
+      const auto runs = select_family(family, k, seed);
+      std::vector<std::span<const std::int32_t>> views(runs.begin(),
+                                                       runs.end());
+      std::size_t total = 0;
+      for (const auto& run : runs) total += run.size();
+      for (std::size_t rank : probe_ranks(total, 12, seed)) {
+        OpCounts counts;
+        const auto actual = multiway_select(
+            std::span<const std::span<const std::int32_t>>(views), rank,
+            std::less<>{}, &counts);
+        ASSERT_EQ(actual, reference_select(runs, rank))
+            << "family " << static_cast<int>(family) << " k=" << k
+            << " rank=" << rank;
+        EXPECT_LE(counts.search_steps, select_comparison_bound(runs))
+            << "family " << static_cast<int>(family) << " k=" << k
+            << " rank=" << rank;
+        EXPECT_EQ(counts.compares + counts.moves + counts.stages, 0u);
+      }
+    }
+  }
+}
+
+TEST(MultiwaySelect, ComparisonBoundHoldsOnLongRuns) {
+  // Runs long enough that log² n dominates: the bound must hold where the
+  // refinement count, not the setup, decides the cost.
+  for (SelectFamily family : kSelectFamilies) {
+    for (std::size_t k : {2u, 32u}) {
+      auto runs = select_family(family, k, 77 + k);
+      for (auto& run : runs) {
+        const std::size_t len = run.size();
+        run.resize(len * 40);
+        for (std::size_t i = len; i < run.size(); ++i) run[i] = run[i % len];
+        std::sort(run.begin(), run.end());
+      }
+      std::vector<std::span<const std::int32_t>> views(runs.begin(),
+                                                       runs.end());
+      std::size_t total = 0;
+      for (const auto& run : runs) total += run.size();
+      for (std::size_t rank : probe_ranks(total, 20, 5 + k)) {
+        OpCounts counts;
+        const auto pos = multiway_select(
+            std::span<const std::span<const std::int32_t>>(views), rank,
+            std::less<>{}, &counts);
+        std::size_t sum = 0;
+        for (std::size_t p : pos) sum += p;
+        EXPECT_EQ(sum, rank);
+        EXPECT_LE(counts.search_steps, select_comparison_bound(runs))
+            << "family " << static_cast<int>(family) << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(MultiwaySelect, KeyOnlyRecordsSelectTheStablePrefix) {
+  // Equal keys are told apart only by their tags (run, position): the
+  // selected prefixes must hold exactly the first `rank` records of the
+  // stable merge, which takes equal keys by run, then position.
+  for (std::size_t k : kSelectRunCounts) {
+    for (std::uint64_t universe : {std::uint64_t{1}, std::uint64_t{4}}) {
+      const auto keys = engine_runs<std::int32_t>(k, universe, 303 + k);
+      std::vector<std::vector<Tagged32>> runs(k);
+      std::vector<Tagged32> merged;  // run order, then stable by key
+      for (std::size_t t = 0; t < k; ++t) {
+        for (std::size_t i = 0; i < keys[t].size(); ++i)
+          runs[t].push_back(
+              {keys[t][i], static_cast<std::uint32_t>(t << 16 | i)});
+        merged.insert(merged.end(), runs[t].begin(), runs[t].end());
+      }
+      std::stable_sort(merged.begin(), merged.end(), KeyOnlyLess{});
+      std::vector<std::span<const Tagged32>> views(runs.begin(), runs.end());
+      for (std::size_t rank : probe_ranks(merged.size(), 10, k + universe)) {
+        const auto pos = multiway_select(
+            std::span<const std::span<const Tagged32>>(views), rank,
+            KeyOnlyLess{});
+        std::vector<std::uint32_t> got;
+        for (std::size_t t = 0; t < k; ++t)
+          for (std::size_t i = 0; i < pos[t]; ++i)
+            got.push_back(runs[t][i].tag);
+        std::vector<std::uint32_t> want;
+        for (std::size_t i = 0; i < rank; ++i) want.push_back(merged[i].tag);
+        std::sort(got.begin(), got.end());
+        std::sort(want.begin(), want.end());
+        EXPECT_EQ(got, want) << "k=" << k << " u=" << universe
+                             << " rank=" << rank;
+      }
+    }
   }
 }
 

@@ -295,9 +295,9 @@ TEST(PramGolden, MultiwaySort) {
   expect_golden(simulate_multiway_sort(values, 1, model),
                 {329343, 334930, 0, 0, 664273, 664273, 0});
   expect_golden(simulate_multiway_sort(values, 5, model),
-                {344240, 334458, 1585, 0, 680283, 136735, 3});
+                {344240, 334458, 1508, 0, 680206, 136696, 3});
   expect_golden(simulate_multiway_sort(values, 2, model),
-                {328754, 374478, 66, 0, 703298, 352156, 3});
+                {328754, 374478, 115, 0, 703347, 352205, 3});
 }
 
 TEST(PramGolden, SegmentedMerge) {
