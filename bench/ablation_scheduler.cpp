@@ -8,8 +8,10 @@
 // makespan exactly:
 //   static: cost-sum of each lane's contiguous slice, max over lanes;
 //   tiled:  list-scheduling of the tile cost sequence onto p lanes
-//           (greedy earliest-available, the behaviour of the atomic
-//           claim counter in tiled_parallel_merge).
+//           (greedy earliest-available, the behaviour of lanes that claim
+//           fixed-size tiles of the merge path from an atomic counter).
+// The dynamic scheduler exists only in this model; the library runs the
+// static slices.
 // No wall clock involved — exact, host-independent, reproducible.
 //
 // Flags: --elements N (per array, default 1Mi), --threads N (default 8),

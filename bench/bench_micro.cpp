@@ -103,33 +103,6 @@ void BM_ClassicMergeKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_ClassicMergeKernel)->Arg(1 << 16);
 
-void BM_AdaptiveMergeKernel(benchmark::State& state) {
-  // organ_pipe: the run-structured input where galloping pays.
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = make_merge_input(Dist::kOrganPipe, n, n, 42);
-  std::vector<std::int32_t> out(2 * n);
-  for (auto _ : state) {
-    adaptive_merge(input.a.data(), n, input.b.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_AdaptiveMergeKernel)->Arg(1 << 16);
-
-void BM_ClassicMergeKernelOrganPipe(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto input = make_merge_input(Dist::kOrganPipe, n, n, 42);
-  std::vector<std::int32_t> out(2 * n);
-  for (auto _ : state) {
-    classic_merge(input.a.data(), n, input.b.data(), n, out.data());
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * n) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_ClassicMergeKernelOrganPipe)->Arg(1 << 16);
-
 void BM_LoserTreePopN(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   std::vector<std::vector<std::int32_t>> runs(k);

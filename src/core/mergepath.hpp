@@ -33,10 +33,8 @@
 /// terminal fork-join barrier.
 
 #include "core/instrument.hpp"        // IWYU pragma: export
-#include "core/merge_by_key.hpp"      // IWYU pragma: export
 #include "core/merge_matrix.hpp"      // IWYU pragma: export
 #include "core/merge_path.hpp"        // IWYU pragma: export
-#include "core/merge_soa.hpp"         // IWYU pragma: export
 #include "core/merge_sort.hpp"        // IWYU pragma: export
 #include "core/multiway_merge.hpp"    // IWYU pragma: export
 #include "core/parallel_merge.hpp"    // IWYU pragma: export
@@ -44,8 +42,6 @@
 #include "core/sequential_merge.hpp"  // IWYU pragma: export
 #include "core/set_ops.hpp"           // IWYU pragma: export
 #include "core/stream_merger.hpp"     // IWYU pragma: export
-#include "core/tiled_merge.hpp"       // IWYU pragma: export
-#include "core/verify.hpp"            // IWYU pragma: export
 #include "util/recovery.hpp"          // IWYU pragma: export
 
 namespace mp {

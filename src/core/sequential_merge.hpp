@@ -109,86 +109,4 @@ OutIter classic_merge(IterA a, std::size_t m, IterB b, std::size_t n,
   return out;
 }
 
-/// Run-adaptive ("galloping") merge: instead of deciding element by
-/// element, each iteration finds the whole span of consecutive winners
-/// from one input by exponential + binary search, then block-copies it.
-/// On run-structured inputs (the organ-pipe workload, pre-sorted
-/// fragments, time-series bursts) this does O(runs · log(run_len))
-/// comparisons instead of O(N); on perfectly interleaved input it costs
-/// at most ~2 comparisons per element — the trade the ablation bench
-/// (bench/ablation_segment's kernel companion in bench_micro) quantifies.
-/// Stable with A-priority, identical output to sequential_merge().
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>, typename Instr = NoInstrument>
-OutIter adaptive_merge(IterA a, std::size_t m, IterB b, std::size_t n,
-                       OutIter out, Comp comp = {}, Instr* instr = nullptr) {
-  auto note = [&](std::uint64_t compares, std::uint64_t moves) {
-    if constexpr (!std::is_same_v<Instr, NoInstrument>) {
-      if (instr) {
-        instr->compare(compares);
-        instr->move(moves);
-      }
-    }
-  };
-  std::size_t i = 0, j = 0;
-  while (i < m && j < n) {
-    if (comp(b[j], a[i])) {
-      // B wins: find the span of B strictly below a[i].
-      // Exponential probe for the first B index NOT below a[i]...
-      std::size_t lo = j + 1, hi = n, step = 1;
-      std::uint64_t probes = 1;  // the deciding comparison above
-      while (lo < hi) {
-        const std::size_t probe = std::min(lo + step - 1, hi - 1);
-        ++probes;
-        if (comp(b[probe], a[i])) {
-          lo = probe + 1;
-          step <<= 1;
-        } else {
-          hi = probe;
-          break;
-        }
-      }
-      while (lo < hi) {  // binary refine inside the bracket
-        const std::size_t mid = lo + (hi - lo) / 2;
-        ++probes;
-        if (comp(b[mid], a[i]))
-          lo = mid + 1;
-        else
-          hi = mid;
-      }
-      note(probes, lo - j);
-      for (; j < lo; ++j) *out++ = b[j];
-    } else {
-      // A wins (ties included): span of A not above b[j], i.e. a <= b[j].
-      std::size_t lo = i + 1, hi = m, step = 1;
-      std::uint64_t probes = 1;
-      while (lo < hi) {
-        const std::size_t probe = std::min(lo + step - 1, hi - 1);
-        ++probes;
-        if (!comp(b[j], a[probe])) {
-          lo = probe + 1;
-          step <<= 1;
-        } else {
-          hi = probe;
-          break;
-        }
-      }
-      while (lo < hi) {
-        const std::size_t mid = lo + (hi - lo) / 2;
-        ++probes;
-        if (!comp(b[j], a[mid]))
-          lo = mid + 1;
-        else
-          hi = mid;
-      }
-      note(probes, lo - i);
-      for (; i < lo; ++i) *out++ = a[i];
-    }
-  }
-  note(0, (m - i) + (n - j));
-  while (i < m) *out++ = a[i++];
-  while (j < n) *out++ = b[j++];
-  return out;
-}
-
 }  // namespace mp

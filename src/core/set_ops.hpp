@@ -1,11 +1,11 @@
 #pragma once
 /// \file set_ops.hpp
-/// Parallel sorted-set algebra (union / intersection / difference /
-/// symmetric difference) built on Merge Path partitioning.
+/// Parallel sorted-set intersection and difference built on Merge Path
+/// partitioning.
 ///
-/// Semantics match the std::set_* family exactly (multiset semantics: for
-/// union, max of multiplicities with A's copies preferred; intersection,
-/// min of multiplicities from A; difference, A's surplus copies).
+/// Semantics match std::set_intersection / std::set_difference exactly
+/// (multiset semantics: intersection, min of multiplicities from A;
+/// difference, A's surplus copies).
 ///
 /// Parallelisation differs from the plain merge in two ways the paper's
 /// machinery still covers:
@@ -99,22 +99,6 @@ std::vector<SetSlice> key_aligned_slices(IterA a, std::size_t m, IterB b,
 /// Sequential kernels, emitting through a sink (counting or writing).
 /// Semantics mirror the std::set_* reference implementations.
 template <typename IterA, typename IterB, typename Comp, typename Sink>
-void set_union_walk(IterA a, std::size_t m, IterB b, std::size_t n,
-                    Comp comp, Sink&& sink) {
-  std::size_t i = 0, j = 0;
-  while (i < m && j < n) {
-    if (comp(b[j], a[i])) {
-      sink(b[j++]);
-    } else {
-      if (!comp(a[i], b[j])) ++j;  // equal: B's copy is absorbed
-      sink(a[i++]);
-    }
-  }
-  while (i < m) sink(a[i++]);
-  while (j < n) sink(b[j++]);
-}
-
-template <typename IterA, typename IterB, typename Comp, typename Sink>
 void set_intersection_walk(IterA a, std::size_t m, IterB b, std::size_t n,
                            Comp comp, Sink&& sink) {
   std::size_t i = 0, j = 0;
@@ -146,24 +130,6 @@ void set_difference_walk(IterA a, std::size_t m, IterB b, std::size_t n,
     }
   }
   while (i < m) sink(a[i++]);
-}
-
-template <typename IterA, typename IterB, typename Comp, typename Sink>
-void set_symmetric_difference_walk(IterA a, std::size_t m, IterB b,
-                                   std::size_t n, Comp comp, Sink&& sink) {
-  std::size_t i = 0, j = 0;
-  while (i < m && j < n) {
-    if (comp(a[i], b[j])) {
-      sink(a[i++]);
-    } else if (comp(b[j], a[i])) {
-      sink(b[j++]);
-    } else {
-      ++i;
-      ++j;
-    }
-  }
-  while (i < m) sink(a[i++]);
-  while (j < n) sink(b[j++]);
 }
 
 /// Shared driver: count per lane, prefix, emit per lane. `Walk` is one of
@@ -212,20 +178,6 @@ std::size_t parallel_set_op(IterA a, std::size_t m, IterB b, std::size_t n,
 
 }  // namespace detail
 
-/// Union of two sorted ranges (std::set_union semantics). Returns the
-/// number of elements written; out must have room for m + n.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-std::size_t parallel_set_union(IterA a, std::size_t m, IterB b,
-                               std::size_t n, OutIter out, Executor exec = {},
-                               Comp comp = {}) {
-  return detail::parallel_set_op(a, m, b, n, out, exec, comp,
-                                 [](auto&&... args) {
-                                   detail::set_union_walk(
-                                       std::forward<decltype(args)>(args)...);
-                                 });
-}
-
 /// Intersection (std::set_intersection semantics); out needs min(m, n).
 template <typename IterA, typename IterB, typename OutIter,
           typename Comp = std::less<>>
@@ -250,32 +202,7 @@ std::size_t parallel_set_difference(IterA a, std::size_t m, IterB b,
       });
 }
 
-/// Symmetric difference (std::set_symmetric_difference semantics); out
-/// needs m + n.
-template <typename IterA, typename IterB, typename OutIter,
-          typename Comp = std::less<>>
-std::size_t parallel_set_symmetric_difference(IterA a, std::size_t m,
-                                              IterB b, std::size_t n,
-                                              OutIter out, Executor exec = {},
-                                              Comp comp = {}) {
-  return detail::parallel_set_op(
-      a, m, b, n, out, exec, comp, [](auto&&... args) {
-        detail::set_symmetric_difference_walk(
-            std::forward<decltype(args)>(args)...);
-      });
-}
-
 /// Vector front-ends.
-template <typename T, typename Comp = std::less<>>
-std::vector<T> parallel_set_union(const std::vector<T>& a,
-                                  const std::vector<T>& b, Executor exec = {},
-                                  Comp comp = {}) {
-  std::vector<T> out(a.size() + b.size());
-  out.resize(parallel_set_union(a.data(), a.size(), b.data(), b.size(),
-                                out.data(), exec, comp));
-  return out;
-}
-
 template <typename T, typename Comp = std::less<>>
 std::vector<T> parallel_set_intersection(const std::vector<T>& a,
                                          const std::vector<T>& b,
@@ -293,17 +220,6 @@ std::vector<T> parallel_set_difference(const std::vector<T>& a,
   std::vector<T> out(a.size());
   out.resize(parallel_set_difference(a.data(), a.size(), b.data(), b.size(),
                                      out.data(), exec, comp));
-  return out;
-}
-
-template <typename T, typename Comp = std::less<>>
-std::vector<T> parallel_set_symmetric_difference(const std::vector<T>& a,
-                                                 const std::vector<T>& b,
-                                                 Executor exec = {},
-                                                 Comp comp = {}) {
-  std::vector<T> out(a.size() + b.size());
-  out.resize(parallel_set_symmetric_difference(
-      a.data(), a.size(), b.data(), b.size(), out.data(), exec, comp));
   return out;
 }
 

@@ -8,20 +8,32 @@
 // 10% lane-fault schedule with straggler hedging is attacking the
 // recovering runner.
 //
-// Axes: entry {parallel_merge, parallel_merge_sort,
-// parallel_multiway_merge k=2 and k=5} x runner {plain, recovering} x
-// p {1, 2, 4, 17} x kernel {scalar, widest} x key {int32 under std::less,
-// KeyedRecord under a key-only comparator}, plus a sort of 20000
-// Zipf-keyed records (long tie runs across lanes). The sort entry point also
-// runs on int64 under std::less and double under TotalOrderLess, whose
-// vector base case is the 64-bit register sort; their outputs are compared byte for byte (-0.0 == +0.0 and NaN
-// != NaN would fool operator==).
+// Axes:
+//   runner {plain, recovering} x p {1, 2, 4, 17} x kernel {scalar, widest};
+//   merge entries {parallel_merge, segmented_parallel_merge with L = 37
+//     (the ring windows wrap), parallel_multiway_merge k = 2 and k = 5,
+//     parallel_set_intersection, parallel_set_difference,
+//     StreamMerger::pull over chunked pushes, small pulls and one pull
+//     large enough for its parallel merge} x key {int32 under std::less,
+//     KeyedRecord under a key-only comparator};
+//   sort entries {parallel_merge_sort, sequential_merge_sort,
+//     merge_round_balanced over five uneven runs} x key {int32, uint32,
+//     int64, uint64 under std::less; float, double under TotalOrderLess;
+//     KeyedRecord under the key-only comparator};
+//   plus a parallel_merge_sort of 20000 Zipf-keyed records (long tie runs
+//   across lanes).
+// The references are std::merge, std::set_intersection,
+// std::set_difference and std::stable_sort under the same comparator.
+// Arithmetic outputs are compared byte for byte (-0.0 == +0.0 and NaN !=
+// NaN would fool operator==); the unsigned keys include values above the
+// signed range, and the floating-point keys include signed zeros and NaNs.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -48,7 +60,8 @@ struct KeyOnly {
 
 /// `n` values over a small key universe (many ties crossing lane
 /// boundaries); records carry their origin index as payload so a tie
-/// reordered anywhere changes the bytes. Doubles add signed zeros and
+/// reordered anywhere changes the bytes. Negative keys wrap to the top of
+/// the unsigned types' range. Floating-point keys add signed zeros and
 /// NaNs, whose order only TotalOrderLess defines.
 template <typename T>
 std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
@@ -58,15 +71,16 @@ std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
     const auto key = static_cast<std::int32_t>(rng.bounded(97)) - 48;
     if constexpr (std::is_same_v<T, KeyedRecord>) {
       out[i] = KeyedRecord{key, static_cast<std::uint32_t>(seed << 20 | i)};
-    } else if constexpr (std::is_same_v<T, double>) {
-      constexpr double kSpecials[] = {
-          0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
-          -std::numeric_limits<double>::quiet_NaN()};
-      out[i] = key % 8 == 0 ? kSpecials[rng.bounded(4)] : key * 0.75;
-    } else if constexpr (std::is_same_v<T, std::int64_t>) {
-      out[i] = static_cast<std::int64_t>(key) << 40 | (key & 7);
+    } else if constexpr (std::is_floating_point_v<T>) {
+      constexpr T kSpecials[] = {T{0}, -T{0},
+                                 std::numeric_limits<T>::quiet_NaN(),
+                                 -std::numeric_limits<T>::quiet_NaN()};
+      out[i] = key % 8 == 0 ? kSpecials[rng.bounded(4)]
+                            : static_cast<T>(key * 0.75);
+    } else if constexpr (sizeof(T) == 8) {
+      out[i] = static_cast<T>(static_cast<std::int64_t>(key) << 40 | (key & 7));
     } else {
-      out[i] = key;
+      out[i] = static_cast<T>(key);
     }
   }
   return out;
@@ -101,16 +115,44 @@ template <typename T>
   return ::testing::AssertionFailure() << "output differs from the reference";
 }
 
-/// The sort entry point, parallel_merge_sort (Section III), against
-/// std::stable_sort.
+/// The sort entry points against std::stable_sort: parallel_merge_sort
+/// (Section III), its sequential base case, and one of its flattened
+/// merge rounds, over five uneven runs so the unpaired last one is copied.
 template <typename T, typename Comp>
-void check_sort_entry_point(const Executor& exec, Comp comp,
-                            const std::string& label) {
-  auto data = make_values<T>(3001, kSeed + 3);
+void check_sort_entry_points(const Executor& exec, Comp comp,
+                             const std::string& label) {
+  const auto data = make_values<T>(3001, kSeed + 3);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end(), comp);
-  parallel_merge_sort(data.data(), data.size(), exec, comp);
-  EXPECT_TRUE(same_output(data, expected)) << label << " parallel_merge_sort";
+
+  auto sorted = data;
+  parallel_merge_sort(sorted.data(), sorted.size(), exec, comp);
+  EXPECT_TRUE(same_output(sorted, expected))
+      << label << " parallel_merge_sort";
+
+  sorted = data;
+  sequential_merge_sort(std::span<T>(sorted), comp);
+  EXPECT_TRUE(same_output(sorted, expected))
+      << label << " sequential_merge_sort";
+
+  const std::vector<Run> runs{
+      {0, 700}, {700, 703}, {703, 1500}, {1500, 2990}, {2990, 3001}};
+  auto src = data;
+  for (const Run& run : runs)
+    std::stable_sort(src.begin() + static_cast<std::ptrdiff_t>(run.begin),
+                     src.begin() + static_cast<std::ptrdiff_t>(run.end), comp);
+  std::vector<T> round_expected(src.size());
+  std::merge(src.begin(), src.begin() + 700, src.begin() + 700,
+             src.begin() + 703, round_expected.begin(), comp);
+  std::merge(src.begin() + 703, src.begin() + 1500, src.begin() + 1500,
+             src.begin() + 2990, round_expected.begin() + 703, comp);
+  std::copy(src.begin() + 2990, src.end(), round_expected.begin() + 2990);
+  std::vector<T> round_out(src.size());
+  const auto merged =
+      merge_round_balanced(src.data(), round_out.data(), runs, exec, comp);
+  EXPECT_EQ(merged.size(), 3u) << label << " merge_round_balanced";
+  EXPECT_TRUE(same_output(round_out, round_expected))
+      << label << " merge_round_balanced";
 }
 
 /// The sort entry point on stable Zipf-keyed records.
@@ -123,30 +165,83 @@ void check_zipf_record_sort(const Executor& exec, const std::string& label) {
       << label << " parallel_merge_sort zipf records";
 }
 
+/// `n` sorted values of make_values<T>(n, seed).
+template <typename T, typename Comp>
+std::vector<T> make_sorted(std::size_t n, std::uint64_t seed, Comp comp) {
+  auto out = make_values<T>(n, seed);
+  std::stable_sort(out.begin(), out.end(), comp);
+  return out;
+}
+
+/// StreamMerger::pull: chunked pushes with small pulls between them, then
+/// the rest in one pull above the merger's parallel-pull threshold.
+template <typename T, typename Comp>
+void check_stream_merger(const Executor& exec, Comp comp,
+                         const std::string& label) {
+  const auto a = make_sorted<T>(24000, kSeed + 5, comp);
+  const auto b = make_sorted<T>(20000, kSeed + 6, comp);
+  std::vector<T> expected(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin(), comp);
+
+  constexpr std::size_t kChunk = 1000, kPull = 700, kChunkedRounds = 6;
+  StreamMerger<T, Comp> merger(comp, exec);
+  std::vector<T> out(expected.size());
+  const std::span<T> sink(out);
+  std::size_t written = 0;
+  for (std::size_t r = 0; r < kChunkedRounds; ++r) {
+    merger.push_a(std::span(a).subspan(r * kChunk, kChunk));
+    merger.push_b(std::span(b).subspan(r * kChunk, kChunk));
+    written += merger.pull(sink.subspan(written, kPull));
+  }
+  merger.push_a(std::span(a).subspan(kChunkedRounds * kChunk));
+  merger.push_b(std::span(b).subspan(kChunkedRounds * kChunk));
+  merger.close_a();
+  merger.close_b();
+  written += merger.pull(sink.subspan(written));
+  EXPECT_EQ(written, expected.size()) << label << " StreamMerger::pull";
+  EXPECT_EQ(out, expected) << label << " StreamMerger::pull";
+}
+
 /// Runs every entry point of the table on `exec` and checks it against
 /// the sequential standard-library reference.
 template <typename T, typename Comp>
 void check_entry_points(const Executor& exec, Comp comp,
                         const std::string& label) {
+  const auto a = make_sorted<T>(1700, kSeed + 1, comp);
+  const auto b = make_sorted<T>(1300, kSeed + 2, comp);
+  std::vector<T> merged(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), merged.begin(), comp);
   {  // parallel_merge (Algorithm 1)
-    auto a = make_values<T>(1700, kSeed + 1);
-    auto b = make_values<T>(1300, kSeed + 2);
-    std::stable_sort(a.begin(), a.end(), comp);
-    std::stable_sort(b.begin(), b.end(), comp);
-    std::vector<T> expected(a.size() + b.size());
-    std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin(),
-               comp);
-    std::vector<T> out(a.size() + b.size());
+    std::vector<T> out(merged.size());
     parallel_merge(a.data(), a.size(), b.data(), b.size(), out.data(), exec,
                    comp);
-    EXPECT_EQ(out, expected) << label << " parallel_merge";
+    EXPECT_EQ(out, merged) << label << " parallel_merge";
+  }
+  {  // segmented_parallel_merge (Algorithm 2): a prime L keeps the ring
+     // heads wrapping at changing offsets.
+    SegmentedConfig config;
+    config.segment_length = 37;
+    std::vector<T> out(merged.size());
+    segmented_parallel_merge(a.data(), a.size(), b.data(), b.size(),
+                             out.data(), config, exec, comp);
+    EXPECT_EQ(out, merged) << label << " segmented_parallel_merge";
+  }
+  {  // parallel_set_intersection / parallel_set_difference
+    std::vector<T> intersection, difference;
+    std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                          std::back_inserter(intersection), comp);
+    std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(difference), comp);
+    EXPECT_EQ(parallel_set_intersection(a, b, exec, comp), intersection)
+        << label << " parallel_set_intersection";
+    EXPECT_EQ(parallel_set_difference(a, b, exec, comp), difference)
+        << label << " parallel_set_difference";
   }
   for (const std::size_t k : {2u, 5u}) {  // parallel_multiway_merge
     std::vector<std::vector<T>> runs(k);
     std::vector<T> expected;  // run order, then stable by key
     for (std::size_t t = 0; t < k; ++t) {
-      runs[t] = make_values<T>(400 + 150 * t, kSeed + 10 + t);
-      std::stable_sort(runs[t].begin(), runs[t].end(), comp);
+      runs[t] = make_sorted<T>(400 + 150 * t, kSeed + 10 + t, comp);
       expected.insert(expected.end(), runs[t].begin(), runs[t].end());
     }
     std::stable_sort(expected.begin(), expected.end(), comp);
@@ -156,7 +251,8 @@ void check_entry_points(const Executor& exec, Comp comp,
                             out.data(), exec, comp);
     EXPECT_EQ(out, expected) << label << " parallel_multiway_merge k=" << k;
   }
-  check_sort_entry_point<T>(exec, comp, label);
+  check_stream_merger<T>(exec, comp, label);
+  check_sort_entry_points<T>(exec, comp, label);
 }
 
 enum class Runner { kPlain, kRecovering };
@@ -184,10 +280,16 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
         std::string("kernel=") + kernels::to_string(kernel);
     check_entry_points<std::int32_t>(exec, std::less<>{}, label + " int32");
     check_entry_points<KeyedRecord>(exec, KeyOnly{}, label + " records");
-    check_sort_entry_point<std::int64_t>(exec, std::less<>{},
-                                         label + " int64");
-    check_sort_entry_point<double>(exec, kernels::TotalOrderLess{},
-                                   label + " double");
+    check_sort_entry_points<std::uint32_t>(exec, std::less<>{},
+                                           label + " uint32");
+    check_sort_entry_points<std::int64_t>(exec, std::less<>{},
+                                          label + " int64");
+    check_sort_entry_points<std::uint64_t>(exec, std::less<>{},
+                                           label + " uint64");
+    check_sort_entry_points<float>(exec, kernels::TotalOrderLess{},
+                                   label + " float");
+    check_sort_entry_points<double>(exec, kernels::TotalOrderLess{},
+                                    label + " double");
     check_zipf_record_sort(exec, label);
   }
   kernels::set_kernel(saved);

@@ -1,6 +1,5 @@
 // Tests for core/sequential_merge.hpp: the bounded-step kernel, the full
-// sequential merge, the run-adaptive merge, stability, custom comparators
-// and instrumentation counts.
+// sequential merge, stability, custom comparators and instrumentation counts.
 
 #include "core/sequential_merge.hpp"
 
@@ -117,60 +116,6 @@ TEST(MergeSteps, InstrumentCounts) {
   // Compares: one per step while both sides live; between N/2 and N.
   EXPECT_GE(ops.compares, 1000u);
   EXPECT_LE(ops.compares, 2000u);
-}
-
-TEST(AdaptiveMerge, MatchesReferenceOnAllDistributions) {
-  for (Dist dist : kAllDists) {
-    constexpr std::pair<std::size_t, std::size_t> kShapes[] = {
-        {500, 400}, {500, 0}, {0, 400}, {1, 1}, {7, 1000}};
-    for (const auto& [m, n] : kShapes) {
-      const auto input = make_merge_input(dist, m, n, 600 + m + n);
-      std::vector<std::int32_t> out(m + n);
-      adaptive_merge(input.a.data(), m, input.b.data(), n, out.data());
-      EXPECT_EQ(out, test::reference_merge(input.a, input.b))
-          << to_string(dist) << " " << m << "x" << n;
-    }
-  }
-}
-
-TEST(AdaptiveMerge, StableAPriority) {
-  const auto input = make_keyed_input(500, 500, 6, 61);
-  std::vector<KeyedRecord> out(1000);
-  adaptive_merge(input.a.data(), 500, input.b.data(), 500, out.data());
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    ASSERT_LE(out[i - 1].key, out[i].key);
-    if (out[i - 1].key == out[i].key) {
-      ASSERT_LT(out[i - 1].payload, out[i].payload) << "at " << i;
-    }
-  }
-}
-
-TEST(AdaptiveMerge, GallopingWinsOnRunStructuredInput) {
-  // organ_pipe: alternating 128-long runs. The adaptive kernel should do
-  // roughly 2·log(128) comparisons per run instead of 128.
-  const auto runs = make_merge_input(Dist::kOrganPipe, 1 << 15, 1 << 15, 63);
-  OpCounts adaptive_ops, classic_ops;
-  std::vector<std::int32_t> out(1 << 16);
-  adaptive_merge(runs.a.data(), runs.a.size(), runs.b.data(), runs.b.size(),
-                 out.data(), std::less<>{}, &adaptive_ops);
-  std::size_t i = 0, j = 0;
-  merge_steps(runs.a.data(), runs.a.size(), runs.b.data(), runs.b.size(),
-              &i, &j, out.data(), 1 << 16, std::less<>{}, &classic_ops);
-  EXPECT_LT(adaptive_ops.compares * 4, classic_ops.compares)
-      << "adaptive " << adaptive_ops.compares << " vs classic "
-      << classic_ops.compares;
-
-  // Worst case (perfectly interleaved): bounded overhead, not blow-up.
-  const auto inter =
-      make_merge_input(Dist::kInterleaved, 1 << 14, 1 << 14, 65);
-  OpCounts a_ops, c_ops;
-  adaptive_merge(inter.a.data(), inter.a.size(), inter.b.data(),
-                 inter.b.size(), out.data(), std::less<>{}, &a_ops);
-  i = j = 0;
-  merge_steps(inter.a.data(), inter.a.size(), inter.b.data(),
-              inter.b.size(), &i, &j, out.data(), 1 << 15, std::less<>{},
-              &c_ops);
-  EXPECT_LT(a_ops.compares, 3 * c_ops.compares);
 }
 
 }  // namespace

@@ -16,13 +16,18 @@
 #include <cstdint>
 #include <iterator>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/merge_sort.hpp"
+#include "core/multiway_merge.hpp"
 #include "core/parallel_merge.hpp"
+#include "core/segmented_merge.hpp"
+#include "core/set_ops.hpp"
+#include "core/stream_merger.hpp"
 #include "fault/fault.hpp"
 #include "util/data_gen.hpp"
 
@@ -326,6 +331,61 @@ void sort_and_merge_exactly(const Executor& exec, std::uint64_t seed) {
   ASSERT_EQ(merged, reference) << "merge, seed " << seed;
 }
 
+// Runs the other fork-join entry points on `exec`: the k-way merge
+// (k = 5), SPM, both set operations and a StreamMerger pull above its
+// parallel threshold. Each must be byte-equal to its std:: reference.
+void other_entry_points_exactly(const Executor& exec, std::uint64_t seed) {
+  const std::size_t n = 1000 + seed % 4000;
+  const KeyedMergeInput input = make_keyed_input(n / 2, n - n / 2, 64, seed);
+  const std::vector<KeyedRecord>& a = input.a;
+  const std::vector<KeyedRecord>& b = input.b;
+  std::vector<KeyedRecord> reference;
+  std::merge(a.begin(), a.end(), b.begin(), b.end(),
+             std::back_inserter(reference));
+
+  std::vector<std::vector<KeyedRecord>> runs(5);
+  std::vector<KeyedRecord> multiway_reference;  // run order, then stable
+  for (std::uint32_t t = 0; t < runs.size(); ++t) {
+    runs[t] = make_keyed_input(n / 5 + 37 * t, 0, 64, seed + t).a;
+    for (KeyedRecord& r : runs[t]) r.payload += t << 24;
+    multiway_reference.insert(multiway_reference.end(), runs[t].begin(),
+                              runs[t].end());
+  }
+  std::stable_sort(multiway_reference.begin(), multiway_reference.end());
+  ASSERT_EQ(parallel_multiway_merge(runs, exec), multiway_reference)
+      << "multiway, seed " << seed;
+
+  SegmentedConfig config;
+  config.segment_length = 61;
+  std::vector<KeyedRecord> merged(n);
+  segmented_parallel_merge(a.data(), a.size(), b.data(), b.size(),
+                           merged.data(), config, exec);
+  ASSERT_EQ(merged, reference) << "segmented, seed " << seed;
+
+  std::vector<KeyedRecord> intersection, difference;
+  std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
+                        std::back_inserter(intersection));
+  std::set_difference(a.begin(), a.end(), b.begin(), b.end(),
+                      std::back_inserter(difference));
+  ASSERT_EQ(parallel_set_intersection(a, b, exec), intersection)
+      << "intersection, seed " << seed;
+  ASSERT_EQ(parallel_set_difference(a, b, exec), difference)
+      << "difference, seed " << seed;
+
+  constexpr std::size_t kStreamHalf = 17000;  // pull of 34000 forks
+  const KeyedMergeInput stream =
+      make_keyed_input(kStreamHalf, kStreamHalf, 64, seed);
+  std::vector<KeyedRecord> stream_reference;
+  std::merge(stream.a.begin(), stream.a.end(), stream.b.begin(),
+             stream.b.end(), std::back_inserter(stream_reference));
+  StreamMerger<KeyedRecord> merger({}, exec);
+  merger.push_a(std::span<const KeyedRecord>(stream.a));
+  merger.push_b(std::span<const KeyedRecord>(stream.b));
+  merger.close_a();
+  merger.close_b();
+  ASSERT_EQ(merger.pull_all(), stream_reference) << "stream, seed " << seed;
+}
+
 // Application threads share one pool: the default executor's shared pool
 // and an explicit one. A call made while another thread's job is in
 // flight waits for the pool, then runs normally.
@@ -336,8 +396,10 @@ TEST(ThreadPool, ConcurrentCallersShareThePool) {
   for (unsigned t = 0; t < 4; ++t) {
     callers.emplace_back([&, t] {
       for (std::uint64_t iter = 0; iter < 50; ++iter)
-        for (const Executor& exec : executors)
+        for (const Executor& exec : executors) {
           sort_and_merge_exactly(exec, t * 1000 + iter);
+          other_entry_points_exactly(exec, t * 1000 + iter);
+        }
     });
   }
   for (std::thread& caller : callers) caller.join();
