@@ -193,5 +193,32 @@ TEST(ValidatePartition, RejectsBrokenPartitions) {
   }
 }
 
+// The rank-k element of merge(A, B) is one diagonal search away: the path
+// point on cross diagonal k says which head the merge takes next.
+TEST(KthSmallest, MatchesMergedSequenceEverywhere) {
+  for (Dist dist : kAllDists) {
+    const auto input = make_merge_input(dist, 300, 200, 181);
+    const auto full = test::reference_merge(input.a, input.b);
+    for (std::size_t rank = 0; rank < full.size(); rank += 13) {
+      EXPECT_EQ(test::element_at_rank(input.a, input.b, rank), full[rank])
+          << to_string(dist) << " rank=" << rank;
+    }
+    // Boundary ranks.
+    EXPECT_EQ(test::element_at_rank(input.a, input.b, 0), full.front());
+    EXPECT_EQ(test::element_at_rank(input.a, input.b, full.size() - 1),
+              full.back());
+  }
+}
+
+TEST(KthSmallest, MedianOfTwoArrays) {
+  // The classic interview formulation, O(log) here.
+  const std::vector<std::int32_t> a{1, 3, 8, 9, 15};
+  const std::vector<std::int32_t> b{7, 11, 18, 19, 21, 25};
+  // Union sorted: 1 3 7 8 9 11 15 18 19 21 25 -> median (rank 5) = 11.
+  EXPECT_EQ(test::element_at_rank(a, b, 5), 11);
+  EXPECT_EQ(path_point_on_diagonal(a.data(), a.size(), b.data(), b.size(), 5),
+            (PathPoint{4, 1}));
+}
+
 }  // namespace
 }  // namespace mp
