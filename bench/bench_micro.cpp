@@ -28,7 +28,6 @@
 #include "core/segmented_merge.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/sort_network.hpp"
-#include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/percentiles.hpp"
 #include "obs/trace.hpp"
@@ -172,25 +171,22 @@ BENCHMARK(BM_SegmentedLinearize);
 
 // --- Span overhead -------------------------------------------------------
 // Prices one obs::Span construct/destruct edge under every consumer
-// configuration the combined state byte can express, plus both clock
-// sources for the fully-armed case. "disarmed" is what every instrumented
-// region pays when nothing records (one atomic load); "compiled_out" is
-// the MP_TRACE=0 call site (NullSpan). The trace_tsc / trace_steady pair
-// isolates the clock cost: same consumers, different timestamp source.
+// configuration the combined state byte can express. "disarmed" is what
+// every instrumented region pays when nothing records (one atomic load);
+// "flight_only" is the default state (the flight recorder is always
+// armed); "compiled_out" is the MP_TRACE=0 call site (NullSpan).
 
 struct SpanOverheadConfig {
   bool trace = false;
   bool stats = false;
   bool flight = false;
-  obs::ClockMode clock = obs::ClockMode::kAuto;
 };
 
 void run_span_overhead(benchmark::State& state,
                        const SpanOverheadConfig& config) {
-  // All consumer/clock switches are control-plane operations; flip them
-  // outside the timed loop and restore the process defaults afterwards.
+  // All consumer switches are control-plane operations; flip them outside
+  // the timed loop and restore the process defaults afterwards.
   const bool flight_was = obs::flight_enabled();
-  obs::FastClock::set_mode(config.clock);
   obs::set_flight_enabled(config.flight);
   if (config.trace)
     obs::arm_tracing();
@@ -210,7 +206,6 @@ void run_span_overhead(benchmark::State& state,
   obs::disarm_span_stats();
   obs::reset_span_stats();
   obs::set_flight_enabled(flight_was);
-  obs::FastClock::set_mode(obs::ClockMode::kAuto);
 }
 
 void BM_SpanOverhead_Disarmed(benchmark::State& state) {
@@ -228,19 +223,10 @@ void BM_SpanOverhead_StatsOnly(benchmark::State& state) {
 }
 BENCHMARK(BM_SpanOverhead_StatsOnly);
 
-void BM_SpanOverhead_TraceTsc(benchmark::State& state) {
-  run_span_overhead(
-      state, {.trace = true, .stats = true, .flight = true,
-              .clock = obs::ClockMode::kTsc});
+void BM_SpanOverhead_Trace(benchmark::State& state) {
+  run_span_overhead(state, {.trace = true, .stats = true, .flight = true});
 }
-BENCHMARK(BM_SpanOverhead_TraceTsc);
-
-void BM_SpanOverhead_TraceSteady(benchmark::State& state) {
-  run_span_overhead(
-      state, {.trace = true, .stats = true, .flight = true,
-              .clock = obs::ClockMode::kSteady});
-}
-BENCHMARK(BM_SpanOverhead_TraceSteady);
+BENCHMARK(BM_SpanOverhead_Trace);
 
 void BM_SpanOverhead_CompiledOut(benchmark::State& state) {
   // The MP_TRACE=0 call-site shape, selectable in any build: NullSpan

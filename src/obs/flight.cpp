@@ -111,7 +111,7 @@ std::vector<TraceEvent> flight_snapshot() {
       events.push_back(event);
     }
   }
-  // Normalise absolute FastClock timestamps to the earliest retained event.
+  // Normalise absolute steady_clock timestamps to the earliest retained event.
   std::uint64_t min_ts = ~std::uint64_t{0};
   for (const TraceEvent& event : events) min_ts = std::min(min_ts, event.ts_ns);
   for (TraceEvent& event : events) event.ts_ns -= min_ts;

@@ -6,7 +6,7 @@
 ///
 /// The storage is the second ring in detail::ThreadBuffer (trace.hpp);
 /// recording shares the Span hot path (one state-byte load when idle) and
-/// keeps absolute FastClock timestamps so the window survives trace
+/// keeps absolute steady_clock timestamps so the window survives trace
 /// re-arms. Snapshots normalise timestamps to the earliest retained event.
 /// Because rings hold complete spans and evict oldest-first, any retained
 /// suffix of a properly nested span stream is itself properly nested —

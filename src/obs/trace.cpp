@@ -7,7 +7,6 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 
 namespace mp::obs {
 
@@ -77,8 +76,7 @@ void arm_tracing(std::size_t events_per_thread) {
     buffer->count = 0;
     buffer->dropped = 0;
   }
-  detail::g_trace_epoch_ns.store(detail::monotonic_ns(),
-                                 std::memory_order_relaxed);
+  detail::g_trace_epoch_ns.store(monotonic_ns(), std::memory_order_relaxed);
   // Release pairs with the acquire in the span hot path: a thread that sees
   // the trace bit also sees the reset buffers and the new epoch.
   detail::g_span_state.fetch_or(detail::kSpanTraceBit,
@@ -192,18 +190,6 @@ void write_micros(std::ostream& os, std::uint64_t ns) {
      << static_cast<char>('0' + ns % 10);
 }
 
-/// The active FastClock calibration as a JSON object, so offline tools can
-/// tell which source stamped the trace (and convert raw TSC readings).
-std::string clock_metadata_json() {
-  const ClockCalibration cal = FastClock::calibration();
-  std::ostringstream os;
-  os << "\"clock\":{\"source\":\"" << (cal.using_tsc ? "tsc" : "steady")
-     << "\",\"ns_per_tick\":" << cal.ns_per_tick
-     << ",\"tsc_epoch\":" << cal.tsc_epoch
-     << ",\"steady_epoch_ns\":" << cal.steady_epoch_ns << '}';
-  return os.str();
-}
-
 }  // namespace
 
 namespace detail {
@@ -212,7 +198,7 @@ void write_trace_json(std::ostream& os, const std::vector<TraceEvent>& events,
                       std::uint64_t dropped,
                       const std::string& extra_other_data) {
   os << "{\"displayTimeUnit\":\"ns\",\"otherData\":{\"dropped_events\":"
-     << dropped << ',' << clock_metadata_json() << extra_other_data
+     << dropped << R"(,"clock":{"source":"steady"})" << extra_other_data
      << "},\"traceEvents\":[";
   bool first = true;
   const auto comma = [&] {

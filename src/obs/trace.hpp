@@ -19,10 +19,9 @@
 ///    also what makes flight-recorder suffixes well-nested: dropping the
 ///    oldest complete spans of a properly nested stream leaves a properly
 ///    nested stream.)
-///  - Timestamps come from obs::FastClock (calibrated invariant-TSC rdtsc
-///    with automatic steady_clock fallback, fastclock.hpp). Trace events
-///    are stored relative to the arm epoch; flight events keep absolute
-///    FastClock time so the always-on ring survives re-arms.
+///  - Timestamps are one std::chrono::steady_clock read (monotonic_ns()).
+///    Trace events are stored relative to the arm epoch; flight events keep
+///    absolute steady_clock time so the always-on ring survives re-arms.
 ///  - Arming, disarming, resetting and snapshotting are cold control-plane
 ///    operations (trace.cpp / percentiles.cpp / flight.cpp). They may only
 ///    run while no instrumented work is in flight — the same quiescence the
@@ -40,6 +39,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
@@ -48,13 +48,21 @@
 #include <string>
 #include <vector>
 
-#include "obs/fastclock.hpp"
-
 #ifndef MP_TRACE
 #define MP_TRACE 1
 #endif
 
 namespace mp::obs {
+
+/// Nanoseconds on the steady_clock timeline: the timestamp of every span,
+/// counter, flight event, pool lane and serve request. Not gated on
+/// MP_TRACE — it is just a clock.
+inline std::uint64_t monotonic_ns() {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// True when span call sites compile to real recording code.
 inline constexpr bool kTraceCompiledIn = MP_TRACE != 0;
@@ -180,8 +188,6 @@ inline thread_local ThreadBuffer* g_thread_buffer = nullptr;
 
 /// Cold path: registers a buffer for the calling thread (trace.cpp).
 ThreadBuffer* register_thread_buffer();
-
-inline std::uint64_t monotonic_ns() { return FastClock::now_ns(); }
 
 /// Arm epoch in monotonic_ns units; trace-ring timestamps are relative to
 /// it (flight-ring timestamps are absolute).
@@ -347,7 +353,7 @@ std::size_t trace_thread_count();
 /// Writes the Chrome/Perfetto trace_event JSON for the current snapshot
 /// (load via chrome://tracing or https://ui.perfetto.dev). Spans are "X"
 /// complete events; counters "C"; instants "i". otherData carries the
-/// FastClock calibration under "clock".
+/// timestamp source under "clock" (always {"source":"steady"}).
 void write_chrome_trace(std::ostream& os);
 
 /// write_chrome_trace() to a file; returns false (and reports on stderr) if

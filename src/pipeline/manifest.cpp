@@ -37,9 +37,11 @@ struct Writer {
   template <typename V>
   void put(V value) {
     static_assert(std::is_trivially_copyable_v<V>);
-    const std::size_t at = bytes.size();
-    bytes.resize(at + sizeof(V));
-    std::memcpy(bytes.data() + at, &value, sizeof(V));
+    // Appends the object representation. (resize + memcpy here trips a
+    // GCC 12 -Warray-bounds false positive whose firing depends on the
+    // translation unit's include order.)
+    const auto* raw = reinterpret_cast<const std::uint8_t*>(&value);
+    bytes.insert(bytes.end(), raw, raw + sizeof(V));
   }
   void put_handle(const extmem::RunHandle& h) {
     put(h.first_block);

@@ -11,9 +11,9 @@
 #include <type_traits>
 #include <utility>
 
-#include "obs/fastclock.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "util/timer.hpp"
 
 namespace mp::serve {
 
@@ -162,7 +162,7 @@ LoadGenReport run_closed_loop(Server& server, const LoadGenConfig& cfg) {
   };
 
   Xoshiro256 rng(cfg.seed);
-  const std::uint64_t t0 = obs::FastClock::now_ns();
+  const Timer wall;
   const std::size_t cap_total = cfg.sessions * cfg.window;
   std::size_t next_session = 0;
 
@@ -236,8 +236,7 @@ LoadGenReport run_closed_loop(Server& server, const LoadGenConfig& cfg) {
     cv.wait(lock, [&] { return outstanding_total == 0; });
   }
 
-  rep.wall_s =
-      static_cast<double>(obs::FastClock::now_ns() - t0) * 1e-9;
+  rep.wall_s = wall.seconds();
   {
     std::lock_guard lock(mu);
     rep.conservation_ok =

@@ -15,7 +15,6 @@
 #include "core/merge_sort.hpp"
 #include "core/stream_merger.hpp"
 #include "fault/fault.hpp"
-#include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
@@ -340,7 +339,7 @@ struct Server::Impl {
   /// the conservation law survives bugs in comparators and sinks alike.
   void execute_batch(Batch& batch) {
     auto& reg = obs::MetricsRegistry::instance();
-    const std::uint64_t start_ns = obs::FastClock::now_ns();
+    const std::uint64_t start_ns = obs::monotonic_ns();
     bool degraded = false;
     bool failed = false;
     std::string error;
@@ -362,7 +361,7 @@ struct Server::Impl {
         error = "unknown exception";
       }
     }
-    const std::uint64_t end_ns = obs::FastClock::now_ns();
+    const std::uint64_t end_ns = obs::monotonic_ns();
 
     const auto n = static_cast<std::uint64_t>(batch.reqs.size());
     {
@@ -427,7 +426,7 @@ struct Server::Impl {
     r.session = p.req.session;
     r.sequence = p.req.sequence;
     r.outcome = Outcome::kCancelled;
-    r.queue_wait_ns = obs::FastClock::now_ns() - p.enq_ns;
+    r.queue_wait_ns = obs::monotonic_ns() - p.enq_ns;
     p.done(std::move(r));
   }
 
@@ -461,10 +460,6 @@ struct Server::Impl {
       }
       if (exiting) break;
       execute_batch(batch);
-      // The single maintenance point of the serving process: between
-      // batches, with no in-flight timestamp users on this thread, heal
-      // any TSC drift accumulated since the last calibration.
-      obs::FastClock::maybe_recalibrate();
     }
   }
 };
@@ -515,7 +510,7 @@ SubmitResult Server::submit(Request req, Completion done) {
       p.req = std::move(req);
       p.done = std::move(done);
       p.id = id;
-      p.enq_ns = obs::FastClock::now_ns();
+      p.enq_ns = obs::monotonic_ns();
       im.queue.push_back(std::move(p));
       ++im.stats.accepted;
       depth = im.queue.size();
@@ -581,7 +576,6 @@ std::size_t Server::pump(std::size_t max_batches) {
     }
     im.execute_batch(batch);
     ++ran;
-    obs::FastClock::maybe_recalibrate();
   }
   return ran;
 }

@@ -54,10 +54,7 @@
 /// percentile surface ("serve.request", "serve.queue_wait",
 /// "serve.service") so --metrics-json reports serving p50/p95/p99
 /// directly; admission decisions emit "serve.reject"/"serve.shed"
-/// instants and serve.* counters. The dispatcher also calls
-/// obs::FastClock::maybe_recalibrate() between batches — the single
-/// maintenance point that keeps a long-running server's TSC timeline
-/// anchored to steady_clock.
+/// instants and serve.* counters.
 ///
 /// Threading contract: submit()/cancel() are safe from any thread.
 /// Execution happens on the dispatcher thread (or the caller of pump()

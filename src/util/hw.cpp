@@ -6,10 +6,6 @@
 #include <sstream>
 #include <thread>
 
-#if defined(__x86_64__) || defined(__i386__)
-#include <cpuid.h>
-#endif
-
 #if defined(__linux__)
 #include <sys/mman.h>
 #endif
@@ -78,12 +74,6 @@ CpuFeatures probe_cpu() {
   features.avx2 = __builtin_cpu_supports("avx2") != 0;
   features.avx512f = __builtin_cpu_supports("avx512f") != 0;
   features.avx512bw = __builtin_cpu_supports("avx512bw") != 0;
-  // Invariant TSC lives in the extended power-management leaf, which
-  // __builtin_cpu_supports does not expose.
-  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  if (__get_cpuid(0x80000007u, &eax, &ebx, &ecx, &edx) != 0) {
-    features.invariant_tsc = (edx & (1u << 8)) != 0;
-  }
 #endif
   return features;
 }

@@ -49,12 +49,6 @@ struct CpuFeatures {
   /// -mavx512f -mavx512bw and dispatch requires both bits.
   bool avx512f = false;
   bool avx512bw = false;
-  /// Invariant TSC (CPUID 8000_0007h EDX bit 8): the timestamp counter
-  /// ticks at a constant rate across P-/C-state transitions, which is the
-  /// precondition for obs::FastClock to stamp spans with rdtsc instead of
-  /// a full steady_clock read. Non-x86 hosts (and pre-Nehalem parts)
-  /// report false and the clock stays on steady_clock.
-  bool invariant_tsc = false;
 };
 
 /// Queries the host (cached after the first call).

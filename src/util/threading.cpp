@@ -166,7 +166,7 @@ struct ThreadPool::Impl {
   void finish_lane(Job& job, unsigned lane, LaneStatus status,
                    std::exception_ptr error) {
     LaneOutcome& outcome = job.report.lanes[lane];
-    outcome.wall_ns = obs::detail::monotonic_ns() - job.slots[lane].start_ns;
+    outcome.wall_ns = obs::monotonic_ns() - job.slots[lane].start_ns;
     outcome.status = status;
     outcome.error = std::move(error);
     job.slots[lane].done = true;
@@ -201,7 +201,7 @@ struct ThreadPool::Impl {
       std::unique_lock lock(mutex);
       LaneSlot& slot = job.slots[lane];
       slot.started = true;
-      slot.start_ns = obs::detail::monotonic_ns();
+      slot.start_ns = obs::monotonic_ns();
       if (decision == fault::FaultKind::kLaneDelay && job.delay.count() > 0) {
         // Injected straggler: a real stall, but cancellable — the hedger
         // claims the ticket and notifies, so the barrier never waits out
@@ -272,7 +272,7 @@ struct ThreadPool::Impl {
           static_cast<std::uint64_t>(job.hedge.factor *
                                      static_cast<double>(*mid)));
     }
-    const std::uint64_t now = obs::detail::monotonic_ns();
+    const std::uint64_t now = obs::monotonic_ns();
     for (unsigned lane = 0; lane < job.lanes; ++lane) {
       const LaneSlot& slot = job.slots[lane];
       if (slot.started && !slot.ticket && now - slot.start_ns > threshold_ns)
@@ -305,11 +305,11 @@ struct ThreadPool::Impl {
         // share of the fork-join teardown cost; it is timed (when lane
         // metrics are armed) and traced.
         obs::Span span("pool.checkout");
-        const std::uint64_t t0 = job.timed ? obs::detail::monotonic_ns() : 0;
+        const std::uint64_t t0 = job.timed ? obs::monotonic_ns() : 0;
         lock.lock();
         if (job.timed)
           obs::LaneMetrics::instance().record_checkout(
-              obs::detail::monotonic_ns() - t0);
+              obs::monotonic_ns() - t0);
         // ~Span pushes into this worker's trace ring HERE, while the pool
         // mutex is still held: the push must happen-before the caller
         // observes quiescence, or a trace_snapshot() taken right after
@@ -391,7 +391,7 @@ LaneReport ThreadPool::try_parallel_for_lanes(
     std::optional<obs::Span> barrier_span;
     if (job.forked) barrier_span.emplace("pool.barrier", "lanes", lanes);
     const std::uint64_t b0 =
-        job.forked && job.timed ? obs::detail::monotonic_ns() : 0;
+        job.forked && job.timed ? obs::monotonic_ns() : 0;
     std::unique_lock lock(pool.mutex);
     // Wait for every lane to finish, every checked-in worker to leave the
     // claim loop and the hedger to finish any stolen lane: a hedged lane's
@@ -404,7 +404,7 @@ LaneReport ThreadPool::try_parallel_for_lanes(
     }
     if (job.forked && job.timed)
       obs::LaneMetrics::instance().record_barrier_wait(
-          obs::detail::monotonic_ns() - b0);
+          obs::monotonic_ns() - b0);
   }
 
   LaneReport& report = job.report;

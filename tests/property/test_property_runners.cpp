@@ -20,6 +20,10 @@
 //     merge_round_balanced over five uneven runs} x key {int32, uint32,
 //     int64, uint64 under std::less; float, double under TotalOrderLess;
 //     KeyedRecord under the key-only comparator};
+//   keys drawn from a 97-key generator (many ties, random order) and, for
+//     the int32 and KeyedRecord rows, from every Dist shape of
+//     util/data_gen.hpp (a merge's A and B are one make_merge_input pair;
+//     a sort's input is such a pair concatenated);
 //   plus a parallel_merge_sort of 20000 Zipf-keyed records (long tie runs
 //   across lanes).
 // The references are std::merge, std::set_intersection,
@@ -35,9 +39,11 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <span>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "core/mergepath.hpp"
@@ -100,6 +106,60 @@ std::vector<KeyedRecord> make_zipf_records(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
+/// `n` sorted values of make_values<T>(n, seed).
+template <typename T, typename Comp>
+std::vector<T> make_sorted(std::size_t n, std::uint64_t seed, Comp comp) {
+  auto out = make_values<T>(n, seed);
+  std::stable_sort(out.begin(), out.end(), comp);
+  return out;
+}
+
+/// Where a row's keys come from: the 97-key generator (std::nullopt) or
+/// one Dist shape of util/data_gen.hpp.
+using Shape = std::optional<Dist>;
+
+/// Dist keys as T; records carry `tag << 20 | i` as payload, like
+/// make_values, so a reordered tie changes the bytes.
+template <typename T>
+std::vector<T> from_keys(const std::vector<std::int32_t>& keys,
+                         std::uint64_t tag) {
+  std::vector<T> out(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if constexpr (std::is_same_v<T, KeyedRecord>)
+      out[i] = KeyedRecord{keys[i], static_cast<std::uint32_t>(tag << 20 | i)};
+    else
+      out[i] = static_cast<T>(keys[i]);
+  }
+  return out;
+}
+
+/// Two sorted inputs: independent 97-key draws with seeds `seed` and
+/// `seed + 1`, or one make_merge_input pair, so that the shape's relation
+/// between A and B (disjoint, interleaved, all equal, ...) holds.
+template <typename T, typename Comp>
+std::pair<std::vector<T>, std::vector<T>> make_sorted_pair(
+    Shape shape, std::size_t size_a, std::size_t size_b, std::uint64_t seed,
+    Comp comp) {
+  if (!shape)
+    return {make_sorted<T>(size_a, seed, comp),
+            make_sorted<T>(size_b, seed + 1, comp)};
+  const MergeInput input = make_merge_input(*shape, size_a, size_b, seed);
+  return {from_keys<T>(input.a, seed), from_keys<T>(input.b, seed + 1)};
+}
+
+/// `n` sort inputs: a 97-key draw, or a Dist pair concatenated (two sorted
+/// runs; disjoint_low is already sorted, disjoint_high is rotated).
+template <typename T>
+std::vector<T> make_sort_input(Shape shape, std::size_t n,
+                               std::uint64_t seed) {
+  if (!shape) return make_values<T>(n, seed);
+  const MergeInput input = make_merge_input(*shape, n / 2, n - n / 2, seed);
+  auto out = from_keys<T>(input.a, seed);
+  const auto b = from_keys<T>(input.b, seed + 1);
+  out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
 /// Byte equality for the arithmetic keys, operator== for records.
 template <typename T>
 ::testing::AssertionResult same_output(const std::vector<T>& got,
@@ -120,8 +180,9 @@ template <typename T>
 /// merge rounds, over five uneven runs so the unpaired last one is copied.
 template <typename T, typename Comp>
 void check_sort_entry_points(const Executor& exec, Comp comp,
-                             const std::string& label) {
-  const auto data = make_values<T>(3001, kSeed + 3);
+                             const std::string& label,
+                             Shape shape = std::nullopt) {
+  const auto data = make_sort_input<T>(shape, 3001, kSeed + 3);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end(), comp);
 
@@ -165,21 +226,13 @@ void check_zipf_record_sort(const Executor& exec, const std::string& label) {
       << label << " parallel_merge_sort zipf records";
 }
 
-/// `n` sorted values of make_values<T>(n, seed).
-template <typename T, typename Comp>
-std::vector<T> make_sorted(std::size_t n, std::uint64_t seed, Comp comp) {
-  auto out = make_values<T>(n, seed);
-  std::stable_sort(out.begin(), out.end(), comp);
-  return out;
-}
-
 /// StreamMerger::pull: chunked pushes with small pulls between them, then
 /// the rest in one pull above the merger's parallel-pull threshold.
 template <typename T, typename Comp>
 void check_stream_merger(const Executor& exec, Comp comp,
-                         const std::string& label) {
-  const auto a = make_sorted<T>(24000, kSeed + 5, comp);
-  const auto b = make_sorted<T>(20000, kSeed + 6, comp);
+                         const std::string& label, Shape shape) {
+  const auto [a, b] =
+      make_sorted_pair<T>(shape, 24000, 20000, kSeed + 5, comp);
   std::vector<T> expected(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), expected.begin(), comp);
 
@@ -206,9 +259,13 @@ void check_stream_merger(const Executor& exec, Comp comp,
 /// the sequential standard-library reference.
 template <typename T, typename Comp>
 void check_entry_points(const Executor& exec, Comp comp,
-                        const std::string& label) {
-  const auto a = make_sorted<T>(1700, kSeed + 1, comp);
-  const auto b = make_sorted<T>(1300, kSeed + 2, comp);
+                        const std::string& label,
+                        Shape shape = std::nullopt) {
+  // A Dist row merges 600 + 400: segmented_parallel_merge forks once per
+  // 37 outputs, and sixteen Dist rows per kernel would otherwise dominate
+  // the table's run time.
+  const auto [a, b] = make_sorted_pair<T>(shape, shape ? 600 : 1700,
+                                          shape ? 400 : 1300, kSeed + 1, comp);
   std::vector<T> merged(a.size() + b.size());
   std::merge(a.begin(), a.end(), b.begin(), b.end(), merged.begin(), comp);
   {  // parallel_merge (Algorithm 1)
@@ -238,12 +295,17 @@ void check_entry_points(const Executor& exec, Comp comp,
         << label << " parallel_set_difference";
   }
   for (const std::size_t k : {2u, 5u}) {  // parallel_multiway_merge
-    std::vector<std::vector<T>> runs(k);
-    std::vector<T> expected;  // run order, then stable by key
-    for (std::size_t t = 0; t < k; ++t) {
-      runs[t] = make_sorted<T>(400 + 150 * t, kSeed + 10 + t, comp);
-      expected.insert(expected.end(), runs[t].begin(), runs[t].end());
+    std::vector<std::vector<T>> runs;
+    for (std::size_t t = 0; t < k; t += 2) {  // run t has seed kSeed + 10 + t
+      auto [even, odd] = make_sorted_pair<T>(shape, 400 + 150 * t,
+                                             550 + 150 * t, kSeed + 10 + t,
+                                             comp);
+      runs.push_back(std::move(even));
+      if (t + 1 < k) runs.push_back(std::move(odd));
     }
+    std::vector<T> expected;  // run order, then stable by key
+    for (const std::vector<T>& run : runs)
+      expected.insert(expected.end(), run.begin(), run.end());
     std::stable_sort(expected.begin(), expected.end(), comp);
     std::vector<std::span<const T>> views(runs.begin(), runs.end());
     std::vector<T> out(expected.size());
@@ -251,8 +313,8 @@ void check_entry_points(const Executor& exec, Comp comp,
                             out.data(), exec, comp);
     EXPECT_EQ(out, expected) << label << " parallel_multiway_merge k=" << k;
   }
-  check_stream_merger<T>(exec, comp, label);
-  check_sort_entry_points<T>(exec, comp, label);
+  check_stream_merger<T>(exec, comp, label, shape);
+  check_sort_entry_points<T>(exec, comp, label, shape);
 }
 
 enum class Runner { kPlain, kRecovering };
@@ -280,6 +342,13 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
         std::string("kernel=") + kernels::to_string(kernel);
     check_entry_points<std::int32_t>(exec, std::less<>{}, label + " int32");
     check_entry_points<KeyedRecord>(exec, KeyOnly{}, label + " records");
+    for (const Dist dist : kAllDists) {
+      const std::string shaped = label + " dist=" + to_string(dist);
+      check_entry_points<std::int32_t>(exec, std::less<>{}, shaped + " int32",
+                                       dist);
+      check_entry_points<KeyedRecord>(exec, KeyOnly{}, shaped + " records",
+                                      dist);
+    }
     check_sort_entry_points<std::uint32_t>(exec, std::less<>{},
                                            label + " uint32");
     check_sort_entry_points<std::int64_t>(exec, std::less<>{},

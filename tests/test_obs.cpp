@@ -1,6 +1,6 @@
 // Tests of the observability subsystem (src/obs/): the lock-free trace
 // recorder (ring wraparound, snapshot ordering, Chrome-trace export), the
-// FastClock calibration, online span percentiles, the flight recorder
+// monotonic clock, online span percentiles, the flight recorder
 // (including the fault-injected degrade path), the metrics registry, and
 // the per-lane aggregation including the imbalance summary. The
 // multi-threaded stress cases double as the TSan coverage for the
@@ -20,7 +20,6 @@
 #include "core/merge_sort.hpp"
 #include "core/parallel_merge.hpp"
 #include "fault/fault.hpp"
-#include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
@@ -58,7 +57,6 @@ class ObsTest : public ::testing::Test {
     obs::reset_flight();
     obs::set_flight_dump_path("");
     obs::LaneMetrics::instance().disarm();
-    obs::FastClock::set_mode(obs::ClockMode::kAuto);
   }
 };
 
@@ -304,103 +302,35 @@ TEST_F(ObsTest, ExitedThreadsHandTheirBufferToTheNextThread) {
 }
 
 // ---------------------------------------------------------------------------
-// FastClock (not MP_TRACE-gated: it is just a clock).
+// The clock (not MP_TRACE-gated: it is just a clock).
 
-TEST_F(ObsTest, FastClockIsMonotonicAndCalibrated) {
-  std::uint64_t prev = obs::FastClock::now_ns();
-  EXPECT_GT(prev, 0u);
-  for (int k = 0; k < 10000; ++k) {
-    const std::uint64_t now = obs::FastClock::now_ns();
-    ASSERT_GE(now, prev);
-    prev = now;
+TEST_F(ObsTest, MonotonicClockNeverStepsBackAndExportsSteadySource) {
+  // Every timestamp in obs, the pool and serve is one monotonic_ns() read,
+  // and the recorder subtracts them unsigned: a backwards step on any
+  // thread would wrap a duration to ~1.8e19 ns.
+  constexpr int kThreads = 4;
+  std::vector<int> backwards(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&backwards, t] {
+      std::uint64_t prev = obs::monotonic_ns();
+      for (int k = 0; k < 10000; ++k) {
+        const std::uint64_t now = obs::monotonic_ns();
+        if (now < prev) ++backwards[t];
+        prev = now;
+      }
+    });
   }
-  const obs::ClockCalibration cal = obs::FastClock::calibration();
-  if (cal.using_tsc) {
-    EXPECT_GT(cal.ns_per_tick, 0.0);
-    EXPECT_EQ(obs::FastClock::source_name(), "tsc");
-  } else {
-    EXPECT_EQ(obs::FastClock::source_name(), "steady");
-  }
-}
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(backwards[t], 0) << t;
 
-TEST_F(ObsTest, FastClockForcedSteadyFallsBack) {
-  obs::FastClock::set_mode(obs::ClockMode::kSteady);
-  EXPECT_EQ(obs::FastClock::mode(), obs::ClockMode::kSteady);
-  EXPECT_FALSE(obs::FastClock::calibration().using_tsc);
-  EXPECT_EQ(obs::FastClock::source_name(), "steady");
-  const std::uint64_t t0 = obs::FastClock::now_ns();
-  EXPECT_GE(obs::FastClock::now_ns(), t0);
-  // Forcing TSC succeeds wherever the instruction exists (invariance is
-  // only required for the kAuto default).
-  obs::FastClock::set_mode(obs::ClockMode::kTsc);
-  EXPECT_EQ(obs::FastClock::calibration().using_tsc, obs::detail::kHasTsc);
-  obs::FastClock::set_mode(obs::ClockMode::kAuto);
-}
-
-TEST_F(ObsTest, FastClockTracksSteadyClockAcrossModes) {
-  // Whatever the source, values live on the steady_clock timeline: a
-  // forced-steady read taken between two default-mode reads must land
-  // between them (with generous slack for scheduling).
-  const std::uint64_t before = obs::FastClock::now_ns();
-  obs::FastClock::set_mode(obs::ClockMode::kSteady);
-  const std::uint64_t mid = obs::FastClock::now_ns();
-  obs::FastClock::set_mode(obs::ClockMode::kAuto);
-  const std::uint64_t after = obs::FastClock::now_ns();
-  constexpr std::uint64_t kSlackNs = 50'000'000;  // 50 ms
-  EXPECT_GE(mid + kSlackNs, before);
-  EXPECT_GE(after + kSlackNs, mid);
-}
-
-TEST_F(ObsTest, FastClockRecalibrationDisabledOrBeforeIntervalIsInert) {
-  obs::FastClock::recalibrate_every(0);
-  EXPECT_EQ(obs::FastClock::recalibrate_interval(), 0u);
-  EXPECT_FALSE(obs::FastClock::maybe_recalibrate());  // disabled
-  // Armed with an enormous interval: the window cannot have elapsed.
-  obs::FastClock::recalibrate_every(std::uint64_t{1} << 62);
-  EXPECT_FALSE(obs::FastClock::maybe_recalibrate());
-  obs::FastClock::recalibrate_every(0);
-}
-
-TEST_F(ObsTest, FastClockRecalibrationHealsInjectedDrift) {
-  obs::FastClock::set_mode(obs::ClockMode::kTsc);
-  if (!obs::FastClock::calibration().using_tsc) {
-    obs::FastClock::set_mode(obs::ClockMode::kAuto);
-    GTEST_SKIP() << "host has no TSC; drift model does not apply";
-  }
-
-  // Corrupt the published rate by 50%: conversion error now grows by
-  // ~0.5 ms per elapsed ms — the linear-drift model of a mis-calibrated
-  // long-running server (compressed from hours to milliseconds).
-  obs::detail::inject_clock_drift(1.5);
-  constexpr std::uint64_t kWindowNs = 2'000'000;  // 2 ms
-  const std::uint64_t spin_until = obs::detail::steady_now_ns() + kWindowNs;
-  while (obs::detail::steady_now_ns() < spin_until) {
-  }
-  const auto drift_of = [] {
-    const std::uint64_t fast = obs::FastClock::now_ns();
-    const std::uint64_t steady = obs::detail::steady_now_ns();
-    return fast > steady ? fast - steady : steady - fast;
-  };
-  // ~2 ms at 1.5x rate puts the fast clock ~1 ms ahead of steady_clock.
-  const std::uint64_t drifted = drift_of();
-  EXPECT_GT(drifted, kWindowNs / 4);
-
-  // One maintenance call (interval already elapsed) re-derives the rate
-  // over the window and re-anchors the epoch at "now".
-  obs::FastClock::recalibrate_every(kWindowNs / 2);
-  const std::uint64_t recals_before = obs::FastClock::recalibrations();
-  EXPECT_TRUE(obs::FastClock::maybe_recalibrate());
-  EXPECT_EQ(obs::FastClock::recalibrations(), recals_before + 1);
-  const std::uint64_t healed = drift_of();
-  EXPECT_LT(healed, drifted / 4);
-  EXPECT_LT(healed, 1'000'000u);  // back within 1 ms of steady_clock
-
-  // Readers racing the re-publication stay on a sane timeline (coarse
-  // monotonicity check across the swap).
-  EXPECT_FALSE(obs::FastClock::maybe_recalibrate());  // window not elapsed
-
-  obs::FastClock::recalibrate_every(0);
-  obs::FastClock::set_mode(obs::ClockMode::kAuto);
+  const std::string kSource = R"("clock":{"source":"steady"})";
+  std::ostringstream trace;
+  obs::write_chrome_trace(trace);
+  EXPECT_NE(trace.str().find(kSource), std::string::npos) << trace.str();
+  std::ostringstream flight;
+  obs::write_flight_trace(flight);
+  EXPECT_NE(flight.str().find(kSource), std::string::npos) << flight.str();
 }
 
 // ---------------------------------------------------------------------------
@@ -623,7 +553,7 @@ TEST_F(ObsTest, FlightSnapshotNormalizesTimestamps) {
   obs::set_flight_enabled(false);
   const auto events = obs::flight_snapshot();
   ASSERT_GE(events.size(), 2u);
-  // Absolute FastClock stamps are rebased to the earliest retained event.
+  // Absolute steady_clock stamps are rebased to the earliest retained event.
   EXPECT_EQ(events.front().ts_ns, 0u);
   EXPECT_TRUE(std::is_sorted(
       events.begin(), events.end(),

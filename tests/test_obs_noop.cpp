@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/parallel_merge.hpp"
-#include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/percentiles.hpp"
 #include "obs/trace.hpp"
@@ -118,16 +117,6 @@ TEST(ObsNoop, PercentileAndFlightControlPlanesStayCallable) {
   EXPECT_NE(flight_os.str().find("\"flight_recorder\":true"),
             std::string::npos);
   EXPECT_FALSE(obs::flight_write_pending());  // no degrade, no dump path
-}
-
-TEST(ObsNoop, FastClockWorksWithoutTracing) {
-  // The clock is not gated on MP_TRACE: timestamps and calibration
-  // metadata must work even when every span is compiled out.
-  const std::uint64_t t0 = obs::FastClock::now_ns();
-  EXPECT_GT(t0, 0u);
-  EXPECT_GE(obs::FastClock::now_ns(), t0);
-  const std::string source = obs::FastClock::source_name();
-  EXPECT_TRUE(source == "tsc" || source == "steady") << source;
 }
 
 TEST(ObsNoop, ControlPlaneDegradesGracefully) {

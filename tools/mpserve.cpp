@@ -33,7 +33,6 @@
 ///     --flight-dump FILE    flight-recorder snapshot, written only if the
 ///                           run actually degraded (the SLO drill asserts
 ///                           both the file and the 100%-answered line)
-///     --recalibrate-us N    FastClock periodic re-calibration interval
 ///
 /// Exits 0 only when every accepted request was answered kOk and the
 /// load generator's conservation/ordering/payload checks all pass.
@@ -44,7 +43,6 @@
 #include <string>
 
 #include "fault/fault.hpp"
-#include "obs/fastclock.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
@@ -81,8 +79,6 @@ int main(int argc, char** argv) {
   const std::string metrics_path = cli.get("metrics-json", "");
   const std::string prometheus_path = cli.get("prometheus", "");
   const std::string flight_path = cli.get("flight-dump", "");
-  const auto recalibrate_us =
-      static_cast<std::uint64_t>(cli.get_int("recalibrate-us", 0));
   if (!cli.ok()) {
     std::cerr << "error: " << cli.error() << "\n";
     return 2;
@@ -110,8 +106,6 @@ int main(int argc, char** argv) {
     obs::reset_span_stats();
     obs::arm_span_stats();
   }
-  if (recalibrate_us > 0)
-    obs::FastClock::recalibrate_every(recalibrate_us * 1000);
 
   ThreadPool pool(threads);
   fault::FaultPlan plan(fault::FaultConfig{
