@@ -2,7 +2,8 @@
 // primitives: the diagonal binary search vs the Deo-Sarkar halving
 // selection, the full path partition, the sequential merge kernels, the
 // loser tree, multiway selection, the record merge (BM_MergeRecords), the
-// record sort (BM_SortRecords) and one int32 sort lane (BM_SortI32Lane) —
+// record sort (BM_SortRecords) and its passes (BM_MergePassRecords), and
+// one int32 sort lane (BM_SortI32Lane) —
 // plus the kernel ablation family (BM_KernelMerge32/64/F32/F64 and
 // BM_SortRuns256) that
 // scripts/bench_kernels.py turns into BENCH_5.json. Carries its own
@@ -454,6 +455,51 @@ void BM_SortRecords(benchmark::State& state, bool reference) {
 BENCHMARK_CAPTURE(BM_SortRecords, sequential_merge_sort, false)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_SortRecords, std_stable_sort, true)
+    ->Unit(benchmark::kMillisecond);
+
+// One pass of the records sort at width <arg> as sequential_merge_sort
+// runs it: merge_pass_auto over the 2 Mi records of BM_SortRecords,
+// already sorted in width-wide runs, one L2 chunk (sort_chunk_elems) at a
+// time with the chunk already in L2, in ns per element. Widths up to
+// kernels::detail::kParityMaxWidth run the parity groups, the wider ones
+// the chained loop; the rows are how that cap was picked. The untimed
+// copy that brings each chunk into L2 stands in for the pass before it.
+void BM_MergePassRecords(benchmark::State& state) {
+  const auto width = static_cast<std::size_t>(state.range(0));
+  auto keys = make_zipf_values(kSortRecords, 65536, 1.0, 44);
+  std::shuffle(keys.begin(), keys.end(), std::mt19937_64(44));
+  std::vector<KeyedRecord> runs(kSortRecords);
+  for (std::size_t k = 0; k < kSortRecords; ++k)
+    runs[k] = KeyedRecord{keys[k], static_cast<std::uint32_t>(k)};
+  for (std::size_t begin = 0; begin < kSortRecords; begin += width)
+    std::stable_sort(runs.begin() + static_cast<std::ptrdiff_t>(begin),
+                     runs.begin() + static_cast<std::ptrdiff_t>(
+                                        std::min(begin + width, kSortRecords)),
+                     RecordKeyLess{});
+  const std::size_t chunk = std::max(
+      2 * width, std::min(kSortRecords, sort_chunk_elems(sizeof(KeyedRecord))));
+  std::vector<KeyedRecord> src(chunk), dst(chunk);
+  for (auto _ : state) {
+    for (std::size_t begin = 0; begin < kSortRecords; begin += chunk) {
+      const std::size_t len = std::min(chunk, kSortRecords - begin);
+      state.PauseTiming();
+      std::memcpy(src.data(), runs.data() + begin, len * sizeof(KeyedRecord));
+      state.ResumeTiming();
+      kernels::merge_pass_auto(src.data(), dst.data(), len, width,
+                               RecordKeyLess{});
+    }
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["per_elem"] = benchmark::Counter(
+      static_cast<double>(kSortRecords),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+
+BENCHMARK(BM_MergePassRecords)
+    ->RangeMultiplier(2)
+    ->Range(8, 256)
     ->Unit(benchmark::kMillisecond);
 
 // One lane of inmem-64mib's int32 block phase: sequential_merge_sort of

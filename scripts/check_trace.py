@@ -62,9 +62,11 @@ KNOWN_NAMES = {
     "spm", "spm.fetch", "spm.segment", "spm.segment_len", "spm.flush",
     # multiway merge
     "mwm", "mwm.select", "mwm.merge",
-    # in-memory merge sort
+    # in-memory merge sort; sort.runs / sort.chunks / sort.pass are the
+    # layers of one sequential_merge_sort call
     "sort", "sort.round", "sort.round_slice", "sort.partition",
     "sort.block", "sort.copyback", "sort.round_index",
+    "sort.runs", "sort.chunks", "sort.pass",
     # streaming merger
     "stream.pull", "stream.push",
     # external-memory sort (extmem)

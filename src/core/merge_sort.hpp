@@ -70,30 +70,41 @@ inline std::size_t sort_chunk_elems(std::size_t elem_bytes) {
 /// boundaries are pair boundaries at every blocked width and each pass
 /// merges the same pairs as a pass over the whole range would: same
 /// bytes, same comparisons.
+///
+/// Spans: sort.runs (run formation), one sort.chunks (every blocked pass)
+/// and one sort.pass per whole-range pass, arg its width: about 20 per
+/// call at most.
 template <typename T, typename Comp = std::less<>>
 void sequential_merge_sort(T* data, T* scratch, std::size_t n,
                            Comp comp = {}) {
   if (n <= 1) return;
 
-  const std::size_t runs = kernels::sort_runs_auto(data, n, comp);
+  const std::size_t runs = [&] {
+    obs::Span span("sort.runs", "n", n);
+    return kernels::sort_runs_auto(data, n, comp);
+  }();
   const std::size_t target = sort_chunk_elems(sizeof(T));
   std::size_t chunk = runs;
   while (chunk < n && 2 * chunk <= target) chunk *= 2;
   std::size_t width = runs;
   bool in_scratch = false;
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    T* src = data + begin;
-    T* dst = scratch + begin;
-    for (width = runs; width < chunk && width < n; width *= 2) {
-      kernels::merge_pass_auto(src, dst, std::min(chunk, n - begin), width,
-                               comp);
-      std::swap(src, dst);
+  {
+    obs::Span span("sort.chunks", "chunk", chunk);
+    for (std::size_t begin = 0; begin < n; begin += chunk) {
+      T* src = data + begin;
+      T* dst = scratch + begin;
+      for (width = runs; width < chunk && width < n; width *= 2) {
+        kernels::merge_pass_auto(src, dst, std::min(chunk, n - begin), width,
+                                 comp);
+        std::swap(src, dst);
+      }
+      in_scratch = src != data + begin;
     }
-    in_scratch = src != data + begin;
   }
   T* src = in_scratch ? scratch : data;
   T* dst = in_scratch ? data : scratch;
   for (; width < n; width *= 2) {
+    obs::Span span("sort.pass", "width", width);
     kernels::merge_pass_auto(src, dst, n, width, comp);
     std::swap(src, dst);
   }

@@ -212,7 +212,9 @@ std::size_t clamped_rank(std::span<const std::span<const T>> runs,
 /// sum(pos) == rank) such that the prefixes runs[t][0, pos[t]) are exactly
 /// the `rank` smallest elements of the union under the stable order
 /// (value, run index, position). The k-sequence co-rank: for k = 2 it is
-/// diagonal_intersection's split.
+/// diagonal_intersection's split, and two runs return that split directly
+/// (path_point_on_diagonal, at most log2(min(m, n)) + 1 comparisons). The
+/// stable co-rank is unique, so the positions equal the bisection's.
 ///
 /// Algorithm: interval bisection. Every run keeps an interval [lo_t, hi_t]
 /// holding its answer, with sum(lo) <= rank <= sum(hi). A refinement takes
@@ -246,6 +248,13 @@ std::vector<std::size_t> multiway_select(
     std::span<const std::span<const T>> runs, std::size_t rank,
     Comp comp = {}, Instr* instr = nullptr) {
   const std::size_t k = runs.size();
+  if (k == 2) {
+    MP_CHECK(rank <= runs[0].size() + runs[1].size());
+    const PathPoint at =
+        path_point_on_diagonal(runs[0].data(), runs[0].size(), runs[1].data(),
+                               runs[1].size(), rank, comp, instr);
+    return {at.i, at.j};
+  }
   std::vector<std::size_t> lo(k, 0);
   std::vector<std::size_t> hi(k);
   std::vector<std::size_t> cut(k);

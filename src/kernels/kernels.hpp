@@ -48,6 +48,11 @@
 ///     like merge_steps) when all three iterators are random access:
 ///     merge_steps_auto for calls of at least kChainedMinSteps steps,
 ///     merge_pass_auto for every pass; anything else runs merge_steps.
+///     Their passes of width <= kParityMaxWidth (the records sort's 8-,
+///     16-, 32- and 64-wide passes) first merge every whole group of
+///     kParityPairs pairs as parity groups (detail::parity_group: each
+///     pair walked forward from its starts and back from its ends, no
+///     search), and run the chained body over the rest only.
 ///   - build time: -DMERGEPATH_SIMD=OFF compiles the ISA TUs out
 ///     (MP_SIMD=0), mirroring the TRACE/FAULT gates.
 ///   - run time: cpuid (util/hw cpu_features()) picks the widest
@@ -406,6 +411,19 @@ struct ScalarStep {
     pb += take_b;
     pa += !take_b;
   }
+  /// The step mirrored, for a walk back from a pair's ends: pa, pb and o
+  /// point one past the last unread key of each side and the last
+  /// unwritten output. It writes the larger key, B's on a tie, so equal
+  /// keys keep merge_steps()'s order, and moves that side back by one.
+  template <typename IterA, typename IterB, typename OutIter>
+  void step_back(IterA& pa, IterB& pb, OutIter& o) {
+    const auto& x = pa[-1];
+    const auto& y = pb[-1];
+    const bool take_a = comp(y, x);
+    *--o = *select_address(take_a, std::addressof(y), std::addressof(x));
+    pa -= take_a;
+    pb -= !take_a;
+  }
   template <std::size_t K, typename Cursor>
   void advance(Cursor* ch) {
     chain_advance<K>(ch, *this);
@@ -548,6 +566,60 @@ void chained_merge_pass(const T* src, T* dst, std::size_t n,
   chain_merge(pairs, c, dst, step);
 }
 
+/// Adjacent pairs one parity group merges side by side, two walks each:
+/// 2·kParityPairs independent chains.
+inline constexpr std::size_t kParityPairs = 4;
+
+/// Widest pass whose whole parity groups merge_pass_auto runs in parity
+/// form. Measured in L2 (bench_micro's BM_MergePassRecords,
+/// docs/PERFORMANCE.md): the groups win up to width 64 and lose from 128,
+/// where the chained loop leaves a pair rarely.
+inline constexpr std::size_t kParityMaxWidth = 64;
+
+/// Merges kParityPairs pairs of two width-wide runs each, src[0, 2·K·width)
+/// into dst. By Theorem 14 a pair's merge path crosses the middle cross
+/// diagonal once, so its first `width` outputs are `width` A-priority steps
+/// forward from the runs' starts and its last `width` are `width` mirrored
+/// steps back from their ends (ScalarStep::step_back, ties to B). The
+/// 2·K walks do not depend on each other and need no search and no bound
+/// check. Before its s-th read a walk has moved s < width places, so it
+/// reads only inside its pair whatever the comparator answers.
+template <typename T, typename Comp>
+void parity_group(const T* src, T* dst, std::size_t width,
+                  ScalarStep<Comp>& step) {
+  [&]<std::size_t... k>(std::index_sequence<k...>) {
+    const T* head_a[] = {src + 2 * k * width...};
+    const T* head_b[] = {src + (2 * k + 1) * width...};
+    T* head_o[] = {dst + 2 * k * width...};
+    const T* tail_a[] = {src + (2 * k + 1) * width...};
+    const T* tail_b[] = {src + (2 * k + 2) * width...};
+    T* tail_o[] = {dst + (2 * k + 2) * width...};
+    for (std::size_t s = 0; s < width; ++s)
+      ((step.step(head_a[k], head_b[k], head_o[k]),
+        step.step_back(tail_a[k], tail_b[k], tail_o[k])),
+       ...);
+  }(std::make_index_sequence<kParityPairs>{});
+}
+
+/// One bottom-up pass over src[0, n) into dst: every whole parity group
+/// as parity_group() when width <= kParityMaxWidth, then the rest (a
+/// partial last group, a short B, an unpaired run) as chained_merge_pass()
+/// from the first output the groups did not write. Groups start at pair
+/// boundaries, so the bytes are one merge_steps() per pair.
+template <typename T, typename Comp>
+void parity_merge_pass(const T* src, T* dst, std::size_t n, std::size_t width,
+                       ScalarStep<Comp> step) {
+  MP_ASSERT(width > 0);
+  std::size_t done = 0;
+  if (width <= kParityMaxWidth) {
+    const std::size_t group = 2 * kParityPairs * width;
+    for (; n - done >= group; done += group)
+      parity_group(src + done, dst + done, width, step);
+  }
+  if (done < n)
+    chained_merge_pass(src + done, dst + done, n - done, width, step);
+}
+
 /// The chained vector merge of `kernel` for one of the six admitted key
 /// types (defined and explicitly instantiated in dispatch.cpp): exactly
 /// `steps` outputs from (*a_pos, *b_pos), bytes and cursors equal to
@@ -605,8 +677,9 @@ OutIter merge_steps_auto(IterA a, std::size_t m, IterB b, std::size_t n,
 /// runs of src[0, n) pairwise into dst (a trailing unpaired run is
 /// copied). The pass runs as one chained merge: the selected vector
 /// kernel's for types the vector trait admits, the scalar one for the
-/// others. Admitted types under the scalar kernel run one merge_steps()
-/// call per pair.
+/// others, whose passes up to kParityMaxWidth wide run their whole parity
+/// groups first (detail::parity_merge_pass). Admitted types under the
+/// scalar kernel run one merge_steps() call per pair.
 template <typename T, typename Comp = std::less<>>
 void merge_pass_auto(const T* src, T* dst, std::size_t n, std::size_t width,
                      Comp comp = {}) {
@@ -624,8 +697,8 @@ void merge_pass_auto(const T* src, T* dst, std::size_t n, std::size_t width,
                   dst + begin, end - begin, comp);
     }
   } else {
-    detail::chained_merge_pass(src, dst, n, width,
-                               detail::ScalarStep<Comp>{comp});
+    detail::parity_merge_pass(src, dst, n, width,
+                              detail::ScalarStep<Comp>{comp});
   }
 }
 

@@ -439,6 +439,48 @@ std::vector<KeyedRecord> pass_input(std::size_t n, std::size_t width,
   return v;
 }
 
+/// The five pass inputs both pass tests run: many ties, few ties, all
+/// equal, all of A before B and all of B before A in every pair.
+std::vector<std::vector<KeyedRecord>> pass_shapes(std::size_t n,
+                                                  std::size_t width,
+                                                  std::mt19937& rng) {
+  std::vector<std::vector<KeyedRecord>> inputs;
+  inputs.push_back(pass_input(n, width, [&](std::size_t) {
+    return static_cast<std::int32_t>(rng() % 9);
+  }));
+  inputs.push_back(pass_input(n, width, [&](std::size_t) {
+    return static_cast<std::int32_t>(rng() % 100000);
+  }));
+  inputs.push_back(pass_input(n, width, [](std::size_t) { return 7; }));
+  inputs.push_back(pass_input(n, width, [](std::size_t t) {
+    return static_cast<std::int32_t>(t);
+  }));
+  inputs.push_back(pass_input(n, width, [&](std::size_t t) {
+    const bool in_a = t % (2 * width) < width;
+    return static_cast<std::int32_t>(t % width + (in_a ? width : 0));
+  }));
+  return inputs;
+}
+
+/// Fills the slot past a pass's n outputs, which no pass may write.
+constexpr KeyedRecord kPassPoison{-1, 0xdeadbeef};
+
+/// The pass over src as one merge_steps() call per pair, plus the poison
+/// slot past its end.
+std::vector<KeyedRecord> reference_pass(const std::vector<KeyedRecord>& src,
+                                        std::size_t width) {
+  const std::size_t n = src.size();
+  std::vector<KeyedRecord> want(n + 1, kPassPoison);
+  for (std::size_t begin = 0; begin < n; begin += 2 * width) {
+    const std::size_t mid = std::min(begin + width, n);
+    const std::size_t end = std::min(begin + 2 * width, n);
+    std::size_t i = 0, j = 0;
+    merge_steps(src.data() + begin, mid - begin, src.data() + mid, end - mid,
+                &i, &j, want.data() + begin, end - begin, KeyOnly{});
+  }
+  return want;
+}
+
 TEST(Kernels, ChainedPassMatchesMergeSteps) {
   // A whole pass as one chained loop (merge_pass_auto on records, and
   // detail::chained_merge_pass called directly) against the pass as one
@@ -454,37 +496,12 @@ TEST(Kernels, ChainedPassMatchesMergeSteps) {
     for (std::size_t width :
          {std::size_t{8}, std::size_t{16}, std::size_t{24}, std::size_t{64},
           std::size_t{256}, std::size_t{1024}, n, 2 * n}) {
-      const std::size_t pair_len = 2 * width;
-      const std::vector<KeyedRecord> inputs[] = {
-          pass_input(n, width, [&](std::size_t) {  // many ties
-            return static_cast<std::int32_t>(rng() % 9);
-          }),
-          pass_input(n, width, [&](std::size_t) {  // few ties
-            return static_cast<std::int32_t>(rng() % 100000);
-          }),
-          pass_input(n, width, [](std::size_t) { return 7; }),  // all equal
-          pass_input(n, width, [](std::size_t t) {  // all of A before B
-            return static_cast<std::int32_t>(t);
-          }),
-          pass_input(n, width, [&](std::size_t t) {  // all of B before A
-            const bool in_a = t % pair_len < width;
-            return static_cast<std::int32_t>(t % width + (in_a ? width : 0));
-          }),
-      };
-      for (std::size_t shape = 0; shape < std::size(inputs); ++shape) {
+      const auto inputs = pass_shapes(n, width, rng);
+      for (std::size_t shape = 0; shape < inputs.size(); ++shape) {
         const auto& src = inputs[shape];
-        const KeyedRecord poison{-1, 0xdeadbeef};
-        std::vector<KeyedRecord> want(n + 1, poison);
-        for (std::size_t begin = 0; begin < n; begin += pair_len) {
-          const std::size_t mid = std::min(begin + width, n);
-          const std::size_t end = std::min(begin + pair_len, n);
-          std::size_t i = 0, j = 0;
-          merge_steps(src.data() + begin, mid - begin, src.data() + mid,
-                      end - mid, &i, &j, want.data() + begin, end - begin,
-                      KeyOnly{});
-        }
+        const auto want = reference_pass(src, width);
         for (const bool direct : {false, true}) {
-          std::vector<KeyedRecord> got(n + 1, poison);
+          std::vector<KeyedRecord> got(n + 1, kPassPoison);
           if (direct)
             detail::chained_merge_pass(src.data(), got.data(), n, width,
                                        detail::ScalarStep<KeyOnly>{});
@@ -496,6 +513,42 @@ TEST(Kernels, ChainedPassMatchesMergeSteps) {
               << (direct ? "direct" : "auto") << " n=" << n
               << " width=" << width << " shape=" << shape
               << (n < K * width ? " (n < K*width)" : "");
+        }
+      }
+    }
+  }
+}
+
+TEST(Kernels, ParityPassMatchesMergeSteps) {
+  // Passes at widths up to kParityMaxWidth merge every whole group of
+  // kParityPairs pairs as forward and backward walks, and the rest with the
+  // chained loop. Against one merge_steps() per pair, byte for byte with a
+  // poison slot past n, for n = 2·K·W·g + r: no group (g = 0), exact
+  // groups (r = 0), a partial group (r >= 2W), a short B (r = 2W - 1) and
+  // an unpaired run (r <= W, r = 2W + 3), at the parity widths and the
+  // first width above the cap.
+  constexpr std::size_t K = detail::kParityPairs;
+  constexpr std::size_t cap = detail::kParityMaxWidth;
+  std::mt19937 rng(0x9a7e);
+  for (const std::size_t width : {std::size_t{8}, std::size_t{16},
+                                  std::size_t{32}, std::size_t{64}, 2 * cap}) {
+    for (const std::size_t groups :
+         {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      for (const std::size_t rest :
+           {std::size_t{0}, std::size_t{1}, width - 1, width, 2 * width - 1,
+            2 * width + 3}) {
+        const std::size_t n = 2 * K * width * groups + rest;
+        const auto inputs = pass_shapes(n, width, rng);
+        for (std::size_t shape = 0; shape < inputs.size(); ++shape) {
+          const auto& src = inputs[shape];
+          const auto want = reference_pass(src, width);
+          std::vector<KeyedRecord> got(n + 1, kPassPoison);
+          merge_pass_auto(src.data(), got.data(), n, width, KeyOnly{});
+          ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                got.size() * sizeof(KeyedRecord)),
+                    0)
+              << "width=" << width << " groups=" << groups
+              << " rest=" << rest << " shape=" << shape;
         }
       }
     }

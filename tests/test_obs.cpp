@@ -24,6 +24,7 @@
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
 #include "obs/trace.hpp"
+#include "util/data_gen.hpp"
 #include "util/recovery.hpp"
 #include "util/threading.hpp"
 
@@ -258,6 +259,32 @@ TEST_F(ObsTest, ParallelMergeEmitsPartitionAndSegmentSpans) {
   EXPECT_EQ(events_named(events, "merge.partition").size(), 4u);
   EXPECT_EQ(events_named(events, "merge.segment").size(), 4u);
   EXPECT_TRUE(std::is_sorted(out.begin(), out.end()));
+}
+
+TEST_F(ObsTest, SequentialRecordSortEmitsLayerSpans) {
+  // One 1 Mi-record sequential_merge_sort: its run formation, its blocked
+  // passes and each whole-range pass are spans, and there are few of them.
+  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
+  constexpr std::size_t n = std::size_t{1} << 20;
+  std::vector<KeyedRecord> data(n);
+  std::uint64_t state = 0x5eed;
+  for (std::size_t k = 0; k < n; ++k) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    data[k] = KeyedRecord{static_cast<std::int32_t>(state >> 48),
+                          static_cast<std::uint32_t>(k)};
+  }
+  obs::arm_tracing();
+  sequential_merge_sort(std::span<KeyedRecord>(data));
+  obs::disarm_tracing();
+  const auto events = obs::trace_snapshot();
+  EXPECT_EQ(events_named(events, "sort.runs").size(), 1u);
+  EXPECT_EQ(events_named(events, "sort.chunks").size(), 1u);
+  // A whole-range pass exists whenever the L2 chunk is shorter than n.
+  if (sort_chunk_elems(sizeof(KeyedRecord)) < n) {
+    EXPECT_GE(events_named(events, "sort.pass").size(), 1u);
+  }
+  EXPECT_LE(events.size(), 25u);
+  EXPECT_TRUE(std::is_sorted(data.begin(), data.end()));
 }
 
 TEST_F(ObsTest, MultiThreadedRecordingStress) {

@@ -297,7 +297,7 @@ TEST(PramGolden, MultiwaySort) {
   expect_golden(simulate_multiway_sort(values, 5, model),
                 {344240, 334458, 1508, 0, 680206, 136696, 3});
   expect_golden(simulate_multiway_sort(values, 2, model),
-                {328754, 374478, 115, 0, 703347, 352205, 3});
+                {328754, 374478, 13, 0, 703245, 352103, 3});
 }
 
 TEST(PramGolden, SegmentedMerge) {
