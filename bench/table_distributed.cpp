@@ -73,28 +73,6 @@ int main(int argc, char** argv) {
   h.emit(table);
 
   if (!h.csv)
-    std::cout << "\ndistributed SORT by exact splitters (multiway co-rank "
-                 "+ one exchange):\n";
-  {
-    const auto values = make_unsorted_values(2 * per_array, h.seed);
-    Table sort_table({"ranks", "bytes_moved", "vs_N", "rounds", "acks",
-                      "max_rank_recv", "modeled_ms"});
-    for (unsigned ranks : {4u, 16u, 64u}) {
-      const auto result =
-          distributed_sort(distribute(values, ranks), net_config);
-      const NetStats& net = result.net;
-      sort_table.add_row(
-          {std::to_string(ranks), fmt_bytes(net.bytes),
-           fmt_ratio(static_cast<double>(net.bytes) /
-                     static_cast<double>(n_bytes)),
-           fmt_count(net.rounds), fmt_count(net.acks),
-           fmt_bytes(net.max_rank_recv_bytes),
-           fmt_double(net.modeled_time_us / 1e3, 2)});
-    }
-    h.emit(sort_table);
-  }
-
-  if (!h.csv)
     std::cout << "\nmerge-path exchange: near-zero traffic when co-ranks "
                  "align with the block\ndistribution (uniform), bounded by "
                  "~1x N on the adversarial shape — always 2\nrounds and "

@@ -69,10 +69,10 @@ KNOWN_NAMES = {
     "sort.runs", "sort.chunks", "sort.pass",
     # streaming merger
     "stream.pull", "stream.push",
-    # external-memory sort (extmem)
-    "xsort", "xsort.run", "xsort.pass", "xsort.merge", "xsort.retry",
+    # external-memory run files (extmem): one retried block transfer
+    "xsort.retry",
     # distributed merge (dist)
-    "dist.exchange", "dist.tree", "dist.gather", "dist.sort",
+    "dist.exchange", "dist.tree", "dist.gather",
     "dist.segment_retry",
     # SIMT cost-model kernels (simt)
     "simt.direct", "simt.staged", "simt.sort", "simt.tile",

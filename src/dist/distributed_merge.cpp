@@ -1,10 +1,8 @@
 #include "dist/distributed_merge.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/merge_path.hpp"
-#include "core/multiway_merge.hpp"
 #include "core/sequential_merge.hpp"
 #include "obs/flight.hpp"
 #include "obs/metrics.hpp"
@@ -240,83 +238,6 @@ DistMergeResult gather_at_root(const DistArray& a, const DistArray& b,
   result.merged = distribute(merged, ranks);
   for (unsigned r = 1; r < ranks; ++r)
     net.reliable_send(0, r, result.merged.shards[r].size() * kElem);
-  net.end_round();
-  result.net = net.stats();
-  flush_net_metrics(result.net);
-  return result;
-}
-
-DistMergeResult distributed_sort(const DistArray& unsorted,
-                                 const NetConfig& config) {
-  const auto ranks = static_cast<unsigned>(unsorted.shards.size());
-  obs::Span span("dist.sort", "ranks", ranks);
-  RankNetwork net(ranks, config);
-
-  // Local sorts (no traffic).
-  std::vector<std::vector<std::int32_t>> runs = unsorted.shards;
-  for (auto& run : runs) std::sort(run.begin(), run.end());
-  std::size_t total = 0;
-  for (const auto& run : runs) total += run.size();
-
-  // Splitter phase. Numerically the splits are computed here with
-  // multiway_select (exact, and what the local data structures support);
-  // the COMMUNICATION is charged as the protocol a distributed
-  // implementation would run: every splitter owner bisects the 32-bit
-  // value domain concurrently — per round it broadcasts a pivot and every
-  // rank answers with its local rank count (8 bytes each way). 32 rounds
-  // for 32-bit keys, all p-1 bisections overlapped.
-  std::vector<std::span<const std::int32_t>> views;
-  views.reserve(ranks);
-  for (const auto& run : runs) views.emplace_back(run.data(), run.size());
-  std::vector<std::vector<std::size_t>> bounds(ranks + 1);
-  bounds[0].assign(ranks, 0);
-  for (unsigned r = 1; r < ranks; ++r) {
-    bounds[r] = multiway_select(
-        std::span<const std::span<const std::int32_t>>(views),
-        static_cast<std::size_t>(r) * total / ranks);
-  }
-  bounds[ranks].resize(ranks);
-  for (unsigned src = 0; src < ranks; ++src)
-    bounds[ranks][src] = runs[src].size();
-  if (ranks > 1) {
-    for (unsigned round = 0; round < 32; ++round) {
-      for (unsigned driver = 1; driver < ranks; ++driver) {
-        for (unsigned src = 0; src < ranks; ++src) {
-          if (src == driver) continue;
-          net.reliable_send(driver, src, 8);  // pivot
-          net.reliable_send(src, driver, 8);  // local rank count
-        }
-      }
-      net.end_round();
-    }
-  }
-
-  // Round 2: personalized exchange + local k-way merge per rank.
-  DistMergeResult result;
-  result.merged.shards.resize(ranks);
-  for (unsigned dst = 0; dst < ranks; ++dst) {
-    std::vector<std::vector<std::int32_t>> fragments(ranks);
-    for (unsigned src = 0; src < ranks; ++src) {
-      const std::size_t lo = bounds[dst][src];
-      const std::size_t hi = bounds[dst + 1][src];
-      if (lo == hi) continue;
-      net.reliable_send(src, dst, (hi - lo) * kElem);
-      fragments[src].assign(
-          runs[src].begin() + static_cast<std::ptrdiff_t>(lo),
-          runs[src].begin() + static_cast<std::ptrdiff_t>(hi));
-    }
-    std::vector<LoserTree<std::int32_t>::Cursor> cursors(ranks);
-    std::size_t out_size = 0;
-    for (unsigned src = 0; src < ranks; ++src) {
-      cursors[src] = {fragments[src].data(),
-                      fragments[src].data() + fragments[src].size()};
-      out_size += fragments[src].size();
-    }
-    LoserTree<std::int32_t> tree(std::move(cursors));
-    auto& out = result.merged.shards[dst];
-    out.resize(out_size);
-    tree.pop_n(out.data(), out_size);
-  }
   net.end_round();
   result.net = net.stats();
   flush_net_metrics(result.net);

@@ -71,15 +71,4 @@ DistMergeResult tree_merge(const DistArray& a, const DistArray& b,
 DistMergeResult gather_at_root(const DistArray& a, const DistArray& b,
                                const NetConfig& config = {});
 
-/// Distributed sort of an UNSORTED block-distributed array, by exact
-/// splitters: every rank sorts its block locally, the k-way co-rank
-/// (multiway_select, the merge path's k-sequence generalisation) computes
-/// the exact global rank boundaries r·N/p across the p sorted runs, and a
-/// single personalized exchange ships each rank exactly its output range,
-/// which it merges locally with a loser tree. This is sample sort with
-/// the sampling replaced by exact selection — perfectly balanced output
-/// shards by construction, total traffic <= N, 2 communication rounds.
-DistMergeResult distributed_sort(const DistArray& unsorted,
-                                 const NetConfig& config = {});
-
 }  // namespace mp::dist

@@ -10,8 +10,9 @@
 /// Transient faults (EINTR, short transfers) are retried with modeled
 /// exponential backoff charged to the device clock; permanent faults
 /// (ENOSPC, media errors) and exhausted retries surface as the typed
-/// IoError. A writer abandoned mid-run releases every block it flushed,
-/// so failed operations leave no garbage on the device.
+/// IoError. A caller cleans up after a failed run by releasing its
+/// blocks: allocation is append-only, so they are a suffix of the device
+/// (pipeline::sort_vector releases everything from its input on).
 
 #include <algorithm>
 #include <cstdint>
@@ -80,8 +81,7 @@ std::uint64_t retry_io(BlockDevice& device, const fault::RetryPolicy& retry,
 
 /// Streams elements out to device blocks, in one of two modes:
 ///  - fresh allocation (run formation, spills): each block is allocated
-///    as it is flushed, so a run's blocks are consecutive and a writer
-///    abandoned mid-run can release them;
+///    as it is flushed, so a run's blocks are consecutive;
 ///  - preallocated range (the pipeline's merge segments and exchange
 ///    slices): blocks first_block, first_block + 1, ... that the caller
 ///    allocated up front, so a redone unit rewrites exactly its own
@@ -141,22 +141,7 @@ class RunWriter {
     RunHandle handle{first_block_ == kUnset ? 0 : first_block_, written_};
     first_block_ = kUnset;
     written_ = 0;
-    blocks_flushed_ = 0;
     return handle;
-  }
-
-  /// Abandons the in-progress run: drops buffered data and, in
-  /// fresh-allocation mode, releases every block already flushed for it
-  /// (a preallocated range belongs to the caller). Recovery paths call
-  /// this so a failed sort leaves no partial run behind. The writer is
-  /// reusable afterwards.
-  void abandon() {
-    buffer_.clear();
-    if (first_block_ != kUnset && !preallocated_)
-      device_->release_blocks(first_block_, blocks_flushed_);
-    first_block_ = kUnset;
-    written_ = 0;
-    blocks_flushed_ = 0;
   }
 
   /// Transient-fault retries performed over this writer's lifetime.
@@ -172,7 +157,7 @@ class RunWriter {
 
   void write_block(const T* data, std::size_t count) {
     // allocate() may throw IoError(kNoSpace); the caller's recovery path
-    // abandons the writer, releasing earlier blocks of this run.
+    // releases the blocks this run already took.
     const std::uint64_t block =
         preallocated_ ? next_block_++ : device_->allocate(1);
     if (first_block_ == kUnset) first_block_ = block;
@@ -181,7 +166,6 @@ class RunWriter {
           return device_->try_write_block(
               block, data, static_cast<std::uint32_t>(count * sizeof(T)));
         });
-    ++blocks_flushed_;
     written_ += count;
   }
 
@@ -192,7 +176,6 @@ class RunWriter {
   std::vector<T> buffer_;  // the staged partial block
   std::uint64_t first_block_ = kUnset;
   std::uint64_t written_ = 0;
-  std::uint64_t blocks_flushed_ = 0;
   std::uint64_t retries_ = 0;
 };
 
@@ -322,14 +305,5 @@ class RunReader {
   std::uint64_t end_;
   std::uint64_t retries_ = 0;
 };
-
-/// Releases the device blocks a finished run occupies (recovery/cleanup).
-template <typename T>
-void release_run(BlockDevice& device, RunHandle handle) {
-  const std::uint64_t per_block = device.config().block_bytes / sizeof(T);
-  const std::uint64_t blocks =
-      (handle.element_count + per_block - 1) / per_block;
-  device.release_blocks(handle.first_block, blocks);
-}
 
 }  // namespace mp::extmem

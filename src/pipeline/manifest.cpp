@@ -21,7 +21,7 @@ const char* to_string(Phase phase) {
 namespace {
 
 constexpr std::uint64_t kMagic = 0x4d504d414e494631ull;  // "MPMANIF1"
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
 
@@ -121,6 +121,8 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
     w.put(sh.segments_done);
     w.put(sh.segment_count);
     w.put_u64s(sh.cursors);
+    w.put(sh.group);
+    w.put(sh.passes);
   }
   w.put(fnv1a(w.bytes.data(), w.bytes.size()));
   return std::move(w.bytes);
@@ -167,6 +169,8 @@ Manifest deserialize_manifest(const std::uint8_t* data, std::size_t bytes) {
     sh.segments_done = r.get<std::uint64_t>();
     sh.segment_count = r.get<std::uint64_t>();
     sh.cursors = r.get_u64s(kSaneCount);
+    sh.group = r.get<std::uint64_t>();
+    sh.passes = r.get<std::uint64_t>();
   }
   // The checksum covers every byte before it; trailing padding (the rest
   // of the slot) is not part of the image.
@@ -202,13 +206,14 @@ ManifestStore ManifestStore::attach(extmem::BlockDevice& device,
   return ManifestStore(device, base_block, slot_blocks, retry);
 }
 
-void ManifestStore::write(Manifest& m) {
+std::uint64_t ManifestStore::write(Manifest& m) {
   ++m.seq;
   const std::vector<std::uint8_t> image = serialize_manifest(m);
   const std::uint64_t bb = device_->config().block_bytes;
   MP_CHECK(image.size() <= slot_blocks_ * bb);  // sized at create time
   const std::uint64_t slot = m.seq % 2;
   const std::uint64_t first = base_ + slot * slot_blocks_;
+  std::uint64_t retries = 0;
   // Each block takes its share of the image straight from it; the device
   // zero-fills a block past the bytes written, so the slot's padding (and
   // every block past the image) reads back as zeros.
@@ -216,13 +221,13 @@ void ManifestStore::write(Manifest& m) {
     const std::size_t at =
         std::min(static_cast<std::size_t>(b * bb), image.size());
     const std::size_t take = std::min<std::size_t>(bb, image.size() - at);
-    extmem::detail::retry_io(*device_, retry_, first + b, "manifest write",
-                             [&] {
-                               return device_->try_write_block(
-                                   first + b, image.data() + at,
-                                   static_cast<std::uint32_t>(take));
-                             });
+    retries += extmem::detail::retry_io(
+        *device_, retry_, first + b, "manifest write", [&] {
+          return device_->try_write_block(first + b, image.data() + at,
+                                          static_cast<std::uint32_t>(take));
+        });
   }
+  return retries;
 }
 
 bool ManifestStore::try_load_slot(unsigned which, Manifest* out) {

@@ -44,7 +44,7 @@ namespace mp::pipeline {
 /// Pipeline phases, in execution order.
 enum class Phase : std::uint8_t {
   kForm = 0,      ///< run formation: sort memory-sized chunks per shard
-  kMerge = 1,     ///< per-shard k-way loser-tree merge, segment-granular
+  kMerge = 1,     ///< per-shard multiway_merge passes, segment-granular
   kExchange = 2,  ///< rank-sharded exchange via Merge Path co-ranks
   kDone = 3,
 };
@@ -82,14 +82,18 @@ struct ShardManifest {
   std::uint64_t input_count = 0;  ///< shard's element count
   std::uint64_t formed = 0;       ///< input elements consumed by run formation
   std::vector<extmem::RunHandle> runs;  ///< completed (checkpointed) runs
-  extmem::RunHandle sorted;       ///< merged shard run (preallocated)
+  /// The current merge group's run (preallocated); after the last pass,
+  /// the merged shard run.
+  extmem::RunHandle sorted;
   std::uint64_t segments_done = 0;
-  std::uint64_t segment_count = 0;  ///< 0 until the shard's merge initialized
-  /// Per-run consumed counts at the last completed segment boundary: the
-  /// stable co-ranks of the merge frontier. A redone segment restarts its
-  /// readers here, making segment re-execution byte-identical (Theorem 14
-  /// disjointness at block granularity).
+  std::uint64_t segment_count = 0;  ///< 0 until the group's merge initialized
+  /// Per-run consumed counts of the group's runs at the last completed
+  /// segment boundary: the stable co-ranks of the merge frontier. A redone
+  /// segment restarts its readers here, making segment re-execution
+  /// byte-identical (Theorem 14 disjointness at block granularity).
   std::vector<std::uint64_t> cursors;
+  std::uint64_t group = 0;   ///< index in `runs` of the pass's next group
+  std::uint64_t passes = 0;  ///< merge passes completed
 
   friend bool operator==(const ShardManifest&, const ShardManifest&) = default;
 };
@@ -157,9 +161,10 @@ class ManifestStore {
   std::uint64_t total_blocks() const { return 2 * slot_blocks_; }
 
   /// Checkpoints `m`: bumps m.seq and writes the full serialized manifest
-  /// to the slot not holding the latest valid state. Throws IoError if
-  /// the device permanently fails the write.
-  void write(Manifest& m);
+  /// to the slot not holding the latest valid state. Returns the transient
+  /// faults it retried; throws IoError if the device permanently fails
+  /// the write.
+  std::uint64_t write(Manifest& m);
 
   /// Returns the valid slot with the highest sequence number; throws
   /// ManifestError when neither slot holds a valid manifest.

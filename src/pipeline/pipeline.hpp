@@ -11,7 +11,8 @@
 ///                  order.
 ///   2. kMerge    — per shard, a k-way merge of its runs into one sorted
 ///                  shard run, executed segment-by-segment in block-aligned
-///                  output segments.
+///                  output segments. With a bounded fan-in F, passes first
+///                  merge the runs F at a time until at most F remain.
 ///   3. kExchange — R ranks (one per shard) each own a block-aligned slice
 ///                  of the global output. Rank r computes the Merge Path
 ///                  co-ranks (stable multisequence selection) bounding its
@@ -58,6 +59,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/merge_sort.hpp"
@@ -86,6 +88,11 @@ struct PipelineConfig {
   /// Merge-segment size in device blocks: the redo granularity of the
   /// kMerge phase (one checkpoint per segment).
   std::uint64_t segment_blocks = 4;
+  /// Runs merged at once in the kMerge phase. 0 merges all of a shard's
+  /// runs in one pass; F >= 2 merges them in passes of F runs (the
+  /// Aggarwal-Vitter external sort at F = M/B - 1) until at most F are
+  /// left, which the last pass merges into the shard's sorted run.
+  std::uint64_t fan_in = 0;
   /// Checkpoint cadence of the kForm phase (1 = after every run).
   std::uint64_t checkpoint_every_runs = 1;
   /// false disables all intermediate checkpoints (the final manifest
@@ -118,6 +125,11 @@ struct PipelineReport {
   std::uint64_t ranks_exchanged = 0;
   std::uint64_t checkpoints = 0;
   std::uint64_t resumes = 0;
+  /// Merge passes over the shard with the most (0 when no shard had more
+  /// than one run).
+  std::uint64_t merge_passes = 0;
+  /// Transient device faults this incarnation's transfers retried.
+  std::uint64_t io_retries = 0;
   dist::NetStats net{};
 };
 
@@ -163,8 +175,10 @@ class Pipeline {
       m.shards[s].input_count = hi - lo;
     }
     m.watermark = device.blocks_allocated();
-    store.write(m);
-    return Pipeline(device, store, std::move(m), cfg, comp);
+    const std::uint64_t retries = store.write(m);
+    Pipeline pipe(device, store, std::move(m), cfg, comp);
+    pipe.io_retries_ = retries;
+    return pipe;
   }
 
   /// Attaches to the manifest a prior incarnation left at `manifest_block`
@@ -221,6 +235,9 @@ class Pipeline {
     report.ranks_exchanged = m_.ranks_exchanged;
     report.checkpoints = m_.checkpoints;
     report.resumes = m_.resumes;
+    for (const ShardManifest& sh : m_.shards)
+      report.merge_passes = std::max(report.merge_passes, sh.passes);
+    report.io_retries = io_retries_;
     report.net = net.stats();
     return report;
   }
@@ -245,6 +262,7 @@ class Pipeline {
     MP_CHECK(cfg.memory_elems >= 1);
     MP_CHECK(cfg.segment_blocks >= 1);
     MP_CHECK(cfg.checkpoint_every_runs >= 1);
+    MP_CHECK(cfg.fan_in != 1);
     MP_CHECK(device.config().block_bytes >= sizeof(T));
   }
 
@@ -280,7 +298,7 @@ class Pipeline {
     obs::Span span("pipe.checkpoint", "seq", m_.seq + 1);
     ++m_.checkpoints;
     m_.watermark = device_->blocks_allocated();
-    store_.write(m_);
+    io_retries_ += store_.write(m_);
     obs::MetricsRegistry::instance().counter("pipe.checkpoints").add(1);
   }
 
@@ -331,9 +349,11 @@ class Pipeline {
              group < lanes && at < sh.input_count; ++group) {
           sizes[group] = static_cast<std::size_t>(
               std::min(cfg_.memory_elems, sh.input_count - at));
-          extmem::RunReader<T>(*device_, m_.input, sh.input_first + at,
-                               sizes[group], cfg_.retry)
-              .read(chunks.get() + group * chunk_cap, sizes[group]);
+          extmem::RunReader<T> reader(*device_, m_.input,
+                                      sh.input_first + at, sizes[group],
+                                      cfg_.retry);
+          reader.read(chunks.get() + group * chunk_cap, sizes[group]);
+          io_retries_ += reader.retries();
           at += sizes[group];
         }
         LaneRecovery recovery{cfg_.recovery};
@@ -355,52 +375,82 @@ class Pipeline {
         }
       }
     }
+    io_retries_ += writer.retries();
     m_.phase = Phase::kMerge;
     unit_boundary("form.done", "form.done.ckpt", true);
   }
 
   // ---- kMerge ------------------------------------------------------
 
+  /// Merges each shard's runs into its sorted run. A shard walks its run
+  /// list in groups: each group is merged segment by segment into a
+  /// preallocated run, which then replaces the group in place (run order,
+  /// and with it stability, is kept). A pass ends when the groups reach
+  /// the end of the list; a last group of one run carries over untouched.
+  /// The group covering the whole list at a pass start (always, at
+  /// fan_in 0) is the last pass, and its run is the shard's sorted run.
   void merge_phase() {
     for (unsigned s = 0; s < shard_count(); ++s) {
       ShardManifest& sh = m_.shards[s];
-      if (sh.segment_count == 0) merge_init(s, sh);
-      if (sh.segments_done < sh.segment_count) {
-        // Staged blocks carry over between segments; a resume reopens here.
-        std::vector<std::uint64_t> run_ends;
-        for (const extmem::RunHandle& run : sh.runs)
-          run_ends.push_back(run.element_count);
-        auto readers = open_readers(sh.runs, sh.cursors, run_ends);
-        while (sh.segments_done < sh.segment_count)
-          merge_segment(s, sh, readers);
-      }
-      if (!sh.runs.empty()) {
-        // Source runs are dead once the shard is merged. Re-running this
-        // after a crash is safe: release_blocks skips already-released
-        // slots.
-        for (extmem::RunHandle& run : sh.runs) release_handle(run);
-        sh.runs.clear();
-        sh.cursors.clear();
-        unit_boundary("merge.cleanup", "merge.cleanup.ckpt", true);
+      // segment_count == 0: the next group is not set up yet; runs left
+      // once its segments are done: the group is not retired yet.
+      while (sh.segment_count == 0 || !sh.runs.empty()) {
+        if (sh.segment_count == 0) merge_init(sh);
+        if (sh.segments_done < sh.segment_count) {
+          // Staged blocks carry over between segments; a resume reopens
+          // here.
+          const std::span<const extmem::RunHandle> group = group_runs(sh);
+          std::vector<std::uint64_t> run_ends;
+          for (const extmem::RunHandle& run : group)
+            run_ends.push_back(run.element_count);
+          auto readers = open_readers(group, sh.cursors, run_ends);
+          while (sh.segments_done < sh.segment_count)
+            merge_segment(s, sh, readers);
+          for (const extmem::RunReader<T>& reader : readers)
+            io_retries_ += reader.retries();
+        }
+        if (!sh.runs.empty()) merge_retire(sh);
       }
     }
-    // Transition: preallocate the global output and zero the exchange
-    // frontier. Redone wholesale if the checkpoint below never lands (the
-    // orphaned allocation is reclaimed by resume()).
+    // Transition: the global output and a zero exchange frontier. One
+    // shard's sorted run already is the output. Otherwise the output is
+    // preallocated, and the step is redone wholesale if the checkpoint
+    // below never lands (the orphaned allocation is reclaimed by resume()).
     const std::uint64_t n = m_.total_elements;
     m_.output = extmem::RunHandle{};
-    if (n > 0) {
+    if (shard_count() == 1) {
+      m_.output = m_.shards[0].sorted;
+    } else if (n > 0) {
       const std::uint64_t blocks = blocks_for(n);
       m_.output.first_block = device_->allocate(blocks);
       m_.output.element_count = n;
     }
     for (auto& c : m_.exchange_cursors) c = 0;
-    m_.ranks_done = 0;
+    m_.ranks_done = shard_count() == 1 ? 1 : 0;
     m_.phase = Phase::kExchange;
     unit_boundary("merge.done", "merge.done.ckpt", true);
   }
 
-  void merge_init(unsigned s, ShardManifest& sh) {
+  /// Whether the shard's current group is its last pass: the whole run
+  /// list, at a pass start, when it is short enough for one merge.
+  bool last_pass(const ShardManifest& sh) const {
+    return sh.group == 0 &&
+           (cfg_.fan_in == 0 || sh.runs.size() <= cfg_.fan_in);
+  }
+
+  /// The runs of the shard's current group.
+  std::span<const extmem::RunHandle> group_runs(
+      const ShardManifest& sh) const {
+    const std::size_t width =
+        last_pass(sh) ? sh.runs.size()
+                      : std::min<std::size_t>(
+                            static_cast<std::size_t>(cfg_.fan_in),
+                            sh.runs.size() - sh.group);
+    return std::span<const extmem::RunHandle>(sh.runs).subspan(
+        static_cast<std::size_t>(sh.group), width);
+  }
+
+  void merge_init(ShardManifest& sh) {
     if (sh.runs.size() <= 1) {
       // 0 or 1 runs: the "merge" is the identity. Alias the formed run as
       // the sorted run (clearing runs WITHOUT releasing — same blocks).
@@ -412,14 +462,15 @@ class Pipeline {
       unit_boundary("merge.alias", "merge.alias.ckpt", true);
       return;
     }
+    const std::span<const extmem::RunHandle> group = group_runs(sh);
+    std::uint64_t elems = 0;
+    for (const extmem::RunHandle& run : group) elems += run.element_count;
     const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
-    const std::uint64_t blocks = blocks_for(sh.input_count);
-    sh.sorted.first_block = device_->allocate(blocks);
-    sh.sorted.element_count = sh.input_count;
-    sh.segment_count = (sh.input_count + seg_elems - 1) / seg_elems;
+    sh.sorted.first_block = device_->allocate(blocks_for(elems));
+    sh.sorted.element_count = elems;
+    sh.segment_count = (elems + seg_elems - 1) / seg_elems;
     sh.segments_done = 0;
-    sh.cursors.assign(sh.runs.size(), 0);
-    (void)s;
+    sh.cursors.assign(group.size(), 0);
     unit_boundary("merge.init", "merge.init.ckpt", true);
   }
 
@@ -430,7 +481,8 @@ class Pipeline {
       const std::uint64_t seg_elems = cfg_.segment_blocks * epb();
       const std::uint64_t g = sh.segments_done;
       const std::uint64_t lo = g * seg_elems;
-      const std::uint64_t hi = std::min(sh.input_count, lo + seg_elems);
+      const std::uint64_t hi =
+          std::min(sh.sorted.element_count, lo + seg_elems);
       merge_unit(readers, hi - lo,
                  sh.sorted.first_block + g * cfg_.segment_blocks);
       // The readers' positions ARE the merge frontier's co-ranks at output
@@ -444,9 +496,41 @@ class Pipeline {
     unit_boundary("merge.seg", "merge.seg.ckpt", true);
   }
 
+  /// Retires a merged group: its source runs are dead, and the group's
+  /// run takes their place in the list (or, after the last pass, the list
+  /// is empty and the shard is merged). Re-running this after a crash is
+  /// safe: release_blocks skips already-released slots.
+  void merge_retire(ShardManifest& sh) {
+    const bool last = last_pass(sh);
+    const std::size_t first = static_cast<std::size_t>(sh.group);
+    const std::size_t end = first + group_runs(sh).size();
+    for (std::size_t t = first; t < end; ++t) release_handle(sh.runs[t]);
+    sh.cursors.clear();
+    if (last) {
+      sh.runs.clear();
+      ++sh.passes;
+      unit_boundary("merge.cleanup", "merge.cleanup.ckpt", true);
+      return;
+    }
+    sh.runs.erase(sh.runs.begin() + static_cast<std::ptrdiff_t>(first + 1),
+                  sh.runs.begin() + static_cast<std::ptrdiff_t>(end));
+    sh.runs[first] = sh.sorted;
+    sh.sorted = extmem::RunHandle{};
+    sh.segment_count = 0;
+    sh.segments_done = 0;
+    sh.group = first + 1;
+    // The pass ends when no group of two runs is left; a lone last run
+    // carries over with no I/O.
+    if (sh.runs.size() - sh.group <= 1) {
+      sh.group = 0;
+      ++sh.passes;
+    }
+    unit_boundary("merge.group", "merge.group.ckpt", true);
+  }
+
   /// Readers over the windows [from[t], to[t]) of `runs`.
   std::vector<extmem::RunReader<T>> open_readers(
-      const std::vector<extmem::RunHandle>& runs,
+      std::span<const extmem::RunHandle> runs,
       const std::vector<std::uint64_t>& from,
       const std::vector<std::uint64_t>& to) {
     std::vector<extmem::RunReader<T>> readers;
@@ -511,6 +595,7 @@ class Pipeline {
       count -= total;
     }
     writer.finish();
+    io_retries_ += writer.retries();
   }
 
   // ---- kExchange ---------------------------------------------------
@@ -533,7 +618,8 @@ class Pipeline {
       obs::MetricsRegistry::instance().counter("pipe.ranks_exchanged").add(1);
       unit_boundary("exchange.rank", "exchange.rank.ckpt", true);
     }
-    for (ShardManifest& sh : m_.shards) release_handle(sh.sorted);
+    for (ShardManifest& sh : m_.shards)
+      if (sh.sorted != m_.output) release_handle(sh.sorted);
     m_.phase = Phase::kDone;
     crash_point("exchange.done", false);
     checkpoint();  // forced even with cfg_.checkpoints off: the final
@@ -559,11 +645,12 @@ class Pipeline {
       }
       cache.data.resize(static_cast<std::size_t>(epb()));
       const std::uint64_t block = m_.shards[s].sorted.first_block + b;
-      extmem::detail::retry_io(*device_, cfg_.retry, block, "probe", [&] {
-        return device_->try_read_block(
-            block, cache.data.data(),
-            static_cast<std::uint32_t>(cache.data.size() * sizeof(T)));
-      });
+      io_retries_ += extmem::detail::retry_io(
+          *device_, cfg_.retry, block, "probe", [&] {
+            return device_->try_read_block(
+                block, cache.data.data(),
+                static_cast<std::uint32_t>(cache.data.size() * sizeof(T)));
+          });
       cache.block = b;
       obs::MetricsRegistry::instance().counter("pipe.probe_reads").add(1);
     }
@@ -651,6 +738,8 @@ class Pipeline {
         for (const ShardManifest& sh : m_.shards) sorted.push_back(sh.sorted);
         auto readers = open_readers(sorted, m_.exchange_cursors, ends);
         merge_unit(readers, hi - lo, m_.output.first_block + lo / epb());
+        for (const extmem::RunReader<T>& reader : readers)
+          io_retries_ += reader.retries();
         m_.exchange_cursors = ends;
         break;
       } catch (const dist::NetError&) {
@@ -671,6 +760,42 @@ class Pipeline {
   std::vector<T> unit_out_;      // merge_unit's output stretch
   std::vector<T> unit_scratch_;  // and its multiway_merge scratch
   std::uint64_t steps_ = 0;
+  std::uint64_t io_retries_ = 0;  // transient retries, this incarnation
 };
+
+/// Sorts `data` with the pipeline on `device`: writes it as the input
+/// run, runs start().run() and reads the output back (filling `report`
+/// if given; its io_retries include the input write and the read-back).
+/// Allocation is append-only, so every block from the input's first on
+/// is this call's; they are all released whether the sort returns or
+/// throws (IoError on a permanent device fault), which leaves the device
+/// as the call found it.
+template <typename T, typename Comp = std::less<>>
+std::vector<T> sort_vector(extmem::BlockDevice& device,
+                           const std::vector<T>& data,
+                           const PipelineConfig& cfg = {},
+                           PipelineReport* report = nullptr, Comp comp = {}) {
+  const std::uint64_t first = device.blocks_allocated();
+  const auto release = [&] {
+    device.release_blocks(first, device.blocks_allocated() - first);
+  };
+  try {
+    extmem::RunWriter<T> writer(device, cfg.retry);
+    writer.append(data.data(), data.size());
+    const extmem::RunHandle input = writer.finish();
+    PipelineReport done =
+        Pipeline<T, Comp>::start(device, input, cfg, comp).run();
+    std::vector<T> out(data.size());
+    extmem::RunReader<T> reader(device, done.output, cfg.retry);
+    reader.read(out.data(), out.size());
+    done.io_retries += writer.retries() + reader.retries();
+    release();
+    if (report) *report = done;
+    return out;
+  } catch (...) {
+    release();
+    throw;
+  }
+}
 
 }  // namespace mp::pipeline

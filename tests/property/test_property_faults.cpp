@@ -21,9 +21,9 @@
 #include "dist/distributed_merge.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
 #include "extmem/run_file.hpp"
 #include "fault/fault.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 #include "util/threading.hpp"
@@ -58,6 +58,19 @@ extmem::DeviceConfig small_blocks() {
   return config;
 }
 
+/// The external sort: the pipeline with one shard, checkpoints off and
+/// merge passes of `fan_in` runs, its run formation on two lanes.
+pipeline::PipelineConfig external_config(std::uint64_t memory_elems,
+                                         std::uint64_t fan_in) {
+  pipeline::PipelineConfig config;
+  config.memory_elems = memory_elems;
+  config.fan_in = fan_in;
+  config.shards = 1;
+  config.checkpoints = false;
+  config.exec.threads = 2;
+  return config;
+}
+
 std::vector<KeyedRecord> make_records(std::size_t n, std::uint64_t seed) {
   // Tiny key universe => heavy duplication => stability is load-bearing.
   Xoshiro256 rng(seed);
@@ -85,23 +98,21 @@ SortOutcome run_faulty_sort(const std::vector<KeyedRecord>& data,
   extmem::BlockDevice device(small_blocks());
   fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0});
   fault::ScopedInjector injector(device, plan);
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 256;  // many runs + several merge passes
-  config.fan_in = 3;
-  config.exec.threads = 2;
+  // Many runs + several merge passes.
+  const pipeline::PipelineConfig config = external_config(256, 3);
   SortOutcome outcome;
   try {
-    extmem::ExternalSortReport report;
-    outcome.result =
-        extmem::external_sort_vector(device, data, config, &report);
+    pipeline::PipelineReport report;
+    outcome.result = pipeline::sort_vector(device, data, config, &report);
     outcome.completed = true;
     outcome.retries = report.io_retries;
-    outcome.faults = report.faults_injected;
+    outcome.faults = device.stats().faults_injected;
   } catch (const extmem::IoError&) {
     outcome.completed = false;
   }
-  // Success releases everything (the vector wrapper owns both runs);
-  // failure must too — leaked blocks mean a broken recovery path.
+  // Success releases everything (sort_vector owns every block it
+  // allocated); failure must too — leaked blocks mean a broken recovery
+  // path.
   outcome.leaked_blocks = device.live_blocks();
   outcome.schedule_hash = plan.schedule_hash();
   outcome.fault_stats = plan.stats();
@@ -168,16 +179,12 @@ TEST(FaultSweepExtmem, JitteredBackoffPreservesReplayAndSchedule) {
     extmem::BlockDevice device(small_blocks());
     fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0});
     fault::ScopedInjector injector(device, plan);
-    extmem::ExternalSortConfig config;
-    config.memory_elems = 256;
-    config.fan_in = 3;
-    config.exec.threads = 2;
+    pipeline::PipelineConfig config = external_config(256, 3);
     config.retry.max_attempts = 16;
     config.retry.jitter = jitter;
     JitterOutcome outcome;
-    extmem::ExternalSortReport report;
-    outcome.result =
-        extmem::external_sort_vector(device, data, config, &report);
+    pipeline::PipelineReport report;
+    outcome.result = pipeline::sort_vector(device, data, config, &report);
     outcome.retries = report.io_retries;
     outcome.schedule_hash = plan.schedule_hash();
     outcome.modeled_us = device.modeled_io_us();
@@ -220,12 +227,9 @@ TEST(FaultSweepExtmem, PermanentFaultIsTypedAndLeakFree) {
       fault::FaultPlan plan;
       plan.fail_from(from, kind);
       fault::ScopedInjector injector(device, plan);
-      extmem::ExternalSortConfig config;
-      config.memory_elems = 256;
-      config.fan_in = 2;
-      config.exec.threads = 2;
-      ASSERT_THROW(extmem::external_sort_vector(device, data, config),
-                   extmem::IoError);
+      ASSERT_THROW(
+          pipeline::sort_vector(device, data, external_config(256, 2)),
+          extmem::IoError);
       ASSERT_EQ(device.live_blocks(), 0u) << "leaked temp-run blocks";
     }
   }
@@ -239,16 +243,13 @@ TEST(FaultSweepExtmem, EnospcFromCapacityRecoversCleanly) {
   const auto data = make_records(2000, 0xcafe);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 256;
-  config.fan_in = 2;
-  config.exec.threads = 2;
+  const pipeline::PipelineConfig config = external_config(256, 2);
 
   extmem::DeviceConfig tight = small_blocks();
   tight.max_blocks = 24;  // input alone needs ~16
   extmem::BlockDevice device(tight);
   try {
-    extmem::external_sort_vector(device, data, config);
+    pipeline::sort_vector(device, data, config);
     FAIL() << "sort in 24 blocks must hit ENOSPC";
   } catch (const extmem::IoError& error) {
     EXPECT_EQ(error.status(), extmem::IoStatus::kNoSpace);
@@ -258,19 +259,17 @@ TEST(FaultSweepExtmem, EnospcFromCapacityRecoversCleanly) {
   extmem::DeviceConfig roomy = small_blocks();
   roomy.max_blocks = 96;  // ~2x data + carry: the footprint bound holds
   extmem::BlockDevice retry_device(roomy);
-  EXPECT_EQ(extmem::external_sort_vector(retry_device, data, config),
-            expected);
+  EXPECT_EQ(pipeline::sort_vector(retry_device, data, config), expected);
 }
 
 struct DistOutcome {
   bool completed = false;
-  std::vector<std::int32_t> exchange, tree, gather, sorted;
+  std::vector<std::int32_t> exchange, tree, gather;
   std::uint64_t schedule_hash = 0;
 };
 
 DistOutcome run_faulty_dist(const dist::DistArray& da,
                             const dist::DistArray& db,
-                            const dist::DistArray& unsorted,
                             std::uint64_t seed) {
   fault::FaultPlan plan(fault::FaultConfig{seed, kFaultRate, 250.0});
   dist::NetConfig config;
@@ -281,8 +280,6 @@ DistOutcome run_faulty_dist(const dist::DistArray& da,
                            .merged.gathered();
     outcome.tree = dist::tree_merge(da, db, config).merged.gathered();
     outcome.gather = dist::gather_at_root(da, db, config).merged.gathered();
-    outcome.sorted = dist::distributed_sort(unsorted, config)
-                         .merged.gathered();
     outcome.completed = true;
   } catch (const dist::NetError&) {
     outcome.completed = false;
@@ -294,9 +291,6 @@ DistOutcome run_faulty_dist(const dist::DistArray& da,
 TEST(FaultSweepDist, LossyNetworkStillMergesExactly) {
   if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kFewDuplicates, 1400, 1100, 77);
-  const auto values = make_unsorted_values(1800, 78);
-  auto sorted_ref = values;
-  std::sort(sorted_ref.begin(), sorted_ref.end());
   const auto merged_ref = test::reference_merge(input.a, input.b);
 
   std::uint64_t completed = 0;
@@ -305,14 +299,12 @@ TEST(FaultSweepDist, LossyNetworkStillMergesExactly) {
     const unsigned ranks = 2 + static_cast<unsigned>(seed % 7);
     const dist::DistArray da = dist::distribute(input.a, ranks);
     const dist::DistArray db = dist::distribute(input.b, ranks);
-    const dist::DistArray du = dist::distribute(values, ranks);
-    const DistOutcome outcome = run_faulty_dist(da, db, du, seed);
+    const DistOutcome outcome = run_faulty_dist(da, db, seed);
     if (!outcome.completed) continue;  // typed failure: legal, just rare
     ++completed;
     ASSERT_EQ(outcome.exchange, merged_ref) << "merge_path_exchange";
     ASSERT_EQ(outcome.tree, merged_ref) << "tree_merge";
     ASSERT_EQ(outcome.gather, merged_ref) << "gather_at_root";
-    ASSERT_EQ(outcome.sorted, sorted_ref) << "distributed_sort";
   }
   // Drops need 16 consecutive losses to fail; at 10%/3 that never happens.
   EXPECT_EQ(completed, kSweepSeeds);
@@ -321,20 +313,17 @@ TEST(FaultSweepDist, LossyNetworkStillMergesExactly) {
 TEST(FaultSweepDist, SameSeedReplaysByteIdentically) {
   if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kClustered, 900, 1300, 11);
-  const auto values = make_unsorted_values(1000, 12);
   const dist::DistArray da = dist::distribute(input.a, 5);
   const dist::DistArray db = dist::distribute(input.b, 5);
-  const dist::DistArray du = dist::distribute(values, 5);
   for (const std::uint64_t seed : {3ull, 19ull, 0xfaceull}) {
     SCOPED_TRACE(::testing::Message() << "fault seed=" << seed);
-    const DistOutcome first = run_faulty_dist(da, db, du, seed);
-    const DistOutcome second = run_faulty_dist(da, db, du, seed);
+    const DistOutcome first = run_faulty_dist(da, db, seed);
+    const DistOutcome second = run_faulty_dist(da, db, seed);
     ASSERT_EQ(first.schedule_hash, second.schedule_hash);
     ASSERT_EQ(first.completed, second.completed);
     ASSERT_EQ(first.exchange, second.exchange);
     ASSERT_EQ(first.tree, second.tree);
     ASSERT_EQ(first.gather, second.gather);
-    ASSERT_EQ(first.sorted, second.sorted);
   }
 }
 
@@ -364,10 +353,8 @@ TEST(FaultSweepDist, SegmentRetryHealsAWindowedPartition) {
 TEST(FaultSweepDist, UnhealedPartitionFailsTypedEverywhere) {
   if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kUniform, 800, 800, 31);
-  const auto values = make_unsorted_values(800, 32);
   const dist::DistArray da = dist::distribute(input.a, 4);
   const dist::DistArray db = dist::distribute(input.b, 4);
-  const dist::DistArray du = dist::distribute(values, 4);
   const auto forever_drop = [] {
     fault::FaultPlan plan;
     plan.fail_from(0, fault::FaultKind::kDrop);
@@ -385,9 +372,6 @@ TEST(FaultSweepDist, UnhealedPartitionFailsTypedEverywhere) {
   fault::FaultPlan p3 = forever_drop();
   config.faults = &p3;
   EXPECT_THROW(dist::gather_at_root(da, db, config), dist::NetError);
-  fault::FaultPlan p4 = forever_drop();
-  config.faults = &p4;
-  EXPECT_THROW(dist::distributed_sort(du, config), dist::NetError);
 }
 
 // ---------------------------------------------------------------------------
@@ -582,10 +566,8 @@ TEST(FaultGate, CompiledOutInjectorsAreInert) {
   std::stable_sort(expected.begin(), expected.end());
   extmem::BlockDevice device(small_blocks());
   fault::ScopedInjector device_injector(device, plan);
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 256;
-  config.exec.threads = 2;
-  EXPECT_EQ(extmem::external_sort_vector(device, data, config), expected);
+  EXPECT_EQ(pipeline::sort_vector(device, data, external_config(256, 2)),
+            expected);
 
   const auto input = make_merge_input(Dist::kUniform, 500, 500, 41);
   dist::NetConfig net_config;

@@ -147,8 +147,10 @@ PipelineConfig sweep_config() {
 /// Kill at EVERY step a clean run executes — not a sample. Each kill k
 /// runs the full crash/resume loop to completion and must reproduce the
 /// clean run's bytes, its exact work counters (no redone form / merge /
-/// exchange units, no extra checkpoints), and its block footprint.
-void kill_at_every_step(const PipelineConfig& cfg) {
+/// exchange units, no extra checkpoints), and its block footprint. The
+/// clean run's report goes to `clean_report` when given.
+void kill_at_every_step(const PipelineConfig& cfg,
+                        PipelineReport* clean_report = nullptr) {
 #if MP_TEST_SANITIZED
   const std::size_t n = 450;
 #else
@@ -166,6 +168,7 @@ void kill_at_every_step(const PipelineConfig& cfg) {
   ASSERT_EQ(clean.incarnations, 1u);
   ASSERT_EQ(read_run<KeyId>(clean_device, clean.report.output), expected);
   ASSERT_GT(clean.report.steps, 20u);  // the sweep is actually a sweep
+  if (clean_report != nullptr) *clean_report = clean.report;
 
   for (std::uint64_t kill = 0; kill < clean.report.steps; ++kill) {
     SCOPED_TRACE(::testing::Message() << "kill step=" << kill);
@@ -187,6 +190,7 @@ void kill_at_every_step(const PipelineConfig& cfg) {
     ASSERT_EQ(outcome.report.ranks_exchanged,
               clean.report.ranks_exchanged);
     ASSERT_EQ(outcome.report.checkpoints, clean.report.checkpoints);
+    ASSERT_EQ(outcome.report.merge_passes, clean.report.merge_passes);
     ASSERT_EQ(device.live_blocks(), expected_live_blocks(device, n, 8, cfg));
   }
 }
@@ -211,10 +215,27 @@ TEST(PipelineCrashSweep, KillAtEveryStepInsideFormationGroups) {
   kill_at_every_step(cfg);
 }
 
+/// The same sweep across merge passes: two shards of 10 runs merged two
+/// at a time take 4 passes, and the passes over 5 and over 3 runs end in
+/// a run carried over with no I/O (under sanitizers, 6 runs take 3
+/// passes and the pass over 3 runs carries). Kills land inside groups,
+/// between a group's last segment and its retirement, and at pass ends.
+TEST(PipelineCrashSweep, KillAtEveryStepAcrossMergePasses) {
+  if constexpr (!fault::kFaultCompiledIn)
+    GTEST_SKIP() << "MP_FAULT=0 build";
+  PipelineConfig cfg = sweep_config();
+  cfg.shards = 2;
+  cfg.memory_elems = 40;
+  cfg.fan_in = 2;
+  PipelineReport clean;
+  kill_at_every_step(cfg, &clean);
+  EXPECT_GE(clean.merge_passes, 3u);
+}
+
 /// Randomized geometries × rate-driven crash schedules. Each seed draws a
 /// shape (n, shards, run size, segment size, checkpoint cadence, one or
-/// three formation lanes) and a crash rate up to 1.0, runs clean and
-/// crash-riddled pipelines, and demands byte-exact agreement, counter
+/// three formation lanes, fan-in) and a crash rate up to 1.0, runs clean
+/// and crash-riddled pipelines, and demands byte-exact agreement, counter
 /// equality, and a leak-free device.
 TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
   if constexpr (!fault::kFaultCompiledIn)
@@ -231,13 +252,15 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
     cfg.checkpoint_every_runs = 1 + rng.bounded(3);
     cfg.exec = Executor{&pool, rng.bounded(2) == 0 ? 1u : 3u};
     const double rate = 0.25 + 0.25 * static_cast<double>(rng.bounded(4));
+    constexpr std::uint64_t kFanIns[] = {0, 2, 3, 5};
+    cfg.fan_in = kFanIns[rng.bounded(4)];
     SCOPED_TRACE(::testing::Message()
                  << "seed=" << seed << " n=" << n << " shards=" << cfg.shards
                  << " memory_elems=" << cfg.memory_elems
                  << " segment_blocks=" << cfg.segment_blocks
                  << " every=" << cfg.checkpoint_every_runs
                  << " lanes=" << cfg.exec.threads
-                 << " rate=" << rate);
+                 << " fan_in=" << cfg.fan_in << " rate=" << rate);
     const auto values = make_records(n, seed ^ 0x5eedULL);
     std::vector<KeyId> expected = values;
     std::stable_sort(expected.begin(), expected.end(), KeyLess{});
@@ -266,6 +289,7 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
     ASSERT_EQ(outcome.report.ranks_exchanged,
               clean.report.ranks_exchanged);
     ASSERT_EQ(outcome.report.checkpoints, clean.report.checkpoints);
+    ASSERT_EQ(outcome.report.merge_passes, clean.report.merge_passes);
     ASSERT_EQ(device.live_blocks(), expected_live_blocks(device, n, 8, cfg));
   }
   // The sweep must actually be exercising the crash path, heavily.

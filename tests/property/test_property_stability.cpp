@@ -21,7 +21,7 @@
 #include "core/stream_merger.hpp"
 #include "../test_support.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 
@@ -269,11 +269,13 @@ TEST_P(StabilityByDist, ExternalSortMatchesStableSortPayloadExactly) {
     extmem::DeviceConfig device_config;
     device_config.block_bytes = 1024;  // 128 records: forces real merging
     extmem::BlockDevice device(device_config);
-    extmem::ExternalSortConfig config;
+    pipeline::PipelineConfig config;
     config.memory_elems = 256;
-    config.fan_in = 2 + static_cast<std::size_t>(rng.bounded(3));
+    config.fan_in = 2 + rng.bounded(3);
+    config.shards = 1;
+    config.checkpoints = false;
     config.exec.threads = threads;
-    ASSERT_EQ(extmem::external_sort_vector(device, data, config), expected)
+    ASSERT_EQ(pipeline::sort_vector(device, data, config), expected)
         << "external sort payload order";
   }
 }

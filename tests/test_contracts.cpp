@@ -6,7 +6,8 @@
 
 #include "cachesim/cache.hpp"
 #include "core/mergepath.hpp"
-#include "extmem/external_sort.hpp"
+#include "extmem/block_device.hpp"
+#include "pipeline/pipeline.hpp"
 #include "pram/simulate.hpp"
 #include "util/cli.hpp"
 
@@ -73,13 +74,18 @@ TEST(Contracts, BlockDeviceRejectsUnwrittenRead) {
   EXPECT_DEATH(device.read_block(block + 1, buf, 8), "check failed");
 }
 
-TEST(Contracts, ExternalSortRequiresTwoBlocksOfMemory) {
-  extmem::BlockDevice device;  // 64 KiB blocks = 16Ki int32
-  extmem::ExternalSortConfig config;
-  config.memory_elems = 1000;  // less than two blocks
+TEST(Contracts, PipelineRejectsFanInOne) {
+  // A merge pass of one run never shrinks the run list; 0 (one pass) and
+  // F >= 2 are the valid fan-ins.
+  extmem::BlockDevice device;
+  pipeline::PipelineConfig config;
+  config.shards = 1;
+  config.fan_in = 1;
   const std::vector<std::int32_t> data{3, 1, 2};
-  EXPECT_DEATH(extmem::external_sort_vector(device, data, config),
-               "check failed");
+  EXPECT_DEATH(pipeline::sort_vector(device, data, config), "check failed");
+  config.fan_in = 2;
+  EXPECT_EQ(pipeline::sort_vector(device, data, config),
+            (std::vector<std::int32_t>{1, 2, 3}));
 }
 
 TEST(Contracts, SegmentedConfigDegenerateCacheStillWorks) {

@@ -11,7 +11,6 @@
 
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
-#include "util/rng.hpp"
 
 namespace mp::dist {
 namespace {
@@ -97,38 +96,6 @@ TEST(DistributedMerge, TreeMovesMoreAndConcentrates) {
   // And the modelled time ordering follows.
   EXPECT_LT(path.net.modeled_time_us, tree.net.modeled_time_us);
   EXPECT_LT(path.net.modeled_time_us, gather.net.modeled_time_us);
-}
-
-TEST(DistributedSort, SortsAndBalancesOutput) {
-  for (unsigned ranks : {1u, 2u, 5u, 12u}) {
-    const auto values = make_unsorted_values(30000, 1705 + ranks);
-    auto expected = values;
-    std::sort(expected.begin(), expected.end());
-    const DistArray d = distribute(values, ranks);
-    const auto result = distributed_sort(d);
-    EXPECT_EQ(result.merged.gathered(), expected) << "ranks=" << ranks;
-    // Output shards balanced exactly (by construction of the splitters).
-    for (const auto& shard : result.merged.shards) {
-      EXPECT_GE(shard.size(), 30000u / ranks);
-      EXPECT_LE(shard.size(), 30000u / ranks + 1);
-    }
-    // Data traffic bounded by N bytes; the splitter protocol adds
-    // 32 rounds of 16-byte pivot/count exchanges (2*32*16*p*(p-1) bytes).
-    const std::uint64_t protocol =
-        ranks == 1 ? 0 : 2ull * 32 * 8 * ranks * (ranks - 1);
-    EXPECT_LE(result.net.bytes, 30000ull * 4 + protocol);
-    EXPECT_EQ(result.net.rounds, ranks == 1 ? 0u : 33u);
-  }
-}
-
-TEST(DistributedSort, DuplicateHeavyInput) {
-  std::vector<std::int32_t> values(20000);
-  Xoshiro256 rng(1707);
-  for (auto& v : values) v = static_cast<std::int32_t>(rng.bounded(5));
-  auto expected = values;
-  std::sort(expected.begin(), expected.end());
-  const auto result = distributed_sort(distribute(values, 8));
-  EXPECT_EQ(result.merged.gathered(), expected);
 }
 
 TEST(Distribute, RoundTripsAndBalances) {

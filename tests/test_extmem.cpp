@@ -1,10 +1,9 @@
 // Tests for the external-memory substrate (S17): device mechanics, run
 // writer/reader round-trips (element-wise, bulk whole-block, windowed,
-// preallocated, and under scripted and random faults), external sort
-// correctness and stability, and the Aggarwal-Vitter transfer-count
+// preallocated, and under scripted and random faults), and the external
+// sort (the pipeline with one shard and a bounded fan-in): correctness,
+// stability across merge passes, and the Aggarwal-Vitter transfer-count
 // bound.
-
-#include "extmem/external_sort.hpp"
 
 #include <gtest/gtest.h>
 
@@ -13,6 +12,7 @@
 
 #include "extmem/block_device.hpp"
 #include "extmem/run_file.hpp"
+#include "pipeline/pipeline.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
 
@@ -223,11 +223,6 @@ TEST(RunFile, PreallocatedWriterRewritesItsOwnBlocks) {
     EXPECT_FALSE(device.is_written(first));
     EXPECT_FALSE(device.is_written(first + 5));
   }
-  // Abandoning a preallocated run keeps the caller's blocks.
-  RunWriter<std::int32_t> writer(device, first + 1);
-  writer.append(values.data(), 64);
-  writer.abandon();
-  EXPECT_TRUE(device.is_written(first + 1));
 }
 
 TEST(RunFile, DirectPathsRecoverScriptedShortAndTransientFaults) {
@@ -291,6 +286,17 @@ TEST(RunFile, SurvivesRandomFaultsViaRetry) {
   }
 }
 
+/// The external sort: one shard, checkpoints off, passes of `fan_in`.
+pipeline::PipelineConfig external_config(std::uint64_t memory_elems,
+                                         std::uint64_t fan_in) {
+  pipeline::PipelineConfig config;
+  config.memory_elems = memory_elems;
+  config.fan_in = fan_in;
+  config.shards = 1;
+  config.checkpoints = false;
+  return config;
+}
+
 class ExternalSortParam
     : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {
 };
@@ -302,17 +308,19 @@ TEST_P(ExternalSortParam, SortsCorrectly) {
   auto expected = data;
   std::sort(expected.begin(), expected.end());
 
-  ExternalSortConfig config;
-  config.memory_elems = memory;
-  ExternalSortReport report;
-  const auto sorted = external_sort_vector(device, data, config, &report);
+  // The Aggarwal-Vitter fan-in M/B - 1 (2 at M = 512, 15 at M = 4096).
+  const auto config = external_config(
+      memory, std::max<std::size_t>(2, memory / 256 - 1));
+  pipeline::PipelineReport report;
+  const auto sorted = pipeline::sort_vector(device, data, config, &report);
   EXPECT_EQ(sorted, expected);
   if (n > memory) {
-    EXPECT_GT(report.initial_runs, 1u);
+    EXPECT_GT(report.runs_formed, 1u);
   }
-  if (report.initial_runs > 1) {
+  if (report.runs_formed > 1) {
     EXPECT_GE(report.merge_passes, 1u);
   }
+  EXPECT_EQ(device.live_blocks(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -343,11 +351,12 @@ TEST(ExternalSort, StableAcrossRunsAndPasses) {
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
 
-  ExternalSortConfig config;
-  config.memory_elems = 1024;  // many runs, several passes
-  config.fan_in = 3;
-  const auto sorted = external_sort_vector(device, data, config);
+  // Many runs, several passes, and carried-over runs at pass ends.
+  const auto config = external_config(1024, 3);
+  pipeline::PipelineReport report;
+  const auto sorted = pipeline::sort_vector(device, data, config, &report);
   EXPECT_EQ(sorted, expected);
+  EXPECT_GT(report.merge_passes, 2u);
 }
 
 TEST(ExternalSort, TransferCountMeetsAggarwalVitterBound) {
@@ -355,48 +364,74 @@ TEST(ExternalSort, TransferCountMeetsAggarwalVitterBound) {
   BlockDevice device(small_blocks());
   const std::size_t n = 200000;  // ~782 blocks
   const auto data = make_unsorted_values(n, 23);
+  RunWriter<std::int32_t> writer(device);
+  writer.append(data.data(), data.size());
+  const RunHandle input = writer.finish();
 
-  ExternalSortConfig config;
-  config.memory_elems = 2048;  // 8 blocks of memory => fan-in 7
-  ExternalSortReport report;
-  const auto sorted = external_sort_vector(device, data, config, &report);
-  ASSERT_EQ(sorted.size(), n);
+  // 8 blocks of memory => the Aggarwal-Vitter fan-in 7.
+  const auto config = external_config(2048, 7);
+  const DeviceStats before = device.stats();
+  const double io_before = device.modeled_io_us();
+  const pipeline::PipelineReport report =
+      pipeline::Pipeline<std::int32_t>::start(device, input, config).run();
+  const std::uint64_t reads = device.stats().block_reads - before.block_reads;
+  const std::uint64_t writes =
+      device.stats().block_writes - before.block_writes;
+  std::vector<std::int32_t> sorted(n);
+  RunReader<std::int32_t>(device, report.output).read(sorted.data(), n);
+  ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
 
   const double blocks = std::ceil(static_cast<double>(n) / 256.0);
   const double runs = std::ceil(static_cast<double>(n) / 2048.0);
-  const double passes =
-      std::ceil(std::log(runs) / std::log(static_cast<double>(report.fan_in)));
-  EXPECT_EQ(report.fan_in, 7u);
+  const double passes = std::ceil(std::log(runs) / std::log(7.0));
+  EXPECT_EQ(static_cast<double>(report.runs_formed), runs);
   EXPECT_EQ(static_cast<double>(report.merge_passes), passes);
-  // Each pass reads + writes every block once; run formation likewise; the
-  // vector round-trip adds one more write+read of the input. Allow the
-  // per-run partial-block slack.
+  // Each pass reads + writes every block once; run formation likewise.
+  // Allow the per-run partial-block slack (which also covers the two
+  // manifest writes, start and final).
   const double bound = 2.0 * blocks * (passes + 1.0) + 2.0 * runs + 4.0;
-  EXPECT_LE(static_cast<double>(report.io.transfers()), bound)
-      << "reads=" << report.io.block_reads
-      << " writes=" << report.io.block_writes;
-  EXPECT_GT(report.modeled_io_us, 0.0);
+  EXPECT_LE(static_cast<double>(reads + writes), bound)
+      << "reads=" << reads << " writes=" << writes;
+  EXPECT_GT(device.modeled_io_us() - io_before, 0.0);
+}
+
+TEST(ExternalSort, CarriedRunCostsNoTransfers) {
+  // Five one-block runs at fan-in 2: 5 -> 3 -> 2 -> 1, and the first two
+  // passes each end with a lone run that carries over untouched.
+  BlockDevice device(small_blocks());
+  const auto data = make_unsorted_values(5 * 256, 31);
+  RunWriter<std::int32_t> writer(device);
+  writer.append(data.data(), data.size());
+  const RunHandle input = writer.finish();
+  const DeviceStats before = device.stats();
+  const pipeline::PipelineReport report =
+      pipeline::Pipeline<std::int32_t>::start(device, input,
+                                              external_config(256, 2))
+          .run();
+  EXPECT_EQ(report.runs_formed, 5u);
+  EXPECT_EQ(report.merge_passes, 3u);
+  // Blocks written: 5 formed, 2 + 2 merged in pass one, 4 in pass two,
+  // 5 in the last pass, and the two one-block manifest writes. Each
+  // merged block was read once, and formation read the input once.
+  EXPECT_EQ(device.stats().block_writes - before.block_writes,
+            5u + 4u + 4u + 5u + 2u);
+  EXPECT_EQ(device.stats().block_reads - before.block_reads,
+            5u + 4u + 4u + 5u);
 }
 
 TEST(ExternalSort, LargerFanInMeansFewerPasses) {
   const auto data = make_unsorted_values(100000, 29);
-  std::size_t passes_small = 0, passes_large = 0;
+  std::uint64_t passes_small = 0, passes_large = 0;
   {
     BlockDevice device(small_blocks());
-    ExternalSortConfig config;
-    config.memory_elems = 1024;
-    config.fan_in = 2;
-    ExternalSortReport report;
-    external_sort_vector(device, data, config, &report);
+    pipeline::PipelineReport report;
+    pipeline::sort_vector(device, data, external_config(1024, 2), &report);
     passes_small = report.merge_passes;
   }
   {
     BlockDevice device(small_blocks());
-    ExternalSortConfig config;
-    config.memory_elems = 1024;
-    config.fan_in = 16;
-    ExternalSortReport report;
-    external_sort_vector(device, data, config, &report);
+    pipeline::PipelineReport report;
+    pipeline::sort_vector(device, data, external_config(1024, 16), &report);
     passes_large = report.merge_passes;
   }
   EXPECT_GT(passes_small, passes_large);

@@ -17,8 +17,8 @@
 #include "dist/distributed_merge.hpp"
 #include "dist/netsim.hpp"
 #include "extmem/block_device.hpp"
-#include "extmem/external_sort.hpp"
 #include "extmem/run_file.hpp"
+#include "pipeline/pipeline.hpp"
 #include "test_support.hpp"
 #include "util/data_gen.hpp"
 
@@ -263,9 +263,8 @@ TEST(RunFileFaults, ExhaustedRetriesThrowTypedError) {
     FAIL() << "permanent transient storm must exhaust retries";
   } catch (const IoError& error) {
     EXPECT_EQ(error.status(), IoStatus::kInterrupted);
-    writer.abandon();
   }
-  EXPECT_EQ(device.live_blocks(), 0u);  // abandon released everything
+  EXPECT_EQ(device.live_blocks(), 0u);  // the failed write left no data
 }
 
 TEST(RunFileFaults, MediaErrorIsNotRetried) {
@@ -290,39 +289,28 @@ TEST(RunFileFaults, MediaErrorIsNotRetried) {
   EXPECT_EQ(plan.stats().decisions, 1u);
 }
 
-TEST(RunFileFaults, AbandonWithoutFlushIsSafe) {
-  BlockDevice device(small_blocks());
-  RunWriter<std::int32_t> writer(device);
-  writer.append(7);  // buffered, nothing flushed
-  writer.abandon();
-  EXPECT_EQ(device.live_blocks(), 0u);
-  // Writer is reusable after abandon.
-  const auto values = make_uniform_values(300, 19);
-  writer.append(values.data(), values.size());
-  const RunHandle run = writer.finish();
-  EXPECT_EQ(run.element_count, 300u);
-}
-
 TEST(ExternalSortFaults, PermanentFaultReleasesAllTempRuns) {
   if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   auto values = make_uniform_values(4000, 23);  // ~16 blocks
 
-  // Write the caller-owned input run fault-free.
+  // A caller-owned run written fault-free before the sort.
   RunWriter<std::int32_t> writer(device);
   writer.append(values.data(), values.size());
-  const RunHandle input = writer.finish();
+  writer.finish();
   const std::uint64_t input_blocks = device.live_blocks();
 
   fault::FaultPlan plan;
   plan.fail_from(40, fault::FaultKind::kMedia);  // die mid-sort
   fault::ScopedInjector injector(device, plan);
-  ExternalSortConfig config;
+  pipeline::PipelineConfig config;
   config.memory_elems = 512;  // force multiple runs and merge passes
   config.fan_in = 2;
+  config.shards = 1;
+  config.checkpoints = false;
   config.exec.threads = 1;
-  EXPECT_THROW(external_sort<std::int32_t>(device, input, config), IoError);
-  // Every temp run was released: only the input survives.
+  EXPECT_THROW(pipeline::sort_vector(device, values, config), IoError);
+  // Every temp run was released: only the caller's run survives.
   EXPECT_EQ(device.live_blocks(), input_blocks);
 }
 

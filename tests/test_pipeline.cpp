@@ -78,6 +78,8 @@ Manifest sample_manifest() {
   m.shards[0].segments_done = 2;
   m.shards[0].segment_count = 4;
   m.shards[0].cursors = {60, 70};
+  m.shards[0].group = 1;
+  m.shards[0].passes = 2;
   return m;
 }
 
@@ -214,6 +216,16 @@ TEST(Pipeline, GeometryMatrixMatchesStdSort) {
       shapes.push_back({n, cfg});
     }
   }
+  for (const unsigned shards : {1u, 2u}) {
+    // Merge passes of 3 runs: 11 runs (one shard) take 3 passes, the
+    // second ending in a carried run; 6 runs per shard (two) take 2.
+    PipelineConfig cfg;
+    cfg.shards = shards;
+    cfg.memory_elems = 100;
+    cfg.segment_blocks = 1;
+    cfg.fan_in = 3;
+    shapes.push_back({1017, cfg});
+  }
   {  // one-lane formation groups and checkpoint-free mode
     PipelineConfig cfg = small_config();
     cfg.exec.threads = 1;
@@ -234,6 +246,9 @@ TEST(Pipeline, GeometryMatrixMatchesStdSort) {
     EXPECT_EQ(read_run<std::int32_t>(device, report.output), expected)
         << "case " << case_index << " n=" << shape.n
         << " shards=" << shape.cfg.shards;
+    if (shape.cfg.fan_in != 0) {
+      EXPECT_GE(report.merge_passes, 2u) << "case " << case_index;
+    }
     ++case_index;
   }
 }

@@ -17,11 +17,11 @@
 // metrics report.
 //
 // Fault drills (docs/TESTING.md): `sort --binary --fault-rate R
-// [--fault-seed S]` routes the sort through the external-memory path on a
-// simulated device with a seeded fault schedule armed — the CLI face of
-// the recovery machinery. The output is byte-identical to the fault-free
-// sort; a schedule the retries cannot absorb exits 1 with a typed
-// diagnostic, never an abort.
+// [--fault-seed S]` routes the sort through the external-memory pipeline
+// (one shard, no intermediate checkpoints) on a simulated device with a
+// seeded fault schedule armed — the CLI face of the recovery machinery.
+// The output is byte-identical to the fault-free sort; a schedule the
+// retries cannot absorb exits 1 with a typed diagnostic, never an abort.
 //
 // `sort --binary --lane-fault-rate R [--fault-seed S]` is the in-memory
 // twin: a dedicated ThreadPool with the schedule attached injects lane
@@ -55,7 +55,6 @@
 
 #include "core/mergepath.hpp"
 #include "dist/netsim.hpp"
-#include "extmem/external_sort.hpp"
 #include "fault/fault.hpp"
 #include "kernels/kernels.hpp"
 #include "pipeline/pipeline.hpp"
@@ -381,26 +380,30 @@ int run_check(const std::string& path, const std::vector<T>& data,
   return 0;
 }
 
-/// `sort --binary --fault-rate R`: the external-memory sort on a
-/// simulated device with a seeded fault schedule armed. Recoverable
-/// faults are retried (the result is still the exact stable sort);
-/// permanent ones exit 1 with the typed diagnostic.
+/// `sort --binary --fault-rate R`: the external-memory pipeline (one
+/// shard, checkpoints off) on a simulated device with a seeded fault
+/// schedule armed. Recoverable faults are retried (the result is still
+/// the exact stable sort); permanent ones exit 1 with the typed
+/// diagnostic.
 int run_fault_sort(const Options& opt) {
   extmem::BlockDevice device;
   fault::FaultPlan plan(
       fault::FaultConfig{opt.fault_seed, opt.fault_rate, 250.0});
   fault::ScopedInjector injector(device, plan);
-  extmem::ExternalSortConfig config;
+  pipeline::PipelineConfig config;
+  config.memory_elems = 1 << 20;
+  config.shards = 1;
+  config.checkpoints = false;
   config.exec = Executor{nullptr, opt.threads};
   Timer timer;
   try {
-    extmem::ExternalSortReport report;
-    const auto sorted = extmem::external_sort_vector(
+    pipeline::PipelineReport report;
+    const auto sorted = pipeline::sort_vector(
         device, read_binary(opt.files[0]), config, &report);
     std::cerr << "sorted " << sorted.size() << " records in "
               << timer.seconds() * 1e3 << " ms (fault seed "
               << opt.fault_seed << " rate " << opt.fault_rate << ": "
-              << report.faults_injected << " faults injected, "
+              << device.stats().faults_injected << " faults injected, "
               << report.io_retries << " retries)\n";
     if (!fault::kFaultCompiledIn)
       std::cerr << "mpsort: fault injection compiled out "
