@@ -150,7 +150,7 @@ BENCHMARK(BM_MultiwaySelect)->Arg(2)->Arg(8)->Arg(32)->Arg(64);
 
 // --- Ring-window linearization (SPM) -------------------------------------
 // The serial segmented merge with wrapped ring windows copied flat so the
-// segment loop runs the vector kernel (under MP_MERGE_KERNEL=scalar they
+// segment loop runs the vector kernel (under --kernel scalar they
 // are walked through CyclicView instead). L = 192 is deliberately not a
 // power of two so most windows wrap.
 
@@ -175,7 +175,7 @@ BENCHMARK(BM_SegmentedLinearize);
 // configuration the combined state byte can express. "disarmed" is what
 // every instrumented region pays when nothing records (one atomic load);
 // "flight_only" is the default state (the flight recorder is always
-// armed); "compiled_out" is the MP_TRACE=0 call site (NullSpan).
+// armed).
 
 struct SpanOverheadConfig {
   bool trace = false;
@@ -228,16 +228,6 @@ void BM_SpanOverhead_Trace(benchmark::State& state) {
   run_span_overhead(state, {.trace = true, .stats = true, .flight = true});
 }
 BENCHMARK(BM_SpanOverhead_Trace);
-
-void BM_SpanOverhead_CompiledOut(benchmark::State& state) {
-  // The MP_TRACE=0 call-site shape, selectable in any build: NullSpan
-  // swallows its arguments and carries no state.
-  for (auto _ : state) {
-    obs::detail::NullSpan span("bench.span_overhead");
-    benchmark::DoNotOptimize(&span);
-  }
-}
-BENCHMARK(BM_SpanOverhead_CompiledOut);
 
 // --- Kernel ablation (BENCH_5) -------------------------------------------
 // One benchmark per dispatchable kernel on a pinned input (uniform, seed

@@ -40,11 +40,6 @@ int main(int argc, char** argv) {
               << "\n";
     return 2;
   }
-  if (fault_rate > 0.0 && !fault::kFaultCompiledIn) {
-    std::cerr << "error: built with MERGEPATH_FAULT=OFF; --fault-rate "
-                 "has no effect\n";
-    return 2;
-  }
 
   const auto data = make_unsorted_values(elements, h.seed);
 

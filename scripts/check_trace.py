@@ -78,12 +78,12 @@ KNOWN_NAMES = {
     "simt.direct", "simt.staged", "simt.sort", "simt.tile",
     "simt.blocksort", "simt.round",
     # serving layer (serve): serve.batch wraps each dispatched batch;
-    # serve.reject / serve.shed / serve.merge_fallback are instants;
+    # serve.reject / serve.shed are instants;
     # serve.request / serve.queue_wait / serve.service are
     # record_span_duration percentile names surfaced via --metrics-json
     # span_stats (listed here so the taxonomy stays one set).
     "serve.batch", "serve.request", "serve.queue_wait", "serve.service",
-    "serve.reject", "serve.shed", "serve.merge_fallback",
+    "serve.reject", "serve.shed",
     # crash-consistent pipeline (pipeline): pipe.sort wraps the whole
     # drive; pipe.form / pipe.segment / pipe.exchange / pipe.select /
     # pipe.checkpoint are phase and unit spans; pipe.crash /

@@ -59,7 +59,7 @@ std::vector<AsSegment> akl_santoro_partition(const T* a, std::size_t m,
   const unsigned lanes = exec.resolve_threads();
   for (unsigned r = 0; r < rounds; ++r) {
     std::vector<AsSegment> next(2 * segments.size());
-    exec.resolve_pool().parallel_for_lanes(
+    exec.run_lanes(
         static_cast<unsigned>(segments.size()), [&](unsigned idx) {
           Instr* li =
               instr.empty() ? nullptr : &instr[idx % lanes];
@@ -98,7 +98,7 @@ std::vector<AsSegment> akl_santoro_merge(const T* a, std::size_t m,
   std::vector<AsSegment> segments =
       akl_santoro_partition(a, m, b, n, rounds, exec, comp, instr);
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     for (std::size_t s = lane; s < segments.size(); s += lanes) {
       const AsSegment& seg = segments[s];

@@ -43,7 +43,7 @@ template <typename T, typename Comp, typename Instr>
 void bitonic_pass(T* data, std::size_t n2, std::size_t k, std::size_t j,
                   Executor exec, Comp comp, std::span<Instr> instr) {
   const unsigned lanes = exec.resolve_threads();
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t begin = lane * n2 / lanes;
     const std::size_t end = (lane + 1ull) * n2 / lanes;

@@ -97,7 +97,7 @@ void deo_sarkar_merge(const T* a, std::size_t m, const T* b, std::size_t n,
   MP_CHECK(instr.empty() || instr.size() >= lanes);
   const std::size_t total = m + n;
 
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     const std::size_t r0 = lane * total / lanes;
     const std::size_t r1 = (lane + 1ull) * total / lanes;

@@ -29,7 +29,7 @@ template <typename T, typename Comp = std::less<>>
 void naive_split_merge(const T* a, std::size_t m, const T* b, std::size_t n,
                        T* out, Executor exec = {}, Comp comp = {}) {
   const unsigned lanes = exec.resolve_threads();
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     const std::size_t a0 = lane * m / lanes;
     const std::size_t a1 = (lane + 1ull) * m / lanes;
     const std::size_t b0 = lane * n / lanes;

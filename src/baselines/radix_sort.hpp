@@ -59,7 +59,7 @@ void parallel_radix_sort(std::int32_t* data, std::size_t n,
   for (unsigned pass = 0; pass < kPasses; ++pass) {
     const unsigned shift = 8 * pass;
 
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       auto& hist = grid[lane];
       hist.fill(0);
       const std::size_t begin = lane * n / lanes;
@@ -84,7 +84,7 @@ void parallel_radix_sort(std::int32_t* data, std::size_t n,
     }
     MP_ASSERT(running == n);
 
-    exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+    exec.run_lanes(lanes, [&](unsigned lane) {
       auto& cursor = grid[lane];
       const std::size_t begin = lane * n / lanes;
       const std::size_t end = (lane + 1ull) * n / lanes;

@@ -103,7 +103,7 @@ SvPartition shiloach_vishkin_merge(const T* a, std::size_t m, const T* b,
   part.points[0] = PathPoint{0, 0};
   part.points[2 * lanes - 1] = PathPoint{m, n};
   if (lanes > 1) {
-    exec.resolve_pool().parallel_for_lanes(
+    exec.run_lanes(
         2 * (lanes - 1), [&](unsigned idx) {
           Instr* li = instr.empty() ? nullptr : &instr[idx % lanes];
           const unsigned k = idx / 2 + 1;
@@ -134,7 +134,7 @@ SvPartition shiloach_vishkin_merge(const T* a, std::size_t m, const T* b,
 
   // Segments between consecutive points, two per processor.
   part.assigned.assign(lanes, 0);
-  exec.resolve_pool().parallel_for_lanes(lanes, [&](unsigned lane) {
+  exec.run_lanes(lanes, [&](unsigned lane) {
     Instr* li = instr.empty() ? nullptr : &instr[lane];
     std::size_t assigned = 0;
     for (std::size_t seg = 2 * lane;

@@ -57,14 +57,6 @@ class StreamMerger {
   bool a_open() const { return a_open_; }
   bool b_open() const { return b_open_; }
 
-  /// Swaps the executor used for large pulls. The serving layer calls this
-  /// to degrade a merger to sequential execution (threads = 1) after a
-  /// lane fault interrupted a parallel pull: pull() only advances the
-  /// buffer heads after the merge completes, so a failed pull leaves the
-  /// merger state intact and the same pull can simply be retried without
-  /// the pool in the way.
-  void set_executor(Executor exec) { exec_ = exec; }
-
   /// Elements currently buffered (pushed but not yet pulled).
   std::size_t buffered_a() const { return buf_a_.size() - head_a_; }
   std::size_t buffered_b() const { return buf_b_.size() - head_b_; }

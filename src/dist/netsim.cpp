@@ -61,16 +61,10 @@ void RankNetwork::flush_acks() {
 }
 
 fault::FaultKind RankNetwork::inject(unsigned src, unsigned dst) {
-  if constexpr (fault::kFaultCompiledIn) {
-    if (faults_ == nullptr) return fault::FaultKind::kNone;
-    const fault::FaultKind kind = faults_->decide_send(src, dst);
-    if (kind != fault::FaultKind::kNone) ++stats_.faults_injected;
-    return kind;
-  } else {
-    static_cast<void>(src);
-    static_cast<void>(dst);
-    return fault::FaultKind::kNone;
-  }
+  if (faults_ == nullptr) return fault::FaultKind::kNone;
+  const fault::FaultKind kind = faults_->decide_send(src, dst);
+  if (kind != fault::FaultKind::kNone) ++stats_.faults_injected;
+  return kind;
 }
 
 Delivery RankNetwork::send(unsigned src, unsigned dst, std::uint64_t bytes) {

@@ -143,7 +143,7 @@ class RankNetwork {
   std::vector<unsigned> ack_pending_;
   bool round_open_ = false;
 
-  /// Consults the plan for this attempt (compiled out under MP_FAULT=0).
+  /// Consults the plan for this attempt (kNone with no plan attached).
   fault::FaultKind inject(unsigned src, unsigned dst);
 
   /// Counts one reliable delivery on src->dst; charges a window ack when

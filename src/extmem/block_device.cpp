@@ -47,18 +47,13 @@ BlockDevice::BlockDevice(const DeviceConfig& config) : config_(config) {
 }
 
 fault::FaultKind BlockDevice::inject(fault::OpClass op) {
-  if constexpr (fault::kFaultCompiledIn) {
-    if (faults_ == nullptr) return fault::FaultKind::kNone;
-    const fault::FaultKind kind = faults_->decide(op);
-    if (kind == fault::FaultKind::kNone) return kind;
-    ++stats_.faults_injected;
-    if (kind == fault::FaultKind::kLatency)
-      charge_latency(faults_->latency_us());
-    return kind;
-  } else {
-    static_cast<void>(op);
-    return fault::FaultKind::kNone;
-  }
+  if (faults_ == nullptr) return fault::FaultKind::kNone;
+  const fault::FaultKind kind = faults_->decide(op);
+  if (kind == fault::FaultKind::kNone) return kind;
+  ++stats_.faults_injected;
+  if (kind == fault::FaultKind::kLatency)
+    charge_latency(faults_->latency_us());
+  return kind;
 }
 
 std::uint64_t BlockDevice::allocate(std::uint64_t count) {

@@ -173,7 +173,7 @@ class BlockDevice {
   /// Sleeps for realize_scale × one block's modeled cost (no-op at 0).
   void realize_transfer() const;
   /// Consults the plan for this attempt; returns the injected fault (or
-  /// kNone) after accounting for it. Compiled out under MP_FAULT=0.
+  /// kNone) after accounting for it.
   fault::FaultKind inject(fault::OpClass op);
 };
 

@@ -25,12 +25,9 @@
 ///    FaultPlan* and consults it per operation. The RAII ScopedInjector
 ///    attaches a plan for a scope and detaches on exit, so no fault state
 ///    outlives the test that armed it.
-///  - Compile-time gate: building with MP_FAULT=0 (cmake
-///    -DMERGEPATH_FAULT=OFF) short-circuits every injection point behind
-///    `if constexpr` — the hooks vanish from the emitted code and targets
-///    behave exactly like the pre-fault library. The control plane
-///    (constructing plans, attaching injectors) stays callable so callers
-///    need no #ifdefs; an attached plan simply never fires.
+///  - Off is a run-time state: a target with no plan attached pays one
+///    null-pointer check per operation and behaves exactly like the
+///    pre-fault library.
 ///
 /// Note on retries and scripted indices: a retry issues a *new* operation
 /// and consumes the next schedule position, so scripted op indices count
@@ -45,14 +42,7 @@
 
 #include "util/rng.hpp"
 
-#ifndef MP_FAULT
-#define MP_FAULT 1
-#endif
-
 namespace mp::fault {
-
-/// True when injection points compile to real checks.
-inline constexpr bool kFaultCompiledIn = MP_FAULT != 0;
 
 enum class FaultKind : std::uint8_t {
   kNone = 0,
@@ -239,16 +229,13 @@ class FaultPlan {
 };
 
 /// RAII attachment of a plan to any target exposing set_fault_plan().
-/// Under MP_FAULT=0 construction and destruction compile to nothing.
 template <typename Target>
 class ScopedInjector {
  public:
   ScopedInjector(Target& target, FaultPlan& plan) : target_(&target) {
-    if constexpr (kFaultCompiledIn) target_->set_fault_plan(&plan);
+    target_->set_fault_plan(&plan);
   }
-  ~ScopedInjector() {
-    if constexpr (kFaultCompiledIn) target_->set_fault_plan(nullptr);
-  }
+  ~ScopedInjector() { target_->set_fault_plan(nullptr); }
   ScopedInjector(const ScopedInjector&) = delete;
   ScopedInjector& operator=(const ScopedInjector&) = delete;
 

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <iostream>
-#include <mutex>
 #include <type_traits>
 
 #include "kernels/simd_entry.hpp"
@@ -14,15 +11,10 @@
 namespace mp::kernels {
 namespace {
 
-std::atomic<Kernel> g_selected{Kernel::kScalar};
-std::once_flag g_selected_init;
-
-void init_selected() {
-  std::string warning;
-  const Kernel kernel =
-      detail::resolve_override(std::getenv("MP_MERGE_KERNEL"), &warning);
-  if (!warning.empty()) std::cerr << "mp_kernels: " << warning << "\n";
-  g_selected.store(kernel, std::memory_order_relaxed);
+/// The dispatch choice: the widest supported kernel until set_kernel().
+std::atomic<Kernel>& selected() {
+  static std::atomic<Kernel> kernel{widest_supported()};
+  return kernel;
 }
 
 }  // namespace
@@ -93,16 +85,12 @@ Kernel widest_supported() {
 }
 
 Kernel selected_kernel() {
-  std::call_once(g_selected_init, init_selected);
-  return g_selected.load(std::memory_order_relaxed);
+  return selected().load(std::memory_order_relaxed);
 }
 
 bool set_kernel(Kernel kernel) {
   if (!kernel_supported(kernel)) return false;
-  // Resolve the env override first so a late first selected_kernel() call
-  // cannot clobber an explicit --kernel choice.
-  std::call_once(g_selected_init, init_selected);
-  g_selected.store(kernel, std::memory_order_relaxed);
+  selected().store(kernel, std::memory_order_relaxed);
   return true;
 }
 
@@ -112,31 +100,6 @@ std::string kernel_banner() {
 }
 
 namespace detail {
-
-Kernel resolve_override(const char* value, std::string* warning) {
-  if (value == nullptr || *value == '\0' ||
-      std::string_view(value) == "auto") {
-    return widest_supported();
-  }
-  const std::optional<Kernel> parsed = parse_kernel(value);
-  if (!parsed) {
-    if (warning) {
-      *warning = "MP_MERGE_KERNEL='" + std::string(value) +
-                 "' is not a kernel name (" + kernel_names() + "); using " +
-                 to_string(widest_supported());
-    }
-    return widest_supported();
-  }
-  if (!kernel_supported(*parsed)) {
-    if (warning) {
-      *warning = std::string("MP_MERGE_KERNEL=") + to_string(*parsed) +
-                 " is compiled out or unsupported on this host; using " +
-                 to_string(widest_supported());
-    }
-    return widest_supported();
-  }
-  return *parsed;
-}
 
 namespace {
 

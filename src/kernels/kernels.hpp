@@ -54,11 +54,11 @@
 ///     pair walked forward from its starts and back from its ends, no
 ///     search), and run the chained body over the rest only.
 ///   - build time: -DMERGEPATH_SIMD=OFF compiles the ISA TUs out
-///     (MP_SIMD=0), mirroring the TRACE/FAULT gates.
+///     (MP_SIMD=0), as a host without those ISAs needs.
 ///   - run time: cpuid (util/hw cpu_features()) picks the widest
-///     supported kernel; MP_MERGE_KERNEL=<kernel_names()> or the
-///     harness/tool --kernel flag overrides it. Under the scalar kernel
-///     the admitted types run merge_steps.
+///     supported kernel; set_kernel() (the harness/tool --kernel flag)
+///     overrides it. Under the scalar kernel the admitted types run
+///     merge_steps.
 /// Nothing here counts operations; the PRAM model counts merge_steps.
 
 #include <algorithm>
@@ -123,9 +123,8 @@ bool kernel_supported(Kernel kernel);
 /// behavior, so MERGEPATH_SIMD=OFF builds are inert by default).
 Kernel widest_supported();
 
-/// The kernel merge_steps_auto() routes to. First call resolves the
-/// MP_MERGE_KERNEL environment override (unknown or unsupported values
-/// clamp to widest_supported() with a one-time stderr warning).
+/// The kernel merge_steps_auto() routes to: widest_supported() unless
+/// set_kernel() chose another.
 Kernel selected_kernel();
 
 /// Forces the dispatch choice (--kernel flag). Returns false — leaving
@@ -181,11 +180,6 @@ struct TotalOrderLess {
 };
 
 namespace detail {
-
-/// Env-override resolution, separated out for tests: nullptr/""/"auto"
-/// pick widest_supported(); a known+supported name picks it; anything
-/// else clamps to widest_supported() and appends a warning.
-Kernel resolve_override(const char* value, std::string* warning);
 
 /// Register-resident run formation of `kernel` for one of the six
 /// admitted key types (defined and explicitly instantiated in

@@ -84,8 +84,6 @@ const char* flight_degraded_reason() {
   return g_degraded_reason.load(std::memory_order_acquire);
 }
 
-#if MP_TRACE
-
 void set_flight_capacity(std::size_t events_per_thread) {
   detail::TraceRegistry& registry = detail::TraceRegistry::instance();
   std::lock_guard lock(registry.mutex);
@@ -136,19 +134,6 @@ void reset_flight() {
   g_degraded_reason.store(nullptr, std::memory_order_release);
   g_dumped.store(false, std::memory_order_release);
 }
-
-#else  // !MP_TRACE — empty recorder, latches still work.
-
-void set_flight_capacity(std::size_t) {}
-std::vector<TraceEvent> flight_snapshot() { return {}; }
-
-void reset_flight() {
-  g_degraded.store(false, std::memory_order_release);
-  g_degraded_reason.store(nullptr, std::memory_order_release);
-  g_dumped.store(false, std::memory_order_release);
-}
-
-#endif  // MP_TRACE
 
 void write_flight_trace(std::ostream& os) {
   const char* reason = flight_degraded_reason();

@@ -26,8 +26,7 @@
 /// artifact.
 ///
 /// MP_FLIGHT=0 in the environment disables the recorder at startup (one
-/// state-byte bit); under MP_TRACE=0 builds spans record nothing and the
-/// control plane degrades to empty snapshots.
+/// state-byte bit).
 
 #include <cstddef>
 #include <iosfwd>

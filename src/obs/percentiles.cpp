@@ -6,7 +6,6 @@
 #include <mutex>
 
 namespace mp::obs {
-#if MP_TRACE
 namespace {
 
 /// All-threads histogram for one span name, merged under the registry
@@ -41,7 +40,6 @@ std::uint64_t quantile(const MergedHist& hist, double q) {
 }
 
 }  // namespace
-#endif  // MP_TRACE
 
 std::pair<std::uint64_t, std::uint64_t> duration_bucket_bounds(
     std::size_t bucket) {
@@ -56,8 +54,6 @@ std::pair<std::uint64_t, std::uint64_t> duration_bucket_bounds(
       lo + width < lo ? ~std::uint64_t{0} : lo + width;
   return {lo, hi};
 }
-
-#if MP_TRACE
 
 namespace detail {
 
@@ -170,25 +166,7 @@ std::uint64_t span_stats_dropped() {
 
 void record_span_duration(const char* name, std::uint64_t dur_ns) {
   if (!span_stats_armed()) return;
-  detail::ThreadBuffer* buffer = detail::local_buffer();
-  if (!buffer) return;
-  detail::record_span_stat(*buffer, name, dur_ns);
+  detail::record_span_stat(*detail::local_buffer(), name, dur_ns);
 }
-
-#else  // !MP_TRACE — control plane degrades to empty stats.
-
-namespace detail {
-void record_span_stat(ThreadBuffer&, const char*, std::uint64_t) {}
-}  // namespace detail
-
-void arm_span_stats() {}
-void disarm_span_stats() {}
-bool span_stats_armed() { return false; }
-void reset_span_stats() {}
-std::vector<SpanStat> span_stats_snapshot() { return {}; }
-std::uint64_t span_stats_dropped() { return 0; }
-void record_span_duration(const char*, std::uint64_t) {}
-
-#endif  // MP_TRACE
 
 }  // namespace mp::obs

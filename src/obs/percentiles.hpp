@@ -16,9 +16,7 @@
 /// 1/16 = 6.25% (kSpanStatsRelativeError); values below 16 ns are exact.
 ///
 /// Arming/snapshotting follows the trace control-plane contract: call only
-/// while no instrumented work is in flight. Under MP_TRACE=0, spans do not
-/// record, so snapshots are empty unless record_span_duration() was called
-/// explicitly (which is also inert in a full MP_TRACE=0 build).
+/// while no instrumented work is in flight.
 
 #include <bit>
 #include <cstddef>
@@ -80,8 +78,7 @@ std::uint64_t span_stats_dropped();
 
 /// Programmatic sample entry point (same path span destructors use), for
 /// callers measuring something that is not a Span — and for the error-bound
-/// tests. `name` must have static storage duration. Requires armed stats;
-/// inert in a full MP_TRACE=0 build.
+/// tests. `name` must have static storage duration. Requires armed stats.
 void record_span_duration(const char* name, std::uint64_t dur_ns);
 
 }  // namespace mp::obs

@@ -17,12 +17,6 @@ TraceRegistry& TraceRegistry::instance() {
   return *registry;
 }
 
-}  // namespace detail
-
-#if MP_TRACE
-
-namespace detail {
-
 namespace {
 
 /// Hands the calling thread's buffer back to the registry when the thread
@@ -139,22 +133,6 @@ std::size_t trace_thread_count() {
   std::lock_guard lock(registry.mutex);
   return registry.buffers.size();
 }
-
-#else  // !MP_TRACE — control plane degrades to an empty trace.
-
-namespace detail {
-ThreadBuffer* register_thread_buffer() { return nullptr; }
-}  // namespace detail
-
-void arm_tracing(std::size_t) {}
-void disarm_tracing() {}
-bool tracing_armed() { return false; }
-void reset_tracing() {}
-std::vector<TraceEvent> trace_snapshot() { return {}; }
-std::uint64_t trace_dropped() { return 0; }
-std::size_t trace_thread_count() { return 0; }
-
-#endif  // MP_TRACE
 
 namespace {
 

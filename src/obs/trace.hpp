@@ -28,14 +28,9 @@
 ///    ThreadPool's fork-join barrier already provides — which is what keeps
 ///    the recorder TSan-clean without hot-path synchronisation.
 ///
-/// Compile-time gate: building with MP_TRACE=0 (cmake
-/// -DMERGEPATH_TRACE=OFF) replaces Span with an empty type and turns every
-/// call site into nothing — zero bytes of state, zero instructions. The
-/// control plane (arm/export, percentile and flight snapshots) stays
-/// callable and reports empty results, so tools like `mpsort --trace`
-/// degrade gracefully instead of failing to build. The recording and no-op
-/// span types have distinct names (the `Span` alias selects one), so
-/// mixed-gate builds never define the same entity two different ways.
+/// Turning it off is a run-time decision: with nothing armed (no trace,
+/// no percentiles, and the flight recorder off via MP_FLIGHT=0 or
+/// set_flight_enabled(false)) a span costs the one state-byte load.
 
 #include <array>
 #include <atomic>
@@ -48,24 +43,16 @@
 #include <string>
 #include <vector>
 
-#ifndef MP_TRACE
-#define MP_TRACE 1
-#endif
-
 namespace mp::obs {
 
 /// Nanoseconds on the steady_clock timeline: the timestamp of every span,
-/// counter, flight event, pool lane and serve request. Not gated on
-/// MP_TRACE — it is just a clock.
+/// counter, flight event, pool lane and serve request.
 inline std::uint64_t monotonic_ns() {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
-
-/// True when span call sites compile to real recording code.
-inline constexpr bool kTraceCompiledIn = MP_TRACE != 0;
 
 /// Default per-thread trace-ring capacity (events). ~48 bytes/event, so
 /// 64Ki events ≈ 3 MiB per recording thread.
@@ -220,12 +207,14 @@ struct TraceRegistry {
 void record_span_stat(ThreadBuffer& buffer, const char* name,
                       std::uint64_t dur_ns);
 
-/// RAII span + counter/instant entry points, real implementation.
-class RecordingSpan {
+}  // namespace detail
+
+/// RAII span + counter/instant entry points.
+class Span {
  public:
-  explicit RecordingSpan(const char* name, const char* arg_name = nullptr,
-                         std::uint64_t arg = 0) {
-    state_ = g_span_state.load(std::memory_order_acquire);
+  explicit Span(const char* name, const char* arg_name = nullptr,
+                std::uint64_t arg = 0) {
+    state_ = detail::g_span_state.load(std::memory_order_acquire);
     if (state_ == 0) return;
     name_ = name;
     arg_name_ = arg_name;
@@ -233,14 +222,14 @@ class RecordingSpan {
     start_ns_ = monotonic_ns();
   }
 
-  ~RecordingSpan() {
+  ~Span() {
     if (state_ == 0) return;
     const std::uint64_t now = monotonic_ns();
     const std::uint64_t dur = now - start_ns_;
-    ThreadBuffer* buffer = local_buffer();
-    if (state_ & kSpanTraceBit) {
+    detail::ThreadBuffer* buffer = detail::local_buffer();
+    if (state_ & detail::kSpanTraceBit) {
       const std::uint64_t epoch =
-          g_trace_epoch_ns.load(std::memory_order_relaxed);
+          detail::g_trace_epoch_ns.load(std::memory_order_relaxed);
       // A span opened before the current arm window would underflow the
       // epoch-relative timestamp (e.g. a sleeping scheduler worker whose
       // idle span straddles a re-arm); such spans belong to no window.
@@ -248,14 +237,15 @@ class RecordingSpan {
         buffer->push(TraceEvent{start_ns_ - epoch, dur, name_, arg_name_,
                                 arg_, 0, EventKind::kSpan});
     }
-    if (state_ & kSpanFlightBit)
+    if (state_ & detail::kSpanFlightBit)
       buffer->flight_push(TraceEvent{start_ns_, dur, name_, arg_name_, arg_,
                                      0, EventKind::kSpan});
-    if (state_ & kSpanStatsBit) record_span_stat(*buffer, name_, dur);
+    if (state_ & detail::kSpanStatsBit)
+      detail::record_span_stat(*buffer, name_, dur);
   }
 
-  RecordingSpan(const RecordingSpan&) = delete;
-  RecordingSpan& operator=(const RecordingSpan&) = delete;
+  Span(const Span&) = delete;
+  Span& operator=(const Span&) = delete;
 
   /// Records a sampled counter value (Chrome "C" event).
   static void counter(const char* name, std::uint64_t value) {
@@ -273,19 +263,20 @@ class RecordingSpan {
  private:
   static void point_event(TraceEvent event) {
     const std::uint8_t state =
-        g_span_state.load(std::memory_order_acquire);
-    if ((state & (kSpanTraceBit | kSpanFlightBit)) == 0) return;
+        detail::g_span_state.load(std::memory_order_acquire);
+    if ((state & (detail::kSpanTraceBit | detail::kSpanFlightBit)) == 0)
+      return;
     const std::uint64_t now = monotonic_ns();
-    ThreadBuffer* buffer = local_buffer();
-    if (state & kSpanTraceBit) {
+    detail::ThreadBuffer* buffer = detail::local_buffer();
+    if (state & detail::kSpanTraceBit) {
       const std::uint64_t epoch =
-          g_trace_epoch_ns.load(std::memory_order_relaxed);
+          detail::g_trace_epoch_ns.load(std::memory_order_relaxed);
       if (now >= epoch) {
         event.ts_ns = now - epoch;
         buffer->push(event);
       }
     }
-    if (state & kSpanFlightBit) {
+    if (state & detail::kSpanFlightBit) {
       event.ts_ns = now;
       buffer->flight_push(event);
     }
@@ -298,33 +289,8 @@ class RecordingSpan {
   std::uint64_t start_ns_ = 0;
 };
 
-/// Compile-time no-op stand-in: no state, no code. Argument expressions are
-/// still swallowed unevaluated-cheaply (they are static strings and ints at
-/// every call site).
-class NullSpan {
- public:
-  template <typename... Args>
-  explicit NullSpan(Args&&...) {}
-  NullSpan(const NullSpan&) = delete;
-  NullSpan& operator=(const NullSpan&) = delete;
-
-  template <typename... Args>
-  static void counter(Args&&...) {}
-  template <typename... Args>
-  static void instant(Args&&...) {}
-};
-
-}  // namespace detail
-
-#if MP_TRACE
-using Span = detail::RecordingSpan;
-#else
-using Span = detail::NullSpan;
-#endif
-
 // ---------------------------------------------------------------------------
-// Control plane (defined in trace.cpp; always compiled, stubbed to no-ops in
-// an MP_TRACE=0 build of the obs library). May only be called while no
+// Control plane (defined in trace.cpp). May only be called while no
 // instrumented work is in flight.
 
 /// Starts recording: resets all rings to `events_per_thread` capacity and

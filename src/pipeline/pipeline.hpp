@@ -93,8 +93,6 @@ struct PipelineConfig {
   /// Aggarwal-Vitter external sort at F = M/B - 1) until at most F are
   /// left, which the last pass merges into the shard's sorted run.
   std::uint64_t fan_in = 0;
-  /// Checkpoint cadence of the kForm phase (1 = after every run).
-  std::uint64_t checkpoint_every_runs = 1;
   /// false disables all intermediate checkpoints (the final manifest
   /// recording completion is still written) — the bench's baseline for
   /// measuring checkpoint overhead.
@@ -261,7 +259,6 @@ class Pipeline {
     MP_CHECK(cfg.shards >= 1);
     MP_CHECK(cfg.memory_elems >= 1);
     MP_CHECK(cfg.segment_blocks >= 1);
-    MP_CHECK(cfg.checkpoint_every_runs >= 1);
     MP_CHECK(cfg.fan_in != 1);
     MP_CHECK(device.config().block_bytes >= sizeof(T));
   }
@@ -282,13 +279,11 @@ class Pipeline {
   /// immediately after a checkpoint write; see FaultPlan::decide_step.
   void crash_point(const char* where, bool durable) {
     ++steps_;
-    if constexpr (fault::kFaultCompiledIn) {
-      if (cfg_.crash_plan &&
-          cfg_.crash_plan->decide_step(durable) == fault::FaultKind::kCrash) {
-        obs::Span::instant("pipe.crash", "step", steps_ - 1);
-        obs::MetricsRegistry::instance().counter("pipe.crashes").add(1);
-        throw CrashError(steps_ - 1, where);
-      }
+    if (cfg_.crash_plan &&
+        cfg_.crash_plan->decide_step(durable) == fault::FaultKind::kCrash) {
+      obs::Span::instant("pipe.crash", "step", steps_ - 1);
+      obs::MetricsRegistry::instance().counter("pipe.crashes").add(1);
+      throw CrashError(steps_ - 1, where);
     }
   }
 
@@ -305,11 +300,10 @@ class Pipeline {
   /// The unit epilogue: a scripted-only crash point between the work and
   /// its checkpoint, the (optional) checkpoint, then a durable crash
   /// point where rate-driven crashes may fire.
-  void unit_boundary(const char* where, const char* where_ckpt, bool want) {
+  void unit_boundary(const char* where, const char* where_ckpt) {
     crash_point(where, false);
-    const bool did = want && cfg_.checkpoints;
-    if (did) checkpoint();
-    crash_point(where_ckpt, did);
+    if (cfg_.checkpoints) checkpoint();
+    crash_point(where_ckpt, cfg_.checkpoints);
   }
 
   void release_handle(extmem::RunHandle& handle) {
@@ -369,15 +363,13 @@ class Pipeline {
           sh.formed += sizes[g];
           ++m_.runs_formed;
           obs::MetricsRegistry::instance().counter("pipe.runs_formed").add(1);
-          unit_boundary("form", "form.ckpt",
-                        sh.runs.size() % cfg_.checkpoint_every_runs == 0 ||
-                            sh.formed == sh.input_count);
+          unit_boundary("form", "form.ckpt");
         }
       }
     }
     io_retries_ += writer.retries();
     m_.phase = Phase::kMerge;
-    unit_boundary("form.done", "form.done.ckpt", true);
+    unit_boundary("form.done", "form.done.ckpt");
   }
 
   // ---- kMerge ------------------------------------------------------
@@ -428,7 +420,7 @@ class Pipeline {
     for (auto& c : m_.exchange_cursors) c = 0;
     m_.ranks_done = shard_count() == 1 ? 1 : 0;
     m_.phase = Phase::kExchange;
-    unit_boundary("merge.done", "merge.done.ckpt", true);
+    unit_boundary("merge.done", "merge.done.ckpt");
   }
 
   /// Whether the shard's current group is its last pass: the whole run
@@ -459,7 +451,7 @@ class Pipeline {
       sh.cursors.clear();
       sh.segment_count = 1;
       sh.segments_done = 1;
-      unit_boundary("merge.alias", "merge.alias.ckpt", true);
+      unit_boundary("merge.alias", "merge.alias.ckpt");
       return;
     }
     const std::span<const extmem::RunHandle> group = group_runs(sh);
@@ -471,7 +463,7 @@ class Pipeline {
     sh.segment_count = (elems + seg_elems - 1) / seg_elems;
     sh.segments_done = 0;
     sh.cursors.assign(group.size(), 0);
-    unit_boundary("merge.init", "merge.init.ckpt", true);
+    unit_boundary("merge.init", "merge.init.ckpt");
   }
 
   void merge_segment(unsigned s, ShardManifest& sh,
@@ -493,7 +485,7 @@ class Pipeline {
     }
     ++m_.segments_merged;
     obs::MetricsRegistry::instance().counter("pipe.segments_merged").add(1);
-    unit_boundary("merge.seg", "merge.seg.ckpt", true);
+    unit_boundary("merge.seg", "merge.seg.ckpt");
   }
 
   /// Retires a merged group: its source runs are dead, and the group's
@@ -509,7 +501,7 @@ class Pipeline {
     if (last) {
       sh.runs.clear();
       ++sh.passes;
-      unit_boundary("merge.cleanup", "merge.cleanup.ckpt", true);
+      unit_boundary("merge.cleanup", "merge.cleanup.ckpt");
       return;
     }
     sh.runs.erase(sh.runs.begin() + static_cast<std::ptrdiff_t>(first + 1),
@@ -525,7 +517,7 @@ class Pipeline {
       sh.group = 0;
       ++sh.passes;
     }
-    unit_boundary("merge.group", "merge.group.ckpt", true);
+    unit_boundary("merge.group", "merge.group.ckpt");
   }
 
   /// Readers over the windows [from[t], to[t]) of `runs`.
@@ -616,7 +608,7 @@ class Pipeline {
       ++m_.ranks_done;
       ++m_.ranks_exchanged;
       obs::MetricsRegistry::instance().counter("pipe.ranks_exchanged").add(1);
-      unit_boundary("exchange.rank", "exchange.rank.ckpt", true);
+      unit_boundary("exchange.rank", "exchange.rank.ckpt");
     }
     for (ShardManifest& sh : m_.shards)
       if (sh.sorted != m_.output) release_handle(sh.sorted);

@@ -14,8 +14,6 @@
 
 #include "core/merge_sort.hpp"
 #include "core/stream_merger.hpp"
-#include "fault/fault.hpp"
-#include "obs/flight.hpp"
 #include "obs/metrics.hpp"
 #include "obs/percentiles.hpp"
 #include "obs/trace.hpp"
@@ -243,18 +241,18 @@ struct Server::Impl {
   }
 
   /// Streams A and B through a StreamMerger in stream_chunk slices,
-  /// emitting each determined prefix as it appears. A lane fault inside a
-  /// large parallel pull degrades *this merger* to sequential pulls and
-  /// retries the same pull (pull() advances no state on failure); the
-  /// batch still answers.
+  /// emitting each determined prefix as it appears. Large pulls fork on
+  /// a recovering executor, so a lane fault is retried or run by the
+  /// caller like any other lane, and the request still answers.
   template <typename T>
   bool run_merge(Pending& p) {
     std::vector<T>& a = keys_of<T>(p.req);
     std::vector<T>& b = other_of<T>(p.req);
     auto& sink = sink_of<T>(p.req);
     const bool streaming = static_cast<bool>(sink);
-    StreamMerger<T> sm({}, cfg.exec);
-    bool degraded = false;
+    LaneRecovery recovery{cfg.recovery};
+    StreamMerger<T> sm({}, Executor{cfg.exec.pool, cfg.exec.threads,
+                                    &recovery});
     std::vector<T> out;
     if (!streaming) out.reserve(a.size() + b.size());
     std::vector<T> pulled;
@@ -264,21 +262,7 @@ struct Server::Impl {
       const std::size_t avail = sm.available();
       if (avail == 0) return;
       pulled.resize(avail);
-      for (;;) {
-        try {
-          sm.pull(std::span<T>(pulled));
-          break;
-        } catch (const fault::LaneFault&) {
-          // The pool faulted mid-pull; the merger's buffers are intact.
-          // Finish this request sequentially, off the injection path.
-          if (!degraded) {
-            obs::Span::instant("serve.merge_fallback", "id", p.id);
-            obs::flight_report_degraded("serve.merge_fallback");
-          }
-          degraded = true;
-          sm.set_executor(Executor{&cfg.exec.resolve_pool(), 1});
-        }
-      }
+      sm.pull(std::span<T>(pulled));
       if (streaming) {
         sink(std::span<const T>(pulled));
         p.streamed += pulled.size();
@@ -314,7 +298,7 @@ struct Server::Impl {
       a = std::move(out);  // result rides back in the keys lane
       b.clear();
     }
-    return degraded;
+    return recovery.report.degraded();
   }
 
   template <typename T>

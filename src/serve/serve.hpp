@@ -43,9 +43,9 @@
 /// Theorem 14 argument applies verbatim — an injected lane fault
 /// mid-batch is retried/hedged by util/recovery.hpp and at worst degrades
 /// *that batch* to the sequential caller fallback; the server never drops
-/// a request and never dies. Merge requests stream through StreamMerger;
-/// a lane fault in a large parallel pull degrades that one merger to
-/// sequential pulls (StreamMerger::set_executor) and retries. Degraded
+/// a request and never dies. Merge requests stream through StreamMerger,
+/// whose large parallel pulls run on the same recovering executor, so a
+/// lane fault there is retried or falls back like any other. Degraded
 /// batches trip the flight recorder exactly like every other permanent
 /// degrade in the tree (docs/OBSERVABILITY.md).
 ///

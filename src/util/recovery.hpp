@@ -51,10 +51,6 @@
 /// Counters: each recovery publishes pool.lane_faults / pool.retries /
 /// pool.hedges / pool.fallbacks into the MetricsRegistry (cold path), and
 /// brackets itself in a pool.recover span — see docs/OBSERVABILITY.md.
-///
-/// Under MP_FAULT=0 nothing here is dead weight: the engine still provides
-/// hedging and typed reports; there are simply no injected faults to
-/// recover from.
 
 #include <functional>
 

@@ -114,13 +114,11 @@ struct ThreadPool::Impl {
     // consult the (single-stream) plan in a nondeterministic order; drawing
     // at fork time keeps the schedule — and schedule_hash — a pure function
     // of the seed and the job sequence.
-    if constexpr (fault::kFaultCompiledIn) {
-      if (plan != nullptr) {
-        for (LaneOutcome& outcome : job.report.lanes)
-          outcome.injected = plan->decide(fault::OpClass::kLane);
-        job.delay = std::chrono::microseconds(
-            static_cast<std::int64_t>(plan->config().lane_delay_us));
-      }
+    if (plan != nullptr) {
+      for (LaneOutcome& outcome : job.report.lanes)
+        outcome.injected = plan->decide(fault::OpClass::kLane);
+      job.delay = std::chrono::microseconds(
+          static_cast<std::int64_t>(plan->config().lane_delay_us));
     }
     if (hedge.enabled && !hedger_spawned) {
       hedger_thread = std::thread([this] { hedger_main(); });

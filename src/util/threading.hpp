@@ -24,8 +24,7 @@
 /// a dedicated hedger thread — MapReduce-style speculative re-execution,
 /// safe because exactly one thread ever runs a lane's task (a claim
 /// "ticket" under the pool mutex) and lane output segments are disjoint
-/// (Theorem 14). parallel_for_lanes is the same job path plus a rethrow;
-/// under MP_FAULT=0 the injection points do not exist at all.
+/// (Theorem 14). parallel_for_lanes is the same job path plus a rethrow.
 
 #include <cstddef>
 #include <cstdint>

@@ -120,7 +120,6 @@ SortOutcome run_faulty_sort(const std::vector<KeyedRecord>& data,
 }
 
 TEST(FaultSweepExtmem, SortedOrTypedErrorAcrossSeeds) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto data = make_records(1500, 0xfeed);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
@@ -143,7 +142,6 @@ TEST(FaultSweepExtmem, SortedOrTypedErrorAcrossSeeds) {
 }
 
 TEST(FaultSweepExtmem, SameSeedReplaysByteIdentically) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto data = make_records(1200, 0xd00d);
   const std::uint64_t seeds[] = {1, 7, 42, 0x5eed};
   for (const std::uint64_t seed : seeds) {
@@ -165,7 +163,6 @@ TEST(FaultSweepExtmem, SameSeedReplaysByteIdentically) {
 /// it must not perturb the fault schedule, and replaying a seed must
 /// reproduce the jittered waits bit-exactly.
 TEST(FaultSweepExtmem, JitteredBackoffPreservesReplayAndSchedule) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto data = make_records(1400, 0x7177);
   auto expected = data;
   std::stable_sort(expected.begin(), expected.end());
@@ -214,7 +211,6 @@ TEST(FaultSweepExtmem, JitteredBackoffPreservesReplayAndSchedule) {
 }
 
 TEST(FaultSweepExtmem, PermanentFaultIsTypedAndLeakFree) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto data = make_records(1500, 0xabad);
   // Kill the device at a spread of points in the op stream: before run
   // formation, mid-runs, and mid-merge must all fail typed and clean.
@@ -236,7 +232,6 @@ TEST(FaultSweepExtmem, PermanentFaultIsTypedAndLeakFree) {
 }
 
 TEST(FaultSweepExtmem, EnospcFromCapacityRecoversCleanly) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // A device too small for the sort's working set: the failure is the
   // capacity model itself, no plan needed — and retrying on a bigger
   // device must succeed with the same bytes.
@@ -289,7 +284,6 @@ DistOutcome run_faulty_dist(const dist::DistArray& da,
 }
 
 TEST(FaultSweepDist, LossyNetworkStillMergesExactly) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kFewDuplicates, 1400, 1100, 77);
   const auto merged_ref = test::reference_merge(input.a, input.b);
 
@@ -311,7 +305,6 @@ TEST(FaultSweepDist, LossyNetworkStillMergesExactly) {
 }
 
 TEST(FaultSweepDist, SameSeedReplaysByteIdentically) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kClustered, 900, 1300, 11);
   const dist::DistArray da = dist::distribute(input.a, 5);
   const dist::DistArray db = dist::distribute(input.b, 5);
@@ -328,7 +321,6 @@ TEST(FaultSweepDist, SameSeedReplaysByteIdentically) {
 }
 
 TEST(FaultSweepDist, SegmentRetryHealsAWindowedPartition) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // A partition that drops a whole segment's fetches but heals: the
   // per-segment retry (safe by Theorem 14's disjointness) completes the
   // merge with the exact fault-free result.
@@ -351,7 +343,6 @@ TEST(FaultSweepDist, SegmentRetryHealsAWindowedPartition) {
 }
 
 TEST(FaultSweepDist, UnhealedPartitionFailsTypedEverywhere) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kUniform, 800, 800, 31);
   const dist::DistArray da = dist::distribute(input.a, 4);
   const dist::DistArray db = dist::distribute(input.b, 4);
@@ -416,7 +407,6 @@ LaneSweepOutcome run_faulty_lanes(const MergeInput& input,
 }
 
 TEST(FaultSweepLanes, RecoveryIsByteExactAcrossSeeds) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kClustered, 1700, 1300, 0xbee);
   const auto unsorted = make_unsorted_values(2500, 0xbef);
   const auto merged_ref = test::reference_merge(input.a, input.b);
@@ -441,7 +431,6 @@ TEST(FaultSweepLanes, RecoveryIsByteExactAcrossSeeds) {
 }
 
 TEST(FaultSweepLanes, TryApiCompletesOrReportsTypedOutcomes) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // The raw pool contract under random schedules: the barrier always
   // completes, and every lane is either kOk (task ran exactly once) or a
   // typed injected outcome — never a lost lane, never a deadlock.
@@ -472,7 +461,6 @@ TEST(FaultSweepLanes, TryApiCompletesOrReportsTypedOutcomes) {
 }
 
 TEST(FaultSweepLanes, SameSeedReplaysByteIdentically) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kFewDuplicates, 1100, 900, 0xace);
   const auto unsorted = make_unsorted_values(1600, 0xacf);
   for (const std::uint64_t seed : {2ull, 23ull, 0x1a7eull}) {
@@ -500,7 +488,6 @@ TEST(FaultSweepLanes, SameSeedReplaysByteIdentically) {
 }
 
 TEST(FaultSweepLanes, TotalLossDegradesToSequentialFallback) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // Rate 1.0: every pooled attempt of every lane draws a fault. Delay
   // draws still complete (stall, then run), but throw/abandon draws can
   // keep a lane failing through every retry — recovery must exhaust its
@@ -524,7 +511,6 @@ TEST(FaultSweepLanes, TotalLossDegradesToSequentialFallback) {
 }
 
 TEST(FaultSweepLanes, GenuineExceptionsAreNotRetried) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // A real bug in the task (not an injected fault) must surface on the
   // first attempt: retrying user errors would mask them and burn time.
   // That holds on a clean pool and when every lane draws an injected
@@ -551,53 +537,6 @@ TEST(FaultSweepLanes, GenuineExceptionsAreNotRetried) {
     EXPECT_LE(runs.load(), 4);  // one attempt, no retry of the buggy lane
     EXPECT_EQ(runs.load(), 4);  // and every lane's task ran exactly once
   }
-}
-
-TEST(FaultGate, CompiledOutInjectorsAreInert) {
-  if (fault::kFaultCompiledIn)
-    GTEST_SKIP() << "covered by the armed tests above";
-  // MP_FAULT=0 build: a hot plan attached to both targets must change
-  // nothing — same results, zero decisions consumed.
-  fault::FaultPlan plan(fault::FaultConfig{1, 1.0, 250.0});
-  plan.fail_from(0, fault::FaultKind::kMedia);
-
-  const auto data = make_records(600, 0x0ff);
-  auto expected = data;
-  std::stable_sort(expected.begin(), expected.end());
-  extmem::BlockDevice device(small_blocks());
-  fault::ScopedInjector device_injector(device, plan);
-  EXPECT_EQ(pipeline::sort_vector(device, data, external_config(256, 2)),
-            expected);
-
-  const auto input = make_merge_input(Dist::kUniform, 500, 500, 41);
-  dist::NetConfig net_config;
-  net_config.faults = &plan;
-  const auto result = dist::merge_path_exchange(
-      dist::distribute(input.a, 4), dist::distribute(input.b, 4), net_config);
-  EXPECT_EQ(result.merged.gathered(), test::reference_merge(input.a, input.b));
-
-  // Compute-fault surface: the pool with a hot plan attached must run the
-  // plain and resilient entry points untouched — no decisions drawn, no
-  // faults, no retries, no fallback.
-  ThreadPool pool(2);
-  fault::ScopedInjector pool_injector(pool, plan);
-  LaneRecovery lane_recovery;
-  std::vector<std::int32_t> merged(input.a.size() + input.b.size());
-  parallel_merge(input.a.data(), input.a.size(), input.b.data(),
-                 input.b.size(), merged.data(),
-                 Executor{&pool, 3, &lane_recovery});
-  const RecoveryReport& recovery = lane_recovery.report;
-  EXPECT_EQ(merged, test::reference_merge(input.a, input.b));
-  EXPECT_EQ(recovery.injected_faults, 0u);
-  EXPECT_EQ(recovery.retried_lanes, 0u);
-  EXPECT_EQ(recovery.fallback_lanes, 0u);
-  const LaneReport lane_report =
-      pool.try_parallel_for_lanes(5, [](unsigned) {});
-  EXPECT_TRUE(lane_report.all_ok());
-  EXPECT_EQ(lane_report.injected_faults, 0u);
-
-  EXPECT_EQ(plan.stats().decisions, 0u);
-  EXPECT_EQ(result.net.faults_injected, 0u);
 }
 
 }  // namespace

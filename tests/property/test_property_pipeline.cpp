@@ -196,8 +196,6 @@ void kill_at_every_step(const PipelineConfig& cfg,
 }
 
 TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   kill_at_every_step(sweep_config());
 }
 
@@ -206,8 +204,6 @@ TEST(PipelineCrashSweep, KillAtEveryStepResumesByteExact) {
 /// single group of two under sanitizers, where n is smaller), so kills
 /// land between the runs of one group's fork.
 TEST(PipelineCrashSweep, KillAtEveryStepInsideFormationGroups) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   ThreadPool pool(2);
   PipelineConfig cfg = sweep_config();
   cfg.memory_elems = 80;
@@ -221,8 +217,6 @@ TEST(PipelineCrashSweep, KillAtEveryStepInsideFormationGroups) {
 /// passes and the pass over 3 runs carries). Kills land inside groups,
 /// between a group's last segment and its retirement, and at pass ends.
 TEST(PipelineCrashSweep, KillAtEveryStepAcrossMergePasses) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   PipelineConfig cfg = sweep_config();
   cfg.shards = 2;
   cfg.memory_elems = 40;
@@ -233,13 +227,11 @@ TEST(PipelineCrashSweep, KillAtEveryStepAcrossMergePasses) {
 }
 
 /// Randomized geometries × rate-driven crash schedules. Each seed draws a
-/// shape (n, shards, run size, segment size, checkpoint cadence, one or
-/// three formation lanes, fan-in) and a crash rate up to 1.0, runs clean
+/// shape (n, shards, run size, segment size, one or three formation
+/// lanes, fan-in) and a crash rate up to 1.0, runs clean
 /// and crash-riddled pipelines, and demands byte-exact agreement, counter
 /// equality, and a leak-free device.
 TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   ThreadPool pool(2);
   std::uint64_t crashes_total = 0;
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
@@ -249,7 +241,6 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
     cfg.shards = 1 + static_cast<unsigned>(rng.bounded(5));
     cfg.memory_elems = 48 + rng.bounded(300);
     cfg.segment_blocks = 1 + rng.bounded(4);
-    cfg.checkpoint_every_runs = 1 + rng.bounded(3);
     cfg.exec = Executor{&pool, rng.bounded(2) == 0 ? 1u : 3u};
     const double rate = 0.25 + 0.25 * static_cast<double>(rng.bounded(4));
     constexpr std::uint64_t kFanIns[] = {0, 2, 3, 5};
@@ -258,7 +249,6 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
                  << "seed=" << seed << " n=" << n << " shards=" << cfg.shards
                  << " memory_elems=" << cfg.memory_elems
                  << " segment_blocks=" << cfg.segment_blocks
-                 << " every=" << cfg.checkpoint_every_runs
                  << " lanes=" << cfg.exec.threads
                  << " fan_in=" << cfg.fan_in << " rate=" << rate);
     const auto values = make_records(n, seed ^ 0x5eedULL);
@@ -302,8 +292,6 @@ TEST(PipelineCrashSweep, RandomGeometryCrashLoopsAcrossSeeds) {
 /// clean run's here — the point of the fallback is bounded redo, not zero
 /// redo.
 TEST(PipelineCrashSweep, TornNewestSlotFallsBackAndCompletesByteExact) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   const std::size_t n = 700;
   const PipelineConfig base_cfg = sweep_config();
   for (const std::uint64_t kill : {7u, 13u, 22u, 31u}) {
@@ -341,8 +329,6 @@ TEST(PipelineCrashSweep, TornNewestSlotFallsBackAndCompletesByteExact) {
 /// typed ManifestError (full restart is the documented recovery), never a
 /// crash, never wrong bytes from a half-read manifest.
 TEST(PipelineCrashSweep, BothSlotsCorruptIsAlwaysTypedErrorAcrossSeeds) {
-  if constexpr (!fault::kFaultCompiledIn)
-    GTEST_SKIP() << "MP_FAULT=0 build";
   const std::size_t n = 500;
   const PipelineConfig base_cfg = sweep_config();
   for (std::uint64_t seed = 0; seed < 12; ++seed) {

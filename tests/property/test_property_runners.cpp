@@ -25,7 +25,12 @@
 //     util/data_gen.hpp (a merge's A and B are one make_merge_input pair;
 //     a sort's input is such a pair concatenated);
 //   plus a parallel_merge_sort of 20000 Zipf-keyed records (long tie runs
-//   across lanes).
+//   across lanes);
+//   and the related-work baselines (src/baselines/) on int32 keys from the
+//     97-key generator and every Dist shape, under both runners and every
+//     p: shiloach_vishkin_merge, akl_santoro_merge, deo_sarkar_merge,
+//     bitonic_merge, bitonic_sort and parallel_radix_sort. The incorrect
+//     naive_split_merge is held to the plain runner's output instead.
 // The references are std::merge, std::set_intersection,
 // std::set_difference and std::stable_sort under the same comparator.
 // Arithmetic outputs are compared byte for byte (-0.0 == +0.0 and NaN !=
@@ -46,6 +51,7 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/baselines.hpp"
 #include "core/mergepath.hpp"
 #include "fault/fault.hpp"
 #include "kernels/kernels.hpp"
@@ -317,24 +323,77 @@ void check_entry_points(const Executor& exec, Comp comp,
   check_sort_entry_points<T>(exec, comp, label, shape);
 }
 
+/// The baselines on int32 keys: the merges against std::merge, the sorts
+/// against std::stable_sort. naive_split_merge splits A and B at the same
+/// fractions, which is wrong by design, so its output only has to be the
+/// one the plain runner computes at the same p on a clean pool.
+void check_baselines(const Executor& exec, const std::string& label,
+                     Shape shape) {
+  using baselines::naive_split_merge;
+  const auto [a, b] =
+      make_sorted_pair<std::int32_t>(shape, 1700, 1300, kSeed + 6,
+                                     std::less<>{});
+  std::vector<std::int32_t> merged(a.size() + b.size());
+  std::merge(a.begin(), a.end(), b.begin(), b.end(), merged.begin());
+  EXPECT_EQ(baselines::shiloach_vishkin_merge(a, b, exec), merged)
+      << label << " shiloach_vishkin_merge";
+  EXPECT_EQ(baselines::akl_santoro_merge(a, b, exec), merged)
+      << label << " akl_santoro_merge";
+  EXPECT_EQ(baselines::deo_sarkar_merge(a, b, exec), merged)
+      << label << " deo_sarkar_merge";
+  EXPECT_EQ(baselines::bitonic_merge(a, b, exec), merged)
+      << label << " bitonic_merge";
+  EXPECT_EQ(naive_split_merge(a, b, exec),
+            naive_split_merge(a, b, Executor{nullptr, exec.threads}))
+      << label << " naive_split_merge";
+
+  const auto data = make_sort_input<std::int32_t>(shape, 3001, kSeed + 7);
+  auto expected = data;
+  std::stable_sort(expected.begin(), expected.end());
+  auto sorted = data;
+  baselines::bitonic_sort(std::span<std::int32_t>(sorted), exec);
+  EXPECT_EQ(sorted, expected) << label << " bitonic_sort";
+  sorted = data;
+  baselines::parallel_radix_sort(std::span<std::int32_t>(sorted), exec);
+  EXPECT_EQ(sorted, expected) << label << " parallel_radix_sort";
+}
+
 enum class Runner { kPlain, kRecovering };
 
+/// p lanes on a 3-worker pool; the recovering runner arms a lane-fault
+/// plan on the pool and recovers through `recovery`.
 class RunnerTable
-    : public ::testing::TestWithParam<std::tuple<Runner, unsigned>> {};
+    : public ::testing::TestWithParam<std::tuple<Runner, unsigned>> {
+ protected:
+  RunnerTable() {
+    recovery.config.hedge.enabled = true;
+    if (runner() == Runner::kRecovering) {
+      pool.set_fault_plan(&plan);
+      exec.recovery = &recovery;
+    }
+  }
+
+  void TearDown() override {
+    // The schedule must actually bite for the recovering rows to mean
+    // anything.
+    if (runner() == Runner::kRecovering && p() > 1) {
+      EXPECT_GT(recovery.report.injected_faults, 0u);
+      EXPECT_GT(recovery.report.retried_lanes, 0u);
+    }
+  }
+
+  static Runner runner() { return std::get<0>(GetParam()); }
+  static unsigned p() { return std::get<1>(GetParam()); }
+
+  fault::FaultPlan plan{
+      fault::FaultConfig{kSeed + p(), kLaneFaultRate, 250.0, 200.0}};
+  ThreadPool pool{3};  // declared after the plan: detached by dying first
+  LaneRecovery recovery;
+  Executor exec{&pool, p()};
+};
 
 TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
-  const auto [runner, p] = GetParam();
   const kernels::Kernel saved = kernels::selected_kernel();
-  fault::FaultPlan plan(
-      fault::FaultConfig{kSeed + p, kLaneFaultRate, 250.0, 200.0});
-  ThreadPool pool(3);  // declared after the plan: detached by dying first
-  LaneRecovery recovery;
-  recovery.config.hedge.enabled = true;
-  Executor exec{&pool, p};
-  if (runner == Runner::kRecovering) {
-    pool.set_fault_plan(&plan);
-    exec.recovery = &recovery;
-  }
   for (const kernels::Kernel kernel :
        {kernels::Kernel::kScalar, kernels::widest_supported()}) {
     ASSERT_TRUE(kernels::set_kernel(kernel));
@@ -362,12 +421,12 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
     check_zipf_record_sort(exec, label);
   }
   kernels::set_kernel(saved);
-  if (runner == Runner::kRecovering && p > 1 && fault::kFaultCompiledIn) {
-    // The schedule must actually bite for the recovering rows to mean
-    // anything.
-    EXPECT_GT(recovery.report.injected_faults, 0u);
-    EXPECT_GT(recovery.report.retried_lanes, 0u);
-  }
+}
+
+TEST_P(RunnerTable, BaselinesMatchTheReference) {
+  check_baselines(exec, "int32", std::nullopt);
+  for (const Dist dist : kAllDists)
+    check_baselines(exec, std::string("int32 dist=") + to_string(dist), dist);
 }
 
 INSTANTIATE_TEST_SUITE_P(

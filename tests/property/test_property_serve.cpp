@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -211,6 +212,7 @@ TEST(ServeProperty, SameSeedAndFaultPlanReplayIdentically) {
 
 TEST(ServeProperty, RateOneFaultsDegradeButAnswerEverything) {
   std::uint64_t degraded_responses = 0;
+  std::uint64_t degraded_merges = 0;
   std::uint64_t injected_runs = 0;
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed=" << seed);
@@ -256,8 +258,10 @@ TEST(ServeProperty, RateOneFaultsDegradeButAnswerEverything) {
       ASSERT_TRUE(server.submit(std::move(req), done).accepted());
       ++submitted;
     }
-    // ...and one merge large enough for parallel pulls (the
-    // StreamMerger degrade path).
+    // ...and one merge large enough for parallel pulls, which run on the
+    // same recovering executor: its answer is exactly std::merge.
+    std::vector<std::int32_t> merged;
+    bool merge_answered = false;
     {
       Request req;
       req.kind = RequestKind::kMerge;
@@ -267,7 +271,16 @@ TEST(ServeProperty, RateOneFaultsDegradeButAnswerEverything) {
       for (auto& v : req.other32) v = static_cast<std::int32_t>(rng());
       std::sort(req.keys32.begin(), req.keys32.end());
       std::sort(req.other32.begin(), req.other32.end());
-      ASSERT_TRUE(server.submit(std::move(req), done).accepted());
+      std::merge(req.keys32.begin(), req.keys32.end(), req.other32.begin(),
+                 req.other32.end(), std::back_inserter(merged));
+      const auto merge_done = [&](Response&& r) {
+        merge_answered = true;
+        EXPECT_TRUE(r.ok()) << r.error;
+        EXPECT_EQ(r.keys32, merged);
+        degraded_merges += r.degraded;
+        done(std::move(r));
+      };
+      ASSERT_TRUE(server.submit(std::move(req), merge_done).accepted());
       ++submitted;
     }
 
@@ -275,17 +288,15 @@ TEST(ServeProperty, RateOneFaultsDegradeButAnswerEverything) {
     // The conservation law under total fault pressure: nothing dropped.
     ASSERT_EQ(answered, submitted);
     ASSERT_EQ(correct, submitted);
+    ASSERT_TRUE(merge_answered);
     injected_runs += plan.stats().injected > 0 ? 1 : 0;
   }
-  if (fault::kFaultCompiledIn) {
-    // Rate 1.0 injects on every pool job; across the sweep the retry
-    // budget must have been exhausted somewhere (delay-only schedules
-    // can survive a single batch, not the whole sweep).
-    EXPECT_EQ(injected_runs, kSweepSeeds);
-    EXPECT_GT(degraded_responses, 0u);
-  } else {
-    EXPECT_EQ(injected_runs, 0u);
-  }
+  // Rate 1.0 injects on every pool job; across the sweep the retry
+  // budget must have been exhausted somewhere (delay-only schedules
+  // can survive a single batch, not the whole sweep).
+  EXPECT_EQ(injected_runs, kSweepSeeds);
+  EXPECT_GT(degraded_responses, 0u);
+  EXPECT_GT(degraded_merges, 0u);
 }
 
 }  // namespace

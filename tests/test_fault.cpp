@@ -110,11 +110,7 @@ TEST(ScopedInjector, AttachesAndDetaches) {
   EXPECT_EQ(device.fault_plan(), nullptr);
   {
     ScopedInjector injector(device, plan);
-    if (kFaultCompiledIn) {
-      EXPECT_EQ(device.fault_plan(), &plan);
-    } else {
-      EXPECT_EQ(device.fault_plan(), nullptr);
-    }
+    EXPECT_EQ(device.fault_plan(), &plan);
   }
   EXPECT_EQ(device.fault_plan(), nullptr);
 }
@@ -132,7 +128,6 @@ DeviceConfig small_blocks() {
 }
 
 TEST(DeviceFaults, TransientWriteReportsInterrupted) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   fault::FaultPlan plan;
   plan.fail_op(1, fault::FaultKind::kTransient);  // op 0 is the allocate
@@ -148,7 +143,6 @@ TEST(DeviceFaults, TransientWriteReportsInterrupted) {
 }
 
 TEST(DeviceFaults, ShortWriteLeavesBlockUnreadable) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   std::vector<std::int32_t> data(256, 9);
   const std::uint64_t block = device.allocate(1);
@@ -170,7 +164,6 @@ TEST(DeviceFaults, ShortWriteLeavesBlockUnreadable) {
 }
 
 TEST(DeviceFaults, InjectedLatencyChargesModeledTime) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   const std::uint64_t block = device.allocate(1);
   std::vector<std::int32_t> data(256, 1);
@@ -202,7 +195,6 @@ TEST(DeviceFaults, CapacityExhaustionThrowsTypedNoSpace) {
 }
 
 TEST(DeviceFaults, ScriptedEnospcThrowsFromAllocate) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   fault::FaultPlan plan;
   plan.fail_op(0, fault::FaultKind::kNoSpace);
@@ -227,7 +219,6 @@ TEST(DeviceFaults, ReleaseBlocksReturnsStorage) {
 }
 
 TEST(RunFileFaults, RetryAbsorbsTransientFaults) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   fault::FaultPlan plan;
   // Ops: 0 = allocate, 1 = write attempt (fails), 2 = write retry (ok).
@@ -247,7 +238,6 @@ TEST(RunFileFaults, RetryAbsorbsTransientFaults) {
 }
 
 TEST(RunFileFaults, ExhaustedRetriesThrowTypedError) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   fault::FaultPlan plan;
   plan.fail_from(0, fault::FaultKind::kTransient);  // every op fails
@@ -268,7 +258,6 @@ TEST(RunFileFaults, ExhaustedRetriesThrowTypedError) {
 }
 
 TEST(RunFileFaults, MediaErrorIsNotRetried) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   const auto values = make_uniform_values(256, 17);
   RunWriter<std::int32_t> writer(device);
@@ -290,7 +279,6 @@ TEST(RunFileFaults, MediaErrorIsNotRetried) {
 }
 
 TEST(ExternalSortFaults, PermanentFaultReleasesAllTempRuns) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   BlockDevice device(small_blocks());
   auto values = make_uniform_values(4000, 23);  // ~16 blocks
 
@@ -321,7 +309,6 @@ namespace mp::dist {
 namespace {
 
 TEST(NetFaults, DropIsResentByReliableSend) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   RankNetwork net(2);
   fault::FaultPlan plan;
   plan.fail_op(0, fault::FaultKind::kDrop);
@@ -335,7 +322,6 @@ TEST(NetFaults, DropIsResentByReliableSend) {
 }
 
 TEST(NetFaults, DuplicateIsDiscardedBySequenceNumber) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   RankNetwork net(2);
   fault::FaultPlan plan;
   plan.fail_op(0, fault::FaultKind::kDuplicate);
@@ -348,7 +334,6 @@ TEST(NetFaults, DuplicateIsDiscardedBySequenceNumber) {
 }
 
 TEST(NetFaults, PersistentPartitionThrowsTypedNetError) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   NetConfig config;
   config.max_resend = 4;
   RankNetwork net(2, config);
@@ -380,7 +365,6 @@ TEST(NetFaults, SelfSendsNeverConsultThePlan) {
 }
 
 TEST(NetFaults, FaultCostsAreCharged) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // A run with drops+resends must model strictly more time than the same
   // traffic on a perfect network: recovery is honest, never free.
   const auto send_all = [](RankNetwork& net) {
@@ -398,7 +382,6 @@ TEST(NetFaults, FaultCostsAreCharged) {
 }
 
 TEST(DistFaults, MergePathExchangeSurvivesLossyNetwork) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto a = make_uniform_values(3000, 7);
   const auto b = make_uniform_values(2500, 8);
   const DistArray da = distribute(a, 4);
@@ -416,7 +399,6 @@ TEST(DistFaults, MergePathExchangeSurvivesLossyNetwork) {
 }
 
 TEST(DistFaults, PermanentPartitionSurfacesAsNetError) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto a = make_uniform_values(2000, 3);
   const auto b = make_uniform_values(2000, 4);
   const DistArray da = distribute(a, 4);
@@ -449,7 +431,6 @@ TEST(RecoveryBackoff, DefaultResubmitsImmediately) {
 }
 
 TEST(RecoveryBackoff, ConfiguredBackoffIsPaidBetweenRetries) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   const auto input = make_merge_input(Dist::kUniform, 4000, 4000, 0xb0ff);
   const auto expected = test::reference_merge(input.a, input.b);
 

@@ -875,16 +875,10 @@ TEST(KernelDispatch, WidestIsOrderedAndSupported) {
 }
 
 TEST(KernelDispatch, BranchlessIsNeverAutoSelected) {
-  // "branchless" names no kernel, so an environment file that still sets
-  // it warns and gets the widest kernel.
+  // "branchless" names no kernel, so --kernel branchless is a usage error
+  // and set_kernel() cannot be handed it.
   EXPECT_FALSE(parse_kernel("branchless").has_value());
-  std::string warning;
-  EXPECT_EQ(detail::resolve_override("branchless", &warning),
-            widest_supported());
-  EXPECT_NE(warning.find("'branchless' is not a kernel name"),
-            std::string::npos)
-      << warning;
-  EXPECT_NE(warning.find(kernel_names()), std::string::npos) << warning;
+  EXPECT_EQ(kernel_names().find("branchless"), std::string::npos);
 }
 
 TEST(KernelDispatch, SetKernelRejectsUnsupportedAndKeepsSelection) {
@@ -899,27 +893,6 @@ TEST(KernelDispatch, SetKernelRejectsUnsupportedAndKeepsSelection) {
       EXPECT_FALSE(set_kernel(k));
       EXPECT_EQ(selected_kernel(), Kernel::kScalar) << "selection leaked";
     }
-  }
-}
-
-TEST(KernelDispatch, EnvOverrideResolution) {
-  std::string warning;
-  EXPECT_EQ(detail::resolve_override(nullptr, &warning), widest_supported());
-  EXPECT_TRUE(warning.empty());
-  EXPECT_EQ(detail::resolve_override("", &warning), widest_supported());
-  EXPECT_EQ(detail::resolve_override("auto", &warning), widest_supported());
-  EXPECT_TRUE(warning.empty());
-  EXPECT_EQ(detail::resolve_override("scalar", &warning), Kernel::kScalar);
-  EXPECT_TRUE(warning.empty());
-  // Unknown names clamp to the widest kernel and explain themselves.
-  EXPECT_EQ(detail::resolve_override("banana", &warning), widest_supported());
-  EXPECT_NE(warning.find("banana"), std::string::npos);
-  warning.clear();
-  if (!kernel_supported(Kernel::kAvx2)) {
-    // Known-but-unsupported names clamp too (other-host configs copied
-    // into an environment file must not crash the binary).
-    EXPECT_EQ(detail::resolve_override("avx2", &warning), widest_supported());
-    EXPECT_FALSE(warning.empty());
   }
 }
 

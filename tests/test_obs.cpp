@@ -76,8 +76,7 @@ TEST_F(ObsTest, SpanRecordsNameArgAndDuration) {
   }
   obs::disarm_tracing();
   const auto spans = events_named(obs::trace_snapshot(), "test.span");
-  ASSERT_EQ(spans.size(), obs::kTraceCompiledIn ? 1u : 0u);
-  if (!obs::kTraceCompiledIn) return;
+  ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(spans[0].kind, obs::EventKind::kSpan);
   EXPECT_STREQ(spans[0].arg_name, "value");
   EXPECT_EQ(spans[0].arg, 7u);
@@ -100,8 +99,7 @@ TEST_F(ObsTest, SpanOpenAcrossDisarmIsStillRecorded) {
     obs::Span span("test.straddle");
     obs::disarm_tracing();
   }
-  EXPECT_EQ(events_named(obs::trace_snapshot(), "test.straddle").size(),
-            obs::kTraceCompiledIn ? 1u : 0u);
+  EXPECT_EQ(events_named(obs::trace_snapshot(), "test.straddle").size(), 1u);
 }
 
 TEST_F(ObsTest, CounterAndInstantEvents) {
@@ -112,8 +110,7 @@ TEST_F(ObsTest, CounterAndInstantEvents) {
   obs::disarm_tracing();
   const auto events = obs::trace_snapshot();
   const auto counters = events_named(events, "test.gauge");
-  ASSERT_EQ(counters.size(), obs::kTraceCompiledIn ? 2u : 0u);
-  if (!obs::kTraceCompiledIn) return;
+  ASSERT_EQ(counters.size(), 2u);
   EXPECT_EQ(counters[0].kind, obs::EventKind::kCounter);
   EXPECT_EQ(counters[0].arg, 41u);
   EXPECT_EQ(counters[1].arg, 42u);
@@ -124,7 +121,6 @@ TEST_F(ObsTest, CounterAndInstantEvents) {
 }
 
 TEST_F(ObsTest, RingWrapsKeepingNewestAndCountsDropped) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::arm_tracing(/*events_per_thread=*/8);
   for (std::uint64_t k = 0; k < 20; ++k) {
     obs::Span::instant("test.seq", "k", k);
@@ -157,8 +153,7 @@ TEST_F(ObsTest, RearmResetsPreviousWindow) {
   obs::disarm_tracing();
   const auto events = obs::trace_snapshot();
   EXPECT_TRUE(events_named(events, "test.old").empty());
-  EXPECT_EQ(events_named(events, "test.new").size(),
-            obs::kTraceCompiledIn ? 1u : 0u);
+  EXPECT_EQ(events_named(events, "test.new").size(), 1u);
 }
 
 TEST_F(ObsTest, ResetClearsEventsAndDropCounts) {
@@ -218,16 +213,13 @@ TEST_F(ObsTest, ChromeTraceExportIsStructurallyValidJson) {
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\""), std::string::npos);
   EXPECT_NE(json.find("\"dropped_events\""), std::string::npos);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"test.outer\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"C\""), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
 TEST_F(ObsTest, ThreadPoolJobEmitsLaneSpans) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::arm_tracing();
   ThreadPool pool(3);
   pool.parallel_for_lanes(4, [](unsigned) {});
@@ -243,7 +235,6 @@ TEST_F(ObsTest, ThreadPoolJobEmitsLaneSpans) {
 }
 
 TEST_F(ObsTest, ParallelMergeEmitsPartitionAndSegmentSpans) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   std::vector<int> a(4096), b(4096), out(8192);
   for (int i = 0; i < 4096; ++i) {
     a[static_cast<std::size_t>(i)] = 2 * i;
@@ -264,7 +255,6 @@ TEST_F(ObsTest, ParallelMergeEmitsPartitionAndSegmentSpans) {
 TEST_F(ObsTest, SequentialRecordSortEmitsLayerSpans) {
   // One 1 Mi-record sequential_merge_sort: its run formation, its blocked
   // passes and each whole-range pass are spans, and there are few of them.
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   constexpr std::size_t n = std::size_t{1} << 20;
   std::vector<KeyedRecord> data(n);
   std::uint64_t state = 0x5eed;
@@ -301,10 +291,8 @@ TEST_F(ObsTest, MultiThreadedRecordingStress) {
   }
   obs::disarm_tracing();
   const auto events = obs::trace_snapshot();
-  if (obs::kTraceCompiledIn) {
-    EXPECT_FALSE(events.empty());
-    EXPECT_GE(obs::trace_thread_count(), 1u);
-  }
+  EXPECT_FALSE(events.empty());
+  EXPECT_GE(obs::trace_thread_count(), 1u);
   std::ostringstream os;
   obs::write_chrome_trace(os);
   expect_balanced_json(os.str());
@@ -323,13 +311,11 @@ TEST_F(ObsTest, ExitedThreadsHandTheirBufferToTheNextThread) {
   for (int i = 0; i < 8; ++i) record_on_new_thread();
   obs::disarm_tracing();
   EXPECT_EQ(obs::trace_thread_count(), threads);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_EQ(events_named(obs::trace_snapshot(), "reuse.thread").size(), 9u);
-  }
+  EXPECT_EQ(events_named(obs::trace_snapshot(), "reuse.thread").size(), 9u);
 }
 
 // ---------------------------------------------------------------------------
-// The clock (not MP_TRACE-gated: it is just a clock).
+// The clock.
 
 TEST_F(ObsTest, MonotonicClockNeverStepsBackAndExportsSteadySource) {
   // Every timestamp in obs, the pool and serve is one monotonic_ns() read,
@@ -390,7 +376,6 @@ TEST_F(ObsTest, DurationBucketBoundsRoundTrip) {
 }
 
 TEST_F(ObsTest, PercentilesWithinDocumentedErrorBound) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   // Deterministic pseudo-random durations across several scales, checked
   // against exact order statistics. The histogram reports the bucket
   // midpoint, so the estimate must land within kSpanStatsRelativeError
@@ -434,7 +419,6 @@ TEST_F(ObsTest, PercentilesWithinDocumentedErrorBound) {
 }
 
 TEST_F(ObsTest, SpanStatsFromRealPoolSpans) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::arm_span_stats();
   ThreadPool pool(3);
   pool.parallel_for_lanes(4, [](unsigned) {});
@@ -453,7 +437,6 @@ TEST_F(ObsTest, SpanStatsFromRealPoolSpans) {
 }
 
 TEST_F(ObsTest, SpanStatsMergeAcrossThreads) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   // The same name recorded from every lane merges into one row whose
   // count sums across per-thread histograms.
   obs::arm_span_stats();
@@ -477,7 +460,6 @@ TEST_F(ObsTest, SpanStatsMergeAcrossThreads) {
 }
 
 TEST_F(ObsTest, SpanStatsResetAndRearmStartClean) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::arm_span_stats();
   obs::record_span_duration("test.old", 5);
   obs::disarm_span_stats();
@@ -494,33 +476,27 @@ TEST_F(ObsTest, SpanStatsResetAndRearmStartClean) {
 }
 
 TEST_F(ObsTest, MetricsJsonCarriesSpanStats) {
-  if (obs::kTraceCompiledIn) {
-    obs::arm_span_stats();
-    obs::record_span_duration("test.json_stat", 1000);
-    obs::disarm_span_stats();
-  }
+  obs::arm_span_stats();
+  obs::record_span_duration("test.json_stat", 1000);
+  obs::disarm_span_stats();
   std::ostringstream os;
   obs::write_metrics_json(os);
   const std::string json = os.str();
   expect_balanced_json(json);
   EXPECT_NE(json.find("\"span_stats\""), std::string::npos);
   EXPECT_NE(json.find("\"span_stats_dropped\""), std::string::npos);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_NE(json.find("\"test.json_stat\""), std::string::npos);
-    EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-  }
+  EXPECT_NE(json.find("\"test.json_stat\""), std::string::npos);
+  EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
 }
 
 TEST_F(ObsTest, PrometheusExportSanitizesNamesAndEmitsQuantiles) {
   obs::MetricsRegistry::instance().reset();
   obs::MetricsRegistry::instance().counter("test.prom-ops").add(3);
   obs::MetricsRegistry::instance().gauge("test.prom.level").set(-2);
-  if (obs::kTraceCompiledIn) {
-    obs::arm_span_stats();
-    for (int k = 1; k <= 100; ++k)
-      obs::record_span_duration("test.prom.span", 100 * k);
-    obs::disarm_span_stats();
-  }
+  obs::arm_span_stats();
+  for (int k = 1; k <= 100; ++k)
+    obs::record_span_duration("test.prom.span", 100 * k);
+  obs::disarm_span_stats();
   std::ostringstream os;
   obs::export_prometheus(os);
   const std::string text = os.str();
@@ -528,19 +504,17 @@ TEST_F(ObsTest, PrometheusExportSanitizesNamesAndEmitsQuantiles) {
   // survive verbatim as label values.
   EXPECT_NE(text.find("mergepath_test_prom_ops_total 3"), std::string::npos);
   EXPECT_NE(text.find("mergepath_test_prom_level -2"), std::string::npos);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_NE(text.find("mergepath_span_duration_ns{span=\"test.prom.span\","
-                        "quantile=\"0.5\"}"),
-              std::string::npos);
-    EXPECT_NE(text.find("quantile=\"0.95\""), std::string::npos);
-    EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos);
-    EXPECT_NE(
-        text.find("mergepath_span_duration_ns_count{span=\"test.prom.span\""),
-        std::string::npos);
-    EXPECT_NE(
-        text.find("mergepath_span_duration_ns_max{span=\"test.prom.span\""),
-        std::string::npos);
-  }
+  EXPECT_NE(text.find("mergepath_span_duration_ns{span=\"test.prom.span\","
+                      "quantile=\"0.5\"}"),
+            std::string::npos);
+  EXPECT_NE(text.find("quantile=\"0.95\""), std::string::npos);
+  EXPECT_NE(text.find("quantile=\"0.99\""), std::string::npos);
+  EXPECT_NE(
+      text.find("mergepath_span_duration_ns_count{span=\"test.prom.span\""),
+      std::string::npos);
+  EXPECT_NE(
+      text.find("mergepath_span_duration_ns_max{span=\"test.prom.span\""),
+      std::string::npos);
   obs::MetricsRegistry::instance().reset();
 }
 
@@ -548,7 +522,6 @@ TEST_F(ObsTest, PrometheusExportSanitizesNamesAndEmitsQuantiles) {
 // Flight recorder.
 
 TEST_F(ObsTest, FlightRecordsWhileTraceDisarmed) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::set_flight_enabled(true);
   EXPECT_TRUE(obs::flight_enabled());
   {
@@ -560,7 +533,6 @@ TEST_F(ObsTest, FlightRecordsWhileTraceDisarmed) {
 }
 
 TEST_F(ObsTest, FlightRingBoundedKeepsNewest) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::set_flight_enabled(true);
   obs::set_flight_capacity(8);
   for (std::uint64_t k = 0; k < 20; ++k)
@@ -573,7 +545,6 @@ TEST_F(ObsTest, FlightRingBoundedKeepsNewest) {
 }
 
 TEST_F(ObsTest, FlightSnapshotNormalizesTimestamps) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
   obs::set_flight_enabled(true);
   obs::Span::instant("test.fnorm");
   obs::Span::instant("test.fnorm");
@@ -604,9 +575,7 @@ TEST_F(ObsTest, WriteFlightTraceMarksRecorderAndReason) {
   std::ostringstream os2;
   obs::write_flight_trace(os2);
   EXPECT_NE(os2.str().find("\"reason\":\"test.reason\""), std::string::npos);
-  if (obs::kTraceCompiledIn) {
-    EXPECT_NE(os2.str().find("\"flight.degraded\""), std::string::npos);
-  }
+  EXPECT_NE(os2.str().find("\"flight.degraded\""), std::string::npos);
 }
 
 TEST_F(ObsTest, FlightWritePendingNeedsDegradeOrForce) {
@@ -623,8 +592,6 @@ TEST_F(ObsTest, FlightWritePendingNeedsDegradeOrForce) {
 }
 
 TEST_F(ObsTest, FlightSnapshotOnDegrade) {
-  if (!obs::kTraceCompiledIn) GTEST_SKIP() << "tracing compiled out";
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "fault injection compiled out";
   // Every lane op faults permanently: retries exhaust, the recovery engine
   // reports degraded and falls back to sequential execution — and the
   // always-armed flight recorder must then auto-write its snapshot from

@@ -4,9 +4,8 @@
 // at every lane count, checkpointed merge cursors equal to in-memory
 // multiway_select co-ranks, scripted crash/resume, the rate-driven crash
 // loop (cumulative counters prove completed work is never redone), disk,
-// network, lane and crash faults together, and the MP_FAULT=0 contract
-// (crash hooks compile to no-ops). The run reader/writer the pipeline
-// drives are tested in test_extmem.cpp.
+// network, lane and crash faults together. The run reader/writer the
+// pipeline drives are tested in test_extmem.cpp.
 
 #include "pipeline/pipeline.hpp"
 
@@ -289,7 +288,7 @@ TEST(Pipeline, GroupedFormationMatchesAcrossLaneCounts) {
       out.stats = device.stats();
       out.output = read_run<KeyId>(device, out.report.output);
     }
-    if constexpr (fault::kFaultCompiledIn) {
+    {
       // The same run killed at the end of the form phase (two steps per
       // run), where the manifest still lists every formed run.
       extmem::BlockDevice device(tiny_blocks());
@@ -309,9 +308,7 @@ TEST(Pipeline, GroupedFormationMatchesAcrossLaneCounts) {
   const Outcome one = run_with(1);
   EXPECT_EQ(one.output, expected);
   EXPECT_EQ(one.report.runs_formed, runs);
-  if constexpr (fault::kFaultCompiledIn) {
-    EXPECT_EQ(one.runs.size(), runs);
-  }
+  EXPECT_EQ(one.runs.size(), runs);
   for (const unsigned lanes : {2u, 3u, 4u}) {
     SCOPED_TRACE(::testing::Message() << "lanes=" << lanes);
     const Outcome many = run_with(lanes);
@@ -330,7 +327,6 @@ TEST(Pipeline, CheckpointedCursorsAreMultiwaySelectCoRanks) {
   // multiway_select over in-memory copies of the runs it indexes. Heavy
   // ties, and runs (300) and shards (833/834) that end mid-block (32
   // KeyId per block), so unit ends fall mid-block in every run.
-  if constexpr (!fault::kFaultCompiledIn) GTEST_SKIP();
   const std::size_t n = 2500;
   const std::uint64_t epb = 32;
   extmem::BlockDevice device(tiny_blocks());
@@ -413,7 +409,6 @@ std::uint64_t expected_live_blocks(const extmem::BlockDevice& device,
 }
 
 TEST(Pipeline, ScriptedCrashThenResumeIsByteExactAndLeakFree) {
-  if constexpr (!fault::kFaultCompiledIn) GTEST_SKIP();
   const std::size_t n = 1200;
   const auto values = make_values(n, 77);
   std::vector<std::int32_t> expected = values;
@@ -490,28 +485,20 @@ TEST(Pipeline, RateOneCrashLoopNeverRedoesCompletedWork) {
     }
   }
   EXPECT_EQ(read_run<std::int32_t>(device, report.output), expected);
-  if constexpr (fault::kFaultCompiledIn) {
-    EXPECT_GT(incarnations, 1u);
-    // The no-redo proof: cumulative work counters of the crash-riddled
-    // run equal the clean run's exactly — durable-point crashes never
-    // re-execute a completed unit (no re-done form/merge/exchange I/O)
-    // and never write an extra checkpoint.
-    EXPECT_EQ(report.runs_formed, clean_report.runs_formed);
-    EXPECT_EQ(report.segments_merged, clean_report.segments_merged);
-    EXPECT_EQ(report.ranks_exchanged, clean_report.ranks_exchanged);
-    EXPECT_EQ(report.checkpoints, clean_report.checkpoints);
-    EXPECT_EQ(report.resumes, incarnations - 1);
-  } else {
-    // MP_FAULT=0: the crash hooks compile to no-ops — a rate-1.0 plan
-    // must not fire once and the run completes in one incarnation.
-    EXPECT_EQ(incarnations, 1u);
-    EXPECT_EQ(report.resumes, 0u);
-  }
+  EXPECT_GT(incarnations, 1u);
+  // The no-redo proof: cumulative work counters of the crash-riddled
+  // run equal the clean run's exactly — durable-point crashes never
+  // re-execute a completed unit (no re-done form/merge/exchange I/O)
+  // and never write an extra checkpoint.
+  EXPECT_EQ(report.runs_formed, clean_report.runs_formed);
+  EXPECT_EQ(report.segments_merged, clean_report.segments_merged);
+  EXPECT_EQ(report.ranks_exchanged, clean_report.ranks_exchanged);
+  EXPECT_EQ(report.checkpoints, clean_report.checkpoints);
+  EXPECT_EQ(report.resumes, incarnations - 1);
   EXPECT_EQ(device.live_blocks(), expected_live_blocks(device, n, 4, cfg));
 }
 
 TEST(Pipeline, ResumeWithBothSlotsCorruptIsTypedManifestError) {
-  if constexpr (!fault::kFaultCompiledIn) GTEST_SKIP();
   const std::size_t n = 600;
   const auto values = make_values(n, 21);
   extmem::BlockDevice device(tiny_blocks());
@@ -611,10 +598,8 @@ TEST(Pipeline, SurvivesDiskNetworkAndLaneFaultsTogether) {
   }
   EXPECT_EQ(read_run<std::int32_t>(device, report.output), expected);
   EXPECT_EQ(device.live_blocks(), expected_live_blocks(device, n, 4, cfg));
-  if constexpr (fault::kFaultCompiledIn) {
-    EXPECT_GT(disk_plan.stats().injected, 0u);
-    EXPECT_GT(lane_plan.stats().injected, 0u);
-  }
+  EXPECT_GT(disk_plan.stats().injected, 0u);
+  EXPECT_GT(lane_plan.stats().injected, 0u);
 }
 
 }  // namespace

@@ -488,9 +488,7 @@ TEST(ServeLoadGen, DeterministicRunConservesAndOrders) {
   EXPECT_EQ(stats1.batch_sizes, stats2.batch_sizes);
 
   // The run fed the serve.* span-percentile surface the metrics JSON
-  // exports (the --metrics-json satellite, in-process). In a full
-  // MP_TRACE=0 build record_span_duration is inert and snapshots are
-  // empty by contract.
+  // exports (the --metrics-json satellite, in-process).
   const auto snapshot = obs::span_stats_snapshot();
   bool request_seen = false, wait_seen = false, service_seen = false;
   for (const auto& stat : snapshot) {
@@ -498,13 +496,12 @@ TEST(ServeLoadGen, DeterministicRunConservesAndOrders) {
     if (stat.name == "serve.queue_wait") wait_seen = stat.count > 0;
     if (stat.name == "serve.service") service_seen = stat.count > 0;
   }
-  EXPECT_EQ(request_seen, obs::kTraceCompiledIn);
-  EXPECT_EQ(wait_seen, obs::kTraceCompiledIn);
-  EXPECT_EQ(service_seen, obs::kTraceCompiledIn);
+  EXPECT_TRUE(request_seen);
+  EXPECT_TRUE(wait_seen);
+  EXPECT_TRUE(service_seen);
   std::ostringstream json;
   obs::write_metrics_json(json);
-  EXPECT_EQ(json.str().find("serve.request") != std::string::npos,
-            obs::kTraceCompiledIn);
+  EXPECT_NE(json.str().find("serve.request"), std::string::npos);
   obs::reset_span_stats();
 }
 

@@ -185,7 +185,6 @@ TEST(ThreadPoolTry, SerialPoolCapturesOutcomesInline) {
 }
 
 TEST(ThreadPoolTry, InjectedThrowAndAbandonAreTypedOutcomes) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   ThreadPool pool(3);
   fault::FaultPlan plan;
   plan.fail_op(0, fault::FaultKind::kLaneThrow);    // lane 0's decision
@@ -215,7 +214,6 @@ TEST(ThreadPoolTry, InjectedThrowAndAbandonAreTypedOutcomes) {
 }
 
 TEST(ThreadPoolTry, ParallelForLanesRethrowsInjectedFault) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   ThreadPool pool(2);
   fault::FaultPlan plan;
   plan.fail_op(3, fault::FaultKind::kLaneThrow);
@@ -230,7 +228,6 @@ TEST(ThreadPoolTry, ParallelForLanesRethrowsInjectedFault) {
 }
 
 TEST(ThreadPoolTry, HedgeCompletesADelayedLane) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   ThreadPool pool(3);
   HedgePolicy hedge;
   hedge.enabled = true;
@@ -272,7 +269,6 @@ TEST(ThreadPoolTry, HedgeCompletesADelayedLane) {
 }
 
 TEST(ThreadPoolTry, HedgerThreadRescuesTheCallersOwnStalledLane) {
-  if (!fault::kFaultCompiledIn) GTEST_SKIP() << "MP_FAULT=0 build";
   // 0 workers: every lane runs inline on the caller, so when lane 0 draws
   // the injected stall there is no other lane thread that could ever hedge
   // it — only the dedicated hedger thread can. And it is deterministic (no
@@ -430,7 +426,6 @@ TEST(ThreadPool, NestedCallRunsInline) {
   EXPECT_EQ(report.failures, 1u);
   EXPECT_EQ(report.lanes[1].status, LaneStatus::kThrew);
 
-  if (!fault::kFaultCompiledIn) return;
   // 0 workers and a stalled lane 0: the hedger thread runs lane 0's task,
   // and the sort inside it is nested on the hedger thread.
   ThreadPool serial(0);

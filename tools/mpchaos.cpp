@@ -21,9 +21,6 @@
 // --corrupt-manifest crashes mid-run, wrecks both manifest slots, checks
 // the typed ManifestError surfaces on resume, then checks a full restart
 // still sorts. Exit 0 = all drills passed, 1 = violation, 2 = usage.
-//
-// In a MERGEPATH_FAULT=OFF build the crash hooks compile to no-ops: the
-// same invocation must report 1 incarnation and 0 crashes.
 
 #include <algorithm>
 #include <cstdint>
@@ -233,11 +230,8 @@ int run_drills(const Options& opt) {
       return fail("crash loop redid completed work (counter mismatch)");
     if (outcome.report.resumes != outcome.incarnations - 1)
       return fail("resume counter does not match incarnations");
-    if (fault::kFaultCompiledIn && opt.rate > 0.0 &&
-        outcome.incarnations < 2)
-      return fail("crash schedule never fired despite MP_FAULT=1");
-    if (!fault::kFaultCompiledIn && outcome.incarnations != 1)
-      return fail("crash fired in a MERGEPATH_FAULT=OFF build");
+    if (opt.rate > 0.0 && outcome.incarnations < 2)
+      return fail("crash schedule never fired");
     std::cout << "chaos: completed after " << outcome.incarnations
               << " incarnations (" << outcome.incarnations - 1
               << " crashes), output verified ["
@@ -281,8 +275,7 @@ int run_drills(const Options& opt) {
     const std::uint64_t base = pipe.manifest_block();
     try {
       pipe.run();
-      if (fault::kFaultCompiledIn)
-        return fail("scripted crash at step 8 never fired");
+      return fail("scripted crash at step 8 never fired");
     } catch (const pipeline::CrashError&) {
     }
     pipeline::ManifestStore store = pipeline::ManifestStore::attach(

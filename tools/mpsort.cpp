@@ -381,17 +381,17 @@ int run_check(const std::string& path, const std::vector<T>& data,
 }
 
 /// `sort --binary --fault-rate R`: the external-memory pipeline (one
-/// shard, checkpoints off) on a simulated device with a seeded fault
-/// schedule armed. Recoverable faults are retried (the result is still
-/// the exact stable sort); permanent ones exit 1 with the typed
-/// diagnostic.
+/// shard, checkpoints off, runs of 16 Ki records, so any input above that
+/// is merged) on a simulated device with a seeded fault schedule armed.
+/// Recoverable faults are retried (the result is still the exact stable
+/// sort); permanent ones exit 1 with the typed diagnostic.
 int run_fault_sort(const Options& opt) {
   extmem::BlockDevice device;
   fault::FaultPlan plan(
       fault::FaultConfig{opt.fault_seed, opt.fault_rate, 250.0});
   fault::ScopedInjector injector(device, plan);
   pipeline::PipelineConfig config;
-  config.memory_elems = 1 << 20;
+  config.memory_elems = 1 << 14;
   config.shards = 1;
   config.checkpoints = false;
   config.exec = Executor{nullptr, opt.threads};
@@ -404,10 +404,9 @@ int run_fault_sort(const Options& opt) {
               << timer.seconds() * 1e3 << " ms (fault seed "
               << opt.fault_seed << " rate " << opt.fault_rate << ": "
               << device.stats().faults_injected << " faults injected, "
-              << report.io_retries << " retries)\n";
-    if (!fault::kFaultCompiledIn)
-      std::cerr << "mpsort: fault injection compiled out "
-                   "(MERGEPATH_FAULT=OFF); the schedule never fired\n";
+              << report.io_retries << " retries; runs_formed "
+              << report.runs_formed << ", merge_passes "
+              << report.merge_passes << ")\n";
     write_binary(opt.files[1], sorted);
     return 0;
   } catch (const extmem::IoError& error) {
@@ -442,9 +441,6 @@ int run_lane_fault_sort(const Options& opt) {
             << " hedges, " << report.fallback_lanes
             << " sequential fallbacks; schedule-hash "
             << plan.schedule_hash() << ")\n";
-  if (!fault::kFaultCompiledIn)
-    std::cerr << "mpsort: fault injection compiled out "
-                 "(MERGEPATH_FAULT=OFF); the schedule never fired\n";
   write_binary(opt.files[1], data);
   return 0;
 }
@@ -478,13 +474,8 @@ int run_xsort(const Options& opt) {
   if (opt.crash_at >= 0)
     crash_plan.fail_op(static_cast<std::uint64_t>(opt.crash_at),
                        fault::FaultKind::kCrash);
-  if (opt.crash_rate > 0.0 || opt.crash_at >= 0) {
+  if (opt.crash_rate > 0.0 || opt.crash_at >= 0)
     cfg.crash_plan = &crash_plan;
-    if (!fault::kFaultCompiledIn)
-      std::cerr << "mpsort: fault injection compiled out "
-                   "(MERGEPATH_FAULT=OFF); the crash schedule never "
-                   "fires\n";
-  }
 
   const auto load_device = [&](std::uint64_t* base) {
     std::ifstream in(opt.device_path, std::ios::binary);
@@ -638,9 +629,6 @@ int run_command(const std::string& command, const Options& opt) {
 void finalize_observability(const Options& opt) {
   if (!opt.trace_path.empty()) {
     obs::disarm_tracing();
-    if (!obs::kTraceCompiledIn)
-      std::cerr << "mpsort: tracing compiled out (MERGEPATH_TRACE=OFF); "
-                   "writing an empty trace\n";
     obs::write_chrome_trace_file(opt.trace_path);
     std::cerr << "trace written to " << opt.trace_path << "\n";
   }
