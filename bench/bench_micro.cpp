@@ -4,7 +4,7 @@
 // loser tree, multiway selection, the record merge (BM_MergeRecords), the
 // record sort (BM_SortRecords) and its passes (BM_MergePassRecords), and
 // one int32 sort lane (BM_SortI32Lane) —
-// plus the kernel ablation family (BM_KernelMerge32/64/F32/F64 and
+// plus the kernel ablation family (BM_KernelMerge32/64 and
 // BM_SortRuns256) that
 // scripts/bench_kernels.py turns into BENCH_5.json. Carries its own
 // main(): --kernel <name> is stripped before google-benchmark sees argv,
@@ -280,56 +280,6 @@ void run_kernel_merge64(benchmark::State& state, kernels::Kernel kernel) {
                           static_cast<std::int64_t>(state.iterations()));
 }
 
-void run_kernel_merge_f32(benchmark::State& state, kernels::Kernel kernel) {
-  // Total-order float mode row: the pinned keys as floats (monotone
-  // conversion; mantissa rounding adds extra ties, which is the harder
-  // case), merged under TotalOrderLess so dispatch admits the vector
-  // path via the sign-flip key bijection.
-  const auto input = make_merge_input(Dist::kUniform, kAblationN, kAblationN,
-                                      42);
-  std::vector<float> a(kAblationN), b(kAblationN);
-  for (std::size_t k = 0; k < kAblationN; ++k) {
-    a[k] = static_cast<float>(input.a[k]);
-    b[k] = static_cast<float>(input.b[k]);
-  }
-  std::vector<float> out(2 * kAblationN);
-  const kernels::Kernel previous = kernels::selected_kernel();
-  kernels::set_kernel(kernel);
-  for (auto _ : state) {
-    std::size_t i = 0, j = 0;
-    kernels::merge_steps_auto(a.data(), kAblationN, b.data(), kAblationN, &i,
-                              &j, out.data(), 2 * kAblationN,
-                              kernels::TotalOrderLess{});
-    benchmark::DoNotOptimize(out.data());
-  }
-  kernels::set_kernel(previous);
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * kAblationN) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
-void run_kernel_merge_f64(benchmark::State& state, kernels::Kernel kernel) {
-  const auto input = make_merge_input(Dist::kUniform, kAblationN, kAblationN,
-                                      42);
-  std::vector<double> a(kAblationN), b(kAblationN);
-  for (std::size_t k = 0; k < kAblationN; ++k) {
-    a[k] = static_cast<double>(input.a[k]) * 1.25;
-    b[k] = static_cast<double>(input.b[k]) * 1.25;
-  }
-  std::vector<double> out(2 * kAblationN);
-  const kernels::Kernel previous = kernels::selected_kernel();
-  kernels::set_kernel(kernel);
-  for (auto _ : state) {
-    std::size_t i = 0, j = 0;
-    kernels::merge_steps_auto(a.data(), kAblationN, b.data(), kAblationN, &i,
-                              &j, out.data(), 2 * kAblationN,
-                              kernels::TotalOrderLess{});
-    benchmark::DoNotOptimize(out.data());
-  }
-  kernels::set_kernel(previous);
-  state.SetItemsProcessed(static_cast<std::int64_t>(2 * kAblationN) *
-                          static_cast<std::int64_t>(state.iterations()));
-}
-
 // Run formation up to 256-key sorted runs, the width of one AVX-512
 // int32 register block: 64 Ki keys sorted as independent 256-key runs by
 // sequential_merge_sort, fresh (unsorted) bytes every iteration via a
@@ -539,16 +489,6 @@ void register_kernel_ablation(bool restrict_to_selected) {
         ("BM_KernelMerge64/" + name).c_str(),
         [kernel](benchmark::State& state) {
           run_kernel_merge64(state, kernel);
-        });
-    benchmark::RegisterBenchmark(
-        ("BM_KernelMergeF32/" + name).c_str(),
-        [kernel](benchmark::State& state) {
-          run_kernel_merge_f32(state, kernel);
-        });
-    benchmark::RegisterBenchmark(
-        ("BM_KernelMergeF64/" + name).c_str(),
-        [kernel](benchmark::State& state) {
-          run_kernel_merge_f64(state, kernel);
         });
     benchmark::RegisterBenchmark(
         ("BM_SortRuns256/" + name).c_str(),

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <type_traits>
+#include <functional>
+#include <limits>
 
 #include "kernels/simd_entry.hpp"
 #include "kernels/sort_network.hpp"
@@ -103,20 +104,15 @@ namespace detail {
 
 namespace {
 
-/// The comparator an admitted key merges under: totalOrder for float and
-/// double, < for the integers.
-template <typename Key>
-using KeyLess = std::conditional_t<std::is_floating_point_v<Key>,
-                                   TotalOrderLess, std::less<>>;
-
 /// The step policy of a vector kernel for chain_merge: its ISA TU's
-/// interleaved loop and the window width W (one vector of keys).
+/// interleaved loop and the window width W (one vector of keys), for
+/// int32 or int64 keys under <.
 template <typename Key>
 struct VectorStep {
   static constexpr std::size_t kChains = kVectorChains;
   AdvanceFn<Key>* advance_fn = nullptr;
   std::size_t w = 0;
-  KeyLess<Key> comp;
+  std::less<> comp;
 
   std::size_t width() const { return w; }
   static constexpr std::size_t min_steps() { return kVectorChainedMinSteps; }
@@ -185,17 +181,9 @@ using VectorMergePassFn = bool(Kernel, const Key*, Key*, std::size_t,
                                std::size_t);
 
 template VectorMergeStepsFn<std::int32_t> vector_merge_steps<std::int32_t>;
-template VectorMergeStepsFn<std::uint32_t> vector_merge_steps<std::uint32_t>;
 template VectorMergeStepsFn<std::int64_t> vector_merge_steps<std::int64_t>;
-template VectorMergeStepsFn<std::uint64_t> vector_merge_steps<std::uint64_t>;
-template VectorMergeStepsFn<float> vector_merge_steps<float>;
-template VectorMergeStepsFn<double> vector_merge_steps<double>;
 template VectorMergePassFn<std::int32_t> vector_merge_pass<std::int32_t>;
-template VectorMergePassFn<std::uint32_t> vector_merge_pass<std::uint32_t>;
 template VectorMergePassFn<std::int64_t> vector_merge_pass<std::int64_t>;
-template VectorMergePassFn<std::uint64_t> vector_merge_pass<std::uint64_t>;
-template VectorMergePassFn<float> vector_merge_pass<float>;
-template VectorMergePassFn<double> vector_merge_pass<double>;
 
 template <typename Key>
 std::size_t simd_sort_runs(Kernel kernel, Key* data, std::size_t n) {
@@ -229,13 +217,16 @@ std::size_t simd_sort_runs(Kernel kernel, Key* data, std::size_t n) {
   const std::size_t begin = full * width;
   if (n - begin > 1) {
     // The tail goes through the smallest power-of-two block that holds
-    // it, padded with the order's maximum: the pads sort to the back, so
-    // the first n - begin outputs are the sorted tail.
+    // it, padded with the key type's maximum: the pads sort to the back,
+    // so the first n - begin outputs are the sorted tail (a real key equal
+    // to the pad is bitwise identical to it, so the prefix is still
+    // right).
     std::size_t regs = 1;
     while (regs * lanes < n - begin) regs *= 2;
     alignas(64) Key buf[kSortRegisters * 64 / sizeof(Key)];
     std::copy(data + begin, data + n, buf);
-    std::fill(buf + (n - begin), buf + regs * lanes, sort_pad_max<Key>());
+    std::fill(buf + (n - begin), buf + regs * lanes,
+              std::numeric_limits<Key>::max());
     sort_blocks(buf, 1, regs);
     std::copy(buf, buf + (n - begin), data + begin);
   }
@@ -246,11 +237,7 @@ template <typename Key>
 using SimdSortRunsFn = std::size_t(Kernel, Key*, std::size_t);
 
 template SimdSortRunsFn<std::int32_t> simd_sort_runs<std::int32_t>;
-template SimdSortRunsFn<std::uint32_t> simd_sort_runs<std::uint32_t>;
 template SimdSortRunsFn<std::int64_t> simd_sort_runs<std::int64_t>;
-template SimdSortRunsFn<std::uint64_t> simd_sort_runs<std::uint64_t>;
-template SimdSortRunsFn<float> simd_sort_runs<float>;
-template SimdSortRunsFn<double> simd_sort_runs<double>;
 
 }  // namespace detail
 }  // namespace mp::kernels

@@ -33,21 +33,18 @@
 ///
 /// Dispatch layers (docs/PERFORMANCE.md):
 ///   - compile time: use_vector_merge_v — the vector path exists only for
-///     32/64-bit integral keys under std::less with contiguous iterators,
-///     plus float/double keys under the opt-in TotalOrderLess comparator
-///     (the IEEE totalOrder sign-flip bijection makes equal keys bitwise
-///     identical again, which is what the byte-exactness proof needs).
-///     Those merges take the selected kernel's chained merge:
-///     merge_steps_auto through detail::vector_merge_steps (one merge),
-///     merge_pass_auto through detail::vector_merge_pass (a whole
-///     merge-sort pass, chains crossing pair boundaries). Payload merges
-///     (KeyedRecord), custom comparators and floats under plain std::less
-///     (equal floats need not be bitwise identical: -0.0/+0.0, and NaN
-///     breaks strict weak order) take the same body with the scalar
-///     mask-select step (detail::ScalarStep, width 1, A-priority stable
-///     like merge_steps) when all three iterators are random access:
-///     merge_steps_auto for calls of at least kChainedMinSteps steps,
-///     merge_pass_auto for every pass; anything else runs merge_steps.
+///     signed 32- and 64-bit integral keys (int32, int64: the keys the
+///     programs sort) under std::less with contiguous iterators. Those
+///     merges take the selected kernel's chained merge: merge_steps_auto
+///     through detail::vector_merge_steps (one merge), merge_pass_auto
+///     through detail::vector_merge_pass (a whole merge-sort pass, chains
+///     crossing pair boundaries). Payload merges (KeyedRecord), custom
+///     comparators, unsigned keys and floats take the same body with the
+///     scalar mask-select step (detail::ScalarStep, width 1, A-priority
+///     stable like merge_steps) when all three iterators are random
+///     access: merge_steps_auto for calls of at least kChainedMinSteps
+///     steps, merge_pass_auto for every pass; anything else runs
+///     merge_steps.
 ///     Their passes of width <= kParityMaxWidth (the records sort's 8-,
 ///     16-, 32- and 64-wide passes) first merge every whole group of
 ///     kParityPairs pairs as parity groups (detail::parity_group: each
@@ -62,7 +59,6 @@
 /// Nothing here counts operations; the PRAM model counts merge_steps.
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -136,110 +132,47 @@ std::string kernel_banner();
 
 namespace detail {
 
-/// The IEEE-754 totalOrder sign-flip bijection: maps float bit patterns
-/// to unsigned integers whose < order is exactly totalOrder(x, y) —
-/// positive values get the sign bit set (shifting them above every
-/// negative), negative values are bitwise complemented (reversing their
-/// descending bit-pattern order). -NaN < -inf < ... < -0.0 < +0.0 < ...
-/// < +inf < +NaN, with NaN payloads ordered by significand. The map is a
-/// bijection, so totalOrder-equal keys are bitwise identical — the
-/// property that lets float merges ride the integer vector kernels.
-inline std::uint32_t total_order_key(float x) {
-  const auto bits = std::bit_cast<std::uint32_t>(x);
-  const auto mask =
-      static_cast<std::uint32_t>(static_cast<std::int32_t>(bits) >> 31);
-  return bits ^ (mask | 0x80000000u);
-}
-inline std::uint64_t total_order_key(double x) {
-  const auto bits = std::bit_cast<std::uint64_t>(x);
-  const auto mask =
-      static_cast<std::uint64_t>(static_cast<std::int64_t>(bits) >> 63);
-  return bits ^ (mask | 0x8000000000000000ull);
-}
-
-}  // namespace detail
-
-/// Opt-in total-order comparator: IEEE totalOrder for float/double
-/// (strict weak — in fact total — even with NaNs and signed zeros, which
-/// plain std::less is not), plain < for every other type. Merges and
-/// small sorts invoked with this comparator on contiguous float/double
-/// keys are admitted to the integer vector kernels via the sign-flip
-/// bijection; everything about the byte-exactness contract carries over
-/// because totalOrder-equal keys are bitwise identical.
-struct TotalOrderLess {
-  bool operator()(float x, float y) const {
-    return detail::total_order_key(x) < detail::total_order_key(y);
-  }
-  bool operator()(double x, double y) const {
-    return detail::total_order_key(x) < detail::total_order_key(y);
-  }
-  template <typename T>
-  bool operator()(const T& x, const T& y) const {
-    return x < y;
-  }
-};
-
-namespace detail {
-
-/// Register-resident run formation of `kernel` for one of the six
-/// admitted key types (defined and explicitly instantiated in
-/// dispatch.cpp, which routes to the per-ISA TUs): sorts every aligned
-/// block of W keys of [data, data+n) in place, a short last block
-/// included, and returns W — 16 registers' worth of keys, so 256 int32
-/// under AVX-512 — or 0 without touching `data` when `kernel` has no
-/// register sort here (scalar, compiled out). The float and
-/// double sorts apply the sign-flip bijection on load and invert it
-/// before the store, like the vector merges.
+/// Register-resident run formation of `kernel` for int32 or int64 keys
+/// (defined and explicitly instantiated in dispatch.cpp, which routes to
+/// the per-ISA TUs): sorts every aligned block of W keys of [data,
+/// data+n) in place, a short last block included, and returns W — 16
+/// registers' worth of keys, so 256 int32 under AVX-512 — or 0 without
+/// touching `data` when `kernel` has no register sort here (scalar,
+/// compiled out).
 template <typename Key>
 std::size_t simd_sort_runs(Kernel kernel, Key* data, std::size_t n);
 
-/// The key an admitted T merges and sorts as in the vector kernels: float
-/// and double as themselves, integers as the same-size, same-signedness
-/// fixed-width type. The ISA TUs load through may_alias vector types, and
-/// dispatch.cpp, which reads and writes keys as simd_key_t in the chained
-/// merges, is compiled with -fno-strict-aliasing, so reinterpreting a T
-/// buffer as its simd_key_t carries no TBAA hazard.
+/// The key an admitted T merges and sorts as in the vector kernels: the
+/// fixed-width signed integer of its size (int, long and long long all
+/// land on int32 or int64). The ISA TUs load through may_alias vector
+/// types, and dispatch.cpp, which reads and writes keys as simd_key_t in
+/// the chained merges, is compiled with -fno-strict-aliasing, so
+/// reinterpreting a T buffer as its simd_key_t carries no TBAA hazard.
 template <typename T>
-using simd_key_t = std::conditional_t<
-    std::is_floating_point_v<T>, T,
-    std::conditional_t<
-        sizeof(T) == 4,
-        std::conditional_t<std::is_signed_v<T>, std::int32_t, std::uint32_t>,
-        std::conditional_t<std::is_signed_v<T>, std::int64_t,
-                           std::uint64_t>>>;
+using simd_key_t =
+    std::conditional_t<sizeof(T) == 4, std::int32_t, std::int64_t>;
 
 }  // namespace detail
 
-/// Compile-time gate of the vector path. Evaluates to true only for the
-/// byte-exactness-provable cases, through contiguous iterators on all
-/// three sides:
-///   - bare 32/64-bit integral keys (bool excluded) under std::less, and
-///   - float/double keys under the opt-in TotalOrderLess comparator (the
-///     total-order float mode: the sign-flip bijection makes equal keys
-///     bitwise identical, restoring the integer argument).
-/// Everything else — payload records, custom comparators, floats under
-/// std::less — stays on the scalar kernel, where no payload can be
-/// reordered across equal keys.
+/// Compile-time gate of the vector path. Evaluates to true only for bare
+/// signed 32- and 64-bit integral keys (int32 and int64: the keys the
+/// programs sort) under std::less, through contiguous iterators on all
+/// three sides. Equal keys are then bitwise identical, which is what the
+/// byte-exactness proof needs. Everything else — payload records, custom
+/// comparators, unsigned keys, floats — stays on the scalar kernel, where
+/// no payload can be reordered across equal keys.
 template <typename IterA, typename IterB, typename OutIter, typename Comp>
 inline constexpr bool use_vector_merge_v = [] {
   if constexpr (std::contiguous_iterator<IterA> &&
                 std::contiguous_iterator<IterB> &&
                 std::contiguous_iterator<OutIter>) {
     using T = std::remove_cv_t<std::iter_value_t<OutIter>>;
-    if constexpr (!std::is_same_v<std::remove_cv_t<std::iter_value_t<IterA>>,
-                                  T> ||
-                  !std::is_same_v<std::remove_cv_t<std::iter_value_t<IterB>>,
-                                  T>) {
-      return false;
-    } else if constexpr (std::is_same_v<T, float> ||
-                         std::is_same_v<T, double>) {
-      return std::is_same_v<Comp, TotalOrderLess>;
-    } else {
-      return std::is_integral_v<T> && !std::is_same_v<T, bool> &&
-             (sizeof(T) == 4 || sizeof(T) == 8) &&
-             (std::is_same_v<Comp, std::less<>> ||
-              std::is_same_v<Comp, std::less<T>>);
-    }
+    return std::is_same_v<std::remove_cv_t<std::iter_value_t<IterA>>, T> &&
+           std::is_same_v<std::remove_cv_t<std::iter_value_t<IterB>>, T> &&
+           std::is_integral_v<T> && std::is_signed_v<T> &&
+           (sizeof(T) == 4 || sizeof(T) == 8) &&
+           (std::is_same_v<Comp, std::less<>> ||
+            std::is_same_v<Comp, std::less<T>>);
   } else {
     return false;
   }
@@ -614,14 +547,11 @@ void parity_merge_pass(const T* src, T* dst, std::size_t n, std::size_t width,
     chained_merge_pass(src + done, dst + done, n - done, width, step);
 }
 
-/// The chained vector merge of `kernel` for one of the six admitted key
-/// types (defined and explicitly instantiated in dispatch.cpp): exactly
-/// `steps` outputs from (*a_pos, *b_pos), bytes and cursors equal to
-/// merge_steps() under std::less (TotalOrderLess for float and double).
-/// Returns false, touching nothing, when `kernel` has no vector merge here
-/// (scalar, or its TU compiled out). The float and double steps apply the
-/// sign-flip bijection on load, run the unsigned integer window merge and
-/// invert it before the store.
+/// The chained vector merge of `kernel` for int32 or int64 keys (defined
+/// and explicitly instantiated in dispatch.cpp): exactly `steps` outputs
+/// from (*a_pos, *b_pos), bytes and cursors equal to merge_steps() under
+/// std::less. Returns false, touching nothing, when `kernel` has no vector
+/// merge here (scalar, or its TU compiled out).
 template <typename Key>
 bool vector_merge_steps(Kernel kernel, const Key* a, std::size_t m,
                         const Key* b, std::size_t n, std::size_t* a_pos,

@@ -34,15 +34,6 @@ namespace {
 
 // ---------------------------------------------------------------- 32-bit
 
-struct MinMaxI32 {
-  static __m256i mn(__m256i x, __m256i y) { return _mm256_min_epi32(x, y); }
-  static __m256i mx(__m256i x, __m256i y) { return _mm256_max_epi32(x, y); }
-};
-struct MinMaxU32 {
-  static __m256i mn(__m256i x, __m256i y) { return _mm256_min_epu32(x, y); }
-  static __m256i mx(__m256i x, __m256i y) { return _mm256_max_epu32(x, y); }
-};
-
 inline __m256i reverse_epi32(__m256i v) {
   return _mm256_permutevar8x32_epi32(v,
                                      _mm256_setr_epi32(7, 6, 5, 4, 3, 2, 1, 0));
@@ -51,33 +42,35 @@ inline __m256i reverse_epi32(__m256i v) {
 // Ascending sort of an 8-lane bitonic sequence: exchanges at distances
 // 4, 2, 1. Each level pairs lane t with lane t^dist; the lower lane of
 // each pair keeps the min (blend mask selects the max into the upper).
-template <typename Ops>
 inline __m256i sort_bitonic_epi32(__m256i v) {
   __m256i sw = _mm256_permute2x128_si256(v, v, 0x01);  // distance 4
-  v = _mm256_blend_epi32(Ops::mn(v, sw), Ops::mx(v, sw), 0xF0);
+  v = _mm256_blend_epi32(_mm256_min_epi32(v, sw), _mm256_max_epi32(v, sw),
+                         0xF0);
   sw = _mm256_shuffle_epi32(v, _MM_SHUFFLE(1, 0, 3, 2));  // distance 2
-  v = _mm256_blend_epi32(Ops::mn(v, sw), Ops::mx(v, sw), 0xCC);
+  v = _mm256_blend_epi32(_mm256_min_epi32(v, sw), _mm256_max_epi32(v, sw),
+                         0xCC);
   sw = _mm256_shuffle_epi32(v, _MM_SHUFFLE(2, 3, 0, 1));  // distance 1
-  v = _mm256_blend_epi32(Ops::mn(v, sw), Ops::mx(v, sw), 0xAA);
+  v = _mm256_blend_epi32(_mm256_min_epi32(v, sw), _mm256_max_epi32(v, sw),
+                         0xAA);
   return v;
 }
 
-template <typename Key, typename Ops>
 struct Avx2Step32 {
   static constexpr std::size_t kWidth = 8;
-  static std::size_t step(const Key* pa, const Key* pb, Key* po) {
+  static std::size_t step(const std::int32_t* pa, const std::int32_t* pb,
+                          std::int32_t* po) {
     const __m256i va =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
     const __m256i vb =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
     const __m256i vbr = reverse_epi32(vb);
-    const __m256i lo = Ops::mn(va, vbr);
+    const __m256i lo = _mm256_min_epi32(va, vbr);
     // Lane t took from A iff min(va,vbr) == va there, i.e. a <= b (ties
     // land on A: min picks va when equal).
     const int take_a = _mm256_movemask_ps(
         _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, va)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(po),
-                        sort_bitonic_epi32<Ops>(lo));
+                        sort_bitonic_epi32(lo));
     return static_cast<std::size_t>(
         __builtin_popcount(static_cast<unsigned>(take_a)));
   }
@@ -85,26 +78,11 @@ struct Avx2Step32 {
 
 // ---------------------------------------------------------------- 64-bit
 
-struct CmpI64 {
-  static __m256i gt(__m256i x, __m256i y) { return _mm256_cmpgt_epi64(x, y); }
-};
-struct CmpU64 {
-  // AVX2 has no unsigned 64-bit compare: bias both sides by 2^63.
-  static __m256i gt(__m256i x, __m256i y) {
-    const __m256i bias = _mm256_set1_epi64x(
-        static_cast<long long>(0x8000000000000000ULL));
-    return _mm256_cmpgt_epi64(_mm256_xor_si256(x, bias),
-                              _mm256_xor_si256(y, bias));
-  }
-};
-
-template <typename Cmp>
 inline __m256i min_epi64(__m256i x, __m256i y) {
-  return _mm256_blendv_epi8(x, y, Cmp::gt(x, y));  // y where x > y
+  return _mm256_blendv_epi8(x, y, _mm256_cmpgt_epi64(x, y));  // y where x > y
 }
-template <typename Cmp>
 inline __m256i max_epi64(__m256i x, __m256i y) {
-  return _mm256_blendv_epi8(y, x, Cmp::gt(x, y));  // x where x > y
+  return _mm256_blendv_epi8(y, x, _mm256_cmpgt_epi64(x, y));  // x where x > y
 }
 
 inline __m256i reverse_epi64(__m256i v) {
@@ -112,148 +90,34 @@ inline __m256i reverse_epi64(__m256i v) {
 }
 
 // Ascending sort of a 4-lane bitonic sequence: distances 2, 1.
-template <typename Cmp>
 inline __m256i sort_bitonic_epi64(__m256i v) {
   __m256i sw = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(1, 0, 3, 2));
-  v = _mm256_blend_epi32(min_epi64<Cmp>(v, sw), max_epi64<Cmp>(v, sw), 0xF0);
+  v = _mm256_blend_epi32(min_epi64(v, sw), max_epi64(v, sw), 0xF0);
   sw = _mm256_permute4x64_epi64(v, _MM_SHUFFLE(2, 3, 0, 1));
-  v = _mm256_blend_epi32(min_epi64<Cmp>(v, sw), max_epi64<Cmp>(v, sw), 0xCC);
+  v = _mm256_blend_epi32(min_epi64(v, sw), max_epi64(v, sw), 0xCC);
   return v;
 }
 
-template <typename Key, typename Cmp>
 struct Avx2Step64 {
   static constexpr std::size_t kWidth = 4;
-  static std::size_t step(const Key* pa, const Key* pb, Key* po) {
+  static std::size_t step(const std::int64_t* pa, const std::int64_t* pb,
+                          std::int64_t* po) {
     const __m256i va =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa));
     const __m256i vb =
         _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb));
     const __m256i vbr = reverse_epi64(vb);
     // a <= b is the complement of a > b lane-wise.
-    const int gt_mask = _mm256_movemask_pd(_mm256_castsi256_pd(
-        Cmp::gt(va, vbr)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(po),
-        sort_bitonic_epi64<Cmp>(min_epi64<Cmp>(va, vbr)));
-    return kWidth - static_cast<std::size_t>(
-                        __builtin_popcount(static_cast<unsigned>(gt_mask)));
-  }
-};
-
-// ----------------------------------------------------------------- float
-// Total-order float mode: sign-flip bijection on load (non-negative:
-// flip the sign bit; negative: flip all bits), unsigned window merge on
-// the keys, inverse map before the store. Unsigned order on keys equals
-// IEEE totalOrder on the floats; see merge_sse4.cpp for the scalar-side
-// contract.
-
-inline __m256i f32_to_key(__m256i v) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  return _mm256_xor_si256(v, _mm256_or_si256(_mm256_srai_epi32(v, 31), bias));
-}
-inline __m256i f32_from_key(__m256i k) {
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000u));
-  const __m256i inv =
-      _mm256_xor_si256(_mm256_srai_epi32(k, 31), _mm256_set1_epi32(-1));
-  return _mm256_xor_si256(k, _mm256_or_si256(inv, bias));
-}
-
-// AVX2 has no 64-bit arithmetic shift; cmpgt against zero builds the
-// all-ones-when-negative lane mask instead.
-inline __m256i f64_to_key(__m256i v) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m256i mask = _mm256_cmpgt_epi64(_mm256_setzero_si256(), v);
-  return _mm256_xor_si256(v, _mm256_or_si256(mask, bias));
-}
-inline __m256i f64_from_key(__m256i k) {
-  const __m256i bias = _mm256_set1_epi64x(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m256i inv =
-      _mm256_xor_si256(_mm256_cmpgt_epi64(_mm256_setzero_si256(), k),
-                       _mm256_set1_epi32(-1));
-  return _mm256_xor_si256(k, _mm256_or_si256(inv, bias));
-}
-
-struct Avx2StepF32 {
-  static constexpr std::size_t kWidth = 8;
-  static std::size_t step(const float* pa, const float* pb, float* po) {
-    const __m256i va = f32_to_key(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa)));
-    const __m256i vb = f32_to_key(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb)));
-    const __m256i vbr = reverse_epi32(vb);
-    const __m256i lo = MinMaxU32::mn(va, vbr);
-    const int take_a = _mm256_movemask_ps(
-        _mm256_castsi256_ps(_mm256_cmpeq_epi32(lo, va)));
+    const int gt_mask =
+        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(va, vbr)));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(po),
-                        f32_from_key(sort_bitonic_epi32<MinMaxU32>(lo)));
-    return static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(take_a)));
-  }
-};
-
-struct Avx2StepF64 {
-  static constexpr std::size_t kWidth = 4;
-  static std::size_t step(const double* pa, const double* pb, double* po) {
-    const __m256i va = f64_to_key(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pa)));
-    const __m256i vb = f64_to_key(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(pb)));
-    const __m256i vbr = reverse_epi64(vb);
-    const int gt_mask = _mm256_movemask_pd(_mm256_castsi256_pd(
-        CmpU64::gt(va, vbr)));
-    _mm256_storeu_si256(
-        reinterpret_cast<__m256i*>(po),
-        f64_from_key(sort_bitonic_epi64<CmpU64>(min_epi64<CmpU64>(va, vbr))));
+                        sort_bitonic_epi64(min_epi64(va, vbr)));
     return kWidth - static_cast<std::size_t>(
                         __builtin_popcount(static_cast<unsigned>(gt_mask)));
   }
-};
-
-/// The vector step each admitted key type merges with.
-template <typename Key>
-struct Avx2Steps;
-template <>
-struct Avx2Steps<std::int32_t> {
-  using type = Avx2Step32<std::int32_t, MinMaxI32>;
-};
-template <>
-struct Avx2Steps<std::uint32_t> {
-  using type = Avx2Step32<std::uint32_t, MinMaxU32>;
-};
-template <>
-struct Avx2Steps<std::int64_t> {
-  using type = Avx2Step64<std::int64_t, CmpI64>;
-};
-template <>
-struct Avx2Steps<std::uint64_t> {
-  using type = Avx2Step64<std::uint64_t, CmpU64>;
-};
-template <>
-struct Avx2Steps<float> {
-  using type = Avx2StepF32;
-};
-template <>
-struct Avx2Steps<double> {
-  using type = Avx2StepF64;
 };
 
 // --------------------------------------------------------- register sort
-
-struct NoMap {
-  static __m256i to_key(__m256i v) { return v; }
-  static __m256i from_key(__m256i v) { return v; }
-};
-struct F32Map {
-  static __m256i to_key(__m256i v) { return f32_to_key(v); }
-  static __m256i from_key(__m256i k) { return f32_from_key(k); }
-};
-struct F64Map {
-  static __m256i to_key(__m256i v) { return f64_to_key(v); }
-  static __m256i from_key(__m256i k) { return f64_from_key(k); }
-};
 
 /// The permutevar8x32 index vector that moves lane t ^ X into lane t.
 template <unsigned X, std::size_t... T>
@@ -263,23 +127,22 @@ inline __m256i xor_index_epi32(std::index_sequence<T...>) {
   return _mm256_load_si256(reinterpret_cast<const __m256i*>(kIndex));
 }
 
-template <typename Key, typename Map>
+template <typename Key>
 struct Avx2Sort {
   using V = __m256i;
   static V load(const Key* p) {
-    return Map::to_key(_mm256_loadu_si256(reinterpret_cast<const V*>(p)));
+    return _mm256_loadu_si256(reinterpret_cast<const V*>(p));
   }
   static void store(Key* p, V v) {
-    _mm256_storeu_si256(reinterpret_cast<V*>(p), Map::from_key(v));
+    _mm256_storeu_si256(reinterpret_cast<V*>(p), v);
   }
 };
 
-template <typename Key, typename Ops, typename Map>
-struct Avx2Sort32 : Avx2Sort<Key, Map> {
+struct Avx2Sort32 : Avx2Sort<std::int32_t> {
   using V = __m256i;
   static constexpr std::size_t kLanes = 8;
-  static V min(V x, V y) { return Ops::mn(x, y); }
-  static V max(V x, V y) { return Ops::mx(x, y); }
+  static V min(V x, V y) { return _mm256_min_epi32(x, y); }
+  static V max(V x, V y) { return _mm256_max_epi32(x, y); }
   template <unsigned X>
   static V permute_xor(V v) {
     if constexpr (X < 4) {  // inside 128-bit halves
@@ -297,12 +160,11 @@ struct Avx2Sort32 : Avx2Sort<Key, Map> {
   }
 };
 
-template <typename Key, typename Cmp, typename Map>
-struct Avx2Sort64 : Avx2Sort<Key, Map> {
+struct Avx2Sort64 : Avx2Sort<std::int64_t> {
   using V = __m256i;
   static constexpr std::size_t kLanes = 4;
-  static V min(V x, V y) { return min_epi64<Cmp>(x, y); }
-  static V max(V x, V y) { return max_epi64<Cmp>(x, y); }
+  static V min(V x, V y) { return min_epi64(x, y); }
+  static V max(V x, V y) { return max_epi64(x, y); }
   template <unsigned X>
   static V permute_xor(V v) {
     if constexpr (X == 1) {  // swap the 64-bit halves of each 128 bits
@@ -317,51 +179,21 @@ struct Avx2Sort64 : Avx2Sort<Key, Map> {
   }
 };
 
-/// The register-sort traits of each admitted key type.
-template <typename Key>
-struct Avx2Sorts;
-template <>
-struct Avx2Sorts<std::int32_t> {
-  using type = Avx2Sort32<std::int32_t, MinMaxI32, NoMap>;
-};
-template <>
-struct Avx2Sorts<std::uint32_t> {
-  using type = Avx2Sort32<std::uint32_t, MinMaxU32, NoMap>;
-};
-template <>
-struct Avx2Sorts<std::int64_t> {
-  using type = Avx2Sort64<std::int64_t, CmpI64, NoMap>;
-};
-template <>
-struct Avx2Sorts<std::uint64_t> {
-  using type = Avx2Sort64<std::uint64_t, CmpU64, NoMap>;
-};
-template <>
-struct Avx2Sorts<float> {
-  using type = Avx2Sort32<float, MinMaxU32, F32Map>;
-};
-template <>
-struct Avx2Sorts<double> {
-  using type = Avx2Sort64<double, CmpU64, F64Map>;
-};
-
 }  // namespace
 
 template <typename Key>
 void avx2_sort_blocks(Key* data, std::size_t blocks, std::size_t regs) {
-  sort_register_blocks<typename Avx2Sorts<Key>::type>(data, blocks, regs);
+  using Sort = std::conditional_t<sizeof(Key) == 4, Avx2Sort32, Avx2Sort64>;
+  sort_register_blocks<Sort>(data, blocks, regs);
 }
 
 template SortBlocksFn<std::int32_t> avx2_sort_blocks<std::int32_t>;
-template SortBlocksFn<std::uint32_t> avx2_sort_blocks<std::uint32_t>;
 template SortBlocksFn<std::int64_t> avx2_sort_blocks<std::int64_t>;
-template SortBlocksFn<std::uint64_t> avx2_sort_blocks<std::uint64_t>;
-template SortBlocksFn<float> avx2_sort_blocks<float>;
-template SortBlocksFn<double> avx2_sort_blocks<double>;
 
 template <typename Key>
 void avx2_advance(VectorCursor<Key>* ch, std::size_t live) {
-  WindowStep<typename Avx2Steps<Key>::type> step;
+  WindowStep<std::conditional_t<sizeof(Key) == 4, Avx2Step32, Avx2Step64>>
+      step;
   if (live == kVectorChains)
     chain_advance<kVectorChains>(ch, step);
   else
@@ -369,10 +201,6 @@ void avx2_advance(VectorCursor<Key>* ch, std::size_t live) {
 }
 
 template AdvanceFn<std::int32_t> avx2_advance<std::int32_t>;
-template AdvanceFn<std::uint32_t> avx2_advance<std::uint32_t>;
 template AdvanceFn<std::int64_t> avx2_advance<std::int64_t>;
-template AdvanceFn<std::uint64_t> avx2_advance<std::uint64_t>;
-template AdvanceFn<float> avx2_advance<float>;
-template AdvanceFn<double> avx2_advance<double>;
 
 }  // namespace mp::kernels::detail

@@ -18,11 +18,6 @@
 // Equal keys compare with <= so ties are taken from A — the same
 // A-priority rule as merge_steps().
 //
-// The f32/f64 entry points implement the total-order float mode: the
-// sign-flip bijection runs on load (AVX-512 has the 64-bit arithmetic
-// shift the narrower ISAs lack), the window merge runs on unsigned keys,
-// and the inverse map runs before the store.
-//
 // The register sort (simd_sort_common.hpp) runs here at full width: 16 zmm
 // x 16 int32 = 256 keys, or 16 x 8 = 128 for 64-bit keys, per block.
 
@@ -38,21 +33,6 @@ namespace {
 
 // ---------------------------------------------------------------- 32-bit
 
-struct OpsI32 {
-  static __m512i mn(__m512i x, __m512i y) { return _mm512_min_epi32(x, y); }
-  static __m512i mx(__m512i x, __m512i y) { return _mm512_max_epi32(x, y); }
-  static __mmask16 le(__m512i x, __m512i y) {
-    return _mm512_cmple_epi32_mask(x, y);
-  }
-};
-struct OpsU32 {
-  static __m512i mn(__m512i x, __m512i y) { return _mm512_min_epu32(x, y); }
-  static __m512i mx(__m512i x, __m512i y) { return _mm512_max_epu32(x, y); }
-  static __mmask16 le(__m512i x, __m512i y) {
-    return _mm512_cmple_epu32_mask(x, y);
-  }
-};
-
 inline __m512i reverse_epi32(__m512i v) {
   return _mm512_permutexvar_epi32(
       _mm512_setr_epi32(15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0),
@@ -62,28 +42,31 @@ inline __m512i reverse_epi32(__m512i v) {
 // Ascending sort of a 16-lane bitonic sequence: exchanges at distances
 // 8, 4, 2, 1. Each level pairs lane t with lane t^dist; the mask marks
 // the upper lane of each pair (t & dist != 0), which keeps the max.
-template <typename Ops>
 inline __m512i sort_bitonic_epi32(__m512i v) {
   __m512i sw = _mm512_shuffle_i32x4(v, v, _MM_SHUFFLE(1, 0, 3, 2));  // d=8
-  v = _mm512_mask_mov_epi32(Ops::mn(v, sw), 0xFF00, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi32(_mm512_min_epi32(v, sw), 0xFF00,
+                            _mm512_max_epi32(v, sw));
   sw = _mm512_shuffle_i32x4(v, v, _MM_SHUFFLE(2, 3, 0, 1));  // d=4
-  v = _mm512_mask_mov_epi32(Ops::mn(v, sw), 0xF0F0, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi32(_mm512_min_epi32(v, sw), 0xF0F0,
+                            _mm512_max_epi32(v, sw));
   sw = _mm512_shuffle_epi32(v, _MM_PERM_BADC);  // d=2
-  v = _mm512_mask_mov_epi32(Ops::mn(v, sw), 0xCCCC, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi32(_mm512_min_epi32(v, sw), 0xCCCC,
+                            _mm512_max_epi32(v, sw));
   sw = _mm512_shuffle_epi32(v, _MM_PERM_CDAB);  // d=1
-  v = _mm512_mask_mov_epi32(Ops::mn(v, sw), 0xAAAA, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi32(_mm512_min_epi32(v, sw), 0xAAAA,
+                            _mm512_max_epi32(v, sw));
   return v;
 }
 
-template <typename Key, typename Ops>
 struct Avx512Step32 {
   static constexpr std::size_t kWidth = 16;
-  static std::size_t step(const Key* pa, const Key* pb, Key* po) {
+  static std::size_t step(const std::int32_t* pa, const std::int32_t* pb,
+                          std::int32_t* po) {
     const __m512i va = _mm512_loadu_si512(pa);
     const __m512i vb = _mm512_loadu_si512(pb);
     const __m512i vbr = reverse_epi32(vb);
-    const __mmask16 take_a = Ops::le(va, vbr);
-    _mm512_storeu_si512(po, sort_bitonic_epi32<Ops>(Ops::mn(va, vbr)));
+    const __mmask16 take_a = _mm512_cmple_epi32_mask(va, vbr);
+    _mm512_storeu_si512(po, sort_bitonic_epi32(_mm512_min_epi32(va, vbr)));
     return static_cast<std::size_t>(
         __builtin_popcount(static_cast<unsigned>(take_a)));
   }
@@ -91,150 +74,40 @@ struct Avx512Step32 {
 
 // ---------------------------------------------------------------- 64-bit
 
-struct OpsI64 {
-  static __m512i mn(__m512i x, __m512i y) { return _mm512_min_epi64(x, y); }
-  static __m512i mx(__m512i x, __m512i y) { return _mm512_max_epi64(x, y); }
-  static __mmask8 le(__m512i x, __m512i y) {
-    return _mm512_cmple_epi64_mask(x, y);
-  }
-};
-struct OpsU64 {
-  static __m512i mn(__m512i x, __m512i y) { return _mm512_min_epu64(x, y); }
-  static __m512i mx(__m512i x, __m512i y) { return _mm512_max_epu64(x, y); }
-  static __mmask8 le(__m512i x, __m512i y) {
-    return _mm512_cmple_epu64_mask(x, y);
-  }
-};
-
 inline __m512i reverse_epi64(__m512i v) {
   return _mm512_permutexvar_epi64(_mm512_setr_epi64(7, 6, 5, 4, 3, 2, 1, 0),
                                   v);
 }
 
 // Ascending sort of an 8-lane bitonic sequence: distances 4, 2, 1.
-template <typename Ops>
 inline __m512i sort_bitonic_epi64(__m512i v) {
   __m512i sw = _mm512_shuffle_i64x2(v, v, _MM_SHUFFLE(1, 0, 3, 2));  // d=4
-  v = _mm512_mask_mov_epi64(Ops::mn(v, sw), 0xF0, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi64(_mm512_min_epi64(v, sw), 0xF0,
+                            _mm512_max_epi64(v, sw));
   sw = _mm512_shuffle_i64x2(v, v, _MM_SHUFFLE(2, 3, 0, 1));  // d=2
-  v = _mm512_mask_mov_epi64(Ops::mn(v, sw), 0xCC, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi64(_mm512_min_epi64(v, sw), 0xCC,
+                            _mm512_max_epi64(v, sw));
   sw = _mm512_shuffle_epi32(v, _MM_PERM_BADC);  // d=1 (swap 64-bit halves)
-  v = _mm512_mask_mov_epi64(Ops::mn(v, sw), 0xAA, Ops::mx(v, sw));
+  v = _mm512_mask_mov_epi64(_mm512_min_epi64(v, sw), 0xAA,
+                            _mm512_max_epi64(v, sw));
   return v;
 }
 
-template <typename Key, typename Ops>
 struct Avx512Step64 {
   static constexpr std::size_t kWidth = 8;
-  static std::size_t step(const Key* pa, const Key* pb, Key* po) {
+  static std::size_t step(const std::int64_t* pa, const std::int64_t* pb,
+                          std::int64_t* po) {
     const __m512i va = _mm512_loadu_si512(pa);
     const __m512i vb = _mm512_loadu_si512(pb);
     const __m512i vbr = reverse_epi64(vb);
-    const __mmask8 take_a = Ops::le(va, vbr);
-    _mm512_storeu_si512(po, sort_bitonic_epi64<Ops>(Ops::mn(va, vbr)));
+    const __mmask8 take_a = _mm512_cmple_epi64_mask(va, vbr);
+    _mm512_storeu_si512(po, sort_bitonic_epi64(_mm512_min_epi64(va, vbr)));
     return static_cast<std::size_t>(
         __builtin_popcount(static_cast<unsigned>(take_a)));
   }
-};
-
-// ----------------------------------------------------------------- float
-
-inline __m512i f32_to_key(__m512i v) {
-  const __m512i bias = _mm512_set1_epi32(static_cast<int>(0x80000000u));
-  return _mm512_xor_si512(v,
-                          _mm512_or_si512(_mm512_srai_epi32(v, 31), bias));
-}
-inline __m512i f32_from_key(__m512i k) {
-  const __m512i bias = _mm512_set1_epi32(static_cast<int>(0x80000000u));
-  const __m512i inv =
-      _mm512_xor_si512(_mm512_srai_epi32(k, 31), _mm512_set1_epi32(-1));
-  return _mm512_xor_si512(k, _mm512_or_si512(inv, bias));
-}
-
-inline __m512i f64_to_key(__m512i v) {
-  const __m512i bias = _mm512_set1_epi64(
-      static_cast<long long>(0x8000000000000000ULL));
-  return _mm512_xor_si512(v,
-                          _mm512_or_si512(_mm512_srai_epi64(v, 63), bias));
-}
-inline __m512i f64_from_key(__m512i k) {
-  const __m512i bias = _mm512_set1_epi64(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m512i inv =
-      _mm512_xor_si512(_mm512_srai_epi64(k, 63), _mm512_set1_epi32(-1));
-  return _mm512_xor_si512(k, _mm512_or_si512(inv, bias));
-}
-
-struct Avx512StepF32 {
-  static constexpr std::size_t kWidth = 16;
-  static std::size_t step(const float* pa, const float* pb, float* po) {
-    const __m512i va = f32_to_key(_mm512_loadu_si512(pa));
-    const __m512i vb = f32_to_key(_mm512_loadu_si512(pb));
-    const __m512i vbr = reverse_epi32(vb);
-    const __mmask16 take_a = OpsU32::le(va, vbr);
-    _mm512_storeu_si512(
-        po, f32_from_key(sort_bitonic_epi32<OpsU32>(OpsU32::mn(va, vbr))));
-    return static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(take_a)));
-  }
-};
-
-struct Avx512StepF64 {
-  static constexpr std::size_t kWidth = 8;
-  static std::size_t step(const double* pa, const double* pb, double* po) {
-    const __m512i va = f64_to_key(_mm512_loadu_si512(pa));
-    const __m512i vb = f64_to_key(_mm512_loadu_si512(pb));
-    const __m512i vbr = reverse_epi64(vb);
-    const __mmask8 take_a = OpsU64::le(va, vbr);
-    _mm512_storeu_si512(
-        po, f64_from_key(sort_bitonic_epi64<OpsU64>(OpsU64::mn(va, vbr))));
-    return static_cast<std::size_t>(
-        __builtin_popcount(static_cast<unsigned>(take_a)));
-  }
-};
-
-/// The vector step each admitted key type merges with.
-template <typename Key>
-struct Avx512Steps;
-template <>
-struct Avx512Steps<std::int32_t> {
-  using type = Avx512Step32<std::int32_t, OpsI32>;
-};
-template <>
-struct Avx512Steps<std::uint32_t> {
-  using type = Avx512Step32<std::uint32_t, OpsU32>;
-};
-template <>
-struct Avx512Steps<std::int64_t> {
-  using type = Avx512Step64<std::int64_t, OpsI64>;
-};
-template <>
-struct Avx512Steps<std::uint64_t> {
-  using type = Avx512Step64<std::uint64_t, OpsU64>;
-};
-template <>
-struct Avx512Steps<float> {
-  using type = Avx512StepF32;
-};
-template <>
-struct Avx512Steps<double> {
-  using type = Avx512StepF64;
 };
 
 // --------------------------------------------------------- register sort
-
-struct NoMap {
-  static __m512i to_key(__m512i v) { return v; }
-  static __m512i from_key(__m512i v) { return v; }
-};
-struct F32Map {
-  static __m512i to_key(__m512i v) { return f32_to_key(v); }
-  static __m512i from_key(__m512i k) { return f32_from_key(k); }
-};
-struct F64Map {
-  static __m512i to_key(__m512i v) { return f64_to_key(v); }
-  static __m512i from_key(__m512i k) { return f64_from_key(k); }
-};
 
 /// The permutexvar index vector that moves lane t ^ X into lane t.
 template <unsigned X, typename Lane, std::size_t... T>
@@ -243,19 +116,18 @@ inline __m512i xor_index(std::index_sequence<T...>) {
   return _mm512_load_si512(kIndex);
 }
 
-template <typename Key, typename Map>
+template <typename Key>
 struct Avx512Sort {
   using V = __m512i;
-  static V load(const Key* p) { return Map::to_key(_mm512_loadu_si512(p)); }
-  static void store(Key* p, V v) { _mm512_storeu_si512(p, Map::from_key(v)); }
+  static V load(const Key* p) { return _mm512_loadu_si512(p); }
+  static void store(Key* p, V v) { _mm512_storeu_si512(p, v); }
 };
 
-template <typename Key, typename Ops, typename Map>
-struct Avx512Sort32 : Avx512Sort<Key, Map> {
+struct Avx512Sort32 : Avx512Sort<std::int32_t> {
   using V = __m512i;
   static constexpr std::size_t kLanes = 16;
-  static V min(V x, V y) { return Ops::mn(x, y); }
-  static V max(V x, V y) { return Ops::mx(x, y); }
+  static V min(V x, V y) { return _mm512_min_epi32(x, y); }
+  static V max(V x, V y) { return _mm512_max_epi32(x, y); }
   template <unsigned X>
   static V permute_xor(V v) {
     if constexpr (X < 4) {  // inside 128-bit groups
@@ -275,12 +147,11 @@ struct Avx512Sort32 : Avx512Sort<Key, Map> {
   }
 };
 
-template <typename Key, typename Ops, typename Map>
-struct Avx512Sort64 : Avx512Sort<Key, Map> {
+struct Avx512Sort64 : Avx512Sort<std::int64_t> {
   using V = __m512i;
   static constexpr std::size_t kLanes = 8;
-  static V min(V x, V y) { return Ops::mn(x, y); }
-  static V max(V x, V y) { return Ops::mx(x, y); }
+  static V min(V x, V y) { return _mm512_min_epi64(x, y); }
+  static V max(V x, V y) { return _mm512_max_epi64(x, y); }
   template <unsigned X>
   static V permute_xor(V v) {
     if constexpr (X == 1) {  // swap the 64-bit halves of each group
@@ -301,51 +172,23 @@ struct Avx512Sort64 : Avx512Sort<Key, Map> {
   }
 };
 
-/// The register-sort traits of each admitted key type.
-template <typename Key>
-struct Avx512Sorts;
-template <>
-struct Avx512Sorts<std::int32_t> {
-  using type = Avx512Sort32<std::int32_t, OpsI32, NoMap>;
-};
-template <>
-struct Avx512Sorts<std::uint32_t> {
-  using type = Avx512Sort32<std::uint32_t, OpsU32, NoMap>;
-};
-template <>
-struct Avx512Sorts<std::int64_t> {
-  using type = Avx512Sort64<std::int64_t, OpsI64, NoMap>;
-};
-template <>
-struct Avx512Sorts<std::uint64_t> {
-  using type = Avx512Sort64<std::uint64_t, OpsU64, NoMap>;
-};
-template <>
-struct Avx512Sorts<float> {
-  using type = Avx512Sort32<float, OpsU32, F32Map>;
-};
-template <>
-struct Avx512Sorts<double> {
-  using type = Avx512Sort64<double, OpsU64, F64Map>;
-};
-
 }  // namespace
 
 template <typename Key>
 void avx512_sort_blocks(Key* data, std::size_t blocks, std::size_t regs) {
-  sort_register_blocks<typename Avx512Sorts<Key>::type>(data, blocks, regs);
+  using Sort =
+      std::conditional_t<sizeof(Key) == 4, Avx512Sort32, Avx512Sort64>;
+  sort_register_blocks<Sort>(data, blocks, regs);
 }
 
 template SortBlocksFn<std::int32_t> avx512_sort_blocks<std::int32_t>;
-template SortBlocksFn<std::uint32_t> avx512_sort_blocks<std::uint32_t>;
 template SortBlocksFn<std::int64_t> avx512_sort_blocks<std::int64_t>;
-template SortBlocksFn<std::uint64_t> avx512_sort_blocks<std::uint64_t>;
-template SortBlocksFn<float> avx512_sort_blocks<float>;
-template SortBlocksFn<double> avx512_sort_blocks<double>;
 
 template <typename Key>
 void avx512_advance(VectorCursor<Key>* ch, std::size_t live) {
-  WindowStep<typename Avx512Steps<Key>::type> step;
+  WindowStep<
+      std::conditional_t<sizeof(Key) == 4, Avx512Step32, Avx512Step64>>
+      step;
   if (live == kVectorChains)
     chain_advance<kVectorChains>(ch, step);
   else
@@ -353,10 +196,6 @@ void avx512_advance(VectorCursor<Key>* ch, std::size_t live) {
 }
 
 template AdvanceFn<std::int32_t> avx512_advance<std::int32_t>;
-template AdvanceFn<std::uint32_t> avx512_advance<std::uint32_t>;
 template AdvanceFn<std::int64_t> avx512_advance<std::int64_t>;
-template AdvanceFn<std::uint64_t> avx512_advance<std::uint64_t>;
-template AdvanceFn<float> avx512_advance<float>;
-template AdvanceFn<double> avx512_advance<double>;
 
 }  // namespace mp::kernels::detail

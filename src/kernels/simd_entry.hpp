@@ -4,11 +4,10 @@
 /// register sorts. Each lives in a TU compiled with its own target flags
 /// (merge_sse4.cpp with -msse4.2, merge_avx2.cpp with -mavx2,
 /// merge_avx512.cpp with -mavx512f -mavx512bw), is explicitly
-/// instantiated there for the six admitted key types
-/// (int32/uint32/int64/uint64/float/double), and is reached only through
-/// kernels::detail::vector_merge_steps / vector_merge_pass /
-/// simd_sort_runs (dispatch.cpp), which never route to an ISA the cpuid
-/// probe did not report.
+/// instantiated there for the two admitted key types (int32 and int64),
+/// and is reached only through kernels::detail::vector_merge_steps /
+/// vector_merge_pass / simd_sort_runs (dispatch.cpp), which never route
+/// to an ISA the cpuid probe did not report.
 ///
 /// Loop contract (<isa>_advance): the ISA's vector step run by
 /// kernels::detail::chain_advance. It advances chains ch[0, live), live
@@ -23,11 +22,8 @@
 /// chained body (kernels::detail::chain_merge, instantiated in
 /// dispatch.cpp), so no scalar code is compiled with the ISA flags;
 /// scripts/check_isa_leak.py checks that nothing with external linkage
-/// is. The float/double steps implement the total-order float mode:
-/// sign-flip bijection on load, unsigned integer window merge, inverse
-/// bijection on store (byte-exact vs the scalar kernel under
-/// TotalOrderLess). The loop has no software prefetch: with four chains
-/// it no longer paid (docs/PERFORMANCE.md).
+/// is. The loop has no software prefetch: with four chains it no longer
+/// paid (docs/PERFORMANCE.md).
 ///
 /// The register sorts (simd_sort_common.hpp) share a second contract:
 /// sort `blocks` consecutive blocks of `regs` registers' worth of keys in

@@ -6,9 +6,7 @@
 ///
 ///   using V;                                  the vector register
 ///   static constexpr std::size_t kLanes;      keys per register
-///   static V load(const Key*), store(Key*, V) unaligned, with the key
-///                                             map (float sign flip) on
-///                                             load and its inverse on store
+///   static V load(const Key*), store(Key*, V) unaligned
 ///   static V min(V, V), max(V, V)             lane-wise, in key order
 ///   template <unsigned X> permute_xor(V)      lane t <- lane t ^ X
 ///   template <unsigned B> blend(V lo, V hi)   lane t <- t & B ? hi : lo

@@ -15,18 +15,18 @@
 ///     cross-register merges 1+1 -> 2+2 -> 4+4 -> 8+8, each finished
 ///     inside the registers;
 ///   - 8-key rank runs, for the trivially copyable types the trait
-///     refuses (records, custom comparators, floats under std::less): a
+///     refuses (records, custom comparators, unsigned keys, floats): a
 ///     branch-free stable rank sort, one comparison per pair, whose runs
 ///     the chained merge passes take from width 8;
 ///   - 24-key insertion runs for everything else.
 ///
 /// Gating mirrors the merge dispatch exactly:
-///   - compile time: use_vector_merge_v over T*/Comp — bare 32/64-bit
-///     integral keys under std::less, float/double under TotalOrderLess.
-///     Networks reorder equal keys, so they are admitted only where equal
-///     keys are bitwise identical (the same argument that makes the
-///     vector merges stable "for free"). Refused types take rank runs
-///     when trivially copyable, insertion runs otherwise.
+///   - compile time: use_vector_merge_v over T*/Comp — int32 and int64
+///     keys under std::less. Networks reorder equal keys, so they are
+///     admitted only where equal keys are bitwise identical (the same
+///     argument that makes the vector merges stable "for free"). Refused
+///     types take rank runs when trivially copyable, insertion runs
+///     otherwise.
 ///   - run time: a vector kernel must actually be selected. Forced
 ///     --kernel scalar runs, MERGEPATH_SIMD=OFF builds and
 ///     non-x86 hosts keep the insertion-sort runs for admitted types,
@@ -39,10 +39,8 @@
 /// width — is unique.
 
 #include <algorithm>
-#include <bit>
 #include <cstddef>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
 #include "kernels/kernels.hpp"
@@ -56,23 +54,6 @@ inline constexpr std::size_t kInsertionRunWidth = 24;
 inline constexpr std::size_t kRankRunWidth = 8;
 
 namespace detail {
-
-/// The padding value for a short tail block: the maximum of the key
-/// type's order, so sentinels sort to the back and the real prefix is
-/// exactly the sorted input (when a real key *equals* the sentinel the
-/// boundary falls among bitwise-identical values, so the prefix is still
-/// right). For floats the totalOrder maximum is +NaN with an all-ones
-/// payload, not infinity.
-template <typename T>
-constexpr T sort_pad_max() {
-  if constexpr (std::is_same_v<T, float>) {
-    return std::bit_cast<float>(0x7fffffffu);
-  } else if constexpr (std::is_same_v<T, double>) {
-    return std::bit_cast<double>(0x7fffffffffffffffull);
-  } else {
-    return std::numeric_limits<T>::max();
-  }
-}
 
 /// The insertion sort behind 24-key runs, and the base case of the PRAM
 /// model's counted sort, whose op counts depend on it.

@@ -63,18 +63,10 @@ Gauge& MetricsRegistry::gauge(const std::string& name) {
   return *slot;
 }
 
-Histogram& MetricsRegistry::histogram(const std::string& name) {
-  std::lock_guard lock(mutex_);
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>();
-  return *slot;
-}
-
 void MetricsRegistry::reset() {
   std::lock_guard lock(mutex_);
   for (auto& [name, counter] : counters_) counter->reset();
   for (auto& [name, gauge] : gauges_) gauge->reset();
-  for (auto& [name, histogram] : histograms_) histogram->reset();
 }
 
 void MetricsRegistry::write_json(std::ostream& os) const {
@@ -95,24 +87,6 @@ void MetricsRegistry::write_json(std::ostream& os) const {
     write_json_string(os, name);
     os << ':' << gauge->value();
   }
-  os << "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    if (!first) os << ',';
-    first = false;
-    write_json_string(os, name);
-    os << ":{\"count\":" << histogram->count()
-       << ",\"sum\":" << histogram->sum() << ",\"buckets\":[";
-    bool first_bucket = true;
-    for (std::size_t k = 0; k < Histogram::kBuckets; ++k) {
-      const std::uint64_t n = histogram->bucket(k);
-      if (n == 0) continue;
-      if (!first_bucket) os << ',';
-      first_bucket = false;
-      os << "{\"bit\":" << k << ",\"count\":" << n << '}';
-    }
-    os << "]}";
-  }
   os << "}}";
 }
 
@@ -123,10 +97,6 @@ Table MetricsRegistry::to_table() const {
     table.add_row({name, "counter", fmt_count(counter->value())});
   for (const auto& [name, gauge] : gauges_)
     table.add_row({name, "gauge", std::to_string(gauge->value())});
-  for (const auto& [name, histogram] : histograms_)
-    table.add_row({name, "histogram",
-                   fmt_count(histogram->count()) + " obs, sum " +
-                       fmt_count(histogram->sum())});
   return table;
 }
 
@@ -335,12 +305,6 @@ void MetricsRegistry::write_prometheus(std::ostream& os) const {
     const std::string pname = prom_name(name);
     os << "# TYPE " << pname << " gauge\n"
        << pname << ' ' << gauge->value() << '\n';
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    const std::string pname = prom_name(name);
-    os << "# TYPE " << pname << " summary\n"
-       << pname << "_sum " << histogram->sum() << '\n'
-       << pname << "_count " << histogram->count() << '\n';
   }
 }
 

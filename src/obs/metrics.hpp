@@ -1,10 +1,10 @@
 #pragma once
 /// \file metrics.hpp
-/// Lane-level metrics: a process-wide registry of counters, gauges and
-/// fixed-bucket (power-of-two) histograms, plus a dedicated per-lane
-/// aggregator that turns the ThreadPool's lane/barrier timings into the
-/// paper's load-balance numbers — max/min/mean lane wall-time and the
-/// max/mean imbalance ratio Section V argues about.
+/// Lane-level metrics: a process-wide registry of counters and gauges,
+/// plus a dedicated per-lane aggregator that turns the ThreadPool's
+/// lane/barrier timings into the paper's load-balance numbers —
+/// max/min/mean lane wall-time and the max/mean imbalance ratio Section V
+/// argues about.
 ///
 /// Everything here is cheap enough to stay always-compiled: recording is a
 /// handful of relaxed atomic adds, and the ThreadPool only takes clock
@@ -55,38 +55,6 @@ class Gauge {
   std::atomic<std::int64_t> value_{0};
 };
 
-/// Fixed power-of-two-bucket histogram: bucket k counts values v with
-/// bit_width(v) == k, i.e. bucket 0 holds v == 0 and bucket k >= 1 holds
-/// [2^(k-1), 2^k). 65 buckets cover the full uint64 range with no
-/// configuration and no allocation.
-class Histogram {
- public:
-  static constexpr std::size_t kBuckets = 65;
-
-  void record(std::uint64_t v) {
-    std::size_t bucket = 0;
-    for (std::uint64_t x = v; x != 0; x >>= 1) ++bucket;
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-    count_.fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-  std::uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
-  std::uint64_t bucket(std::size_t k) const {
-    return buckets_[k].load(std::memory_order_relaxed);
-  }
-  void reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    count_.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, kBuckets> buckets_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_{0};
-};
-
 /// Name → instrument registry. Registration takes a mutex (cold);
 /// returned references are stable for the process lifetime, so callers
 /// cache them and record lock-free.
@@ -96,12 +64,11 @@ class MetricsRegistry {
 
   Counter& counter(const std::string& name);
   Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
 
   /// Zeroes every registered instrument (registrations survive).
   void reset();
 
-  /// {"counters":{...},"gauges":{...},"histograms":{...}}
+  /// {"counters":{...},"gauges":{...}}
   void write_json(std::ostream& os) const;
   /// Prometheus text exposition of every registered instrument.
   void write_prometheus(std::ostream& os) const;
@@ -111,7 +78,6 @@ class MetricsRegistry {
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 
 // ---------------------------------------------------------------------------
@@ -205,9 +171,9 @@ class LaneMetrics {
 void write_metrics_json(std::ostream& os);
 bool write_metrics_json_file(const std::string& path);
 
-/// Prometheus text exposition of the registry (counters, gauges, histogram
-/// count/sum) plus per-span-name duration percentiles as summary-style
-/// series: mergepath_span_duration_ns{span="...",quantile="0.5"} etc.
+/// Prometheus text exposition of the registry (counters, gauges) plus
+/// per-span-name duration percentiles as summary-style series:
+/// mergepath_span_duration_ns{span="...",quantile="0.5"} etc.
 /// Metric and label names are sanitised to [a-zA-Z0-9_:].
 void export_prometheus(std::ostream& os);
 bool export_prometheus_file(const std::string& path);

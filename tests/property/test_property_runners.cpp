@@ -18,8 +18,10 @@
 //     KeyedRecord under a key-only comparator};
 //   sort entries {parallel_merge_sort, sequential_merge_sort,
 //     merge_round_balanced over five uneven runs} x key {int32, uint32,
-//     int64, uint64 under std::less; float, double under TotalOrderLess;
-//     KeyedRecord under the key-only comparator};
+//     int64, uint64 under std::less; float, double under a test-local
+//     IEEE totalOrder comparator; KeyedRecord under the key-only
+//     comparator} (only int32 and int64 reach the vector kernels: under
+//     the widest kernel the other rows check the scalar path);
 //   keys drawn from a 97-key generator (many ties, random order) and, for
 //     the int32 and KeyedRecord rows, from every Dist shape of
 //     util/data_gen.hpp (a merge's A and B are one make_merge_input pair;
@@ -57,6 +59,7 @@
 #include "kernels/kernels.hpp"
 #include "util/data_gen.hpp"
 #include "util/rng.hpp"
+#include "../test_support.hpp"
 
 namespace mp {
 namespace {
@@ -74,7 +77,7 @@ struct KeyOnly {
 /// boundaries); records carry their origin index as payload so a tie
 /// reordered anywhere changes the bytes. Negative keys wrap to the top of
 /// the unsigned types' range. Floating-point keys add signed zeros and
-/// NaNs, whose order only TotalOrderLess defines.
+/// NaNs, whose order only a totalOrder comparator defines.
 template <typename T>
 std::vector<T> make_values(std::size_t n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
@@ -414,9 +417,9 @@ TEST_P(RunnerTable, EveryEntryPointMatchesTheStableReference) {
                                           label + " int64");
     check_sort_entry_points<std::uint64_t>(exec, std::less<>{},
                                            label + " uint64");
-    check_sort_entry_points<float>(exec, kernels::TotalOrderLess{},
+    check_sort_entry_points<float>(exec, test::TotalOrderLess{},
                                    label + " float");
-    check_sort_entry_points<double>(exec, kernels::TotalOrderLess{},
+    check_sort_entry_points<double>(exec, test::TotalOrderLess{},
                                     label + " double");
     check_zipf_record_sort(exec, label);
   }

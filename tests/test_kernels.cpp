@@ -3,22 +3,20 @@
 // adversarial generator distributions, cursor-resume behavior under
 // partial step budgets, the dispatch/override surface (parse, env
 // resolution, set_kernel clamping), the MERGEPATH_SIMD=OFF inertness
-// contract, the compile-time trait that keeps payload/comparator/float
-// merges off the vector path, the chained body under the scalar step
-// (those merges) and under every vector step (one merge and whole passes,
-// every admitted key type), and end-to-end equivalence through the wired
-// hot paths (parallel merge, SPM, merge sort and its L2-blocked pass
-// order, multiway).
+// contract, the compile-time trait that keeps payload, comparator,
+// unsigned and float merges off the vector path, the chained body under
+// the scalar step (those merges) and under every vector step (one merge
+// and whole passes, int32 and int64), and end-to-end equivalence through
+// the wired hot paths (parallel merge, SPM, merge sort and its L2-blocked
+// pass order, multiway).
 
 #include "kernels/kernels.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 #include <list>
 #include <random>
 #include <span>
@@ -141,118 +139,6 @@ TEST(KernelEquivalence, AllKeyWidthsAndSignedness) {
     expect_equivalent(as_u32(base.a), as_u32(base.b), kernel, 373);
     expect_equivalent(as_i64(base.a), as_i64(base.b), kernel, 373);
     expect_equivalent(as_u64(base.a), as_u64(base.b), kernel, 373);
-  }
-}
-
-// Bitwise-identical float vectors (operator== is useless once NaNs are
-// in play: NaN != NaN would fail exactly the payloads the total-order
-// mode is supposed to preserve).
-template <typename T>
-void expect_bitwise_equal(const std::vector<T>& got,
-                          const std::vector<T>& want, Kernel kernel) {
-  ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    ASSERT_EQ(std::memcmp(&got[i], &want[i], sizeof(T)), 0)
-        << to_string(kernel) << " differs at " << i;
-  }
-}
-
-/// Scalar merge_steps() under TotalOrderLess as the oracle vs the forced
-/// kernel through merge_steps_auto(): identical bytes, identical cursors.
-template <typename T>
-void expect_equivalent_total_order(const std::vector<T>& a,
-                                   const std::vector<T>& b, Kernel kernel,
-                                   std::size_t steps) {
-  std::vector<T> want(steps), got(steps);
-  std::size_t wi = 0, wj = 0;
-  merge_steps(a.data(), a.size(), b.data(), b.size(), &wi, &wj, want.data(),
-              steps, TotalOrderLess{});
-  KernelGuard guard;
-  ASSERT_TRUE(set_kernel(kernel));
-  std::size_t gi = 0, gj = 0;
-  merge_steps_auto(a.data(), a.size(), b.data(), b.size(), &gi, &gj,
-                   got.data(), steps, TotalOrderLess{});
-  expect_bitwise_equal(got, want, kernel);
-  ASSERT_EQ(gi, wi) << to_string(kernel) << " a-cursor";
-  ASSERT_EQ(gj, wj) << to_string(kernel) << " b-cursor";
-}
-
-/// Adversarial float input: random bit patterns (which naturally include
-/// NaNs, denormals and infinities) salted with the special values the
-/// totalOrder axioms care about, sorted by TotalOrderLess.
-template <typename T>
-std::vector<T> make_total_order_input(std::size_t len, std::uint64_t seed) {
-  using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
-                                  std::uint64_t>;
-  std::mt19937_64 rng(seed);
-  std::vector<T> out;
-  out.reserve(len);
-  const T specials[] = {
-      T(0.0),
-      T(-0.0),
-      std::numeric_limits<T>::infinity(),
-      -std::numeric_limits<T>::infinity(),
-      std::numeric_limits<T>::quiet_NaN(),
-      -std::numeric_limits<T>::quiet_NaN(),
-      std::bit_cast<T>(static_cast<Bits>(sizeof(T) == 4
-                                             ? 0x7fc00001u
-                                             : 0x7ff8000000000001ull)),
-      std::numeric_limits<T>::denorm_min(),
-      -std::numeric_limits<T>::denorm_min(),
-      std::numeric_limits<T>::min(),
-      T(1.5),
-      T(-1.5),
-  };
-  for (std::size_t i = 0; i < len; ++i) {
-    if (i % 4 == 0) {
-      out.push_back(specials[rng() % std::size(specials)]);
-    } else {
-      out.push_back(std::bit_cast<T>(static_cast<Bits>(rng())));
-    }
-  }
-  std::sort(out.begin(), out.end(), TotalOrderLess{});
-  return out;
-}
-
-TEST(KernelEquivalence, FloatTotalOrderAllKernels) {
-  // The total-order float mode: float/double merges under TotalOrderLess
-  // ride the integer vector kernels via the sign-flip bijection. The
-  // inputs are deliberately hostile — signed zeros, quiet NaNs with
-  // distinct payloads (both signs), denormals, infinities — and the
-  // contract is bitwise, not just value, equality.
-  for (Kernel kernel : supported_kernels()) {
-    for (std::size_t len : {0u, 1u, 15u, 16u, 17u, 100u, 257u}) {
-      expect_equivalent_total_order(
-          make_total_order_input<float>(len, 0xf10a + len),
-          make_total_order_input<float>(len + len / 3, 0xf10b + len), kernel,
-          2 * len + len / 3);
-      expect_equivalent_total_order(
-          make_total_order_input<double>(len, 0xd0b1 + len),
-          make_total_order_input<double>(len + len / 3, 0xd0b2 + len), kernel,
-          2 * len + len / 3);
-    }
-  }
-}
-
-TEST(KernelEquivalence, FloatTotalOrderMatchesStdSortOrder) {
-  // TotalOrderLess itself must realize IEEE totalOrder: merging two
-  // sorted runs yields the same bytes std::sort produces on the
-  // concatenation (true only because the comparator is a genuine total
-  // order even with NaNs — std::less would scramble them).
-  const auto a = make_total_order_input<float>(300, 0xab1);
-  const auto b = make_total_order_input<float>(257, 0xab2);
-  std::vector<float> want;
-  want.insert(want.end(), a.begin(), a.end());
-  want.insert(want.end(), b.begin(), b.end());
-  std::sort(want.begin(), want.end(), TotalOrderLess{});
-  for (Kernel kernel : supported_kernels()) {
-    KernelGuard guard;
-    ASSERT_TRUE(set_kernel(kernel));
-    std::vector<float> got(want.size());
-    std::size_t i = 0, j = 0;
-    merge_steps_auto(a.data(), a.size(), b.data(), b.size(), &i, &j,
-                     got.data(), got.size(), TotalOrderLess{});
-    expect_bitwise_equal(got, want, kernel);
   }
 }
 
@@ -566,33 +452,13 @@ std::vector<Kernel> vector_kernels() {
   return out;
 }
 
-/// Inverse of detail::total_order_key: the float / double whose totalOrder
-/// key is `key`, so ascending keys give ascending floats that pass through
-/// -NaN, -inf, -0.0, +0.0, the denormals and +NaN where the keys do.
-float float_of_key(std::uint32_t key) {
-  return std::bit_cast<float>(key & 0x80000000u ? key ^ 0x80000000u : ~key);
-}
-double double_of_key(std::uint64_t key) {
-  constexpr std::uint64_t kSign = 0x8000000000000000ull;
-  return std::bit_cast<double>(key & kSign ? key ^ kSign : ~key);
-}
-
 /// An order-preserving map of int32 keys onto each admitted key type.
 template <typename T>
 T key_as(std::int32_t k) {
-  const std::uint32_t u = static_cast<std::uint32_t>(k) ^ 0x80000000u;
   if constexpr (std::is_same_v<T, std::int32_t>) {
     return k;
-  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
-    return u;
-  } else if constexpr (std::is_same_v<T, std::int64_t>) {
-    return static_cast<std::int64_t>(k) * 65536 - 3;
-  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
-    return static_cast<std::uint64_t>(u) << 32 | 0xfeedu;
-  } else if constexpr (std::is_same_v<T, float>) {
-    return float_of_key(u);
   } else {
-    return double_of_key(static_cast<std::uint64_t>(u) << 32 | 0x5eedu);
+    return static_cast<std::int64_t>(k) * 65536 - 3;
   }
 }
 
@@ -602,11 +468,6 @@ std::vector<T> keys_as(const std::vector<std::int32_t>& keys) {
   std::transform(keys.begin(), keys.end(), out.begin(), key_as<T>);
   return out;
 }
-
-/// The comparator the vector trait admits T under.
-template <typename T>
-using AdmittedLess = std::conditional_t<std::is_floating_point_v<T>,
-                                        TotalOrderLess, std::less<>>;
 
 /// Width of one vector step for T under `kernel`.
 template <typename T>
@@ -633,7 +494,7 @@ void expect_vector_pass_equivalent(const std::vector<T>& src,
     const std::size_t end = std::min(begin + 2 * width, n);
     std::size_t i = 0, j = 0;
     merge_steps(src.data() + begin, mid - begin, src.data() + mid, end - mid,
-                &i, &j, want.data() + begin, end - begin, AdmittedLess<T>{});
+                &i, &j, want.data() + begin, end - begin, std::less<>{});
   }
   for (Kernel kernel : vector_kernels()) {
     for (const bool direct : {false, true}) {
@@ -645,7 +506,7 @@ void expect_vector_pass_equivalent(const std::vector<T>& src,
       } else {
         KernelGuard guard;
         ASSERT_TRUE(set_kernel(kernel));
-        merge_pass_auto(src.data(), got.data(), n, width, AdmittedLess<T>{});
+        merge_pass_auto(src.data(), got.data(), n, width, std::less<>{});
       }
       ASSERT_EQ(std::memcmp(got.data(), want.data(), (n + 1) * sizeof(T)), 0)
           << to_string(kernel) << (direct ? " direct" : " auto")
@@ -706,11 +567,7 @@ TEST(Kernels, VectorChainedPassMatchesMergeSteps) {
   // merge_steps(); the bytes must not show any of it.
   if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel here";
   vector_pass_cases<std::int32_t>();
-  vector_pass_cases<std::uint32_t>();
   vector_pass_cases<std::int64_t>();
-  vector_pass_cases<std::uint64_t>();
-  vector_pass_cases<float>();
-  vector_pass_cases<double>();
 }
 
 /// Merges `steps` outputs of (a, b) from (i0, j0) with merge_steps() as
@@ -726,7 +583,7 @@ void expect_vector_merge_equivalent(const std::vector<T>& a,
   std::vector<T> want(steps + 1, poison);
   std::size_t wi = i0, wj = j0;
   merge_steps(a.data(), a.size(), b.data(), b.size(), &wi, &wj, want.data(),
-              steps, AdmittedLess<T>{});
+              steps, std::less<>{});
   for (Kernel kernel : vector_kernels()) {
     for (const bool direct : {false, true}) {
       std::vector<T> got(steps + 1, poison);
@@ -741,7 +598,7 @@ void expect_vector_merge_equivalent(const std::vector<T>& a,
         ASSERT_TRUE(set_kernel(kernel));
         ASSERT_EQ(merge_steps_auto(a.data(), a.size(), b.data(), b.size(),
                                    &gi, &gj, got.data(), steps,
-                                   AdmittedLess<T>{}),
+                                   std::less<>{}),
                   got.data() + steps);
       }
       const auto where = ::testing::Message()
@@ -800,7 +657,7 @@ void vector_merge_cases() {
     const std::size_t n = shape.b.size();
     const PathPoint on_path =
         path_point_on_diagonal(shape.a.data(), m, shape.b.data(), n,
-                               (m + n) / 3, AdmittedLess<T>{});
+                               (m + n) / 3, std::less<>{});
     const PathPoint starts[] = {{0, 0}, on_path, {m / 2, n / 5}};
     for (const PathPoint start : starts) {
       const std::size_t left = (m - start.i) + (n - start.j);
@@ -825,11 +682,7 @@ TEST(Kernels, VectorChainedMergeMatchesMergeSteps) {
   // budget, W multiple or not, above and below the chained minimum.
   if (vector_kernels().empty()) GTEST_SKIP() << "no vector kernel here";
   vector_merge_cases<std::int32_t>();
-  vector_merge_cases<std::uint32_t>();
   vector_merge_cases<std::int64_t>();
-  vector_merge_cases<std::uint64_t>();
-  vector_merge_cases<float>();
-  vector_merge_cases<double>();
 }
 
 // ---------------------------------------------------------------------------
@@ -910,8 +763,8 @@ TEST(KernelDispatch, CompiledOutSimdLoopsAreInert) {
   // every kernel: false, no cursor movement, no output written.
   const std::vector<std::int32_t> a(64, 1), b(64, 2);
   std::vector<std::int32_t> out(128, -1);
-  const std::vector<float> fa(64, 1.0f), fb(64, 2.0f);
-  std::vector<float> fout(128, -1.0f);
+  std::vector<std::int64_t> wide(128, -1);
+  const std::vector<std::int64_t> wa(64, 1), wb(64, 2);
   for (Kernel k : {Kernel::kSse4, Kernel::kAvx2, Kernel::kAvx512}) {
     std::size_t i = 0, j = 0;
     EXPECT_FALSE(detail::vector_merge_steps<std::int32_t>(
@@ -922,12 +775,12 @@ TEST(KernelDispatch, CompiledOutSimdLoopsAreInert) {
     EXPECT_FALSE(detail::vector_merge_pass<std::int32_t>(k, a.data(),
                                                          out.data(), 64, 32));
     EXPECT_EQ(out[0], -1);
-    std::size_t fi = 0, fj = 0;
-    EXPECT_FALSE(detail::vector_merge_steps<float>(
-        k, fa.data(), 64, fb.data(), 64, &fi, &fj, fout.data(), 128));
-    EXPECT_EQ(fi, 0u);
-    EXPECT_EQ(fj, 0u);
-    EXPECT_EQ(fout[0], -1.0f);
+    std::size_t wi = 0, wj = 0;
+    EXPECT_FALSE(detail::vector_merge_steps<std::int64_t>(
+        k, wa.data(), 64, wb.data(), 64, &wi, &wj, wide.data(), 128));
+    EXPECT_EQ(wi, 0u);
+    EXPECT_EQ(wj, 0u);
+    EXPECT_EQ(wide[0], -1);
   }
 }
 
@@ -940,33 +793,39 @@ struct ByHalf {
   bool operator()(int x, int y) const { return x / 2 < y / 2; }
 };
 
-static_assert(use_vector_merge_v<I32Iter, I32Iter, I32Out, std::less<>>);
-static_assert(
-    use_vector_merge_v<I32Iter, I32Iter, I32Out, std::less<std::int32_t>>);
-static_assert(use_vector_merge_v<const std::uint64_t*, const std::uint64_t*,
-                                 std::uint64_t*, std::less<>>);
+/// The trait over T* on all three sides.
+template <typename T, typename Comp>
+constexpr bool admits_v = use_vector_merge_v<const T*, const T*, T*, Comp>;
+
+/// Admitted under both spellings of std::less.
+template <typename T>
+constexpr bool admitted_under_less_v =
+    admits_v<T, std::less<>> && admits_v<T, std::less<T>>;
+
+/// Refused under both spellings of std::less and under a custom comparator.
+template <typename T>
+constexpr bool refused_v = !admits_v<T, std::less<>> &&
+                           !admits_v<T, std::less<T>> &&
+                           !admits_v<T, std::greater<>>;
+
+// Signed 32- and 64-bit integers under std::less are the vector path: the
+// keys the programs sort (int32 everywhere, int64 in serve).
+static_assert(admitted_under_less_v<int>);
+static_assert(admitted_under_less_v<long>);
+static_assert(admitted_under_less_v<long long>);
+static_assert(admitted_under_less_v<std::int32_t>);
+static_assert(admitted_under_less_v<std::int64_t>);
 static_assert(use_vector_merge_v<std::vector<std::int64_t>::const_iterator,
                                  std::vector<std::int64_t>::const_iterator,
                                  std::vector<std::int64_t>::iterator,
                                  std::less<>>);
-// Floats under std::less: equal keys need not be bitwise identical
-// (-0.0/+0.0), NaN breaks the strict weak order — the scalar kernel's
-// take order must be kept.
-static_assert(!use_vector_merge_v<const float*, const float*, float*,
-                                  std::less<>>);
-static_assert(!use_vector_merge_v<const double*, const double*, double*,
-                                  std::less<>>);
-// Floats under the opt-in TotalOrderLess are admitted (the total-order
-// float mode); integer keys under TotalOrderLess compare with plain <,
-// but the trait only certifies the float instantiations.
-static_assert(use_vector_merge_v<const float*, const float*, float*,
-                                 TotalOrderLess>);
-static_assert(use_vector_merge_v<const double*, const double*, double*,
-                                 TotalOrderLess>);
-static_assert(use_vector_merge_v<std::vector<float>::const_iterator,
-                                 std::vector<float>::const_iterator,
-                                 std::vector<float>::iterator,
-                                 TotalOrderLess>);
+// Unsigned keys and floats take the scalar path under every comparator
+// (floats under std::less could not ride it anyway: -0.0/+0.0 are equal
+// but not bitwise identical, and NaN breaks the strict weak order).
+static_assert(refused_v<std::uint32_t>);
+static_assert(refused_v<std::uint64_t>);
+static_assert(refused_v<float>);
+static_assert(refused_v<double>);
 // Payload records: reordering equal keys would break A-priority stability.
 static_assert(!use_vector_merge_v<const KeyedRecord*, const KeyedRecord*,
                                   KeyedRecord*, std::less<>>);

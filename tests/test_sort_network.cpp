@@ -1,16 +1,16 @@
 // Tests for src/kernels/sort_network.hpp: run formation for the merge
-// sorts. Under every kernel set_kernel accepts on this host and for all
-// six admitted key types (int32, uint32, int64, uint64, and float/double
-// under TotalOrderLess), sort_runs_auto is compared byte for byte with
+// sorts. Under every kernel set_kernel accepts on this host and for int32,
+// uint32, int64, uint64 and float/double (under a test-local IEEE
+// totalOrder comparator), sort_runs_auto is compared byte for byte with
 // std::stable_sort of each run at every length 0 .. 2W+17 (W the run
 // width it reports) on all-ties, reversed, random and pad-valued inputs
-// (keys equal to sort_pad_max: INT32_MAX, UINT64_MAX, +NaN with an
-// all-ones payload), plus signed zeros and NaNs for the floats. The
-// register network is data-oblivious, so the 0-1 principle turns the
-// exhaustive 8- and 16-key cases into proofs. Instrumented calls are
-// pinned to the insertion-sort op counts, forced-scalar runs and
-// MERGEPATH_SIMD=OFF builds keep 24-key runs, and non-admitted types form
-// 8-key stable rank-sort runs.
+// (keys equal to the tail pad, the type's maximum; +NaN with an
+// all-ones payload for the floats), plus signed zeros and NaNs for the
+// floats. Only int32 and int64 are admitted to the register network,
+// which is data-oblivious, so the 0-1 principle turns the exhaustive 8-
+// and 16-key cases into proofs. Forced-scalar runs and MERGEPATH_SIMD=OFF
+// builds keep 24-key runs for those two, and every other trivially
+// copyable type forms 8-key stable rank-sort runs.
 
 #include "kernels/sort_network.hpp"
 
@@ -28,6 +28,7 @@
 
 #include "core/instrument.hpp"
 #include "core/merge_sort.hpp"
+#include "test_support.hpp"
 #include "util/data_gen.hpp"
 
 namespace mp::kernels {
@@ -45,17 +46,17 @@ std::vector<Kernel> supported_kernels() {
   return out;
 }
 
-/// The comparator an admitted key type sorts under.
+/// The comparator T sorts under here: std::less, or totalOrder for the
+/// floats, whose inputs hold NaNs.
 template <typename T>
-using AdmittedComp =
-    std::conditional_t<std::is_floating_point_v<T>, TotalOrderLess,
-                       std::less<>>;
+using KeyComp = std::conditional_t<std::is_floating_point_v<T>,
+                                   test::TotalOrderLess, std::less<>>;
 
 /// The run width sort_runs_auto uses for T under the selected kernel
 /// (an empty call touches nothing and reports it).
 template <typename T>
 std::size_t run_width() {
-  return sort_runs_auto(static_cast<T*>(nullptr), 0, AdmittedComp<T>{});
+  return sort_runs_auto(static_cast<T*>(nullptr), 0, KeyComp<T>{});
 }
 
 template <typename T>
@@ -85,9 +86,10 @@ void expect_runs_like_stable_sort(std::vector<T> data, Comp comp,
       << " width=" << width << " sizeof=" << sizeof(T);
 }
 
-/// Keys that stress the network's order for T: the pad value itself, the
-/// type's extremes, and for floats signed zeros, NaNs of both signs with
-/// distinct payloads, infinities and denormals.
+/// Keys that stress the order of T: the type's extremes (for the
+/// integers the maximum is the tail pad of the register sort), and for
+/// floats the totalOrder maximum (+NaN, all-ones payload), signed zeros,
+/// NaNs of both signs with distinct payloads, infinities and denormals.
 template <typename T>
 std::vector<T> special_keys() {
   using L = std::numeric_limits<T>;
@@ -95,7 +97,7 @@ std::vector<T> special_keys() {
     using Bits = std::conditional_t<sizeof(T) == 4, std::uint32_t,
                                     std::uint64_t>;
     constexpr Bits kSign = Bits{1} << (sizeof(T) * 8 - 1);
-    return {detail::sort_pad_max<T>(),
+    return {std::bit_cast<T>(static_cast<Bits>(~kSign)),  // +NaN, all ones
             std::bit_cast<T>(static_cast<Bits>(~Bits{0})),  // -NaN, all ones
             T(0.0),
             T(-0.0),
@@ -113,7 +115,7 @@ std::vector<T> special_keys() {
             T(1.0),
             T(-1.0)};
   } else {
-    return {detail::sort_pad_max<T>(), L::max(), L::min(), T(0), T(1),
+    return {L::max(), L::min(), T(0), T(1),
             static_cast<T>(L::max() - 1)};
   }
 }
@@ -147,13 +149,13 @@ void check_all_lengths(Kernel kernel, std::uint64_t seed) {
       padded[i] = rng() % 3 == 0 ? specials[rng() % specials.size()]
                                  : small_key<T>(rng());
     }
-    std::sort(reversed.begin(), reversed.end(), AdmittedComp<T>{});
+    std::sort(reversed.begin(), reversed.end(), KeyComp<T>{});
     std::reverse(reversed.begin(), reversed.end());
-    expect_runs_like_stable_sort(ties, AdmittedComp<T>{}, kernel, "ties");
-    expect_runs_like_stable_sort(reversed, AdmittedComp<T>{}, kernel,
+    expect_runs_like_stable_sort(ties, KeyComp<T>{}, kernel, "ties");
+    expect_runs_like_stable_sort(reversed, KeyComp<T>{}, kernel,
                                  "reversed");
-    expect_runs_like_stable_sort(random, AdmittedComp<T>{}, kernel, "random");
-    expect_runs_like_stable_sort(padded, AdmittedComp<T>{}, kernel,
+    expect_runs_like_stable_sort(random, KeyComp<T>{}, kernel, "random");
+    expect_runs_like_stable_sort(padded, KeyComp<T>{}, kernel,
                                  "specials");
     if (::testing::Test::HasFatalFailure()) return;
   }
@@ -194,7 +196,9 @@ TEST(SortNetwork, Network16SortsAllZeroOnePatterns) {
 // instability is unobservable and the comparison can be exact.
 
 TEST(SortSmallAuto, RunWidthIsTheRegisterBlock) {
-  // 16 registers of keys per block; 24-key insertion runs without one.
+  // int32 and int64: 16 registers of keys per block under every vector
+  // kernel, 24-key insertion runs without one. Every other key type forms
+  // 8-key rank runs whatever the kernel.
   for (Kernel kernel : supported_kernels()) {
     KernelGuard guard;
     ASSERT_TRUE(set_kernel(kernel));
@@ -206,11 +210,11 @@ TEST(SortSmallAuto, RunWidthIsTheRegisterBlock) {
       return bytes == 0 ? kInsertionRunWidth : bytes / key_bytes;
     };
     EXPECT_EQ(run_width<std::int32_t>(), want(4)) << to_string(kernel);
-    EXPECT_EQ(run_width<std::uint32_t>(), want(4)) << to_string(kernel);
-    EXPECT_EQ(run_width<float>(), want(4)) << to_string(kernel);
     EXPECT_EQ(run_width<std::int64_t>(), want(8)) << to_string(kernel);
-    EXPECT_EQ(run_width<std::uint64_t>(), want(8)) << to_string(kernel);
-    EXPECT_EQ(run_width<double>(), want(8)) << to_string(kernel);
+    EXPECT_EQ(run_width<std::uint32_t>(), kRankRunWidth) << to_string(kernel);
+    EXPECT_EQ(run_width<std::uint64_t>(), kRankRunWidth) << to_string(kernel);
+    EXPECT_EQ(run_width<float>(), kRankRunWidth) << to_string(kernel);
+    EXPECT_EQ(run_width<double>(), kRankRunWidth) << to_string(kernel);
   }
 }
 
@@ -254,10 +258,10 @@ TEST(SortSmallAuto, FullBlocksSortRandomZeroOneInputs) {
 }
 
 TEST(SortSmallAuto, NonAdmittedTypesStaySorted) {
-  // Custom comparators and float-under-std::less are not admitted to the
-  // network (reordering their equal keys would be observable); they form
-  // 8-key stable rank-sort runs. NaN-free input keeps std::less a valid
-  // strict weak order here.
+  // Custom comparators and floats are not admitted to the network
+  // (reordering their equal keys would be observable); they form 8-key
+  // stable rank-sort runs. NaN-free input keeps std::less a valid strict
+  // weak order here.
   struct ByHalf {
     bool operator()(int x, int y) const { return x / 2 < y / 2; }
   };
@@ -353,9 +357,9 @@ void expect_sequential_sort_matches(std::size_t n, std::mt19937_64& rng,
     }
   }
   auto want = data;
-  std::stable_sort(want.begin(), want.end(), AdmittedComp<T>{});
+  std::stable_sort(want.begin(), want.end(), KeyComp<T>{});
   std::vector<T> scratch(n);
-  sequential_merge_sort(data.data(), scratch.data(), n, AdmittedComp<T>{});
+  sequential_merge_sort(data.data(), scratch.data(), n, KeyComp<T>{});
   EXPECT_TRUE(same_bytes(data, want))
       << to_string(kernel) << " sizeof=" << sizeof(T) << " n=" << n;
 }
@@ -363,7 +367,7 @@ void expect_sequential_sort_matches(std::size_t n, std::mt19937_64& rng,
 TEST(SortSmallAuto, SequentialMergeSortInheritsTheBaseCase) {
   // End-to-end: the wired base case produces the same bytes as
   // std::stable_sort through sequential_merge_sort, whichever kernel is
-  // selected — including float keys under TotalOrderLess.
+  // selected — including float keys under a totalOrder comparator.
   std::mt19937_64 rng(0xba5e);
   for (Kernel kernel : supported_kernels()) {
     KernelGuard guard;

@@ -35,10 +35,14 @@
 ///                           both the file and the 100%-answered line)
 ///
 /// Exits 0 only when every accepted request was answered kOk and the
-/// load generator's conservation/ordering/payload checks all pass.
+/// load generator's conservation/ordering/payload checks all pass; exits
+/// 2 on a usage error (an unknown flag, a malformed number, a negative
+/// count, --sessions/--window/--queue-capacity 0, a --threads value that
+/// does not fit an int, or a fraction or fault rate outside [0, 1]).
 
 #include <cstdint>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 
@@ -56,23 +60,47 @@ int main(int argc, char** argv) {
   using namespace mp;
 
   Cli cli(argc, argv);
+  // Counts land in unsigned fields, where a negative one would wrap (a
+  // --requests -1 asks for ~1.8e19 requests), the thread count ends in
+  // ThreadPool's int, and the load generator and the server check their
+  // minimums by aborting. So a count outside its range or a fraction
+  // outside [0, 1] is a usage error, reported before any pool or server
+  // is built.
+  std::string bad;
+  using Limit = std::numeric_limits<std::int64_t>;
+  const auto count = [&](const char* flag, std::int64_t fallback,
+                         std::int64_t min, std::int64_t max = Limit::max()) {
+    const std::int64_t v = cli.get_int(flag, fallback);
+    if ((v < min || v > max) && bad.empty())
+      bad = std::string("--") + flag + " expects an integer " +
+            (max == Limit::max() ? ">= " + std::to_string(min)
+                                 : "in [" + std::to_string(min) + ", " +
+                                       std::to_string(max) + "]") +
+            ", got " + std::to_string(v);
+    return static_cast<std::size_t>(v);
+  };
+  const auto fraction = [&](const char* flag, double fallback) {
+    const double v = cli.get_double(flag, fallback);
+    if (!(v >= 0.0 && v <= 1.0) && bad.empty())
+      bad = std::string("--") + flag + " expects a fraction in [0, 1], got " +
+            std::to_string(v);
+    return v;
+  };
   serve::LoadGenConfig lg;
   lg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 42));
-  lg.requests = static_cast<std::size_t>(cli.get_int("requests", 512));
-  lg.sessions = static_cast<std::size_t>(cli.get_int("sessions", 16));
-  lg.window = static_cast<std::size_t>(cli.get_int("window", 4));
-  lg.mix.min_elements =
-      static_cast<std::size_t>(cli.get_int("min-elements", 4096));
-  lg.mix.max_elements =
-      static_cast<std::size_t>(cli.get_int("max-elements", 65536));
+  lg.requests = count("requests", 512, 0);
+  lg.sessions = count("sessions", 16, 1);
+  lg.window = count("window", 4, 1);
+  lg.mix.min_elements = count("min-elements", 4096, 0);
+  lg.mix.max_elements = count("max-elements", 65536, 0);
   lg.mix.size_skew = cli.get_double("skew", 4.0);
-  lg.mix.merge_fraction = cli.get_double("merge-fraction", 0.10);
-  lg.mix.width64_fraction = cli.get_double("width64-fraction", 0.25);
-  const auto threads = static_cast<unsigned>(cli.get_int("threads", 8));
-  const auto queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue-capacity", 1024));
+  lg.mix.merge_fraction = fraction("merge-fraction", 0.10);
+  lg.mix.width64_fraction = fraction("width64-fraction", 0.25);
+  const auto threads = static_cast<unsigned>(
+      count("threads", 8, 0, std::numeric_limits<int>::max()));
+  const std::size_t queue_capacity = count("queue-capacity", 1024, 1);
   const bool no_batch = cli.get_bool("no-batch");
-  const double fault_rate = cli.get_double("lane-fault-rate", 0.0);
+  const double fault_rate = fraction("lane-fault-rate", 0.0);
   const auto fault_seed =
       static_cast<std::uint64_t>(cli.get_int("fault-seed", 1));
   const std::string trace_path = cli.get("trace", "");
@@ -87,6 +115,10 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown flag(s):";
     for (const auto& f : leftover) std::cerr << " --" << f;
     std::cerr << "\n";
+    return 2;
+  }
+  if (!bad.empty()) {
+    std::cerr << "error: " << bad << "\n";
     return 2;
   }
 
